@@ -76,7 +76,8 @@ class ShapeError(EngineError):
 
 
 class CheckpointMismatch(EngineError):
-    """Checkpoint is incompatible with the given database schema or task."""
+    """Checkpoint is incompatible with the given database schema or task, or
+    its files are unreadable (truncated or inconsistent)."""
 
 
 class TrainingDiverged(EngineError):

@@ -81,6 +81,16 @@ def diff_pairs(batch: BatchSubgraph, embeddings: dict[str, Tensor],
                relations: list[RelationKey]) -> dict[str, tuple[Tensor, np.ndarray, np.ndarray]]:
     """Per relation: difference vectors h_referenced - h_holder over the
     distinct FK links present in the batch (sampled in either direction)."""
+    return {rid: (T.sub(h_j, h_i), holder_locals, ref_locals)
+            for rid, (h_i, h_j, holder_locals, ref_locals)
+            in _linked_pairs(batch, embeddings, relations).items()}
+
+
+def _linked_pairs(batch: BatchSubgraph, embeddings: dict[str, Tensor],
+                  relations: list[RelationKey]
+                  ) -> dict[str, tuple[Tensor, Tensor, np.ndarray, np.ndarray]]:
+    """Per relation: (h_holder, h_referenced, holder locals, referenced
+    locals) over the distinct FK links present in the batch."""
     out = {}
     for key in relations:
         if key.reverse:
@@ -97,9 +107,9 @@ def diff_pairs(batch: BatchSubgraph, embeddings: dict[str, Tensor],
             continue
         pairs = np.unique(np.concatenate(links, axis=0), axis=0)
         holder_locals, ref_locals = pairs[:, 0], pairs[:, 1]
-        h_i = T.take_rows(embeddings[key.holder], holder_locals)
-        h_j = T.take_rows(embeddings[key.referenced], ref_locals)
-        out[key.id] = (T.sub(h_j, h_i), holder_locals, ref_locals)
+        out[key.id] = (T.take_rows(embeddings[key.holder], holder_locals),
+                       T.take_rows(embeddings[key.referenced], ref_locals),
+                       holder_locals, ref_locals)
     return out
 
 
@@ -114,13 +124,18 @@ def loss_emb(diffs: Tensor, P: Tensor, s: Tensor) -> Tensor:
 
 
 def score_pairs(fd: FdModule, relation_id: str, h_i: Tensor, h_j: Tensor) -> Tensor:
-    """Relation scoring head applied to h_i - h_j (holder minus referenced)."""
+    """Relation scoring head applied to h_i - h_j (holder minus referenced).
+
+    The last axis holds the channels; leading axes broadcast, and the result
+    has the broadcast leading shape.
+    """
     x = T.sub(h_i, h_j)
-    hidden = T.relu(T.add(T.matmul(x, fd.params[f"fd.{relation_id}.ms.W1"]),
+    flat = T.reshape(x, (-1, x.shape[-1]))
+    hidden = T.relu(T.add(T.matmul(flat, fd.params[f"fd.{relation_id}.ms.W1"]),
                           fd.params[f"fd.{relation_id}.ms.b1"]))
     raw = T.add(T.matmul(hidden, fd.params[f"fd.{relation_id}.ms.W2"]),
                 fd.params[f"fd.{relation_id}.ms.b2"])
-    return T.reshape(raw, (x.shape[0],))
+    return T.reshape(raw, x.shape[:-1])
 
 
 def loss_pair(pos: Tensor, negs: Tensor, tau: float) -> Tensor:
@@ -139,20 +154,46 @@ def loss_pair(pos: Tensor, negs: Tensor, tau: float) -> Tensor:
 def sample_negative_targets(batch: BatchSubgraph, target_table: str,
                             true_target_locals: np.ndarray, k: int,
                             rng: np.random.Generator) -> np.ndarray | None:
-    """In-batch negatives: locals of the target type whose underlying rows
-    differ from each pair's true target. Falls back to any other row of the
-    type; returns None when the batch has no alternative at all."""
+    """In-batch negatives: an (n, k) array of locals of the target type.
+
+    Each pair's k negatives are drawn uniformly from the locals whose
+    underlying row differs from the pair's true row (its alternatives),
+    without replacement when the pair has at least k alternatives and with
+    replacement otherwise. Returns None when some pair has no alternative,
+    which happens only when every local of the type holds the same row.
+
+    One uniform draw covers the whole (n, k) block; only the slots that hit
+    the true row, or repeat an earlier slot of their pair, are drawn again.
+    """
     rows = batch.nodes[target_table].rows
     n_local = len(rows)
     if n_local <= 1:
         return None
-    out = np.empty((len(true_target_locals), k), dtype=np.int64)
-    for i, j in enumerate(true_target_locals):
-        true_row = rows[int(j)]
-        cands = np.flatnonzero(rows != true_row)
-        if len(cands) == 0:
-            return None
-        out[i] = rng.choice(cands, size=k, replace=len(cands) < k)
+    true_locals = np.asarray(true_target_locals, dtype=np.int64)
+    _, inverse, counts = np.unique(rows, return_inverse=True, return_counts=True)
+    alternatives = n_local - counts[inverse[true_locals]]
+    if (alternatives == 0).any():
+        return None
+    true_rows = rows[true_locals]
+    distinct = alternatives >= k
+    out = rng.integers(0, n_local, size=(len(true_locals), k))
+    todo = np.arange(len(true_locals))
+    while len(todo):
+        draws = out[todo]
+        bad = rows[draws] == true_rows[todo, None]
+        # a repeat is a slot whose local already appears at an earlier slot;
+        # the stable sort keeps equal locals in slot order
+        order = np.argsort(draws, axis=1, kind="stable")
+        ranked = np.take_along_axis(draws, order, axis=1)
+        seen = np.zeros_like(bad)
+        seen[:, 1:] = ranked[:, 1:] == ranked[:, :-1]
+        repeat = np.empty_like(bad)
+        np.put_along_axis(repeat, order, seen, axis=1)
+        bad |= repeat & distinct[todo, None]
+        hit = bad.any(axis=1)
+        todo, draws, bad = todo[hit], draws[hit], bad[hit]
+        draws[bad] = rng.integers(0, n_local, size=int(bad.sum()))
+        out[todo] = draws
     return out
 
 
@@ -160,38 +201,40 @@ def fd_losses(batch: BatchSubgraph, embeddings: dict[str, Tensor], fd: FdModule,
               beta: float, gamma: float, tau: float, negatives: int,
               rng: np.random.Generator) -> tuple[Tensor, Tensor, Tensor, list[FdDiagnostics]]:
     """Combined regularizer beta * L_emb + gamma * L_pair, each averaged over
-    the relations that have pairs in the batch."""
-    pairs = diff_pairs(batch, embeddings, fd.relations)
+    the relations that have pairs in the batch.
+
+    L_pair ranks each linked pair against `negatives` in-batch negatives from
+    `sample_negative_targets`: uniform over the referenced-type locals whose
+    row differs from the pair's true row, without replacement when the pair
+    has at least that many alternatives. A relation whose batch offers no
+    alternative (None from the sampler) contributes no pair term. All k
+    negatives are scored in one (n, k) block against the holder embeddings.
+    """
+    pairs = _linked_pairs(batch, embeddings, fd.relations)
     emb_terms: list[Tensor] = []
     pair_terms: list[Tensor] = []
     diagnostics: list[FdDiagnostics] = []
-    for rid, (diffs, holder_locals, ref_locals) in sorted(pairs.items()):
+    for rid, (h_i, h_j, _, ref_locals) in sorted(pairs.items()):
         key = next(k for k in fd.relations if k.id == rid)
         P, s = fd.subspace(rid)
-        l_emb = loss_emb(diffs, P, s)
+        n = len(ref_locals)
+        l_emb = loss_emb(T.sub(h_j, h_i), P, s)
         emb_terms.append(l_emb)
 
-        h_i = T.take_rows(embeddings[key.holder], holder_locals)
-        h_j = T.take_rows(embeddings[key.referenced], ref_locals)
         pos = score_pairs(fd, rid, h_i, h_j)
         neg_locals = sample_negative_targets(batch, key.referenced, ref_locals,
                                              negatives, rng)
         if neg_locals is None:
             log.info("fd: no negative targets available for %s, pair loss skipped", rid)
-            diagnostics.append(FdDiagnostics(rid, diffs.shape[0],
-                                             l_emb.item(), float("nan"),
+            diagnostics.append(FdDiagnostics(rid, n, l_emb.item(), float("nan"),
                                              float(pos.values.mean()), float("nan")))
             continue
-        neg_cols = []
-        for kk in range(negatives):
-            h_neg = T.take_rows(embeddings[key.referenced], neg_locals[:, kk])
-            neg_cols.append(T.reshape(score_pairs(fd, rid, h_i, h_neg),
-                                      (pos.shape[0], 1)))
-        negs = T.concat(neg_cols, axis=1)
+        h_neg = T.take_rows(embeddings[key.referenced], neg_locals.reshape(-1))
+        negs = score_pairs(fd, rid, T.reshape(h_i, (n, 1, h_i.shape[1])),
+                           T.reshape(h_neg, (n, negatives, h_i.shape[1])))
         l_pair = loss_pair(pos, negs, tau)
         pair_terms.append(l_pair)
-        diagnostics.append(FdDiagnostics(rid, diffs.shape[0], l_emb.item(),
-                                         l_pair.item(),
+        diagnostics.append(FdDiagnostics(rid, n, l_emb.item(), l_pair.item(),
                                          float(pos.values.mean()),
                                          float(negs.values.mean())))
 

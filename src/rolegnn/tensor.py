@@ -9,13 +9,15 @@ shape; only leading-dimension batch use is relied on elsewhere.
 from __future__ import annotations
 
 import json
+import math
 import struct
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 
 from . import kernels
-from .errors import ShapeError
+from .errors import CheckpointMismatch, ShapeError
 
 _TAPE: list["Tensor"] = []
 _GRAD_ENABLED = True
@@ -41,6 +43,16 @@ def tape_size() -> int:
 
 def clear_tape() -> None:
     _TAPE.clear()
+
+
+@contextmanager
+def tape_scope():
+    """Bound one training step: the tape is empty when the block exits, also
+    when it raises, so a failed step leaves no recorded nodes behind."""
+    try:
+        yield
+    finally:
+        clear_tape()
 
 
 class Tensor:
@@ -454,17 +466,46 @@ def save_tensors(path: str | Path, named: dict[str, Tensor | np.ndarray]) -> Non
 
 
 def load_tensors(path: str | Path) -> dict[str, np.ndarray]:
-    with open(path, "rb") as fh:
-        magic = fh.read(len(_MAGIC))
-        if magic != _MAGIC:
-            raise ValueError(f"not a tensor checkpoint: {path}")
-        (hlen,) = struct.unpack("<Q", fh.read(8))
-        header = json.loads(fh.read(hlen).decode("utf-8"))
-        out = {}
-        for entry in header["tensors"]:
-            (nbytes,) = struct.unpack("<Q", fh.read(8))
-            if nbytes != entry["nbytes"]:
-                raise ValueError(f"corrupt checkpoint near {entry['name']!r}")
-            arr = np.frombuffer(fh.read(nbytes), dtype="<f8")
-            out[entry["name"]] = arr.reshape(entry["shape"]).astype(np.float64)
-        return out
+    """Read a file written by `save_tensors`.
+
+    A file that is missing, is not a checkpoint, is cut short, or whose byte
+    counts disagree with its header raises CheckpointMismatch naming the
+    file and, where one is involved, the tensor.
+    """
+    try:
+        data = Path(path).read_bytes()
+    except OSError as exc:
+        raise CheckpointMismatch(
+            f"unreadable checkpoint {path}: {exc.strerror}") from None
+    if data[:len(_MAGIC)] != _MAGIC:
+        raise CheckpointMismatch(f"not a tensor checkpoint: {path}")
+    pos = len(_MAGIC)
+
+    def take(n: int, what: str) -> bytes:
+        nonlocal pos
+        if n > len(data) - pos:
+            raise CheckpointMismatch(
+                f"truncated checkpoint {path}: {what} needs {n} bytes, "
+                f"{len(data) - pos} left")
+        pos += n
+        return data[pos - n:pos]
+
+    (hlen,) = struct.unpack("<Q", take(8, "header length"))
+    header = take(hlen, "header")
+    try:
+        index = [(e["name"], tuple(int(d) for d in e["shape"]),
+                  int(e["nbytes"]))
+                 for e in json.loads(header.decode("utf-8"))["tensors"]]
+    except (ValueError, KeyError, TypeError) as exc:
+        raise CheckpointMismatch(
+            f"unreadable checkpoint header in {path}: {exc}") from None
+    out = {}
+    for name, shape, listed in index:
+        (nbytes,) = struct.unpack("<Q", take(8, f"byte count of {name!r}"))
+        if not nbytes == listed == 8 * math.prod(shape):
+            raise CheckpointMismatch(
+                f"corrupt checkpoint {path}: tensor {name!r} has {nbytes} "
+                f"bytes, its header entry {listed} and its shape {list(shape)}")
+        arr = np.frombuffer(take(nbytes, f"tensor {name!r}"), dtype="<f8")
+        out[name] = arr.reshape(shape).astype(np.float64)
+    return out

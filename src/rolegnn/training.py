@@ -294,22 +294,23 @@ def train(state: TrainState, out_dir: str | Path | None = None,
             opt_model.zero_grad()
             if opt_fd is not None:
                 opt_fd.zero_grad()
-            loss, embeddings, batch, new_gates = _task_loss(
-                state, idx, "train", True, state.gates, rng)
-            l_task = loss.item()
-            l_emb_v = l_pair_v = 0.0
-            if state.fdmod is not None:
-                total, l_emb, l_pair, diag = fd_losses(
-                    batch, embeddings, state.fdmod, cfg.beta, cfg.gamma,
-                    cfg.tau, cfg.negatives, rng)
-                loss = T.add(loss, total)
-                l_emb_v, l_pair_v = l_emb.item(), l_pair.item()
-            if not np.isfinite(loss.item()):
-                raise TrainingDiverged(
-                    f"non-finite loss at epoch {epoch} batch {bi}",
-                    {"epoch": epoch, "batch": bi, "l_task": l_task,
-                     "l_emb": l_emb_v, "l_pair": l_pair_v})
-            T.backward(loss)
+            with T.tape_scope():
+                loss, embeddings, batch, new_gates = _task_loss(
+                    state, idx, "train", True, state.gates, rng)
+                l_task = loss.item()
+                l_emb_v = l_pair_v = 0.0
+                if state.fdmod is not None:
+                    total, l_emb, l_pair, diag = fd_losses(
+                        batch, embeddings, state.fdmod, cfg.beta, cfg.gamma,
+                        cfg.tau, cfg.negatives, rng)
+                    loss = T.add(loss, total)
+                    l_emb_v, l_pair_v = l_emb.item(), l_pair.item()
+                if not np.isfinite(loss.item()):
+                    raise TrainingDiverged(
+                        f"non-finite loss at epoch {epoch} batch {bi}",
+                        {"epoch": epoch, "batch": bi, "l_task": l_task,
+                         "l_emb": l_emb_v, "l_pair": l_pair_v})
+                T.backward(loss)
             opt_model.step()
             if opt_fd is not None:
                 opt_fd.zero_grad()  # phase A never moves FD parameters
@@ -329,23 +330,24 @@ def train(state: TrainState, out_dir: str | Path | None = None,
                 for bi, idx in enumerate(batches_b):
                     rng = np.random.default_rng([cfg.seed, epoch, 3 + inner, bi])
                     opt_fd.zero_grad()
-                    opt_model.zero_grad()
                     seeds, _, _ = _seed_list(task, "train", idx)
                     scfg = _sampler_cfg(state, int(rng.integers(2 ** 62)))
                     batch = sample_batch(state.reg, seeds, scfg,
                                          task.entity_table, rng=rng)
-                    result = state.model.forward(batch, state.gates,
-                                                 train=False, rng=rng)
-                    total, l_emb, l_pair, diag = fd_losses(
-                        batch, result.embeddings, state.fdmod, cfg.beta,
-                        cfg.gamma, cfg.tau, cfg.negatives, rng)
-                    if not np.isfinite(total.item()):
-                        raise TrainingDiverged(
-                            f"non-finite FD loss at epoch {epoch} batch {bi}",
-                            {"epoch": epoch, "batch": bi})
-                    T.backward(total)
+                    # the representation is frozen: only FD nodes go on the tape
+                    with T.no_grad():
+                        result = state.model.forward(batch, state.gates,
+                                                     train=False, rng=rng)
+                    with T.tape_scope():
+                        total, l_emb, l_pair, diag = fd_losses(
+                            batch, result.embeddings, state.fdmod, cfg.beta,
+                            cfg.gamma, cfg.tau, cfg.negatives, rng)
+                        if not np.isfinite(total.item()):
+                            raise TrainingDiverged(
+                                f"non-finite FD loss at epoch {epoch} batch {bi}",
+                                {"epoch": epoch, "batch": bi})
+                        T.backward(total)
                     opt_fd.step()
-                    opt_model.zero_grad()
                     for d in diag:
                         state.fd_diag_rows.append({
                             "epoch": epoch, "relation": d.relation,
@@ -563,12 +565,6 @@ def export_structure(checkpoint_dir: str | Path,
     return report
 
 
-def schema_digest(db: RelationalDatabase) -> str:
-    payload = json.dumps([db.specs[n].to_dict() for n in sorted(db.table_names)],
-                         sort_keys=True).encode()
-    return hashlib.sha256(payload).hexdigest()
-
-
 def dataset_digest(db: RelationalDatabase) -> str:
     return hashlib.sha256(canonical_form(db)).hexdigest()
 
@@ -598,14 +594,16 @@ def save_checkpoint(path: str | Path, state: TrainState) -> Path:
                      "v_table": t.v_table, "w_table": t.w_table,
                      "fk_u": t.fk_u, "fk_w": t.fk_w}
                     for t in state.reg.triples],
-        "schema_digest": schema_digest_from_specs(state.reg.specs),
+        "schema_digest": schema_digest(state.reg.specs),
     }
     with open(path / "meta.json", "w", encoding="utf-8") as fh:
         json.dump(meta, fh, indent=2)
     return path
 
 
-def schema_digest_from_specs(specs: dict) -> str:
+def schema_digest(specs: dict) -> str:
+    """Hash of the table specs (a name -> TableSpec mapping) a model was
+    built on; checkpoints store it, loading and transfer compare it."""
     payload = json.dumps([specs[n].to_dict() for n in sorted(specs)],
                          sort_keys=True).encode()
     return hashlib.sha256(payload).hexdigest()
@@ -618,7 +616,7 @@ def load_checkpoint(path: str | Path, db: RelationalDatabase,
         raise CheckpointMismatch(f"no checkpoint at {path}")
     with open(path / "meta.json", encoding="utf-8") as fh:
         meta = json.load(fh)
-    if meta["schema_digest"] != schema_digest(db):
+    if meta["schema_digest"] != schema_digest(db.specs):
         raise CheckpointMismatch("checkpoint schema does not match database")
 
     model_cfg = ModelConfig(**meta["model_config"])
@@ -679,7 +677,7 @@ def transfer_structure(source_checkpoint: str | Path, db: RelationalDatabase,
     src = Path(source_checkpoint)
     with open(src / "meta.json", encoding="utf-8") as fh:
         meta = json.load(fh)
-    if meta["schema_digest"] != schema_digest(db):
+    if meta["schema_digest"] != schema_digest(db.specs):
         raise CheckpointMismatch("source checkpoint schema does not match "
                                  "target database")
     with open(src / "gates.json", encoding="utf-8") as fh:

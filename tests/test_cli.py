@@ -1,9 +1,13 @@
 import json
+import shutil
 
 import pytest
 
 from rolegnn.cli import main
 from rolegnn.config import SEED_ENV_VAR
+from rolegnn.errors import CheckpointMismatch
+from rolegnn.rdb import ingest_bundle, load_task
+from rolegnn.training import load_checkpoint
 
 
 def _run(capsys, *argv):
@@ -140,6 +144,60 @@ def test_incompatible_checkpoint_exit_code(capsys, twohop_bundle, tmp_path):
                         str(twohop_bundle / "user-positive"))
     assert code == 4
     assert "schema" in err
+
+
+@pytest.fixture(scope="module")
+def trained_checkpoint(tmp_path_factory, twohop_bundle):
+    run = tmp_path_factory.mktemp("run")
+    code = main(["train", str(twohop_bundle),
+                 str(twohop_bundle / "user-positive"), "--epochs", "1", "--channels", "8", "--layers", "1",
+                 "--batch-size", "32", "--neighbor-samples", "16",
+                 "--seed", "0", "-o", str(run)])
+    assert code == 0
+    return run / "checkpoint"
+
+
+def _cut_params(data: bytes, case: str) -> bytes:
+    """A params.bin damaged at one place: 8-byte magic, 8-byte header
+    length, JSON header, then per tensor an 8-byte count and its payload."""
+    hlen = int.from_bytes(data[8:16], "little")
+    first_count = 16 + hlen
+    if case == "empty":
+        return b""
+    if case == "mid-magic":
+        return data[:4]
+    if case == "mid-header":
+        return data[:16 + hlen // 2]
+    if case == "mid-payload":
+        nbytes = int.from_bytes(data[first_count:first_count + 8], "little")
+        return data[:first_count + 8 + nbytes // 2]
+    flipped = bytearray(data)  # "flipped-nbytes": one bit of the first count
+    flipped[first_count] ^= 0x08
+    return bytes(flipped)
+
+
+@pytest.mark.parametrize("case", ["missing", "empty", "mid-magic",
+                                  "mid-header", "mid-payload", "flipped-nbytes"])
+def test_damaged_checkpoint_exit_code(capsys, twohop_bundle, trained_checkpoint,
+                                      tmp_path, case):
+    ckpt = tmp_path / "checkpoint"
+    shutil.copytree(trained_checkpoint, ckpt)
+    params = ckpt / "params.bin"
+    if case == "missing":
+        params.unlink()
+    else:
+        params.write_bytes(_cut_params(params.read_bytes(), case))
+
+    db = ingest_bundle(twohop_bundle)
+    task = load_task(twohop_bundle / "user-positive", db)
+    with pytest.raises(CheckpointMismatch, match="params.bin"):
+        load_checkpoint(ckpt, db, task)
+
+    code, _, err = _run(capsys, "eval", str(ckpt), str(twohop_bundle),
+                        str(twohop_bundle / "user-positive"))
+    assert code == 4
+    assert "params.bin" in err
+    assert "Traceback" not in err
 
 
 def test_unknown_flag_exits_2(capsys, twohop_bundle):

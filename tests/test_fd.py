@@ -1,17 +1,22 @@
+import functools
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from conftest import finite_diff_max_rel
+from rolegnn import fd as fd_module
 from rolegnn import tensor as T
 from rolegnn.fd import (FdModule, diff_pairs, fd_losses, loss_emb, loss_pair,
                         sample_negative_targets, score_pairs)
+from rolegnn.model import ModelConfig
 from rolegnn.sampler import SamplerConfig, sample_batch
 from rolegnn.schema_graph import (RoleAssignment, build_schema_graph,
                                   construct_reg, enumerate_edge_triples)
 from rolegnn.synth import gen_subspace, gen_twohop
 from rolegnn.tensor import Adam, Tensor
+from rolegnn.training import TrainConfig, build_state
 
 
 def _subspace_setup(n=120, ch=8, d=3, sigma=0.0, seed=0):
@@ -272,3 +277,170 @@ def test_planted_subspace_training_property():
     jn = np.where(jn == j_pos, (jn + 1) % n_anchor, jn)
     neg = score_pairs(fd, rid, hi, Tensor(h_anchor[jn])).values
     assert (pos > neg).mean() > 0.9
+
+
+# --- the stacked FD step against the per-column oracle ----------------------
+
+def _rows_batch(rows):
+    """A stand-in batch holding one node type "t" with the given rows."""
+    return SimpleNamespace(
+        nodes={"t": SimpleNamespace(rows=np.asarray(rows, dtype=np.int64))})
+
+
+# chi-square critical values at p = 1e-3, by degrees of freedom
+_CHI2_CRIT = {4: 18.467, 11: 31.264, 12: 32.909}
+
+
+def test_negative_draws_uniform_over_alternatives():
+    # row 3 fills 9 of 14 locals: pairs on it have 5 alternatives (< k, drawn
+    # with replacement); the pairs on rows 7 and 1 have 12 and 13 (>= k)
+    rows = np.array([3, 1, 3, 7, 3, 3, 2, 3, 7, 3, 4, 3, 3, 3])
+    true_locals = np.array([0, 3, 1, 9])
+    k, draws = 6, 3000
+    batch = _rows_batch(rows)
+    rng = np.random.default_rng(0)
+    counts = np.zeros((len(true_locals), len(rows)))
+    for _ in range(draws):
+        negs = sample_negative_targets(batch, "t", true_locals, k, rng)
+        assert negs.shape == (len(true_locals), k)
+        for i, j in enumerate(true_locals):
+            assert (rows[negs[i]] != rows[j]).all()
+            alternatives = int((rows != rows[j]).sum())
+            if alternatives >= k:
+                assert len(set(negs[i].tolist())) == k
+        np.add.at(counts, (np.repeat(np.arange(len(true_locals)), k),
+                           negs.reshape(-1)), 1)
+    for i, j in enumerate(true_locals):
+        alt = rows != rows[j]
+        assert (counts[i, ~alt] == 0).all()
+        observed = counts[i, alt]
+        expected = draws * k / alt.sum()
+        stat = float(((observed - expected) ** 2 / expected).sum())
+        assert stat < _CHI2_CRIT[int(alt.sum()) - 1], (i, stat)
+
+
+def test_negative_draws_none_contract():
+    rng = np.random.default_rng(1)
+    # every local holds the true row: no pair has an alternative
+    assert sample_negative_targets(_rows_batch([4, 4, 4]), "t",
+                                   np.array([0, 2]), 3, rng) is None
+    assert sample_negative_targets(_rows_batch([4]), "t", np.array([0]), 3,
+                                   rng) is None
+    # one alternative suffices; it is drawn with replacement
+    negs = sample_negative_targets(_rows_batch([4, 4, 5]), "t",
+                                   np.array([0, 1, 2]), 3, rng)
+    assert negs[:2].tolist() == [[2, 2, 2], [2, 2, 2]]
+    assert set(negs[2].tolist()) <= {0, 1}
+
+
+def _fd_setup(seed=3):
+    db, task = gen_twohop(40, 12, 120, 1.0, seed)
+    sg = build_schema_graph(db)
+    reg = construct_reg(db, sg,
+                        RoleAssignment.learn_all(enumerate_edge_triples(sg)))
+    fd = FdModule(reg, channels=6, subspace_dim=2, seed=0)
+    recs = task.labels["train"]
+    seeds = [(int(recs.entity[i]), float(recs.t_predict[i])) for i in range(8)]
+    batch = sample_batch(reg, seeds,
+                         SamplerConfig(neighbor_samples=8, num_hops=1, seed=2),
+                         "user")
+    emb = {t: Tensor(np.random.default_rng(7).normal(size=(tn.n, 6)),
+                     requires_grad=True)
+           for t, tn in batch.nodes.items()}
+    return batch, emb, fd
+
+
+def _fd_losses_per_column(batch, embeddings, fd, beta, gamma, tau, negatives,
+                          draw):
+    """The FD loss as it was computed before the stacked block: one gather
+    pair per relation for L_pair, and one scoring call per negative column."""
+    emb_terms, pair_terms = [], []
+    for rid, (diffs, holder_locals, ref_locals) in sorted(
+            diff_pairs(batch, embeddings, fd.relations).items()):
+        key = next(k for k in fd.relations if k.id == rid)
+        P, s = fd.subspace(rid)
+        emb_terms.append(loss_emb(diffs, P, s))
+        h_i = T.take_rows(embeddings[key.holder], holder_locals)
+        h_j = T.take_rows(embeddings[key.referenced], ref_locals)
+        pos = score_pairs(fd, rid, h_i, h_j)
+        neg_locals = draw(batch, key.referenced, ref_locals, negatives)
+        cols = [T.reshape(score_pairs(fd, rid, h_i,
+                                      T.take_rows(embeddings[key.referenced],
+                                                  neg_locals[:, kk])),
+                          (pos.shape[0], 1))
+                for kk in range(negatives)]
+        pair_terms.append(loss_pair(pos, T.concat(cols, axis=1), tau))
+    l_emb = T.scale(functools.reduce(T.add, emb_terms), 1.0 / len(emb_terms))
+    l_pair = T.scale(functools.reduce(T.add, pair_terms), 1.0 / len(pair_terms))
+    return T.add(T.scale(l_emb, beta), T.scale(l_pair, gamma))
+
+
+def test_stacked_negatives_match_per_column_oracle(monkeypatch):
+    """Same negatives, same loss within 1e-12; gradients differ only by the
+    order of float64 sums, so they agree within rtol 1e-10."""
+    batch, emb, fd = _fd_setup()
+    real_draw = fd_module.sample_negative_targets
+
+    def fixed_draw(batch, table, true_locals, k, rng=None):
+        return real_draw(batch, table, true_locals, k, np.random.default_rng(5))
+
+    monkeypatch.setattr(fd_module, "sample_negative_targets", fixed_draw)
+    params = {**fd.params, **{f"emb.{t}": e for t, e in emb.items()}}
+
+    def loss_and_grads(build):
+        for p in params.values():
+            p.grad[:] = 0.0
+        loss = build()
+        T.backward(loss)
+        return loss.item(), {n: p.grad.copy() for n, p in params.items()}
+
+    beta, gamma, tau, k = 0.3, 0.7, 0.1, 4
+    got, got_g = loss_and_grads(lambda: fd_losses(
+        batch, emb, fd, beta, gamma, tau, k, np.random.default_rng(0))[0])
+    want, want_g = loss_and_grads(lambda: _fd_losses_per_column(
+        batch, emb, fd, beta, gamma, tau, k, fixed_draw))
+    assert abs(got - want) <= 1e-12
+    for name in params:
+        np.testing.assert_allclose(got_g[name], want_g[name], rtol=1e-10,
+                                   atol=1e-14, err_msg=name)
+    assert any(g.any() for n, g in want_g.items() if ".ms.W1" in n)
+
+
+def test_fd_gradients_identical_with_forward_off_the_tape():
+    """Phase B's forward under no_grad leaves the FD-parameter gradients
+    bit-identical to a grad-enabled forward, and the model's untouched."""
+    db, task = gen_twohop(60, 20, 200, 1.0, 0)
+    state = build_state(db, task, ModelConfig(channels=8, layers=1, seed=0),
+                        TrainConfig(epochs=1, batch_size=32, seed=0,
+                                    neighbor_samples=16))
+    recs = task.labels["train"]
+    seeds = [(int(recs.entity[i]), float(recs.t_predict[i]))
+             for i in range(32)]
+    batch = sample_batch(state.reg, seeds,
+                         SamplerConfig(neighbor_samples=16, num_hops=1, seed=4),
+                         task.entity_table)
+    cfg = state.train_cfg
+
+    def fd_grads(forward_on_tape: bool):
+        if forward_on_tape:
+            result = state.model.forward(batch, state.gates, train=False)
+        else:
+            with T.no_grad():
+                result = state.model.forward(batch, state.gates, train=False)
+        total, _, _, _ = fd_losses(batch, result.embeddings, state.fdmod,
+                                   cfg.beta, cfg.gamma, cfg.tau, cfg.negatives,
+                                   np.random.default_rng(6))
+        T.backward(total)
+        grads = {n: p.grad.copy() for n, p in state.fdmod.params.items()}
+        model_moved = any(p.grad.any() for p in state.model.params.values())
+        for p in (*state.fdmod.params.values(), *state.model.params.values()):
+            p.grad[:] = 0.0
+        return grads, model_moved
+
+    on_tape, model_moved = fd_grads(True)
+    assert model_moved
+    off_tape, model_moved = fd_grads(False)
+    assert not model_moved
+    for name in on_tape:
+        assert np.array_equal(on_tape[name], off_tape[name]), name
+    assert any(g.any() for g in on_tape.values())

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import finite_diff_max_rel, rand_tensor
 from rolegnn import tensor as T
-from rolegnn.errors import ShapeError
+from rolegnn.errors import CheckpointMismatch, ShapeError
 from rolegnn.tensor import Adam, Tensor
 
 
@@ -234,5 +234,5 @@ def test_checkpoint_roundtrip(tmp_path):
 def test_checkpoint_rejects_garbage(tmp_path):
     path = tmp_path / "junk.bin"
     path.write_bytes(b"not a checkpoint")
-    with pytest.raises(ValueError):
+    with pytest.raises(CheckpointMismatch):
         T.load_tensors(path)

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from rolegnn import tensor as T
 from rolegnn.errors import CheckpointMismatch, TrainingDiverged
 from rolegnn.model import ModelConfig
 from rolegnn.training import (TrainConfig, build_state, evaluate,
@@ -168,6 +169,24 @@ def test_divergence_guard():
     with pytest.raises(TrainingDiverged) as err:
         train(state)
     assert "epoch" in err.value.diagnostics
+
+
+@pytest.mark.parametrize("phase", ["a", "b"])
+def test_divergence_leaves_tape_empty(phase):
+    db, task, state = _small_state(seed=4, epochs=1)
+
+    def poison_fd_head(event, epoch, st):
+        if event == "after_phase_a":
+            for name, p in st.fdmod.params.items():
+                if name.endswith(".ms.b2"):
+                    p.values[:] = np.nan
+
+    if phase == "a":
+        state.model.params["head.b"].values[:] = np.nan
+    with pytest.raises(TrainingDiverged) as err:
+        train(state, phase_hook=poison_fd_head if phase == "b" else None)
+    assert ("FD" in str(err.value)) == (phase == "b")
+    assert T.tape_size() == 0
 
 
 def test_gates_update_only_in_phase_a():
