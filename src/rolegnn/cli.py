@@ -20,13 +20,14 @@ from .config import DEFAULTS, default_seed
 from .errors import (BundleError, CheckpointMismatch, EngineError, RoleError,
                      TrainingDiverged)
 from .model import ModelConfig
-from .rdb import canonical_form, ingest_bundle, load_task, validate_fd
-from .schema_graph import (RoleAssignment, build_schema_graph, construct_reg,
+from .rdb import canonical_form, fd_violations, ingest_bundle, load_task
+from .schema_graph import (build_schema_graph, construct_reg,
                            demo_add_counterexample, demo_prune_counterexample,
                            enumerate_edge_triples, enumerate_pruning_maps,
                            invert_reg)
-from .training import (TrainConfig, build_state, dataset_digest, evaluate,
-                       export_structure, train, transfer_structure)
+from .training import (ROLE_MODES, TrainConfig, build_state, dataset_digest,
+                       evaluate, export_structure, roles_for_mode, train,
+                       transfer_structure)
 
 EXIT_BUNDLE = 3
 EXIT_INCOMPATIBLE = 4
@@ -78,7 +79,7 @@ def _edge_list(g) -> list:
 def cmd_validate(args) -> int:
     t0 = time.time()
     db = ingest_bundle(args.bundle)
-    violations = validate_fd(db)
+    violations = fd_violations(db)
     report = _base_report("validate", default_seed(), {})
     report.update({
         "bundle": str(args.bundle),
@@ -98,14 +99,7 @@ def cmd_roundtrip(args) -> int:
     sg = build_schema_graph(db)
     triples = enumerate_edge_triples(sg)
     seed = args.seed if args.seed is not None else default_seed()
-    if args.roles == "all-node":
-        roles = RoleAssignment.uniform(triples, "node")
-    elif args.roles == "all-edge":
-        roles = RoleAssignment.uniform(triples, "edge")
-    elif args.roles == "random":
-        roles = RoleAssignment.random(triples, seed)
-    else:
-        roles = RoleAssignment.learn_all(triples)
+    roles, _ = roles_for_mode(triples, args.roles, seed)
     reg = construct_reg(db, sg, roles)
     rebuilt = invert_reg(reg)
     verdict = canonical_form(rebuilt) == canonical_form(db)
@@ -273,8 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("roundtrip",
                        help="entity-graph construction + inversion equality")
     p.add_argument("bundle")
-    p.add_argument("--roles", default="learn",
-                   choices=["learn", "all-node", "all-edge", "random"])
+    p.add_argument("--roles", default="learn", choices=ROLE_MODES)
     p.add_argument("--seed", type=int, default=None)
     p.set_defaults(fn=cmd_roundtrip)
 
@@ -295,8 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name, typ in TRAIN_FLAGS.items():
         p.add_argument(f"--{name.replace('_', '-')}", dest=name, type=typ,
                        default=None)
-    p.add_argument("--roles", default="learn",
-                   choices=["learn", "all-node", "all-edge", "random"])
+    p.add_argument("--roles", default="learn", choices=ROLE_MODES)
     p.add_argument("--transfer-from", dest="transfer_from", default=None)
     p.add_argument("--config", default=None, help="JSON config file")
     p.add_argument("-o", "--output", default=None)

@@ -69,13 +69,6 @@ class FdModule:
     def subspace(self, relation_id: str) -> tuple[Tensor, Tensor]:
         return self.params[f"fd.{relation_id}.P"], self.params[f"fd.{relation_id}.s"]
 
-    def reorthonormalize(self) -> None:
-        """Optional: replace each P by an orthonormal basis of its column span."""
-        for key in self.relations:
-            P = self.params[f"fd.{key.id}.P"]
-            q, _ = np.linalg.qr(P.values)
-            P.values[:] = q[:, :P.values.shape[1]]
-
 
 def diff_pairs(batch: BatchSubgraph, embeddings: dict[str, Tensor],
                relations: list[RelationKey]) -> dict[str, tuple[Tensor, np.ndarray, np.ndarray]]:

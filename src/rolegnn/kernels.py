@@ -1,78 +1,26 @@
-"""Hot numeric kernels: numba-jitted loops with a pure-numpy fallback.
+"""Hot numeric kernels: segment reductions and temporal admissibility
+counting, in numpy.
 
-The backend is chosen once at import: numba when importable, unless the
-environment sets ROLEGNN_NO_NUMBA=1. `set_backend` flips it at runtime (tests
-and the benchmark use this). Both paths return identical arrays; anything
-involving RNG lives outside this module so backend choice never changes
-sampled batches.
+Nothing here draws random numbers, so sampled batches depend only on the
+callers' generators.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-NUMBA_ENV_VAR = "ROLEGNN_NO_NUMBA"
-
-try:
-    from numba import njit
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    HAS_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(fn):
-            return fn
-        if args and callable(args[0]):
-            return args[0]
-        return wrap
-
-
-_backend = "numpy" if (not HAS_NUMBA or os.environ.get(NUMBA_ENV_VAR) == "1") else "numba"
-
-
-def active_backend() -> str:
-    return _backend
-
-
-def set_backend(name: str) -> None:
-    global _backend
-    if name not in ("numba", "numpy"):
-        raise ValueError(f"unknown backend {name!r}")
-    if name == "numba" and not HAS_NUMBA:
-        raise RuntimeError("numba backend requested but numba is not importable")
-    _backend = name
 
 
 # ---------------------------------------------------------------------------
 # segment reductions (message aggregation and embedding-gradient scatter)
 # ---------------------------------------------------------------------------
 
-def _segment_sum_numpy(values: np.ndarray, segments: np.ndarray, num_segments: int) -> np.ndarray:
-    out = np.zeros((num_segments, values.shape[1]), dtype=np.float64)
-    np.add.at(out, segments, values)
-    return out
-
-
-@njit(cache=True)
-def _segment_sum_numba(values, segments, num_segments):  # pragma: no cover - jitted
-    out = np.zeros((num_segments, values.shape[1]), dtype=np.float64)
-    for i in range(values.shape[0]):
-        s = segments[i]
-        for j in range(values.shape[1]):
-            out[s, j] += values[i, j]
-    return out
-
-
 def segment_sum(values: np.ndarray, segments: np.ndarray, num_segments: int) -> np.ndarray:
     """Sum rows of `values` into `num_segments` buckets given by `segments`."""
     values = np.ascontiguousarray(values, dtype=np.float64)
     segments = np.ascontiguousarray(segments, dtype=np.int64)
-    if _backend == "numba":
-        return _segment_sum_numba(values, segments, num_segments)
-    return _segment_sum_numpy(values, segments, num_segments)
+    out = np.zeros((num_segments, values.shape[1]), dtype=np.float64)
+    np.add.at(out, segments, values)
+    return out
 
 
 def segment_counts(segments: np.ndarray, num_segments: int) -> np.ndarray:
@@ -88,75 +36,9 @@ def segment_mean(values: np.ndarray, segments: np.ndarray, num_segments: int) ->
     return sums / denom[:, None], counts
 
 
-def _segment_max_numpy(values: np.ndarray, segments: np.ndarray, num_segments: int) -> tuple[np.ndarray, np.ndarray]:
-    out = np.full((num_segments, values.shape[1]), -np.inf, dtype=np.float64)
-    np.maximum.at(out, segments, values)
-    argmax = np.full((num_segments, values.shape[1]), -1, dtype=np.int64)
-    # second pass to recover the winning row per (segment, column)
-    for i in range(values.shape[0]):
-        s = segments[i]
-        hit = values[i] == out[s]
-        fresh = hit & (argmax[s] == -1)
-        argmax[s, fresh] = i
-    return out, argmax
-
-
-@njit(cache=True)
-def _segment_max_numba(values, segments, num_segments):  # pragma: no cover - jitted
-    out = np.full((num_segments, values.shape[1]), -np.inf, dtype=np.float64)
-    argmax = np.full((num_segments, values.shape[1]), -1, dtype=np.int64)
-    for i in range(values.shape[0]):
-        s = segments[i]
-        for j in range(values.shape[1]):
-            if values[i, j] > out[s, j]:
-                out[s, j] = values[i, j]
-                argmax[s, j] = i
-    return out, argmax
-
-
-def segment_max(values: np.ndarray, segments: np.ndarray, num_segments: int) -> tuple[np.ndarray, np.ndarray]:
-    """Columnwise max per bucket with argmax rows; empty buckets give zeros."""
-    values = np.ascontiguousarray(values, dtype=np.float64)
-    segments = np.ascontiguousarray(segments, dtype=np.int64)
-    if _backend == "numba":
-        out, argmax = _segment_max_numba(values, segments, num_segments)
-    else:
-        out, argmax = _segment_max_numpy(values, segments, num_segments)
-    out[argmax == -1] = 0.0
-    return out, argmax
-
-
 # ---------------------------------------------------------------------------
 # temporal admissibility (per-node prefix lengths in time-sorted adjacency)
 # ---------------------------------------------------------------------------
-
-def _admissible_counts_numpy(indptr: np.ndarray, times: np.ndarray,
-                             nodes: np.ndarray, t_predict: np.ndarray) -> np.ndarray:
-    counts = np.empty(nodes.shape[0], dtype=np.int64)
-    for i in range(nodes.shape[0]):
-        lo = indptr[nodes[i]]
-        hi = indptr[nodes[i] + 1]
-        counts[i] = np.searchsorted(times[lo:hi], t_predict[i], side="right")
-    return counts
-
-
-@njit(cache=True)
-def _admissible_counts_numba(indptr, times, nodes, t_predict):  # pragma: no cover - jitted
-    counts = np.empty(nodes.shape[0], dtype=np.int64)
-    for i in range(nodes.shape[0]):
-        lo = indptr[nodes[i]]
-        hi = indptr[nodes[i] + 1]
-        t = t_predict[i]
-        # rightmost position with times <= t
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if times[mid] <= t:
-                lo = mid + 1
-            else:
-                hi = mid
-        counts[i] = lo - indptr[nodes[i]]
-    return counts
-
 
 def admissible_counts(indptr: np.ndarray, times: np.ndarray,
                       nodes: np.ndarray, t_predict: np.ndarray) -> np.ndarray:
@@ -165,13 +47,16 @@ def admissible_counts(indptr: np.ndarray, times: np.ndarray,
     times = np.ascontiguousarray(times, dtype=np.float64)
     nodes = np.ascontiguousarray(nodes, dtype=np.int64)
     t_predict = np.ascontiguousarray(t_predict, dtype=np.float64)
-    if _backend == "numba":
-        return _admissible_counts_numba(indptr, times, nodes, t_predict)
-    return _admissible_counts_numpy(indptr, times, nodes, t_predict)
+    counts = np.empty(nodes.shape[0], dtype=np.int64)
+    for i in range(nodes.shape[0]):
+        lo = indptr[nodes[i]]
+        hi = indptr[nodes[i] + 1]
+        counts[i] = np.searchsorted(times[lo:hi], t_predict[i], side="right")
+    return counts
 
 
 # ---------------------------------------------------------------------------
-# key resolution (FK value -> row position), shared by both backends
+# key resolution (FK value -> row position)
 # ---------------------------------------------------------------------------
 
 def lookup_positions(sorted_keys: np.ndarray, queries: np.ndarray) -> np.ndarray:

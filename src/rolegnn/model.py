@@ -39,7 +39,6 @@ class ModelConfig:
     mu: float = 0.9           # running-gate momentum
     activation: str = "relu"
     cat_dim: int = 8
-    aggregation: str = "mean"  # mean | sum | max
     seed: int = 0
 
     def __post_init__(self):
@@ -49,13 +48,11 @@ class ModelConfig:
             raise ValueError("alpha must lie in [0, 1]")
         if self.activation not in ACTIVATIONS:
             raise ValueError(f"unknown activation {self.activation!r}")
-        if self.aggregation not in ("mean", "sum", "max"):
-            raise ValueError(f"unknown aggregation {self.aggregation!r}")
 
     def to_dict(self) -> dict:
         return {k: getattr(self, k) for k in
                 ("channels", "layers", "dropout", "alpha", "mu", "activation",
-                 "cat_dim", "aggregation", "seed")}
+                 "cat_dim", "seed")}
 
 
 @dataclass
@@ -73,8 +70,8 @@ class GateState:
                            "mu": self.mu}, sort_keys=True, indent=2)
 
     @staticmethod
-    def from_json(text: str) -> "GateState":
-        d = json.loads(text)
+    def from_dict(d: dict) -> "GateState":
+        """Inverse of the parsed `to_json` text."""
         return GateState(dict(d["gates"]), float(d["alpha"]), float(d["mu"]))
 
 
@@ -82,14 +79,6 @@ def _param_seed(master: int, name: str) -> int:
     """Stable per-parameter seed: independent of creation order."""
     ss = np.random.SeedSequence([master, zlib.crc32(name.encode())])
     return int(ss.generate_state(1)[0])
-
-
-def _agg(kind: str, values: Tensor, segments: np.ndarray, n: int) -> Tensor:
-    if kind == "mean":
-        return T.segment_mean(values, segments, n)
-    if kind == "sum":
-        return T.segment_sum(values, segments, n)
-    return T.segment_max(values, segments, n)
 
 
 # ---------------------------------------------------------------------------
@@ -240,10 +229,10 @@ class FeatureEncoder:
 # ---------------------------------------------------------------------------
 
 def relation_message(W: Tensor, h_src: Tensor, src_idx: np.ndarray,
-                     dst_idx: np.ndarray, n_dst: int, aggregation: str = "mean") -> Tensor:
-    """Aggregate a relation-specific linear map of neighbor embeddings."""
+                     dst_idx: np.ndarray, n_dst: int) -> Tensor:
+    """Mean of a relation-specific linear map of neighbor embeddings."""
     mapped = T.matmul(T.take_rows(h_src, src_idx), W)
-    return _agg(aggregation, mapped, dst_idx, n_dst)
+    return T.segment_mean(mapped, dst_idx, n_dst)
 
 
 def cooccurrence_message(W: Tensor, h_w: Tensor, h_v: Tensor, h_u: Tensor) -> Tensor:
@@ -375,7 +364,6 @@ class Model:
     def forward(self, batch: BatchSubgraph, gates: GateState, train: bool,
                 rng: np.random.Generator | None = None) -> ForwardResult:
         act = ACTIVATIONS[self.cfg.activation]
-        agg = self.cfg.aggregation
         h = self.encoder.encode(self.reg, batch)
         running = dict(gates.values)
         gate_diag: dict[str, tuple[float, float]] = {}
@@ -395,7 +383,7 @@ class Model:
                 src, dst = pair
                 messages[key.id] = relation_message(
                     self.params[f"L{l}.rel.{key.id}.W"], h[key.src_table],
-                    src, dst, batch.nodes[key.dst_table].n, agg)
+                    src, dst, batch.nodes[key.dst_table].n)
 
             by_dst: dict[str, list[str]] = {}
             for key in self.relations:
@@ -429,7 +417,7 @@ class Model:
                         self.params[f"L{l}.comp.{tr.id}.f.W"],
                         self.params[f"L{l}.comp.{tr.id}.f.b"],
                         h_w, h_v, h_u)
-                e_agg = _agg(agg, msg, w_idx, batch.nodes[c].n)
+                e_agg = T.segment_mean(msg, w_idx, batch.nodes[c].n)
                 h_e = act(T.add(self_term[c], e_agg))
 
                 match_id = tr.matching_relation().id

@@ -66,13 +66,6 @@ class TableSpec:
     def fk_columns(self) -> dict[str, str]:
         return {fk.column: fk.references for fk in self.foreign_keys}
 
-    def feature_columns(self) -> list[ColumnSpec]:
-        """Attribute columns: everything except keys and the time column."""
-        skip = {self.primary_key, *self.fk_columns}
-        if self.time_column:
-            skip.add(self.time_column)
-        return [c for c in self.columns if c.name not in skip]
-
     def to_dict(self) -> dict:
         return {
             "name": self.name,
@@ -338,10 +331,6 @@ def fd_violations(db: RelationalDatabase) -> list[FdViolation]:
                 out.append(FdViolation(name, row, fk.column,
                                        int(col.values[row])))
     return out
-
-
-def validate_fd(db: RelationalDatabase) -> list[FdViolation]:
-    return fd_violations(db)
 
 
 def build_database(specs: list[TableSpec], rows: dict[str, list[dict]]) -> RelationalDatabase:

@@ -8,7 +8,7 @@ B // 2**hop with the path budget independent of the node budget.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,7 +55,6 @@ class BatchSubgraph:
     paths: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]]  # triple -> (u, v, w)
     neighbor_count: int = 0
     path_count: int = 0
-    extras: dict = field(default_factory=dict)
 
 
 class _Builder:

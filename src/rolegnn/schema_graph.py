@@ -266,12 +266,6 @@ class RelationalEntityGraph:
             out.append(es.key.flipped())
         return out
 
-    def triple_by_id(self, triple_id: str) -> EdgeRelationTriple:
-        for t in self.triples:
-            if t.id == triple_id:
-                return t
-        raise KeyError(triple_id)
-
     def summary(self) -> dict:
         return {
             "nodes": {t: s.n_rows for t, s in self.nodes.items()},

@@ -76,9 +76,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.values.reshape(()))
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.values.copy())
-
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
@@ -222,16 +219,6 @@ def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
     return _record(out, (a,), bwd)
 
 
-def slice_rows(a: Tensor, start: int, stop: int) -> Tensor:
-    out = Tensor(a.values[start:stop])
-
-    def bwd(g):
-        full = np.zeros_like(a.values)
-        full[start:stop] = g
-        _accum(a, full)
-    return _record(out, (a,), bwd)
-
-
 def take_rows(a: Tensor, idx: np.ndarray) -> Tensor:
     """Row gather; also the embedding lookup (scatter-add on backward)."""
     idx = np.asarray(idx, dtype=np.int64)
@@ -341,28 +328,6 @@ def segment_mean(a: Tensor, segments: np.ndarray, num_segments: int) -> Tensor:
 
     def bwd(g):
         _accum(a, (g * inv[:, None])[segments])
-    return _record(out, (a,), bwd)
-
-
-def segment_sum(a: Tensor, segments: np.ndarray, num_segments: int) -> Tensor:
-    segments = np.asarray(segments, dtype=np.int64)
-    out = Tensor(kernels.segment_sum(a.values, segments, num_segments))
-
-    def bwd(g):
-        _accum(a, g[segments])
-    return _record(out, (a,), bwd)
-
-
-def segment_max(a: Tensor, segments: np.ndarray, num_segments: int) -> Tensor:
-    segments = np.asarray(segments, dtype=np.int64)
-    values, argmax = kernels.segment_max(a.values, segments, num_segments)
-    out = Tensor(values)
-
-    def bwd(g):
-        full = np.zeros_like(a.values)
-        seg_idx, col_idx = np.nonzero(argmax >= 0)
-        full[argmax[seg_idx, col_idx], col_idx] += g[seg_idx, col_idx]
-        _accum(a, full)
     return _record(out, (a,), bwd)
 
 

@@ -31,6 +31,7 @@ from .schema_graph import (EdgeRelationTriple, RelationalEntityGraph,
 from .tensor import Adam, Tensor
 
 ROLE_MODES = ("learn", "all-node", "all-edge", "random", "transfer")
+LINK_NEGATIVES = 10  # sampled negative targets per positive link
 
 
 @dataclass(frozen=True)
@@ -48,11 +49,8 @@ class TrainConfig:
     seed: int = 0
     patience: int = DEFAULTS["patience"]
     subspace_dim: int = DEFAULTS["subspace_dim"]
-    link_negatives: int = 10
-    fd_inner_steps: int = 1
     disable_fd: bool = False
     allow_future: bool = False  # test-only causality switch, forwarded to sampling
-    reorthonormalize: bool = False
 
     def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 1:
@@ -158,8 +156,11 @@ def param_hash(params: dict[str, Tensor]) -> str:
     return h.hexdigest()
 
 
-def _roles_for_mode(triples, mode: str, seed: int,
-                    transfer_gates: dict[str, float] | None = None):
+def roles_for_mode(triples, mode: str, seed: int,
+                   transfer_gates: dict[str, float] | None = None
+                   ) -> tuple[RoleAssignment, dict[str, float] | None]:
+    """The role assignment and the frozen gates (None: all learned) of a
+    ROLE_MODES entry."""
     if mode == "all-node":
         return RoleAssignment.uniform(triples, "node"), None
     if mode == "all-edge":
@@ -183,8 +184,8 @@ def build_state(db: RelationalDatabase, task: TaskSpec, model_cfg: ModelConfig,
                 path_cap: int = DEFAULTS["path_cap"]) -> TrainState:
     sg = build_schema_graph(db)
     triples = enumerate_edge_triples(sg)
-    roles, fixed = _roles_for_mode(triples, roles_mode, train_cfg.seed,
-                                   transfer_gates)
+    roles, fixed = roles_for_mode(triples, roles_mode, train_cfg.seed,
+                                  transfer_gates)
     if transfer_gates is not None:
         missing = sorted({t.id for t in triples} - set(transfer_gates))
         extra = sorted(set(transfer_gates) - {t.id for t in triples})
@@ -235,7 +236,7 @@ def _task_loss(state: TrainState, idx: np.ndarray, split: str, train: bool,
         loss = T.mean(T.abs_(T.sub(result.output, Tensor(labels))))
     else:
         n = len(seeds)
-        k = state.train_cfg.link_negatives
+        k = LINK_NEGATIVES
         target_pk = state.reg.nodes[task.target_table].pk
         neg_pk = target_pk[rng.integers(0, len(target_pk), size=n * k)]
         dst_seeds = [(int(p), seeds[i % n][1])
@@ -323,39 +324,35 @@ def train(state: TrainState, out_dir: str | Path | None = None,
 
         # phase B: FD parameters on the regularizer, representation frozen
         if state.fdmod is not None:
-            for inner in range(cfg.fd_inner_steps):
-                batches_b = make_epoch_batches(
-                    task.labels["train"], cfg.batch_size,
-                    seed=_mix(cfg.seed, epoch, 2 + inner))
-                for bi, idx in enumerate(batches_b):
-                    rng = np.random.default_rng([cfg.seed, epoch, 3 + inner, bi])
-                    opt_fd.zero_grad()
-                    seeds, _, _ = _seed_list(task, "train", idx)
-                    scfg = _sampler_cfg(state, int(rng.integers(2 ** 62)))
-                    batch = sample_batch(state.reg, seeds, scfg,
-                                         task.entity_table, rng=rng)
-                    # the representation is frozen: only FD nodes go on the tape
-                    with T.no_grad():
-                        result = state.model.forward(batch, state.gates,
-                                                     train=False, rng=rng)
-                    with T.tape_scope():
-                        total, l_emb, l_pair, diag = fd_losses(
-                            batch, result.embeddings, state.fdmod, cfg.beta,
-                            cfg.gamma, cfg.tau, cfg.negatives, rng)
-                        if not np.isfinite(total.item()):
-                            raise TrainingDiverged(
-                                f"non-finite FD loss at epoch {epoch} batch {bi}",
-                                {"epoch": epoch, "batch": bi})
-                        T.backward(total)
-                    opt_fd.step()
-                    for d in diag:
-                        state.fd_diag_rows.append({
-                            "epoch": epoch, "relation": d.relation,
-                            "l_emb": d.loss_emb, "l_pair": d.loss_pair,
-                            "pos_score_mean": d.pos_score_mean,
-                            "neg_score_mean": d.neg_score_mean})
-            if cfg.reorthonormalize:
-                state.fdmod.reorthonormalize()
+            batches_b = make_epoch_batches(task.labels["train"], cfg.batch_size,
+                                           seed=_mix(cfg.seed, epoch, 2))
+            for bi, idx in enumerate(batches_b):
+                rng = np.random.default_rng([cfg.seed, epoch, 3, bi])
+                opt_fd.zero_grad()
+                seeds, _, _ = _seed_list(task, "train", idx)
+                scfg = _sampler_cfg(state, int(rng.integers(2 ** 62)))
+                batch = sample_batch(state.reg, seeds, scfg, task.entity_table,
+                                     rng=rng)
+                # the representation is frozen: only FD nodes go on the tape
+                with T.no_grad():
+                    result = state.model.forward(batch, state.gates,
+                                                 train=False, rng=rng)
+                with T.tape_scope():
+                    total, l_emb, l_pair, diag = fd_losses(
+                        batch, result.embeddings, state.fdmod, cfg.beta,
+                        cfg.gamma, cfg.tau, cfg.negatives, rng)
+                    if not np.isfinite(total.item()):
+                        raise TrainingDiverged(
+                            f"non-finite FD loss at epoch {epoch} batch {bi}",
+                            {"epoch": epoch, "batch": bi})
+                    T.backward(total)
+                opt_fd.step()
+                for d in diag:
+                    state.fd_diag_rows.append({
+                        "epoch": epoch, "relation": d.relation,
+                        "l_emb": d.loss_emb, "l_pair": d.loss_pair,
+                        "pos_score_mean": d.pos_score_mean,
+                        "neg_score_mean": d.neg_score_mean})
         if phase_hook is not None:
             phase_hook("after_phase_b", epoch, state)
 
@@ -550,15 +547,8 @@ def structure_report(triples: list, gates: GateState) -> dict:
 def export_structure(checkpoint_dir: str | Path,
                      out_path: str | Path | None = None) -> dict:
     """Build the structure report from a checkpoint alone."""
-    path = Path(checkpoint_dir)
-    if not (path / "meta.json").exists():
-        raise CheckpointMismatch(f"no checkpoint at {path}")
-    with open(path / "meta.json", encoding="utf-8") as fh:
-        meta = json.load(fh)
-    with open(path / "gates.json", encoding="utf-8") as fh:
-        gates = GateState.from_json(fh.read())
-    triples = [EdgeRelationTriple(**d) for d in meta["triples"]]
-    report = structure_report(triples, gates)
+    meta, gates = _read_checkpoint_meta(checkpoint_dir)
+    report = structure_report(meta["triples"], gates)
     if out_path is not None:
         with open(out_path, "w", encoding="utf-8") as fh:
             json.dump(report, fh, indent=2)
@@ -609,19 +599,62 @@ def schema_digest(specs: dict) -> str:
     return hashlib.sha256(payload).hexdigest()
 
 
+_META_KEYS = {
+    "meta.json": ("model_config", "encoder_stats", "task", "train_config",
+                  "roles", "fixed_gates", "triples", "schema_digest"),
+    "gates.json": ("gates", "alpha", "mu"),
+}
+
+
+def _read_checkpoint_meta(path: str | Path) -> tuple[dict, GateState]:
+    """meta.json and gates.json of a checkpoint directory.
+
+    In the returned meta, "model_config", "train_config" and "triples" are
+    ModelConfig, TrainConfig and EdgeRelationTriple objects. A missing file,
+    invalid JSON, a missing key or an unknown config key raises
+    CheckpointMismatch naming the file and the key.
+    """
+    path = Path(path)
+    parsed = {}
+    for name, keys in _META_KEYS.items():
+        try:
+            with open(path / name, encoding="utf-8") as fh:
+                data = json.load(fh)
+        except OSError as exc:
+            raise CheckpointMismatch(
+                f"no checkpoint at {path}: cannot read {name} "
+                f"({exc.strerror})") from None
+        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+            raise CheckpointMismatch(f"invalid JSON in {path / name}: {exc}") from None
+        absent = [k for k in keys if not isinstance(data, dict) or k not in data]
+        if absent:
+            raise CheckpointMismatch(f"{path / name} lacks key {absent[0]!r}")
+        parsed[name] = data
+    meta = parsed["meta.json"]
+    where = path / "meta.json"
+    try:
+        for key, cls in (("model_config", ModelConfig),
+                         ("train_config", TrainConfig)):
+            unknown = sorted(set(meta[key]) - set(cls.__dataclass_fields__))
+            if unknown:
+                raise CheckpointMismatch(
+                    f"{where}: unknown {key} key {unknown[0]!r}")
+            meta[key] = cls(**meta[key])
+        meta["triples"] = [EdgeRelationTriple(**d) for d in meta["triples"]]
+        gates = GateState.from_dict(parsed["gates.json"])
+    except (TypeError, ValueError) as exc:
+        raise CheckpointMismatch(f"unreadable checkpoint in {path}: {exc}") from None
+    return meta, gates
+
+
 def load_checkpoint(path: str | Path, db: RelationalDatabase,
                     task: TaskSpec | None = None) -> TrainState:
     path = Path(path)
-    if not (path / "meta.json").exists():
-        raise CheckpointMismatch(f"no checkpoint at {path}")
-    with open(path / "meta.json", encoding="utf-8") as fh:
-        meta = json.load(fh)
+    meta, gates = _read_checkpoint_meta(path)
     if meta["schema_digest"] != schema_digest(db.specs):
         raise CheckpointMismatch("checkpoint schema does not match database")
 
-    model_cfg = ModelConfig(**meta["model_config"])
-    tcfg_raw = meta["train_config"]
-    train_cfg = TrainConfig(**tcfg_raw)
+    model_cfg, train_cfg = meta["model_config"], meta["train_config"]
     if task is None:
         tmeta = meta["task"]
         task = TaskSpec(name=tmeta["name"], task_type=tmeta["task_type"],
@@ -631,7 +664,7 @@ def load_checkpoint(path: str | Path, db: RelationalDatabase,
     sg = build_schema_graph(db)
     triples = enumerate_edge_triples(sg)
     current = {t.id for t in triples}
-    saved = {EdgeRelationTriple(**d).id for d in meta["triples"]}
+    saved = {t.id for t in meta["triples"]}
     if current != saved:
         raise CheckpointMismatch(
             f"triple sets differ: missing={sorted(saved - current)} "
@@ -645,9 +678,7 @@ def load_checkpoint(path: str | Path, db: RelationalDatabase,
     if train_cfg.fd_enabled:
         fdmod = FdModule(reg, model_cfg.channels, train_cfg.subspace_dim,
                          seed=model_cfg.seed)
-    state = TrainState(reg, model, fdmod, model.init_gates(), task, train_cfg)
-    with open(path / "gates.json", encoding="utf-8") as fh:
-        state.gates = GateState.from_json(fh.read())
+    state = TrainState(reg, model, fdmod, gates, task, train_cfg)
     stored = T.load_tensors(path / "params.bin")
     params = state.parameters()
     missing = sorted(set(params) - set(stored))
@@ -674,14 +705,10 @@ def transfer_structure(source_checkpoint: str | Path, db: RelationalDatabase,
                        train_cfg: TrainConfig,
                        out_dir: str | Path | None = None) -> dict:
     """Train task B with table-level gates copied from checkpoint A and frozen."""
-    src = Path(source_checkpoint)
-    with open(src / "meta.json", encoding="utf-8") as fh:
-        meta = json.load(fh)
+    meta, gates = _read_checkpoint_meta(source_checkpoint)
     if meta["schema_digest"] != schema_digest(db.specs):
         raise CheckpointMismatch("source checkpoint schema does not match "
                                  "target database")
-    with open(src / "gates.json", encoding="utf-8") as fh:
-        gates = GateState.from_json(fh.read())
     state = build_state(db, task, model_cfg, train_cfg, roles_mode="transfer",
                         transfer_gates=gates.values)
     summary = train(state, out_dir=out_dir)

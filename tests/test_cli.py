@@ -3,11 +3,14 @@ import shutil
 
 import pytest
 
+from rolegnn import cli
 from rolegnn.cli import main
 from rolegnn.config import SEED_ENV_VAR
 from rolegnn.errors import CheckpointMismatch
+from rolegnn.model import ModelConfig
 from rolegnn.rdb import ingest_bundle, load_task
-from rolegnn.training import load_checkpoint
+from rolegnn.training import (ROLE_MODES, TrainConfig, build_state,
+                              load_checkpoint)
 
 
 def _run(capsys, *argv):
@@ -45,6 +48,34 @@ def test_roundtrip_pass_all_role_flags(capsys, twohop_bundle):
                             "--roles", roles, "--seed", "5")
         assert code == 0
         assert _last_json(out)["verdict"] == "PASS"
+
+
+@pytest.mark.parametrize("mode", [m for m in ROLE_MODES if m != "transfer"])
+def test_roundtrip_checks_the_graph_train_builds(capsys, twohop_bundle,
+                                                 monkeypatch, mode):
+    seen = []
+    real = cli.construct_reg
+
+    def spy(db, sg, roles, **kwargs):
+        seen.append(dict(roles.roles))
+        return real(db, sg, roles, **kwargs)
+
+    monkeypatch.setattr(cli, "construct_reg", spy)
+    code, _, _ = _run(capsys, "roundtrip", str(twohop_bundle),
+                      "--roles", mode, "--seed", "0")
+    assert code == 0
+    db = ingest_bundle(twohop_bundle)
+    task = load_task(twohop_bundle / "user-positive", db)
+    state = build_state(db, task, ModelConfig(channels=8, layers=1),
+                        TrainConfig(seed=0), roles_mode=mode)
+    assert seen == [state.reg.roles.roles]
+
+
+def test_transfer_roles_without_source_exit_4(capsys, twohop_bundle):
+    code, _, err = _run(capsys, "roundtrip", str(twohop_bundle),
+                        "--roles", "transfer")
+    assert code == 4
+    assert "transfer" in err
 
 
 def test_demo_gsl(capsys):
@@ -197,6 +228,62 @@ def test_damaged_checkpoint_exit_code(capsys, twohop_bundle, trained_checkpoint,
                         str(twohop_bundle / "user-positive"))
     assert code == 4
     assert "params.bin" in err
+    assert "Traceback" not in err
+
+
+def _damage_meta(ckpt, case: str) -> str:
+    """Damage meta.json or gates.json of a copied checkpoint; returns the
+    file or key the error message must name."""
+    meta = json.loads((ckpt / "meta.json").read_text())
+    if case == "meta-invalid-json":
+        (ckpt / "meta.json").write_text("{")
+        return "meta.json"
+    if case == "gates-invalid-json":
+        (ckpt / "gates.json").write_text("[1")
+        return "gates.json"
+    if case == "meta-missing-key":
+        del meta["schema_digest"]
+        named = "schema_digest"
+    elif case == "unknown-model-config-key":  # a field this version dropped
+        meta["model_config"]["aggregation"] = "mean"
+        named = "aggregation"
+    else:  # "unknown-train-config-key"
+        meta["train_config"]["no_such_key"] = 1
+        named = "no_such_key"
+    (ckpt / "meta.json").write_text(json.dumps(meta))
+    return named
+
+
+@pytest.mark.parametrize("command,case", [
+    ("eval", "meta-invalid-json"),
+    ("eval", "gates-invalid-json"),
+    ("eval", "meta-missing-key"),
+    ("eval", "unknown-model-config-key"),
+    ("eval", "unknown-train-config-key"),
+    ("export-structure", "meta-invalid-json"),
+    ("transfer", "missing-dir"),
+])
+def test_damaged_checkpoint_metadata_exit_code(capsys, twohop_bundle,
+                                               trained_checkpoint, tmp_path,
+                                               command, case):
+    ckpt = tmp_path / "checkpoint"
+    if case == "missing-dir":
+        named = str(ckpt)
+    else:
+        shutil.copytree(trained_checkpoint, ckpt)
+        named = _damage_meta(ckpt, case)
+    task_dir = twohop_bundle / "user-positive"
+    if command == "eval":
+        argv = ["eval", str(ckpt), str(twohop_bundle), str(task_dir)]
+    elif command == "export-structure":
+        argv = ["export-structure", str(ckpt), "-o", str(tmp_path / "s.json")]
+    else:
+        argv = ["train", str(twohop_bundle), str(task_dir), "--epochs", "1",
+                "--channels", "8", "--layers", "1", "--transfer-from",
+                str(ckpt), "-o", str(tmp_path / "run")]
+    code, _, err = _run(capsys, *argv)
+    assert code == 4
+    assert named in err
     assert "Traceback" not in err
 
 

@@ -1,20 +1,9 @@
 import numpy as np
-import pytest
 
 from rolegnn import kernels
 
-BACKENDS = ["numpy"] + (["numba"] if kernels.HAS_NUMBA else [])
 
-
-@pytest.fixture(params=BACKENDS)
-def backend(request):
-    prev = kernels.active_backend()
-    kernels.set_backend(request.param)
-    yield request.param
-    kernels.set_backend(prev)
-
-
-def test_segment_sum_matches_oracle(backend):
+def test_segment_sum_matches_oracle():
     rng = np.random.default_rng(0)
     values = rng.normal(size=(200, 5))
     segments = rng.integers(0, 17, size=200)
@@ -25,7 +14,7 @@ def test_segment_sum_matches_oracle(backend):
     np.testing.assert_allclose(out, oracle, rtol=1e-12)
 
 
-def test_segment_mean_empty_buckets_zero(backend):
+def test_segment_mean_empty_buckets_zero():
     values = np.ones((3, 2))
     segments = np.array([0, 0, 3])
     means, counts = kernels.segment_mean(values, segments, 5)
@@ -34,21 +23,7 @@ def test_segment_mean_empty_buckets_zero(backend):
     np.testing.assert_array_equal(means[0], 1.0)
 
 
-def test_segment_max_matches_loop(backend):
-    rng = np.random.default_rng(1)
-    values = rng.normal(size=(60, 3))
-    segments = rng.integers(0, 9, size=60)
-    out, argmax = kernels.segment_max(values, segments, 9)
-    for s in range(9):
-        rows = values[segments == s]
-        if len(rows) == 0:
-            np.testing.assert_array_equal(out[s], 0.0)
-            assert (argmax[s] == -1).all()
-        else:
-            np.testing.assert_allclose(out[s], rows.max(axis=0))
-
-
-def test_admissible_counts_matches_bruteforce(backend):
+def test_admissible_counts_matches_bruteforce():
     rng = np.random.default_rng(2)
     n_nodes, n_edges = 20, 300
     dst = np.sort(rng.integers(0, n_nodes, size=n_edges))
@@ -67,31 +42,9 @@ def test_admissible_counts_matches_bruteforce(backend):
         assert got[i] == int((times[lo:hi] <= cuts[i]).sum())
 
 
-def test_backends_agree():
-    if not kernels.HAS_NUMBA:
-        pytest.skip("numba unavailable")
-    rng = np.random.default_rng(3)
-    values = rng.normal(size=(500, 4))
-    segments = rng.integers(0, 31, size=500)
-    prev = kernels.active_backend()
-    try:
-        kernels.set_backend("numpy")
-        a = kernels.segment_sum(values, segments, 31)
-        kernels.set_backend("numba")
-        b = kernels.segment_sum(values, segments, 31)
-    finally:
-        kernels.set_backend(prev)
-    np.testing.assert_array_equal(a, b)
-
-
 def test_lookup_positions():
     keys = np.array([2, 5, 9, 40])
     got = kernels.lookup_positions(keys, np.array([5, 1, 40, 41, 2]))
     assert got.tolist() == [1, -1, 3, -1, 0]
     assert kernels.lookup_positions(np.array([], dtype=np.int64),
                                     np.array([3])).tolist() == [-1]
-
-
-def test_set_backend_rejects_unknown():
-    with pytest.raises(ValueError):
-        kernels.set_backend("fortran")

@@ -1,0 +1,21 @@
+"""Every runtime dependency declared in pyproject.toml imports here, so the
+package declares none that cannot be installed."""
+
+import importlib
+import re
+from pathlib import Path
+
+import pytest
+
+tomllib = pytest.importorskip("tomllib")  # standard library from Python 3.11
+
+PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+
+
+def test_declared_dependencies_import():
+    with open(PYPROJECT, "rb") as fh:
+        requirements = tomllib.load(fh)["project"]["dependencies"]
+    assert requirements
+    for requirement in requirements:
+        name = re.match(r"[A-Za-z0-9_.\-]+", requirement).group(0)
+        importlib.import_module(name.replace("-", "_").lower())

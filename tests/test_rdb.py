@@ -8,7 +8,7 @@ from rolegnn import rdb
 from rolegnn.errors import (CellParseError, DanglingKeyError, DuplicateKeyError,
                             MissingFileError, SchemaError)
 from rolegnn.rdb import (build_database, canonical_form, export_bundle,
-                         ingest_bundle, load_task, validate_fd)
+                         fd_violations, ingest_bundle, load_task)
 from rolegnn.synth import gen_random_bundle, gen_twohop
 
 
@@ -22,7 +22,7 @@ def test_ingest_valid_fixture(tmp_path):
     _write_bundle(tmp_path)
     db = ingest_bundle(tmp_path)
     assert sorted(db.table_names) == ["product", "review", "user"]
-    assert validate_fd(db) == []
+    assert fd_violations(db) == []
     assert db.spec("review").fk_columns == {"user_id": "user",
                                             "product_id": "product"}
 
@@ -64,11 +64,11 @@ def test_random_bundle_row_counts_match_csv_lines(tmp_path):
         assert db2.row_count(name) == n_lines - 1
 
 
-def test_validate_fd_counts_injected_violations(review_db):
-    assert validate_fd(review_db) == []
+def test_fd_violations_counts_injected_violations(review_db):
+    assert fd_violations(review_db) == []
     data = review_db.table("review")
     data.cols["user_id"].values[0] = 999
-    reports = validate_fd(review_db)
+    reports = fd_violations(review_db)
     assert len(reports) == 1
     assert (reports[0].table, reports[0].row, reports[0].column) == \
         ("review", 0, "user_id")
@@ -78,7 +78,7 @@ def test_validate_fd_counts_injected_violations(review_db):
     rows = rng.choice(len(data.pk), size=n, replace=False)
     for r in rows:
         data.cols["product_id"].values[r] = -5
-    assert len(validate_fd(review_db)) == 1 + n
+    assert len(fd_violations(review_db)) == 1 + n
 
 
 def test_canonical_form_deterministic(review_db):

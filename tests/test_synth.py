@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from rolegnn.rdb import canonical_form, ingest_bundle, validate_fd
+from rolegnn.rdb import canonical_form, fd_violations, ingest_bundle
 from rolegnn.schema_graph import (RoleAssignment, build_schema_graph,
                                   construct_reg, enumerate_edge_triples,
                                   invert_reg)
@@ -27,7 +27,7 @@ def test_generators_pure_functions(gen_idx):
 @pytest.mark.parametrize("gen_idx", range(len(ALL_GENERATORS)))
 def test_generated_bundles_validate_and_roundtrip(gen_idx):
     db = ALL_GENERATORS[gen_idx](3)
-    assert validate_fd(db) == []
+    assert fd_violations(db) == []
     sg = build_schema_graph(db)
     triples = enumerate_edge_triples(sg)
     reg = construct_reg(db, sg, RoleAssignment.random(triples, 3))

@@ -114,8 +114,13 @@ def _primitive_cases(rng):
     case("reshape", [r], lambda: T.sumsq(T.sigmoid(T.reshape(r, (3, 4)))))
     case("transpose", [r], lambda: T.sumsq(T.tanh(T.transpose(r))))
 
-    s = rand_tensor(rng, (6, 3))
-    case("slice_rows", [s], lambda: T.sumsq(T.slice_rows(s, 1, 4)))
+    # fd.score_pairs: one holder row against its k candidate rows, then the
+    # (n, k, c) block flattened to (n*k, c)
+    hi = rand_tensor(rng, (2, 1, 3))
+    hk = rand_tensor(rng, (2, 4, 3))
+    case("sub_broadcast_3d", [hi, hk], lambda: T.sumsq(T.sub(hi, hk)))
+    case("reshape_3d_rows", [hk],
+         lambda: T.sumsq(T.tanh(T.reshape(hk, (-1, 3)))))
 
     e = rand_tensor(rng, (5, 3))
     idx = rng.integers(0, 5, size=8)
@@ -142,9 +147,6 @@ def _primitive_cases(rng):
     sv = rand_tensor(rng, (7, 3))
     seg = rng.integers(0, 4, size=7)
     case("segment_mean", [sv], lambda: T.sumsq(T.segment_mean(sv, seg, 5)))
-    case("segment_sum", [sv], lambda: T.sumsq(T.segment_sum(sv, seg, 5)))
-    sm = rand_tensor(rng, (7, 3), away_from_zero=True)
-    case("segment_max", [sm], lambda: T.sumsq(T.segment_max(sm, seg, 5)))
 
     sp = rand_tensor(rng, (4, 3))
     case("softplus", [sp], lambda: T.sumsq(T.softplus(sp)))
