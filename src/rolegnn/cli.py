@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import logging
 import sys
 import time
 from pathlib import Path
@@ -204,7 +205,7 @@ def cmd_train(args) -> int:
                                      out_dir=out_dir)
     else:
         state = build_state(db, task, mcfg, tcfg, roles_mode=args.roles)
-        summary = train(state, out_dir=out_dir, quiet=args.quiet)
+        summary = train(state, out_dir=out_dir)
     report = _base_report("train", int(cfg["seed"]), cfg)
     report.update({
         "bundle": str(args.bundle),
@@ -313,6 +314,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    logging.basicConfig(format="%(name)s: %(message)s")  # stderr
+    logging.getLogger("rolegnn").setLevel(
+        logging.WARNING if getattr(args, "quiet", False) else logging.INFO)
     try:
         return args.fn(args)
     except BundleError as exc:

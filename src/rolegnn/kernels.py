@@ -42,16 +42,27 @@ def segment_mean(values: np.ndarray, segments: np.ndarray, num_segments: int) ->
 
 def admissible_counts(indptr: np.ndarray, times: np.ndarray,
                       nodes: np.ndarray, t_predict: np.ndarray) -> np.ndarray:
-    """For each queried node, how many of its time-sorted neighbors are <= t_predict."""
-    indptr = np.ascontiguousarray(indptr, dtype=np.int64)
-    times = np.ascontiguousarray(times, dtype=np.float64)
-    nodes = np.ascontiguousarray(nodes, dtype=np.int64)
-    t_predict = np.ascontiguousarray(t_predict, dtype=np.float64)
-    counts = np.empty(nodes.shape[0], dtype=np.int64)
-    for i in range(nodes.shape[0]):
-        lo = indptr[nodes[i]]
-        hi = indptr[nodes[i] + 1]
-        counts[i] = np.searchsorted(times[lo:hi], t_predict[i], side="right")
+    """For each queried node, how many of its time-sorted neighbors are <= t_predict.
+
+    One bisection over all queried CSR segments at once: the count is built
+    from the highest power of two down, each bit kept when the neighbor just
+    inside the candidate prefix is still admissible.
+    """
+    indptr = np.asarray(indptr, dtype=np.int64)
+    times = np.asarray(times, dtype=np.float64)
+    nodes = np.asarray(nodes, dtype=np.int64)
+    t_predict = np.asarray(t_predict, dtype=np.float64)
+    lo = indptr[nodes]
+    length = indptr[nodes + 1] - lo
+    counts = np.zeros(nodes.shape[0], dtype=np.int64)
+    longest = int(length.max()) if len(nodes) else 0
+    step = 1 << (longest.bit_length() - 1) if longest else 0
+    while step:
+        cand = counts + step
+        fits = cand <= length
+        last = np.where(fits, lo + cand - 1, 0)
+        counts[fits & (times[last] <= t_predict)] += step
+        step >>= 1
     return counts
 
 

@@ -228,6 +228,20 @@ class FeatureEncoder:
 # branch primitives (also unit-test surfaces)
 # ---------------------------------------------------------------------------
 
+def encoder_stats_paths(reg: RelationalEntityGraph) -> list[tuple[str, ...]]:
+    """Key paths into FeatureEncoder.stats that encoding this graph reads."""
+    paths = [("time_scale",)]
+    for name in sorted(reg.nodes):
+        paths.append(("tables", name, "columns"))
+        for col_name, cd in sorted(reg.nodes[name].attrs.items()):
+            if cd.kind == "categorical":
+                paths.append(("tables", name, "vocab", col_name))
+            else:
+                paths += [("tables", name, "columns", col_name, k)
+                          for k in ("mean", "std")]
+    return paths
+
+
 def relation_message(W: Tensor, h_src: Tensor, src_idx: np.ndarray,
                      dst_idx: np.ndarray, n_dst: int) -> Tensor:
     """Mean of a relation-specific linear map of neighbor embeddings."""

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
@@ -211,7 +212,10 @@ def _parse_cell(text: str, col: ColumnSpec, table: str, row: int):
         if col.kind == "integer":
             return int(text)
         if col.kind == "real":
-            return float(text)
+            value = float(text)
+            if not math.isfinite(value):
+                raise ValueError("real cells must be finite")
+            return value
         if col.kind == "datetime":
             return parse_datetime(text)
         return text

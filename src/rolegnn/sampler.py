@@ -57,43 +57,57 @@ class BatchSubgraph:
     path_count: int = 0
 
 
-class _Builder:
-    def __init__(self):
-        self.index: dict[str, dict[tuple[int, int], int]] = {}
-        self.rows: dict[str, list[int]] = {}
-        self.t_predict: dict[str, list[float]] = {}
-        self.seed_of: dict[str, list[int]] = {}
-
-    def local(self, table: str, seed_idx: int, row: int, t_pred: float) -> tuple[int, bool]:
-        idx = self.index.setdefault(table, {})
-        key = (seed_idx, row)
-        if key in idx:
-            return idx[key], False
-        local = len(self.rows.setdefault(table, []))
-        idx[key] = local
-        self.rows[table].append(row)
-        self.t_predict.setdefault(table, []).append(t_pred)
-        self.seed_of.setdefault(table, []).append(seed_idx)
-        return local, True
-
-    def freeze(self) -> dict[str, TypeNodes]:
-        return {t: TypeNodes(np.asarray(self.rows[t], dtype=np.int64),
-                             np.asarray(self.t_predict[t], dtype=np.float64),
-                             np.asarray(self.seed_of[t], dtype=np.int64))
-                for t in self.rows}
+_NO_NODES = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
 
 
-def _sample_prefix(rng: np.random.Generator, lo: int, count: int, budget: int) -> np.ndarray:
-    """Uniform without replacement from adjacency slots [lo, lo+count)."""
-    if count <= budget:
-        return np.arange(lo, lo + count, dtype=np.int64)
-    return lo + np.sort(rng.choice(count, size=budget, replace=False).astype(np.int64))
+def _draw(rng: np.random.Generator, lo: np.ndarray, counts: np.ndarray,
+          budget: int) -> tuple[np.ndarray, np.ndarray]:
+    """Uniform draw without replacement of min(count, budget) adjacency slots
+    from each target's admissible prefix [lo, lo + count).
+
+    Returns (target index, slot) per drawn slot, grouped by target. A target
+    over budget keeps the `budget` slots with the smallest i.i.d. random keys.
+    """
+    owner = np.repeat(np.arange(len(counts), dtype=np.int64), counts)
+    rank = np.arange(len(owner), dtype=np.int64) - np.repeat(np.cumsum(counts) - counts, counts)
+    slot = lo[owner] + rank
+    over = np.flatnonzero(counts[owner] > budget)
+    if len(over):
+        shuffled = over[np.lexsort((rng.random(len(over)), owner[over]))]
+        rank[shuffled] = rank[over]  # rank within the target, in key order
+    keep = rank < budget
+    return owner[keep], slot[keep]
+
+
+def _localize(index: tuple[np.ndarray, np.ndarray], keys: np.ndarray
+              ) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray]]:
+    """Local ids of (seed, row) keys given a table's sorted (keys, locals)
+    index. Keys not yet in the batch get the next ids in key order.
+
+    Returns (local per key, the fresh keys, the index with them added).
+    """
+    known, known_locals = index
+    uniq, inverse = np.unique(keys, return_inverse=True)
+    pos = np.searchsorted(known, uniq)
+    fresh = np.append(known, -1)[pos] != uniq  # keys are >= 0
+    locals_ = np.empty(len(uniq), dtype=np.int64)
+    locals_[~fresh] = known_locals[pos[~fresh]]
+    locals_[fresh] = len(known) + np.arange(int(fresh.sum()), dtype=np.int64)
+    index = (np.insert(known, pos[fresh], uniq[fresh]),
+             np.insert(known_locals, pos[fresh], locals_[fresh]))
+    return locals_[inverse.reshape(-1)], uniq[fresh], index
 
 
 def sample_batch(reg: RelationalEntityGraph, seeds: list[tuple[int, float]],
                  cfg: SamplerConfig, entity_table: str,
                  rng: np.random.Generator | None = None) -> BatchSubgraph:
-    """Assemble one mini-batch subgraph for the given (entity pk, t_predict) seeds."""
+    """Assemble one mini-batch subgraph for the given (entity pk, t_predict) seeds.
+
+    Each hop expands the frontier it started from: one admissible-count call
+    and one draw per relation key and per active triple, then one dedup per
+    table of the drawn (seed, row) pairs, keyed `seed_idx * n_rows + row`.
+    Pairs new to the batch form the next frontier, so each is expanded once.
+    """
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
     store = reg.nodes[entity_table]
@@ -104,120 +118,95 @@ def sample_batch(reg: RelationalEntityGraph, seeds: list[tuple[int, float]],
         missing = int(seed_pk[int(np.flatnonzero(seed_rows < 0)[0])])
         raise GraphError(f"seed entity {missing} not in graph table {entity_table!r}")
 
-    builder = _Builder()
-    seed_locals = np.empty(len(seeds), dtype=np.int64)
-    frontier: list[tuple[str, int, int]] = []  # (table, row, local) per new node
-    for si in range(len(seeds)):
-        local, _ = builder.local(entity_table, si, int(seed_rows[si]), float(seed_t[si]))
-        seed_locals[si] = local
-        frontier.append((entity_table, int(seed_rows[si]), local))
+    n_rows = {t: s.n_rows for t, s in reg.nodes.items()}
+    seed_locals = np.arange(len(seeds), dtype=np.int64)
+    seed_keys = seed_locals * n_rows[entity_table] + seed_rows
+    order = np.argsort(seed_keys)
+    index = {entity_table: (seed_keys[order], order)}  # table -> sorted (keys, locals)
+    frontier = {entity_table: (seed_rows, seed_locals, seed_locals)}  # (rows, seed, local)
 
     relation_keys = sorted(reg.relation_keys, key=lambda k: k.id)
     active_triples = sorted(
         (t for t in reg.triples if reg.roles.role(t.id) != "node"),
         key=lambda t: t.id)
+    edges: dict[str, list[tuple[np.ndarray, ...]]] = {}
+    paths: dict[str, list[tuple[np.ndarray, ...]]] = {}
 
-    edges: dict[str, set[tuple[int, int]]] = {}
-    paths: dict[str, list[tuple[int, int, int]]] = {}
-    neighbor_count = 0
-    path_count = 0
+    def expand(table, indptr, times, budget):
+        rows, seed_of, locals_ = frontier[table]
+        if cfg.allow_future:
+            counts = indptr[rows + 1] - indptr[rows]
+        else:
+            counts = admissible_counts(indptr, times, rows, seed_t[seed_of])
+        owner, slot = _draw(rng, indptr[rows], counts, budget)
+        return seed_of[owner], locals_[owner], slot
 
+    def want(table, seed_of, rows):
+        chunks = wanted.setdefault(table, [])
+        chunks.append(seed_of * n_rows[table] + rows)
+        return table, len(chunks) - 1
+
+    path_budget = cfg.neighbor_samples  # independent of the node budget
     for hop in range(cfg.num_hops):
         budget = max(hop_budget(cfg.neighbor_samples, hop), 1)
-        path_budget = cfg.neighbor_samples  # independent of the node budget
-        next_frontier: list[tuple[str, int, int]] = []
-
-        by_type: dict[str, list[tuple[int, int]]] = {}
-        for table, row, local in frontier:
-            by_type.setdefault(table, []).append((row, local))
+        wanted: dict[str, list[np.ndarray]] = {}  # table -> drawn key chunks
+        drawn = []  # (edges or paths, id, [(table, chunk)], dst locals)
 
         for key in relation_keys:
-            targets = by_type.get(key.dst_table)
-            if not targets:
-                continue
-            indptr, nbr_rows, nbr_times = reg.adjacency(key)
-            t_rows = np.asarray([r for r, _ in targets], dtype=np.int64)
-            t_locals = [l for _, l in targets]
-            t_pred = builder.t_predict[key.dst_table]
-            t_cut = np.asarray([t_pred[l] for l in t_locals], dtype=np.float64)
-            if cfg.allow_future:
-                counts = (indptr[t_rows + 1] - indptr[t_rows]).astype(np.int64)
-            else:
-                counts = admissible_counts(indptr, nbr_times, t_rows, t_cut)
-            seed_of = builder.seed_of[key.dst_table]
-            for i, local in enumerate(t_locals):
-                c = int(counts[i])
-                if c == 0:
-                    continue
-                slots = _sample_prefix(rng, int(indptr[t_rows[i]]), c, budget)
-                si = seed_of[local]
-                tp = t_pred[local]
-                eset = edges.setdefault(key.id, set())
-                for s in slots:
-                    src_local, fresh = builder.local(key.src_table, si,
-                                                     int(nbr_rows[s]), tp)
-                    if (src_local, local) not in eset:
-                        eset.add((src_local, local))
-                        neighbor_count += 1
-                    if fresh:
-                        next_frontier.append((key.src_table, int(nbr_rows[s]), src_local))
-
+            if key.dst_table in frontier:
+                indptr, nbr_rows, nbr_times = reg.adjacency(key)
+                seed_of, dst, slot = expand(key.dst_table, indptr, nbr_times, budget)
+                drawn.append((edges, key.id,
+                              [want(key.src_table, seed_of, nbr_rows[slot])], dst))
         for triple in active_triples:
-            targets = by_type.get(triple.w_table)
-            if not targets:
-                continue
-            pr = reg.paths[triple.id]
-            indptr, inst_idx, inst_times = reg.path_adjacency(triple.id)
-            t_rows = np.asarray([r for r, _ in targets], dtype=np.int64)
-            t_locals = [l for _, l in targets]
-            t_pred = builder.t_predict[triple.w_table]
-            t_cut = np.asarray([t_pred[l] for l in t_locals], dtype=np.float64)
-            if cfg.allow_future:
-                counts = (indptr[t_rows + 1] - indptr[t_rows]).astype(np.int64)
-            else:
-                counts = admissible_counts(indptr, inst_times, t_rows, t_cut)
-            seed_of = builder.seed_of[triple.w_table]
-            plist = paths.setdefault(triple.id, [])
-            for i, local in enumerate(t_locals):
-                c = int(counts[i])
-                if c == 0:
-                    continue
-                slots = _sample_prefix(rng, int(indptr[t_rows[i]]), c, path_budget)
-                si = seed_of[local]
-                tp = t_pred[local]
-                for s in slots:
-                    inst = int(inst_idx[s])
-                    u_local, fresh_u = builder.local(triple.u_table, si,
-                                                     int(pr.u_pos[inst]), tp)
-                    v_local, fresh_v = builder.local(triple.v_table, si,
-                                                     int(pr.v_pos[inst]), tp)
-                    plist.append((u_local, v_local, local))
-                    path_count += 1
-                    if fresh_u:
-                        next_frontier.append((triple.u_table, int(pr.u_pos[inst]), u_local))
-                    if fresh_v:
-                        next_frontier.append((triple.v_table, int(pr.v_pos[inst]), v_local))
+            if triple.w_table in frontier:
+                pr = reg.paths[triple.id]
+                indptr, inst_idx, inst_times = reg.path_adjacency(triple.id)
+                seed_of, w, slot = expand(triple.w_table, indptr, inst_times,
+                                          path_budget)
+                inst = inst_idx[slot]
+                drawn.append((paths, triple.id,
+                              [want(triple.u_table, seed_of, pr.u_pos[inst]),
+                               want(triple.v_table, seed_of, pr.v_pos[inst])], w))
 
-        frontier = next_frontier
+        frontier = {}
+        resolved = {}  # table -> local ids per drawn chunk
+        for table, chunks in wanted.items():
+            known = index.get(table, _NO_NODES)
+            locals_, fresh, index[table] = _localize(known, np.concatenate(chunks))
+            resolved[table] = np.split(locals_, np.cumsum([len(c) for c in chunks])[:-1])
+            if len(fresh):
+                frontier[table] = (fresh % n_rows[table], fresh // n_rows[table],
+                                   len(known[0]) + np.arange(len(fresh), dtype=np.int64))
+        for out, ident, refs, dst in drawn:
+            out.setdefault(ident, []).append(
+                tuple(resolved[t][c] for t, c in refs) + (dst,))
 
+    nodes = {}
+    for table, (keys, locals_) in index.items():
+        if len(keys):
+            keys = keys[np.argsort(locals_)]  # into local order
+            seed_of = keys // n_rows[table]
+            nodes[table] = TypeNodes(keys % n_rows[table], seed_t[seed_of], seed_of)
     edge_arrays = {}
-    for key_id, eset in edges.items():
-        if not eset:
-            continue
-        arr = np.asarray(sorted(eset), dtype=np.int64)
-        edge_arrays[key_id] = (arr[:, 0], arr[:, 1])
+    for key_id, parts in edges.items():
+        src, dst = (np.concatenate(col) for col in zip(*parts))
+        if len(src):
+            width = int(dst.max()) + 1
+            pairs = np.unique(src * width + dst)  # sorted by (src, dst)
+            edge_arrays[key_id] = (pairs // width, pairs % width)
     path_arrays = {}
-    for tid, plist in paths.items():
-        if not plist:
-            continue
-        arr = np.asarray(plist, dtype=np.int64)
-        path_arrays[tid] = (arr[:, 0], arr[:, 1], arr[:, 2])
+    for tid, parts in paths.items():
+        cols = tuple(np.concatenate(col) for col in zip(*parts))
+        if len(cols[0]):
+            path_arrays[tid] = cols
 
     return BatchSubgraph(
         entity_table=entity_table, seed_rows=seed_rows.astype(np.int64),
         seed_t_predict=seed_t, seed_locals=seed_locals,
-        nodes=builder.freeze(), edges=edge_arrays, paths=path_arrays,
-        neighbor_count=neighbor_count, path_count=path_count)
+        nodes=nodes, edges=edge_arrays, paths=path_arrays,
+        neighbor_count=sum(len(s) for s, _ in edge_arrays.values()),
+        path_count=sum(len(u) for u, _, _ in path_arrays.values()))
 
 
 def make_epoch_batches(labels: LabelRecords, batch_size: int,

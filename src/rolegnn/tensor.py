@@ -55,6 +55,19 @@ def tape_scope():
         clear_tape()
 
 
+@contextmanager
+def frozen(params):
+    """Keep the trainable `params` off the tape inside the block: ops on them
+    record no node for their sake, and backward leaves their gradients alone."""
+    for p in params:
+        p.requires_grad = False
+    try:
+        yield
+    finally:
+        for p in params:
+            p.requires_grad = True
+
+
 class Tensor:
     __slots__ = ("values", "grad", "requires_grad", "_parents", "_bwd")
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import logging
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -22,13 +23,16 @@ from . import tensor as T
 from .config import DEFAULTS
 from .errors import CheckpointMismatch, TrainingDiverged
 from .fd import FdModule, fd_losses
-from .model import GateState, Model, ModelConfig, link_scores
+from .model import (GateState, Model, ModelConfig,
+                    encoder_stats_paths, link_scores)
 from .rdb import RelationalDatabase, TaskSpec, canonical_form
 from .sampler import BatchSubgraph, SamplerConfig, make_epoch_batches, sample_batch
 from .schema_graph import (EdgeRelationTriple, RelationalEntityGraph,
                            RoleAssignment, build_schema_graph, construct_reg,
                            enumerate_edge_triples)
 from .tensor import Adam, Tensor
+
+log = logging.getLogger(__name__)
 
 ROLE_MODES = ("learn", "all-node", "all-edge", "random", "transfer")
 LINK_NEGATIVES = 10  # sampled negative targets per positive link
@@ -262,8 +266,10 @@ def _task_loss(state: TrainState, idx: np.ndarray, split: str, train: bool,
 # ---------------------------------------------------------------------------
 
 def train(state: TrainState, out_dir: str | Path | None = None,
-          quiet: bool = True, phase_hook=None) -> dict:
+          phase_hook=None) -> dict:
     """Run the alternating loop; returns a summary with history and report.
+
+    Each epoch's validation metric is logged at INFO on this module's logger.
 
     `phase_hook(event, epoch, state)` fires at "epoch_start", "after_phase_a"
     and "after_phase_b"; tests use it to audit the freezing contract.
@@ -273,6 +279,7 @@ def train(state: TrainState, out_dir: str | Path | None = None,
     model_params = [state.model.params[k] for k in sorted(state.model.params)]
     opt_model = Adam(model_params, lr=cfg.lr)
     opt_fd = None
+    fd_params = []
     if state.fdmod is not None:
         fd_params = [state.fdmod.params[k] for k in sorted(state.fdmod.params)]
         opt_fd = Adam(fd_params, lr=cfg.lr)
@@ -293,9 +300,8 @@ def train(state: TrainState, out_dir: str | Path | None = None,
         for bi, idx in enumerate(batches):
             rng = np.random.default_rng([cfg.seed, epoch, 1, bi])
             opt_model.zero_grad()
-            if opt_fd is not None:
-                opt_fd.zero_grad()
-            with T.tape_scope():
+            # FD parameters are frozen in phase A: they stay off the tape
+            with T.tape_scope(), T.frozen(fd_params):
                 loss, embeddings, batch, new_gates = _task_loss(
                     state, idx, "train", True, state.gates, rng)
                 l_task = loss.item()
@@ -313,8 +319,6 @@ def train(state: TrainState, out_dir: str | Path | None = None,
                          "l_emb": l_emb_v, "l_pair": l_pair_v})
                 T.backward(loss)
             opt_model.step()
-            if opt_fd is not None:
-                opt_fd.zero_grad()  # phase A never moves FD parameters
             state.gates = new_gates
             sums["l_task"] += l_task
             sums["l_emb"] += l_emb_v
@@ -363,9 +367,8 @@ def train(state: TrainState, out_dir: str | Path | None = None,
                "l_emb": sums["l_emb"] / n_batches,
                "l_pair": sums["l_pair"] / n_batches}
         state.history.append(row)
-        if not quiet:
-            print(f"epoch {epoch}: val {val['name']}={val['metric']:.4f} "
-                  f"l_task={row['l_task']:.4f}")
+        log.info("epoch %d: val %s=%.4f l_task=%.4f", epoch, val["name"],
+                 val["metric"], row["l_task"])
 
         metric = val["metric"]
         strictly_better = (best_metric is None or
@@ -600,10 +603,25 @@ def schema_digest(specs: dict) -> str:
 
 
 _META_KEYS = {
-    "meta.json": ("model_config", "encoder_stats", "task", "train_config",
-                  "roles", "fixed_gates", "triples", "schema_digest"),
+    "meta.json": ("model_config", "encoder_stats.tables",
+                  "encoder_stats.time_scale", "task.name", "task.task_type",
+                  "task.entity_table", "task.target_table", "task.eval_k",
+                  "task.split", "train_config", "roles", "fixed_gates",
+                  "triples", "schema_digest"),
     "gates.json": ("gates", "alpha", "mu"),
 }
+
+
+def _first_absent(data, paths) -> str | None:
+    """The first of the key paths (tuples) missing from the nested dicts
+    `data`, dotted up to its first missing key."""
+    for path in paths:
+        node = data
+        for i, key in enumerate(path):
+            if not isinstance(node, dict) or key not in node:
+                return ".".join(path[:i + 1])
+            node = node[key]
+    return None
 
 
 def _read_checkpoint_meta(path: str | Path) -> tuple[dict, GateState]:
@@ -626,9 +644,9 @@ def _read_checkpoint_meta(path: str | Path) -> tuple[dict, GateState]:
                 f"({exc.strerror})") from None
         except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
             raise CheckpointMismatch(f"invalid JSON in {path / name}: {exc}") from None
-        absent = [k for k in keys if not isinstance(data, dict) or k not in data]
+        absent = _first_absent(data, [k.split(".") for k in keys])
         if absent:
-            raise CheckpointMismatch(f"{path / name} lacks key {absent[0]!r}")
+            raise CheckpointMismatch(f"{path / name} lacks key {absent!r}")
         parsed[name] = data
     meta = parsed["meta.json"]
     where = path / "meta.json"
@@ -671,6 +689,10 @@ def load_checkpoint(path: str | Path, db: RelationalDatabase,
             f"extra={sorted(current - saved)}")
     roles = RoleAssignment(dict(meta["roles"]))
     reg = construct_reg(db, sg, roles)
+    absent = _first_absent(meta["encoder_stats"], encoder_stats_paths(reg))
+    if absent:
+        raise CheckpointMismatch(
+            f"{path / 'meta.json'} lacks key 'encoder_stats.{absent}'")
     model = Model(reg, model_cfg, task.task_type, train_cut=task.split[0],
                   fixed_gates=meta["fixed_gates"] or None,
                   encoder_stats=meta["encoder_stats"])

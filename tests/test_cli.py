@@ -162,6 +162,24 @@ def test_invalid_bundle_exit_code(capsys, tmp_path):
     assert "schema.json" in err
 
 
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+def test_non_finite_real_cell_exit_code(capsys, twohop_bundle, tmp_path, cell):
+    bundle = tmp_path / "bundle"
+    shutil.copytree(twohop_bundle, bundle)
+    lines = (bundle / "product.csv").read_text().splitlines()
+    fields = lines[3].split(",")
+    fields[1] = cell  # row 2, column "quality"
+    lines[3] = ",".join(fields)
+    (bundle / "product.csv").write_text("\n".join(lines) + "\n")
+    for argv in (["validate", str(bundle)],
+                 ["train", str(bundle), str(bundle / "user-positive"),
+                  "--epochs", "1", "--channels", "8", "--layers", "1"]):
+        code, _, err = _run(capsys, *argv)
+        assert code == 3
+        assert "table=product, row=2, column=quality" in err
+        assert "Traceback" not in err
+
+
 def test_incompatible_checkpoint_exit_code(capsys, twohop_bundle, tmp_path):
     chain = tmp_path / "chain"
     main(["synth", "completion_chain", "n_src=80", "n_mid=40", "n_sink=20",
@@ -244,6 +262,12 @@ def _damage_meta(ckpt, case: str) -> str:
     if case == "meta-missing-key":
         del meta["schema_digest"]
         named = "schema_digest"
+    elif case == "task-missing-name":
+        del meta["task"]["name"]
+        named = "task.name"
+    elif case == "encoder-stats-missing-table":
+        del meta["encoder_stats"]["tables"]["user"]
+        named = "encoder_stats.tables.user"
     elif case == "unknown-model-config-key":  # a field this version dropped
         meta["model_config"]["aggregation"] = "mean"
         named = "aggregation"
@@ -260,8 +284,10 @@ def _damage_meta(ckpt, case: str) -> str:
     ("eval", "meta-missing-key"),
     ("eval", "unknown-model-config-key"),
     ("eval", "unknown-train-config-key"),
+    ("eval", "encoder-stats-missing-table"),
     ("export-structure", "meta-invalid-json"),
     ("transfer", "missing-dir"),
+    ("transfer", "task-missing-name"),
 ])
 def test_damaged_checkpoint_metadata_exit_code(capsys, twohop_bundle,
                                                trained_checkpoint, tmp_path,

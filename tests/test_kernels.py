@@ -48,3 +48,38 @@ def test_lookup_positions():
     assert got.tolist() == [1, -1, 3, -1, 0]
     assert kernels.lookup_positions(np.array([], dtype=np.int64),
                                     np.array([3])).tolist() == [-1]
+
+
+def _admissible_counts_loop(indptr, times, nodes, t_predict):
+    """The per-node searchsorted loop the vectorized kernel replaced."""
+    counts = np.empty(len(nodes), dtype=np.int64)
+    for i, node in enumerate(nodes):
+        seg = times[indptr[node]:indptr[node + 1]]
+        counts[i] = np.searchsorted(seg, t_predict[i], side="right")
+    return counts
+
+
+def test_admissible_counts_bit_equal_to_loop():
+    rng = np.random.default_rng(7)
+    for trial in range(30):
+        n_nodes = int(rng.integers(1, 40))
+        n_edges = int(rng.integers(0, 400))
+        dst = rng.integers(0, n_nodes, size=n_edges)
+        # few distinct times, so segments hold ties; some rows lack a time
+        times = rng.integers(0, 12, size=n_edges).astype(np.float64)
+        times[rng.random(n_edges) < 0.15] = -np.inf
+        order = np.lexsort((times, dst))
+        dst, times = dst[order], times[order]
+        indptr = np.concatenate([[0], np.cumsum(np.bincount(dst, minlength=n_nodes))])
+        nodes = rng.integers(0, n_nodes, size=60)
+        cuts = rng.integers(-1, 13, size=60).astype(np.float64)  # often equal to a time
+        cuts[:4] = [np.inf, -np.inf, 0.0, 11.0]
+        got = kernels.admissible_counts(indptr, times, nodes, cuts)
+        want = _admissible_counts_loop(indptr, times, nodes, cuts)
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(got, want)
+    empty = kernels.admissible_counts(np.zeros(4, dtype=np.int64), np.empty(0),
+                                      np.array([0, 2]), np.array([1.0, np.inf]))
+    assert empty.tolist() == [0, 0]
+    assert kernels.admissible_counts(indptr, times, np.empty(0, dtype=np.int64),
+                                     np.empty(0)).shape == (0,)

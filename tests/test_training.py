@@ -6,10 +6,12 @@ import pytest
 from rolegnn import tensor as T
 from rolegnn.errors import CheckpointMismatch, TrainingDiverged
 from rolegnn.model import ModelConfig
-from rolegnn.training import (TrainConfig, build_state, evaluate,
-                              evaluate_state, export_structure, load_checkpoint,
-                              mae, map_at_k, param_hash, roc_auc,
-                              structure_report, train,
+from rolegnn.fd import fd_losses
+from rolegnn.sampler import make_epoch_batches
+from rolegnn.training import (TrainConfig, _mix, _task_loss, build_state,
+                              evaluate, evaluate_state, export_structure,
+                              load_checkpoint, mae, map_at_k, param_hash,
+                              roc_auc, structure_report, train,
                               transfer_structure)
 from rolegnn.rdb import LabelRecords, TaskSpec
 from rolegnn.synth import gen_completion_chain, gen_twohop
@@ -141,6 +143,40 @@ def test_phase_isolation_hashes():
         assert after_a[1] != after_b[1]    # ... while training FD parameters
     # parameter sets are disjoint and exhaustive
     assert not (fd_names & set(state.model.params))
+
+
+def test_phase_a_keeps_fd_parameters_off_the_tape(monkeypatch):
+    """A phase-A step produces no FD-parameter gradient, and its model
+    gradients equal those of the same step with FD parameters on the tape."""
+    overrides = dict(epochs=1, batch_size=1000, beta=1e-3, gamma=0.1)
+    _, task, state = _small_state(seed=6, **overrides)
+    _, _, oracle = _small_state(seed=6, **overrides)
+    cfg = state.train_cfg
+    real_backward = T.backward
+    seen = []
+
+    def spy(loss):
+        real_backward(loss)
+        if not seen:  # one batch, so the first backward is the phase-A step
+            seen.append(({n: p.grad.copy() for n, p in state.model.params.items()},
+                         {n: p.grad.copy() for n, p in state.fdmod.params.items()}))
+
+    monkeypatch.setattr(T, "backward", spy)
+    train(state)
+    model_grads, fd_grads = seen[0]
+    assert not any(g.any() for g in fd_grads.values())
+
+    idx, = make_epoch_batches(task.labels["train"], cfg.batch_size,
+                              seed=_mix(cfg.seed, 0, 0))
+    rng = np.random.default_rng([cfg.seed, 0, 1, 0])
+    loss, embeddings, batch, _ = _task_loss(oracle, idx, "train", True,
+                                            oracle.gates, rng)
+    total, _, _, _ = fd_losses(batch, embeddings, oracle.fdmod, cfg.beta,
+                               cfg.gamma, cfg.tau, cfg.negatives, rng)
+    real_backward(T.add(loss, total))
+    assert any(p.grad.any() for p in oracle.fdmod.params.values())
+    for name, p in oracle.model.params.items():
+        assert np.array_equal(model_grads[name], p.grad), name
 
 
 def test_beta_gamma_zero_matches_task_only_run():
