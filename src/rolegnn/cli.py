@@ -30,6 +30,7 @@ from .training import (ROLE_MODES, TrainConfig, build_state, dataset_digest,
                        evaluate, export_structure, roles_for_mode, train,
                        transfer_structure)
 
+EXIT_USAGE = 2
 EXIT_BUNDLE = 3
 EXIT_INCOMPATIBLE = 4
 EXIT_ROUNDTRIP = 5
@@ -163,7 +164,11 @@ def cmd_synth(args) -> int:
         params.setdefault("seed", args.seed)
     params.setdefault("seed", default_seed())
     out = Path(args.output)
-    synth.emit(args.generator, params, out)
+    try:
+        synth.emit(args.generator, params, out)
+    except ValueError as exc:  # a bad or out-of-range generator parameter
+        print(f"usage error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     db = ingest_bundle(out)
     report = _base_report("synth", int(params["seed"]),
                           {"generator": args.generator, "params": params})

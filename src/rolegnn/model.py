@@ -376,15 +376,38 @@ class Model:
     # -- forward ----------------------------------------------------------
 
     def forward(self, batch: BatchSubgraph, gates: GateState, train: bool,
-                rng: np.random.Generator | None = None) -> ForwardResult:
+                rng: np.random.Generator | None = None,
+                seeds_only: bool = False) -> ForwardResult:
+        """Run every layer and the head over one sampled batch.
+
+        With `seeds_only`, layer l of L computes only the rows each table
+        reached within L-1-l hops of the seeds (`batch.reach`): the rows the
+        next layer or the head reads. Only the edges and paths into those
+        rows are aggregated, in their batch order, so `output` is
+        bit-identical to the full forward's, while `embeddings` and
+        `gate_diag` cover the kept rows only. Training needs every row (the
+        running gate averages over all of them, FD reads every linked pair),
+        so `seeds_only` is for evaluation alone.
+        """
+        if seeds_only and train:
+            raise ValueError("seeds_only forward is for evaluation: training "
+                             "reads every row")
         act = ACTIVATIONS[self.cfg.activation]
         h = self.encoder.encode(self.reg, batch)
         running = dict(gates.values)
         gate_diag: dict[str, tuple[float, float]] = {}
+        layers = self.cfg.layers
 
-        for l in range(self.cfg.layers):
+        for l in range(layers):
+            if seeds_only:
+                n_out = {c: batch.reach[c][layers - 1 - l] for c in h}
+            else:
+                n_out = {c: hc.shape[0] for c, hc in h.items()}
+
             self_term = {}
             for c, hc in h.items():
+                if n_out[c] < hc.shape[0]:
+                    hc = T.take_rows(hc, np.arange(n_out[c]))
                 self_term[c] = T.add(
                     T.matmul(hc, self.params[f"L{l}.self.{c}.W"]),
                     self.params[f"L{l}.self.{c}.b"])
@@ -395,9 +418,12 @@ class Model:
                 if pair is None or key.dst_table not in h or key.src_table not in h:
                     continue
                 src, dst = pair
+                if seeds_only:
+                    keep = dst < n_out[key.dst_table]
+                    src, dst = src[keep], dst[keep]
                 messages[key.id] = relation_message(
                     self.params[f"L{l}.rel.{key.id}.W"], h[key.src_table],
-                    src, dst, batch.nodes[key.dst_table].n)
+                    src, dst, n_out[key.dst_table])
 
             by_dst: dict[str, list[str]] = {}
             for key in self.relations:
@@ -418,6 +444,11 @@ class Model:
                 if trip is None or c not in h:
                     continue
                 u_idx, v_idx, w_idx = trip
+                if seeds_only:
+                    # kept even when no path lands in a kept row: those rows
+                    # still fuse with a zero edge message, as in the full pass
+                    keep = w_idx < n_out[c]
+                    u_idx, v_idx, w_idx = u_idx[keep], v_idx[keep], w_idx[keep]
                 h_w = T.take_rows(h[c], w_idx)
                 h_v = T.take_rows(h[tr.v_table], v_idx)
                 h_u = T.take_rows(h[tr.u_table], u_idx)
@@ -431,7 +462,7 @@ class Model:
                         self.params[f"L{l}.comp.{tr.id}.f.W"],
                         self.params[f"L{l}.comp.{tr.id}.f.b"],
                         h_w, h_v, h_u)
-                e_agg = T.segment_mean(msg, w_idx, batch.nodes[c].n)
+                e_agg = T.segment_mean(msg, w_idx, n_out[c])
                 h_e = act(T.add(self_term[c], e_agg))
 
                 match_id = tr.matching_relation().id
@@ -450,8 +481,9 @@ class Model:
                         self.params[f"L{l}.gate.{tr.id}.W"],
                         self.params[f"L{l}.gate.{tr.id}.b"],
                         h_n, h_e, running[tr.id], gates.alpha, gates.mu, train)
-                    gate_diag[tr.id] = (float(g_tilde.values.mean()),
-                                        float(g.values.mean()))
+                    if n_out[c]:
+                        gate_diag[tr.id] = (float(g_tilde.values.mean()),
+                                            float(g.values.mean()))
                     if train:
                         running[tr.id] = float(g_used.values)
                 fusion_pairs.setdefault(c, []).append((h_n, h_e, g_used))

@@ -444,17 +444,55 @@ def export_task(task: TaskSpec, path: str | Path) -> Path:
     return path
 
 
+def _task_column(fpath: Path, rows: list[dict], column: str,
+                 parse: type) -> np.ndarray:
+    """One column of a task CSV: `int` ids as int64, `float` values as
+    finite float64."""
+    values = []
+    for i, row in enumerate(rows):
+        try:
+            values.append(parse(row[column]))
+        except (TypeError, ValueError) as exc:
+            raise CellParseError(f"{fpath.name}: unparseable cell "
+                                 f"{row[column]!r}", row=i, column=column) from exc
+    if parse is int:
+        try:
+            return np.asarray(values, dtype=np.int64)
+        except OverflowError:
+            i = next(i for i, v in enumerate(values) if not -2**63 <= v < 2**63)
+            raise CellParseError(f"{fpath.name}: id out of the int64 range",
+                                 row=i, column=column) from None
+    values = np.asarray(values, dtype=np.float64)
+    bad = np.flatnonzero(~np.isfinite(values))
+    if len(bad):
+        raise CellParseError(f"{fpath.name}: non-finite cell",
+                             row=int(bad[0]), column=column)
+    return values
+
+
 def load_task(path: str | Path, db: RelationalDatabase) -> TaskSpec:
     path = Path(path)
     meta_path = path / "task.json"
     if not meta_path.exists():
         raise MissingFileError(f"no task.json under {path}")
-    with open(meta_path, encoding="utf-8") as fh:
-        meta = json.load(fh)
+    try:
+        with open(meta_path, encoding="utf-8") as fh:
+            meta = json.load(fh)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise SchemaError(f"task.json is not valid JSON: {exc}") from exc
+    if not isinstance(meta, dict):
+        raise SchemaError("task.json must hold an object")
+    missing = [k for k in ("task_type", "split", "entity_table") if k not in meta]
+    if missing:
+        raise SchemaError(f"task.json lacks required key {missing[0]!r}")
     task_type = meta["task_type"]
     if task_type not in TASK_TYPES:
         raise SchemaError(f"unknown task_type {task_type!r}")
-    split = tuple(float(x) for x in meta["split"])
+    try:
+        split = tuple(float(x) for x in meta["split"])
+        eval_k = int(meta.get("eval_k", 10))
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(f"task.json: bad split or eval_k: {exc}") from exc
     if len(split) != 3 or not (split[0] < split[1] < split[2]):
         raise SchemaError(f"split cut timestamps must be strictly increasing, "
                           f"got {split}")
@@ -472,45 +510,51 @@ def load_task(path: str | Path, db: RelationalDatabase) -> TaskSpec:
         task_type=task_type,
         entity_table=entity_table,
         target_table=target_table,
-        eval_k=int(meta.get("eval_k", 10)),
+        eval_k=eval_k,
         split=split,  # type: ignore[arg-type]
     )
     entity_pk = np.sort(db.data[entity_table].pk)
     target_pk = (np.sort(db.data[target_table].pk)
                  if target_table is not None else None)
+    columns = ["entity_id", "timestamp", "label"]
+    if task_type == "link_prediction":
+        columns.append("target_id")
     for split_name in SPLITS:
         fpath = path / f"task_{split_name}.csv"
         if not fpath.exists():
             continue
-        ents, targs, times, labels = [], [], [], []
         with open(fpath, newline="", encoding="utf-8") as fh:
             reader = csv.DictReader(fh)
-            for i, row in enumerate(reader):
-                ents.append(int(row["entity_id"]))
-                if task_type == "link_prediction":
-                    targs.append(int(row["target_id"]))
-                times.append(float(row["timestamp"]))
-                labels.append(float(row["label"]))
-        entity = np.asarray(ents, dtype=np.int64)
+            absent = [c for c in columns if c not in (reader.fieldnames or ())]
+            if absent:
+                raise SchemaError(f"{fpath.name} lacks a column",
+                                  column=absent[0])
+            rows = list(reader)
+        entity = _task_column(fpath, rows, "entity_id", int)
         bad = lookup_positions(entity_pk, entity) < 0
         if bad.any():
             i = int(np.flatnonzero(bad)[0])
-            raise DanglingKeyError(f"label entity {int(entity[i])} not in "
-                                   f"{entity_table}", table=entity_table, row=i)
+            raise DanglingKeyError(f"{fpath.name}: label entity {int(entity[i])} "
+                                   f"not in {entity_table}", row=i,
+                                   column="entity_id")
         target = None
         if task_type == "link_prediction":
-            target = np.asarray(targs, dtype=np.int64)
+            target = _task_column(fpath, rows, "target_id", int)
             bad = lookup_positions(target_pk, target) < 0
             if bad.any():
                 i = int(np.flatnonzero(bad)[0])
-                raise DanglingKeyError(f"label target {int(target[i])} not in "
-                                       f"{target_table}", table=target_table, row=i)
-        label = np.asarray(labels, dtype=np.float64)
-        if task_type == "classification" and not np.isin(label, (0.0, 1.0)).all():
-            raise SchemaError(f"classification labels must be 0/1",
-                              table=entity_table)
+                raise DanglingKeyError(f"{fpath.name}: label target "
+                                       f"{int(target[i])} not in {target_table}",
+                                       row=i, column="target_id")
+        label = _task_column(fpath, rows, "label", float)
+        if task_type == "classification":
+            bad = np.flatnonzero(~np.isin(label, (0.0, 1.0)))
+            if len(bad):
+                raise SchemaError(f"{fpath.name}: classification labels must "
+                                  f"be 0/1", row=int(bad[0]), column="label")
         task.labels[split_name] = LabelRecords(
-            entity=entity, t_predict=np.asarray(times, dtype=np.float64),
+            entity=entity, t_predict=_task_column(fpath, rows, "timestamp",
+                                                  float),
             label=label, target=target)
     return task
 

@@ -8,7 +8,7 @@ B // 2**hop with the path budget independent of the node budget.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -55,6 +55,9 @@ class BatchSubgraph:
     paths: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]]  # triple -> (u, v, w)
     neighbor_count: int = 0
     path_count: int = 0
+    # table -> [locals reached by hop 0, 1, ..., num_hops]. Locals are numbered
+    # in discovery order, so the rows reached by hop k are a prefix.
+    reach: dict[str, list[int]] = field(default_factory=dict)
 
 
 _NO_NODES = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
@@ -147,6 +150,7 @@ def sample_batch(reg: RelationalEntityGraph, seeds: list[tuple[int, float]],
         return table, len(chunks) - 1
 
     path_budget = cfg.neighbor_samples  # independent of the node budget
+    reached = [{entity_table: len(seeds)}]  # per hop: table -> locals so far
     for hop in range(cfg.num_hops):
         budget = max(hop_budget(cfg.neighbor_samples, hop), 1)
         wanted: dict[str, list[np.ndarray]] = {}  # table -> drawn key chunks
@@ -181,6 +185,7 @@ def sample_batch(reg: RelationalEntityGraph, seeds: list[tuple[int, float]],
         for out, ident, refs, dst in drawn:
             out.setdefault(ident, []).append(
                 tuple(resolved[t][c] for t, c in refs) + (dst,))
+        reached.append({t: len(keys) for t, (keys, _) in index.items()})
 
     nodes = {}
     for table, (keys, locals_) in index.items():
@@ -206,7 +211,8 @@ def sample_batch(reg: RelationalEntityGraph, seeds: list[tuple[int, float]],
         seed_t_predict=seed_t, seed_locals=seed_locals,
         nodes=nodes, edges=edge_arrays, paths=path_arrays,
         neighbor_count=sum(len(s) for s, _ in edge_arrays.values()),
-        path_count=sum(len(u) for u, _, _ in path_arrays.values()))
+        path_count=sum(len(u) for u, _, _ in path_arrays.values()),
+        reach={t: [r.get(t, 0) for r in reached] for t in nodes})
 
 
 def make_epoch_batches(labels: LabelRecords, batch_size: int,

@@ -76,16 +76,14 @@ class TrainConfig:
 # ---------------------------------------------------------------------------
 
 def _average_ranks(x: np.ndarray) -> np.ndarray:
+    """1-based ranks; tied values share their mean rank. A NaN equals
+    nothing, so each NaN ranks alone."""
     order = np.argsort(x, kind="mergesort")
-    ranks = np.empty(len(x), dtype=np.float64)
     xs = x[order]
-    i = 0
-    while i < len(x):
-        j = i
-        while j + 1 < len(x) and xs[j + 1] == xs[i]:
-            j += 1
-        ranks[order[i:j + 1]] = (i + j + 2) / 2.0
-        i = j + 1
+    start = np.flatnonzero(np.r_[True, xs[1:] != xs[:-1]])
+    end = np.r_[start[1:], len(x)] - 1
+    ranks = np.empty(len(x), dtype=np.float64)
+    ranks[order] = np.repeat((start + end + 2) / 2.0, end - start + 1)
     return ranks
 
 
@@ -455,7 +453,8 @@ def evaluate_state(state: TrainState, split: str) -> dict:
             scfg = _sampler_cfg(state, int(rng.integers(2 ** 62)))
             batch = sample_batch(state.reg, seeds, scfg, task.entity_table,
                                  rng=rng)
-            res = state.model.forward(batch, state.gates, train=False)
+            res = state.model.forward(batch, state.gates, train=False,
+                                      seeds_only=True)
             outputs[idx] = res.output.values
         if task.task_type == "classification":
             value = roc_auc(recs.label, outputs)
@@ -485,7 +484,8 @@ def _evaluate_links(state: TrainState, split: str) -> dict:
     scfg = _sampler_cfg(state, int(rng.integers(2 ** 62)))
     src_batch = sample_batch(state.reg, src_seeds, scfg, task.entity_table,
                              rng=rng)
-    src_res = state.model.forward(src_batch, state.gates, train=False)
+    src_res = state.model.forward(src_batch, state.gates, train=False,
+                                  seeds_only=True)
     h_src = src_res.embeddings[task.entity_table].values[src_batch.seed_locals]
 
     ap_scores = []
@@ -500,7 +500,8 @@ def _evaluate_links(state: TrainState, split: str) -> dict:
             scfg2 = _sampler_cfg(state, int(rng2.integers(2 ** 62)))
             tb = sample_batch(state.reg, seeds, scfg2, task.target_table,
                               rng=rng2)
-            tres = state.model.forward(tb, state.gates, train=False)
+            tres = state.model.forward(tb, state.gates, train=False,
+                                       seeds_only=True)
             h_t = tres.embeddings[task.target_table].values[tb.seed_locals]
             cand_cache[t_pred] = (cand_pk, h_t)
         cand_pk, h_t = cand_cache[t_pred]

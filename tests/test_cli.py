@@ -42,6 +42,18 @@ def test_synth_and_validate(capsys, twohop_bundle):
     assert (twohop_bundle / "run_report.json").exists()
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["twohop", "n_users=5"], "sizes must be >= 10"),
+    (["twohop", "n_reviews=many"], "invalid literal"),
+    (["nosuch"], "unknown generator 'nosuch'"),
+])
+def test_synth_bad_parameters_exit_2(capsys, tmp_path, argv, message):
+    code, _, err = _run(capsys, "synth", *argv, "-o", str(tmp_path / "out"))
+    assert code == 2
+    assert message in err
+    assert "Traceback" not in err
+
+
 def test_roundtrip_pass_all_role_flags(capsys, twohop_bundle):
     for roles in ("learn", "all-node", "all-edge", "random"):
         code, out, _ = _run(capsys, "roundtrip", str(twohop_bundle),
@@ -178,6 +190,51 @@ def test_non_finite_real_cell_exit_code(capsys, twohop_bundle, tmp_path, cell):
         assert code == 3
         assert "table=product, row=2, column=quality" in err
         assert "Traceback" not in err
+
+
+def _set_task_cell(task_dir, fname, row, column, text):
+    lines = (task_dir / fname).read_text().splitlines()
+    col = lines[0].split(",").index(column)
+    fields = lines[row + 1].split(",")
+    fields[col] = text
+    lines[row + 1] = ",".join(fields)
+    (task_dir / fname).write_text("\n".join(lines) + "\n")
+
+
+def _drop_task_key(task_dir, key):
+    meta = json.loads((task_dir / "task.json").read_text())
+    del meta[key]
+    (task_dir / "task.json").write_text(json.dumps(meta))
+
+
+@pytest.mark.parametrize("damage,where", [
+    (lambda d: _set_task_cell(d, "task_train.csv", 4, "entity_id", "4.5"),
+     "task_train.csv: unparseable cell '4.5' (row=4, column=entity_id)"),
+    (lambda d: _set_task_cell(d, "task_val.csv", 1, "timestamp", "soon"),
+     "task_val.csv: unparseable cell 'soon' (row=1, column=timestamp)"),
+    (lambda d: _set_task_cell(d, "task_test.csv", 2, "timestamp", "nan"),
+     "task_test.csv: non-finite cell (row=2, column=timestamp)"),
+    (lambda d: _set_task_cell(d, "task_test.csv", 0, "label", "inf"),
+     "task_test.csv: non-finite cell (row=0, column=label)"),
+    (lambda d: _set_task_cell(d, "task_train.csv", 2, "entity_id", "9" * 20),
+     "task_train.csv: id out of the int64 range (row=2, column=entity_id)"),
+    (lambda d: _set_task_cell(d, "task_val.csv", 3, "entity_id", "99999"),
+     "task_val.csv: label entity 99999 not in user (row=3, column=entity_id)"),
+    (lambda d: _set_task_cell(d, "task_train.csv", 5, "label", "0.5"),
+     "task_train.csv: classification labels must be 0/1 (row=5, column=label)"),
+    (lambda d: (d / "task.json").write_text("{"), "task.json is not valid JSON"),
+    (lambda d: _drop_task_key(d, "split"), "task.json lacks required key 'split'"),
+], ids=["int-entity", "text-timestamp", "nan-timestamp", "inf-label",
+        "huge-entity", "dangling-entity", "non-binary-label", "invalid-json", "missing-key"])
+def test_damaged_task_exit_code(capsys, twohop_bundle, tmp_path, damage, where):
+    bundle = tmp_path / "bundle"
+    shutil.copytree(twohop_bundle, bundle)
+    damage(bundle / "user-positive")
+    code, _, err = _run(capsys, "train", str(bundle), str(bundle / "user-positive"),
+                        "--epochs", "1", "--channels", "8", "--layers", "1")
+    assert code == 3
+    assert where in err
+    assert "Traceback" not in err
 
 
 def test_incompatible_checkpoint_exit_code(capsys, twohop_bundle, tmp_path):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from rolegnn.schema_graph import (RoleAssignment, build_schema_graph,
                                   construct_reg, enumerate_edge_triples)
 from rolegnn.synth import gen_twohop
 from rolegnn.tensor import Tensor
+from rolegnn.training import roles_for_mode
 
 TRAIN_CUT = 1_600_000_000 + 100 * 86400.0
 
@@ -474,3 +477,59 @@ def test_link_scores_inner_product():
     a, b = rng.normal(size=(5, 3)), rng.normal(size=(5, 3))
     got = link_scores(Tensor(a), Tensor(b))
     np.testing.assert_allclose(got.values, (a * b).sum(axis=1), rtol=1e-12)
+
+
+# --- seeds-only forward -----------------------------------------------------
+
+def _seeds_only_setup(mode, layers):
+    db, task = gen_twohop(120, 30, 400, 1.0, 0)
+    sg = build_schema_graph(db)
+    roles, fixed = roles_for_mode(enumerate_edge_triples(sg), mode, seed=3)
+    reg = construct_reg(db, sg, roles)
+    model = Model(reg, ModelConfig(channels=8, layers=layers, seed=2),
+                  "classification", train_cut=task.split[0], fixed_gates=fixed)
+    recs = task.labels["test"]
+    seeds = [(int(recs.entity[i]), float(recs.t_predict[i])) for i in range(24)]
+    batch = _batch_for(reg, "user", seeds, hops=layers, budget=16, seed=layers)
+    return model, batch
+
+
+def _assert_seeds_only_matches_full(model, batch):
+    gates = model.init_gates()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # e.g. a mean of an empty slice
+        full = model.forward(batch, gates, train=False)
+        trimmed = model.forward(batch, gates, train=False, seeds_only=True)
+    assert np.array_equal(trimmed.output.values, full.output.values)
+    for c, emb in trimmed.embeddings.items():
+        assert emb.shape[0] == batch.reach[c][0]
+        assert np.array_equal(emb.values, full.embeddings[c].values[:emb.shape[0]])
+
+
+@pytest.mark.parametrize("layers", [1, 2, 3])
+@pytest.mark.parametrize("mode", ["learn", "all-edge", "all-node", "random"])
+def test_seeds_only_forward_equals_full(mode, layers):
+    model, batch = _seeds_only_setup(mode, layers)
+    if layers > 1:  # some rows are left out
+        assert sum(r[layers - 1] for r in batch.reach.values()) < \
+            sum(tn.n for tn in batch.nodes.values())
+    _assert_seeds_only_matches_full(model, batch)
+
+
+def test_seeds_only_fuses_triples_with_no_path_into_kept_rows():
+    """Paths into users only beyond hop 1: the last two layers keep users
+    but aggregate no path of the triple, and still fuse its zero message."""
+    model, batch = _seeds_only_setup("learn", 3)
+    tid = next(t.id for t in model.active_triples if t.w_table == "user")
+    kept_users = batch.reach["user"][1]
+    u, v, w = batch.paths[tid]
+    deep = w >= kept_users
+    assert deep.any() and not deep.all()
+    batch.paths[tid] = (u[deep], v[deep], w[deep])
+    _assert_seeds_only_matches_full(model, batch)
+
+
+def test_seeds_only_forward_refuses_training():
+    model, batch = _seeds_only_setup("learn", 1)
+    with pytest.raises(ValueError, match="seeds_only"):
+        model.forward(batch, model.init_gates(), train=True, seeds_only=True)

@@ -178,3 +178,55 @@ def test_allow_future_switch_sees_everything():
                         allow_future=True)
     batch = sample_batch(reg, [(1, 100.0)], cfg, "w")
     assert batch.nodes["v"].n == 5
+
+
+def _bfs_hops(reg, batch) -> dict[str, np.ndarray]:
+    """Per table, each local's hop distance from the seeds over the drawn
+    edges (dst -> src) and paths (w -> u, v); -1 where unreached."""
+    keys = {k.id: k for k in reg.relation_keys}
+    triples = {t.id: t for t in reg.triples}
+    nbrs: dict[tuple[str, int], list[tuple[str, int]]] = {}
+    for kid, (src, dst) in batch.edges.items():
+        key = keys[kid]
+        for s, d in zip(src.tolist(), dst.tolist()):
+            nbrs.setdefault((key.dst_table, d), []).append((key.src_table, s))
+    for tid, (u, v, w) in batch.paths.items():
+        tr = triples[tid]
+        for a, b, c in zip(u.tolist(), v.tolist(), w.tolist()):
+            nbrs.setdefault((tr.w_table, c), []).extend(
+                [(tr.u_table, a), (tr.v_table, b)])
+    hops = {t: np.full(tn.n, -1) for t, tn in batch.nodes.items()}
+    frontier = [(batch.entity_table, int(s)) for s in batch.seed_locals]
+    for node in frontier:
+        hops[node[0]][node[1]] = 0
+    hop = 0
+    while frontier:
+        hop += 1
+        fresh = []
+        for node in frontier:
+            for t, i in nbrs.get(node, []):
+                if hops[t][i] < 0:
+                    hops[t][i] = hop
+                    fresh.append((t, i))
+        frontier = fresh
+    return hops
+
+
+@pytest.mark.parametrize("role,num_hops", [("learn", 1), ("learn", 2),
+                                           ("learn", 3), ("node", 3)])
+def test_reach_prefixes_are_first_reached_per_hop(role, num_hops):
+    db, task = gen_twohop(60, 20, 300, 1.0, 0)
+    reg = _reg(db, role)
+    recs = task.labels["train"]
+    seeds = [(int(recs.entity[i]), float(recs.t_predict[i])) for i in range(12)]
+    seeds.append(seeds[0])  # a repeated seed gets its own tree
+    batch = sample_batch(reg, seeds, SamplerConfig(8, num_hops, 4), "user")
+    hops = _bfs_hops(reg, batch)
+    assert sorted(batch.reach) == sorted(batch.nodes)
+    for t, reach in batch.reach.items():
+        assert len(reach) == num_hops + 1
+        assert reach[-1] == batch.nodes[t].n
+        for k in range(num_hops + 1):
+            lo = reach[k - 1] if k else 0
+            assert (hops[t][lo:reach[k]] == k).all(), (t, k)
+            assert int((hops[t] == k).sum()) == reach[k] - lo, (t, k)

@@ -5,23 +5,23 @@ import pytest
 
 from rolegnn import tensor as T
 from rolegnn.errors import CheckpointMismatch, TrainingDiverged
-from rolegnn.model import ModelConfig
+from rolegnn.model import Model, ModelConfig
 from rolegnn.fd import fd_losses
 from rolegnn.sampler import make_epoch_batches
-from rolegnn.training import (TrainConfig, _mix, _task_loss, build_state,
-                              evaluate, evaluate_state, export_structure,
-                              load_checkpoint, mae, map_at_k, param_hash,
-                              roc_auc, structure_report, train,
-                              transfer_structure)
+from rolegnn.training import (TrainConfig, _average_ranks, _mix, _task_loss,
+                              build_state, evaluate, evaluate_state,
+                              export_structure, load_checkpoint, mae,
+                              map_at_k, param_hash, roc_auc, structure_report,
+                              train, transfer_structure)
 from rolegnn.rdb import LabelRecords, TaskSpec
 from rolegnn.synth import gen_completion_chain, gen_twohop
 
 SMALL = dict(n_users=60, n_products=20, n_reviews=200, signal_strength=1.0)
 
 
-def _small_state(seed=0, roles="learn", **overrides):
+def _small_state(seed=0, roles="learn", layers=1, **overrides):
     db, task = gen_twohop(seed=seed, **SMALL)
-    mcfg = ModelConfig(channels=8, layers=1, seed=seed)
+    mcfg = ModelConfig(channels=8, layers=layers, seed=seed)
     defaults = dict(epochs=2, batch_size=32, lr=0.005, seed=seed,
                     neighbor_samples=16)
     defaults.update(overrides)
@@ -77,6 +77,32 @@ def test_auc_matches_mann_whitney_oracle():
             assert np.isnan(got)
         else:
             assert abs(got - want) < 1e-12
+
+
+def _average_ranks_loop(x):
+    """The per-group loop `_average_ranks` replaced."""
+    order = np.argsort(x, kind="mergesort")
+    ranks = np.empty(len(x), dtype=np.float64)
+    xs = x[order]
+    i = 0
+    while i < len(x):
+        j = i
+        while j + 1 < len(x) and xs[j + 1] == xs[i]:
+            j += 1
+        ranks[order[i:j + 1]] = (i + j + 2) / 2.0
+        i = j + 1
+    return ranks
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_average_ranks_match_loop(seed):
+    rng = np.random.default_rng(seed)
+    x = rng.integers(0, 20, size=500).astype(np.float64)  # heavy ties
+    x[rng.choice(500, size=3, replace=False)] = np.nan
+    x[rng.integers(500)] = -0.0
+    assert np.array_equal(_average_ranks(x), _average_ranks_loop(x))
+    for small in (x[:0], x[:1], np.array([np.nan, np.nan, 1.0, 1.0])):
+        assert np.array_equal(_average_ranks(small), _average_ranks_loop(small))
 
 
 def test_mae():
@@ -372,7 +398,7 @@ def test_regression_task_trains():
     assert res["name"] == "mae" and np.isfinite(res["metric"])
 
 
-def test_link_prediction_trains_and_maps():
+def _link_state(layers=1):
     db, task = gen_twohop(60, 15, 200, 1.0, 12)
     # derive a tiny link task: users link to products they reviewed
     review = db.table("review")
@@ -388,11 +414,52 @@ def test_link_prediction_trains_and_maps():
             target=review.cols["product_id"].values[idx].astype(np.int64),
             t_predict=np.full(40, float(t_pred)),
             label=np.ones(40))
-    mcfg = ModelConfig(channels=8, layers=1, seed=2)
+    mcfg = ModelConfig(channels=8, layers=layers, seed=2)
     tcfg = TrainConfig(epochs=2, batch_size=16, lr=0.005, seed=2,
                        neighbor_samples=16)
-    state = build_state(db, lp, mcfg, tcfg, roles_mode="learn")
+    return build_state(db, lp, mcfg, tcfg, roles_mode="learn")
+
+
+def test_link_prediction_trains_and_maps():
+    state = _link_state()
     train(state)
     res = evaluate_state(state, "test")
     assert res["name"] == "map"
     assert 0.0 <= res["metric"] <= 1.0
+
+
+# --- seeds-only evaluation --------------------------------------------------
+
+def _force_full_forward(monkeypatch) -> list:
+    """Make every Model.forward call run the full forward; returns the
+    `seeds_only` value each call asked for."""
+    orig = Model.forward
+    asked = []
+
+    def forward(self, *args, seeds_only=False, **kwargs):
+        asked.append(seeds_only)
+        return orig(self, *args, **kwargs)
+    monkeypatch.setattr(Model, "forward", forward)
+    return asked
+
+
+def test_seeds_only_evaluation_keeps_training_results(monkeypatch):
+    def run():
+        _, _, state = _small_state(seed=4, layers=2, epochs=3)
+        summary = train(state)
+        return param_hash(state.parameters()), summary["history"]
+
+    trimmed = run()
+    asked = _force_full_forward(monkeypatch)
+    assert run() == trimmed
+    assert True in asked and False in asked  # evaluation trims, training not
+
+
+def test_seeds_only_link_evaluation_keeps_map(monkeypatch):
+    state = _link_state(layers=2)
+    train(state)
+    trimmed = evaluate_state(state, "test")
+    assert np.isfinite(trimmed["metric"])
+    asked = _force_full_forward(monkeypatch)
+    assert evaluate_state(state, "test") == trimmed
+    assert asked == [True, True]  # the source and the candidate forward
