@@ -22,6 +22,7 @@ from .errors import (BundleError, CheckpointMismatch, EngineError, RoleError,
                      TrainingDiverged)
 from .model import ModelConfig
 from .rdb import canonical_form, fd_violations, ingest_bundle, load_task
+from .sampler import SamplerConfig
 from .schema_graph import (build_schema_graph, construct_reg,
                            demo_add_counterexample, demo_prune_counterexample,
                            enumerate_edge_triples, enumerate_pruning_maps,
@@ -60,11 +61,23 @@ def _base_report(command: str, seed: int, config: dict) -> dict:
 
 
 def _resolve_config(args: argparse.Namespace) -> dict:
-    """flags > --config file > defaults."""
+    """flags > --config file > defaults. An unreadable --config file, or one
+    that is not a JSON object, raises ValueError naming it."""
     cfg = dict(DEFAULTS)
     if getattr(args, "config", None):
-        with open(args.config, encoding="utf-8") as fh:
-            cfg.update(json.load(fh))
+        try:
+            with open(args.config, encoding="utf-8") as fh:
+                loaded = json.load(fh)
+        except OSError as exc:
+            raise ValueError(f"cannot read --config file {args.config}: "
+                             f"{exc.strerror}") from None
+        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+            raise ValueError(f"--config file {args.config} is not valid "
+                             f"JSON: {exc}") from None
+        if not isinstance(loaded, dict):
+            raise ValueError(f"--config file {args.config} must hold a JSON "
+                             f"object")
+        cfg.update(loaded)
     for name in TRAIN_FLAGS:
         val = getattr(args, name, None)
         if val is not None:
@@ -183,27 +196,53 @@ def cmd_synth(args) -> int:
 
 
 def _model_and_train_cfg(cfg: dict) -> tuple[ModelConfig, TrainConfig]:
-    mcfg = ModelConfig(channels=int(cfg["channels"]), layers=int(cfg["layers"]),
-                       dropout=float(cfg["dropout"]), alpha=float(cfg["alpha"]),
-                       mu=float(cfg["mu"]), cat_dim=int(cfg["cat_dim"]),
-                       seed=int(cfg["seed"]))
-    tcfg = TrainConfig(epochs=int(cfg["epochs"]), batch_size=int(cfg["batch_size"]),
-                       lr=float(cfg["lr"]), beta=float(cfg["beta"]),
-                       gamma=float(cfg["gamma"]), alpha=float(cfg["alpha"]),
-                       mu=float(cfg["mu"]), tau=float(cfg["tau"]),
-                       negatives=int(cfg["negatives"]),
-                       neighbor_samples=int(cfg["neighbor_samples"]),
-                       seed=int(cfg["seed"]), patience=int(cfg["patience"]),
-                       subspace_dim=int(cfg["subspace_dim"]))
+    """The typed configs of a resolved config dict. A value of the wrong
+    type or out of range raises ValueError naming its key."""
+    mcfg = ModelConfig(channels=_typed(cfg, "channels", int),
+                       layers=_typed(cfg, "layers", int),
+                       dropout=_typed(cfg, "dropout", float),
+                       alpha=_typed(cfg, "alpha", float),
+                       mu=_typed(cfg, "mu", float),
+                       cat_dim=_typed(cfg, "cat_dim", int),
+                       seed=_typed(cfg, "seed", int))
+    tcfg = TrainConfig(epochs=_typed(cfg, "epochs", int),
+                       batch_size=_typed(cfg, "batch_size", int),
+                       lr=_typed(cfg, "lr", float),
+                       beta=_typed(cfg, "beta", float),
+                       gamma=_typed(cfg, "gamma", float),
+                       alpha=_typed(cfg, "alpha", float),
+                       mu=_typed(cfg, "mu", float),
+                       tau=_typed(cfg, "tau", float),
+                       negatives=_typed(cfg, "negatives", int),
+                       neighbor_samples=_typed(cfg, "neighbor_samples", int),
+                       seed=_typed(cfg, "seed", int),
+                       patience=_typed(cfg, "patience", int),
+                       subspace_dim=_typed(cfg, "subspace_dim", int))
+    # training builds its SamplerConfig per batch; built here, its checks
+    # (neighbor_samples >= 1) run before the bundle is read
+    SamplerConfig(neighbor_samples=tcfg.neighbor_samples,
+                  num_hops=mcfg.layers, seed=tcfg.seed)
     return mcfg, tcfg
+
+
+def _typed(cfg: dict, key: str, typ: type):
+    try:
+        return typ(cfg[key])
+    except (TypeError, ValueError):
+        kind = "an integer" if typ is int else "a number"
+        raise ValueError(f"{key} must be {kind}, got {cfg[key]!r}") from None
 
 
 def cmd_train(args) -> int:
     t0 = time.time()
-    cfg = _resolve_config(args)
+    try:
+        cfg = _resolve_config(args)
+        mcfg, tcfg = _model_and_train_cfg(cfg)
+    except ValueError as exc:  # a bad flag, config key or --config file
+        print(f"usage error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     db = ingest_bundle(args.bundle)
     task = load_task(args.task, db)
-    mcfg, tcfg = _model_and_train_cfg(cfg)
     out_dir = Path(args.output) if args.output else None
     if args.transfer_from:
         summary = transfer_structure(args.transfer_from, db, task, mcfg, tcfg,

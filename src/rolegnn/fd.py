@@ -70,15 +70,6 @@ class FdModule:
         return self.params[f"fd.{relation_id}.P"], self.params[f"fd.{relation_id}.s"]
 
 
-def diff_pairs(batch: BatchSubgraph, embeddings: dict[str, Tensor],
-               relations: list[RelationKey]) -> dict[str, tuple[Tensor, np.ndarray, np.ndarray]]:
-    """Per relation: difference vectors h_referenced - h_holder over the
-    distinct FK links present in the batch (sampled in either direction)."""
-    return {rid: (T.sub(h_j, h_i), holder_locals, ref_locals)
-            for rid, (h_i, h_j, holder_locals, ref_locals)
-            in _linked_pairs(batch, embeddings, relations).items()}
-
-
 def _linked_pairs(batch: BatchSubgraph, embeddings: dict[str, Tensor],
                   relations: list[RelationKey]
                   ) -> dict[str, tuple[Tensor, Tensor, np.ndarray, np.ndarray]]:
@@ -124,10 +115,10 @@ def score_pairs(fd: FdModule, relation_id: str, h_i: Tensor, h_j: Tensor) -> Ten
     """
     x = T.sub(h_i, h_j)
     flat = T.reshape(x, (-1, x.shape[-1]))
-    hidden = T.relu(T.add(T.matmul(flat, fd.params[f"fd.{relation_id}.ms.W1"]),
-                          fd.params[f"fd.{relation_id}.ms.b1"]))
-    raw = T.add(T.matmul(hidden, fd.params[f"fd.{relation_id}.ms.W2"]),
-                fd.params[f"fd.{relation_id}.ms.b2"])
+    hidden = T.relu(T.linear(flat, fd.params[f"fd.{relation_id}.ms.W1"],
+                             fd.params[f"fd.{relation_id}.ms.b1"]))
+    raw = T.linear(hidden, fd.params[f"fd.{relation_id}.ms.W2"],
+                   fd.params[f"fd.{relation_id}.ms.b2"])
     return T.reshape(raw, x.shape[:-1])
 
 

@@ -15,12 +15,19 @@ import numpy as np
 # ---------------------------------------------------------------------------
 
 def segment_sum(values: np.ndarray, segments: np.ndarray, num_segments: int) -> np.ndarray:
-    """Sum rows of `values` into `num_segments` buckets given by `segments`."""
+    """Sum rows of `values` into `num_segments` buckets given by `segments`.
+
+    One weighted bincount over the flat cell index `segment * ch + column`
+    visits the cells row by row, so each one is summed in row order from
+    0.0: bit-equal to `np.add.at(out, segments, values)` on a 2-D `out`.
+    """
     values = np.ascontiguousarray(values, dtype=np.float64)
     segments = np.ascontiguousarray(segments, dtype=np.int64)
-    out = np.zeros((num_segments, values.shape[1]), dtype=np.float64)
-    np.add.at(out, segments, values)
-    return out
+    ch = values.shape[1]
+    flat = (segments[:, None] * ch + np.arange(ch)).ravel()
+    # bincount of an empty index is integer-typed whatever the weights
+    out = np.bincount(flat, weights=values.ravel(), minlength=num_segments * ch)
+    return out.astype(np.float64, copy=False).reshape(num_segments, ch)
 
 
 def segment_counts(segments: np.ndarray, num_segments: int) -> np.ndarray:

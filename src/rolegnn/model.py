@@ -42,10 +42,14 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.channels <= 0:
-            raise ValueError("channels must be positive")
+        if self.channels < 1:
+            raise ValueError(f"channels must be >= 1, got {self.channels}")
+        if self.layers < 1:
+            raise ValueError(f"layers must be >= 1, got {self.layers}")
+        if not 0.0 <= self.dropout < 1.0:
+            raise ValueError(f"dropout must lie in [0, 1), got {self.dropout}")
         if not 0.0 <= self.alpha <= 1.0:
-            raise ValueError("alpha must lie in [0, 1]")
+            raise ValueError(f"alpha must lie in [0, 1], got {self.alpha}")
         if self.activation not in ACTIVATIONS:
             raise ValueError(f"unknown activation {self.activation!r}")
 
@@ -100,8 +104,10 @@ class FeatureEncoder:
         self.cfg = cfg
         self.train_cut = train_cut
         self.params: dict[str, Tensor] = {}
+        self.reg = reg
         self.stats = stats if stats is not None else self._compute_stats(reg)
         self._build_params(reg)
+        self.codes = self._category_codes(reg)
 
     def _compute_stats(self, reg: RelationalEntityGraph) -> dict:
         stats: dict = {"tables": {}, "time_scale": 1.0}
@@ -183,7 +189,26 @@ class FeatureEncoder:
                                               seed=_param_seed(self.cfg.seed, wname))
             self.params[f"enc.{name}.proj.b"] = T.zeros_param((ch,))
 
-    def encode(self, reg: RelationalEntityGraph, batch: BatchSubgraph) -> dict[str, Tensor]:
+    def _category_codes(self, reg: RelationalEntityGraph) -> dict[tuple[str, str], np.ndarray]:
+        """Embedding index of every store row, per categorical (table,
+        column): 1 + its position in the frozen vocabulary, 0 if missing or
+        unknown. Batches gather from these."""
+        codes = {}
+        for name in sorted(reg.nodes):
+            _, categorical, _ = self._feature_plan(reg, name)
+            for col_name in categorical:
+                cd = reg.nodes[name].attrs[col_name]
+                index = {v: i + 1 for i, v in enumerate(self.vocab(name, col_name))}
+                codes[(name, col_name)] = np.fromiter(
+                    (index.get(v, 0) if present else 0
+                     for v, present in zip(cd.values, cd.mask)),
+                    dtype=np.int64, count=len(cd.mask))
+        return codes
+
+    def encode(self, batch: BatchSubgraph) -> dict[str, Tensor]:
+        """Input embeddings of the batch's nodes, rows of the graph the
+        encoder was built with."""
+        reg = self.reg
         out: dict[str, Tensor] = {}
         for name in sorted(batch.nodes):
             tn = batch.nodes[name]
@@ -210,17 +235,12 @@ class FeatureEncoder:
                 cols.append(present.astype(np.float64)[:, None])
             parts = [Tensor(np.concatenate(cols, axis=1))]
             for col_name in categorical:
-                cd = store.attrs[col_name]
-                index = {v: i + 1 for i, v in enumerate(self.vocab(name, col_name))}
-                codes = np.zeros(tn.n, dtype=np.int64)
-                for i, row in enumerate(tn.rows):
-                    v = cd.values[int(row)] if cd.mask[int(row)] else None
-                    codes[i] = index.get(v, 0)
+                codes = self.codes[(name, col_name)][tn.rows]
                 parts.append(T.take_rows(self.params[f"enc.{name}.cat.{col_name}"],
                                          codes))
             raw = parts[0] if len(parts) == 1 else T.concat(parts, axis=1)
-            out[name] = T.add(T.matmul(raw, self.params[f"enc.{name}.proj.W"]),
-                              self.params[f"enc.{name}.proj.b"])
+            out[name] = T.linear(raw, self.params[f"enc.{name}.proj.W"],
+                                 self.params[f"enc.{name}.proj.b"])
         return out
 
 
@@ -258,7 +278,7 @@ def completion_message(W1: Tensor, W2: Tensor, fW: Tensor, fb: Tensor,
                        h_w: Tensor, h_v: Tensor, h_u: Tensor) -> Tensor:
     """Mediated message for u -> v -> w: W2 (h_w || sig(f(h_v||h_u)) * W1(h_v||h_u))."""
     vu = T.concat([h_v, h_u], axis=1)
-    gate = T.sigmoid(T.add(T.matmul(vu, fW), fb))
+    gate = T.sigmoid(T.linear(vu, fW, fb))
     return T.matmul(T.concat([h_w, T.mul(gate, T.matmul(vu, W1))], axis=1), W2)
 
 
@@ -271,7 +291,7 @@ def compute_gate(att_W: Tensor, att_b: Tensor, h_n: Tensor, h_e: Tensor,
     running mean (kept on the tape so the gate head receives gradient); at
     evaluation it is the stored constant.
     """
-    logits = T.add(T.matmul(T.concat([h_n, h_e], axis=1), att_W), att_b)
+    logits = T.linear(T.concat([h_n, h_e], axis=1), att_W, att_b)
     g_tilde = T.sigmoid(logits)
     g = T.add(T.scale(g_tilde, 1.0 - alpha), Tensor(np.array(alpha * gbar)))
     if train:
@@ -393,7 +413,7 @@ class Model:
             raise ValueError("seeds_only forward is for evaluation: training "
                              "reads every row")
         act = ACTIVATIONS[self.cfg.activation]
-        h = self.encoder.encode(self.reg, batch)
+        h = self.encoder.encode(batch)
         running = dict(gates.values)
         gate_diag: dict[str, tuple[float, float]] = {}
         layers = self.cfg.layers
@@ -408,9 +428,8 @@ class Model:
             for c, hc in h.items():
                 if n_out[c] < hc.shape[0]:
                     hc = T.take_rows(hc, np.arange(n_out[c]))
-                self_term[c] = T.add(
-                    T.matmul(hc, self.params[f"L{l}.self.{c}.W"]),
-                    self.params[f"L{l}.self.{c}.b"])
+                self_term[c] = T.linear(hc, self.params[f"L{l}.self.{c}.W"],
+                                        self.params[f"L{l}.self.{c}.b"])
 
             messages: dict[str, Tensor] = {}
             for key in self.relations:
@@ -500,8 +519,8 @@ class Model:
 
         seed_h = T.take_rows(h[batch.entity_table], batch.seed_locals)
         if self.task_type in ("classification", "regression"):
-            out = T.reshape(T.add(T.matmul(seed_h, self.params["head.W"]),
-                                  self.params["head.b"]),
+            out = T.reshape(T.linear(seed_h, self.params["head.W"],
+                                     self.params["head.b"]),
                             (len(batch.seed_locals),))
         else:
             out = seed_h

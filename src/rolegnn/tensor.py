@@ -106,14 +106,19 @@ def _accum(t: Tensor, grad: np.ndarray) -> None:
     if not t.requires_grad:
         return
     if t.grad is None:
-        t.grad = np.zeros_like(t.values)
-    t.grad += grad
+        # a buffer of its own (add/sub hand one `g` to both parents) holding
+        # 0.0 + grad, as zeros followed by += would: -0.0 becomes +0.0
+        t.grad = np.add(grad, 0.0, out=np.empty_like(t.values))
+    else:
+        t.grad += grad
 
 
 def backward(loss: Tensor) -> None:
     """Accumulate d loss / d theta into every reachable gradient buffer.
 
-    The loss must be scalar. The tape is cleared afterwards.
+    The loss must be scalar. Only leaves (the parameters) keep their
+    gradients: each recorded node's gradient is dropped as soon as it has
+    been passed on to its parents. The tape is cleared afterwards.
     """
     if loss.size != 1:
         raise ShapeError(f"backward needs a scalar loss, got shape {loss.shape}")
@@ -129,6 +134,7 @@ def backward(loss: Tensor) -> None:
     for node in reversed(_TAPE):
         if id(node) in reachable and node._bwd is not None and node.grad is not None:
             node._bwd(node.grad)
+            node.grad = None
     clear_tape()
 
 
@@ -163,6 +169,22 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         _accum(a, g @ b.values.T)
         _accum(b, a.values.T @ g)
     return _record(out, (a, b), bwd)
+
+
+def linear(x: Tensor, W: Tensor, b: Tensor) -> Tensor:
+    """x @ W + b as one tape node; gradients bit-equal to
+    `add(matmul(x, W), b)`."""
+    if x.values.ndim != 2 or W.values.ndim != 2 or x.shape[1] != W.shape[0]:
+        raise ShapeError(f"linear shape mismatch: {x.shape} @ {W.shape}")
+    v = x.values @ W.values
+    v += b.values
+    out = Tensor(v)
+
+    def bwd(g):
+        _accum(x, g @ W.values.T)
+        _accum(W, x.values.T @ g)
+        _accum(b, _unbroadcast(g, b.shape))
+    return _record(out, (x, W, b), bwd)
 
 
 def add(a, b) -> Tensor:

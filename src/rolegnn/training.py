@@ -13,6 +13,8 @@ import csv
 import hashlib
 import json
 import logging
+import os
+import shutil
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -57,8 +59,9 @@ class TrainConfig:
     allow_future: bool = False  # test-only causality switch, forwarded to sampling
 
     def __post_init__(self):
-        if self.epochs < 1 or self.batch_size < 1:
-            raise ValueError("epochs and batch_size must be >= 1")
+        for name in ("epochs", "batch_size"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.tau <= 0:
             raise ValueError("tau must be positive")
         if self.negatives < 1:
@@ -211,7 +214,9 @@ def build_state(db: RelationalDatabase, task: TaskSpec, model_cfg: ModelConfig,
 
 def _seed_list(task: TaskSpec, split: str, idx: np.ndarray):
     recs = task.labels[split]
-    return ([(int(recs.entity[i]), float(recs.t_predict[i])) for i in idx],
+    entity = recs.entity[idx].astype(np.int64, copy=False).tolist()
+    t_predict = recs.t_predict[idx].astype(np.float64, copy=False).tolist()
+    return (list(zip(entity, t_predict)),
             recs.label[idx],
             recs.target[idx] if recs.target is not None else None)
 
@@ -564,8 +569,40 @@ def dataset_digest(db: RelationalDatabase) -> str:
 
 
 def save_checkpoint(path: str | Path, state: TrainState) -> Path:
+    """Write the checkpoint directory `path`: params.bin, gates.json and
+    meta.json. The files go into a sibling temp directory that is then
+    renamed into place, so a save that fails leaves `path` as it was, and
+    `path` is only briefly absent between moving the old checkpoint aside
+    and renaming the new one in. Whatever else `path` held is replaced."""
     path = Path(path)
-    path.mkdir(parents=True, exist_ok=True)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    # mkdir, unlike tempfile.mkdtemp, gives the directory the umask's mode
+    sibling = f".{path.name}.{os.urandom(8).hex()}"
+    tmp = path.with_name(sibling + ".tmp")
+    tmp.mkdir()
+    try:
+        _write_checkpoint_files(tmp, state)
+        if path.exists():
+            # a rename replaces only an empty directory: move the old aside
+            old = path.with_name(sibling + ".old")
+            os.replace(path, old)
+            try:
+                os.replace(tmp, path)
+            except BaseException:
+                os.replace(old, path)
+                raise
+            if old.is_dir():
+                shutil.rmtree(old, ignore_errors=True)
+            else:
+                old.unlink(missing_ok=True)
+        else:
+            os.replace(tmp, path)
+    finally:
+        shutil.rmtree(tmp, ignore_errors=True)
+    return path
+
+
+def _write_checkpoint_files(path: Path, state: TrainState) -> None:
     T.save_tensors(path / "params.bin", state.parameters())
     with open(path / "gates.json", "w", encoding="utf-8") as fh:
         fh.write(state.gates.to_json())
@@ -592,7 +629,6 @@ def save_checkpoint(path: str | Path, state: TrainState) -> Path:
     }
     with open(path / "meta.json", "w", encoding="utf-8") as fh:
         json.dump(meta, fh, indent=2)
-    return path
 
 
 def schema_digest(specs: dict) -> str:

@@ -376,6 +376,50 @@ def test_unknown_flag_exits_2(capsys, twohop_bundle):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("flags,name", [
+    (["--layers", "0"], "layers"),
+    (["--channels", "0"], "channels"),
+    (["--batch-size", "0"], "batch_size"),
+    (["--epochs", "0"], "epochs"),
+    (["--neighbor-samples", "0"], "neighbor_samples"),
+    (["--alpha", "2"], "alpha"),
+    (["--dropout", "1.5"], "dropout"),
+    (["--dropout", "-0.1"], "dropout"),
+])
+def test_train_out_of_range_flag_exits_2(capsys, twohop_bundle, tmp_path,
+                                         flags, name):
+    code, out, err = _run(capsys, "train", str(twohop_bundle),
+                          str(twohop_bundle / "user-positive"), *flags,
+                          "-o", str(tmp_path / "o"))
+    assert code == 2
+    assert f"{name} must" in err
+    assert "Traceback" not in err
+    assert out == "" and not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("content,name", [
+    ("{", "is not valid JSON"),
+    ("[1, 2]", "must hold a JSON object"),
+    ('{"channels": "wide"}', "channels must be an integer"),
+    ('{"lr": null}', "lr must be a number"),
+    ('{"epochs": 0}', "epochs must be >= 1"),
+    (None, "cannot read --config file"),
+])
+def test_train_bad_config_file_exits_2(capsys, twohop_bundle, tmp_path,
+                                       content, name):
+    cfg = tmp_path / "cfg.json"
+    if content is not None:
+        cfg.write_text(content)
+    code, _, err = _run(capsys, "train", str(twohop_bundle),
+                        str(twohop_bundle / "user-positive"),
+                        "--config", str(cfg))
+    assert code == 2
+    assert name in err
+    assert "Traceback" not in err
+    if content is not None and "JSON" in name:
+        assert "--config" in err and str(cfg) in err
+
+
 def test_config_file_precedence(capsys, twohop_bundle, tmp_path):
     task_dir = twohop_bundle / "user-positive"
     cfg = tmp_path / "cfg.json"

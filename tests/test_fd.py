@@ -8,7 +8,7 @@ import pytest
 from conftest import finite_diff_max_rel
 from rolegnn import fd as fd_module
 from rolegnn import tensor as T
-from rolegnn.fd import (FdModule, diff_pairs, fd_losses, loss_emb, loss_pair,
+from rolegnn.fd import (FdModule, fd_losses, loss_emb, loss_pair,
                         sample_negative_targets, score_pairs)
 from rolegnn.model import ModelConfig
 from rolegnn.sampler import SamplerConfig, sample_batch
@@ -47,8 +47,9 @@ def test_diff_pairs_values_and_counts():
     emb = {t: Tensor(np.random.default_rng(1).normal(size=(tn.n, 4)))
            for t, tn in batch.nodes.items()}
     relations = [es.key for es in reg.edges.values()]
-    pairs = diff_pairs(batch, emb, relations)
-    for rid, (diffs, i_idx, j_idx) in pairs.items():
+    pairs = fd_module._linked_pairs(batch, emb, relations)
+    for rid, (h_i, h_j, i_idx, j_idx) in pairs.items():
+        diffs = T.sub(h_j, h_i)
         key = next(k for k in relations if k.id == rid)
         # oracle: distinct in-batch FK links, whichever direction sampled them
         links = set()
@@ -355,8 +356,9 @@ def _fd_losses_per_column(batch, embeddings, fd, beta, gamma, tau, negatives,
     """The FD loss as it was computed before the stacked block: one gather
     pair per relation for L_pair, and one scoring call per negative column."""
     emb_terms, pair_terms = [], []
-    for rid, (diffs, holder_locals, ref_locals) in sorted(
-            diff_pairs(batch, embeddings, fd.relations).items()):
+    for rid, (link_i, link_j, holder_locals, ref_locals) in sorted(
+            fd_module._linked_pairs(batch, embeddings, fd.relations).items()):
+        diffs = T.sub(link_j, link_i)
         key = next(k for k in fd.relations if k.id == rid)
         P, s = fd.subspace(rid)
         emb_terms.append(loss_emb(diffs, P, s))

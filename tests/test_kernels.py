@@ -14,6 +14,30 @@ def test_segment_sum_matches_oracle():
     np.testing.assert_allclose(out, oracle, rtol=1e-12)
 
 
+def _segment_sum_add_at(values, segments, num_segments):
+    """The 2-D `np.add.at` scatter the flat-index kernel replaced."""
+    out = np.zeros((num_segments, values.shape[1]))
+    np.add.at(out, segments, values)
+    return out
+
+
+def test_segment_sum_bit_equal_to_add_at():
+    rng = np.random.default_rng(3)
+    shapes = [(0, 4, 3), (5, 0, 3), (0, 0, 2), (1, 3, 1), (7, 2, 9)]
+    shapes += [(int(rng.integers(1, 300)), int(rng.integers(1, 40)),
+                int(rng.integers(1, 60))) for _ in range(40)]
+    for rows, ch, num_segments in shapes:
+        # few buckets drawn often (repeats) while others stay empty; values
+        # of mixed magnitudes and signed zeros expose any change of order
+        segments = rng.integers(0, max(1, num_segments // 2), size=rows)
+        values = rng.normal(size=(rows, ch)) * 10.0 ** rng.integers(-8, 9, size=(rows, ch))
+        values[rng.random((rows, ch)) < 0.1] = -0.0
+        got = kernels.segment_sum(values, segments, num_segments)
+        want = _segment_sum_add_at(values, segments, num_segments)
+        assert got.dtype == np.float64 and got.shape == (num_segments, ch)
+        assert got.tobytes() == want.tobytes(), (rows, ch, num_segments)
+
+
 def test_segment_mean_empty_buckets_zero():
     values = np.ones((3, 2))
     segments = np.array([0, 0, 3])

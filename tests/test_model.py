@@ -62,7 +62,7 @@ def test_zero_projection_gives_zero_embedding(twohop_setup):
     for name, p in model.encoder.params.items():
         p.values[:] = 0.0
     batch = _batch_for(reg, "user", seeds)
-    h = model.encoder.encode(reg, batch)
+    h = model.encoder.encode(batch)
     for t, emb in h.items():
         np.testing.assert_array_equal(emb.values, 0.0)
 
@@ -82,13 +82,56 @@ def test_unseen_category_maps_to_unknown_index():
         {"item_id": 3, "color": "red"}]})
     reg_a, reg_b = _reg_for(db_a), _reg_for(db_b)
     cfg = ModelConfig(channels=4, layers=1, cat_dim=3, seed=0)
-    enc = FeatureEncoder(reg_a, cfg, train_cut=np.inf)
-    assert enc.stats["tables"]["item"]["vocab"]["color"] == ["blue", "red"]
+    stats = FeatureEncoder(reg_a, cfg, train_cut=np.inf).stats
+    assert stats["tables"]["item"]["vocab"]["color"] == ["blue", "red"]
+    # reg_b encoded with the vocabulary frozen on reg_a, as a checkpoint does
+    enc = FeatureEncoder(reg_b, cfg, train_cut=np.inf, stats=stats)
     batch = _batch_for(reg_b, "item", [(1, 1e12), (2, 1e12), (3, 1e12)])
-    h = enc.encode(reg_b, batch)["item"].values
+    h = enc.encode(batch)["item"].values
     # unseen and missing share the reserved index, the known value does not
     np.testing.assert_array_equal(h[batch.seed_locals[0]], h[batch.seed_locals[1]])
     assert not np.array_equal(h[batch.seed_locals[0]], h[batch.seed_locals[2]])
+
+
+def _category_codes_loop(enc, table, column, cd, rows):
+    """The per-batch-row dict lookup the store-wide code arrays replaced."""
+    index = {v: i + 1 for i, v in enumerate(enc.vocab(table, column))}
+    codes = np.zeros(len(rows), dtype=np.int64)
+    for i, row in enumerate(rows):
+        v = cd.values[int(row)] if cd.mask[int(row)] else None
+        codes[i] = index.get(v, 0)
+    return codes
+
+
+def test_category_codes_match_row_loop_on_random_schemas():
+    from rolegnn.model import FeatureEncoder
+    from rolegnn.synth import gen_random_bundle
+
+    rng = np.random.default_rng(5)
+    checked = 0
+    for seed in range(12):
+        reg = _reg_for(gen_random_bundle(seed))
+        cfg = ModelConfig(channels=4, layers=1, cat_dim=2, seed=0)
+        full = FeatureEncoder(reg, cfg, train_cut=np.inf)
+        # a vocabulary missing some values, as one frozen on other data
+        stats = {"time_scale": full.stats["time_scale"], "tables": {
+            name: {"columns": t["columns"],
+                   "vocab": {c: v[::2] for c, v in t["vocab"].items()}}
+            for name, t in full.stats["tables"].items()}}
+        thin = FeatureEncoder(reg, cfg, train_cut=np.inf, stats=stats)
+        for name, store in sorted(reg.nodes.items()):
+            for col, cd in sorted(store.attrs.items()):
+                if cd.kind != "categorical":
+                    continue
+                rows = rng.integers(0, store.n_rows, size=3 * store.n_rows)
+                for enc in (full, thin):
+                    got = enc.codes[(name, col)][rows]
+                    assert got.dtype == np.int64
+                    np.testing.assert_array_equal(
+                        got, _category_codes_loop(enc, name, col, cd, rows))
+                checked += 1
+                assert (thin.codes[(name, col)] == 0).any()
+    assert checked >= 5
 
 
 def test_identical_rows_identical_embeddings():
@@ -100,7 +143,7 @@ def test_identical_rows_identical_embeddings():
     model = Model(reg, ModelConfig(channels=6, layers=1, seed=1),
                   "classification", train_cut=TRAIN_CUT)
     batch = _batch_for(reg, "user", [(1, TRAIN_CUT), (2, TRAIN_CUT)])
-    h = model.encoder.encode(reg, batch)
+    h = model.encoder.encode(batch)
     locs = batch.seed_locals
     np.testing.assert_array_equal(h["user"].values[locs[0]],
                                   h["user"].values[locs[1]])
@@ -125,7 +168,7 @@ def test_node_update_identity_maps_adds_neighbor():
     cfg = ModelConfig(channels=4, layers=1, activation="identity", seed=0)
     model = Model(reg, cfg, "classification", train_cut=TRAIN_CUT)
     batch = _batch_for(reg, "review", [(1, TRAIN_CUT)])
-    h0 = model.encoder.encode(reg, batch)
+    h0 = model.encoder.encode(batch)
     for name, p in model.params.items():
         if ".self." in name and name.endswith(".W"):
             p.values[:] = np.eye(4)
@@ -152,7 +195,7 @@ def test_zero_neighbors_self_transform_only(twohop_setup):
     model_node = Model(reg_node, cfg, "classification",
                        train_cut=task.split[0])
     res = model_node.forward(batch, model_node.init_gates(), train=False)
-    h0 = model_node.encoder.encode(reg_node, batch)
+    h0 = model_node.encoder.encode(batch)
     W = model_node.params["L0.self.product.W"].values
     b = model_node.params["L0.self.product.b"].values
     expected = np.maximum(h0["product"].values @ W + b, 0.0)
@@ -168,7 +211,7 @@ def test_node_branch_matches_dense_oracle(twohop_setup):
     batch = _batch_for(reg_node, "user", seeds, hops=2, budget=8)
     res = model.forward(batch, model.init_gates(), train=False)
     h0 = {t: v.values for t, v in
-          model.encoder.encode(reg_node, batch).items()}
+          model.encoder.encode(batch).items()}
 
     # dense oracle: explicit mean aggregation, one layer
     for c in sorted(batch.nodes):
@@ -393,7 +436,7 @@ def test_forward_matches_unrolled_oracle(twohop_setup):
     batch = _batch_for(reg, "user", seeds[:4], hops=1, budget=8)
     gates = model.init_gates()
     res = model.forward(batch, gates, train=False)
-    h0 = {t: v.values for t, v in model.encoder.encode(reg, batch).items()}
+    h0 = {t: v.values for t, v in model.encoder.encode(batch).items()}
     P = {k: v.values for k, v in model.params.items()}
 
     def seg_mean(values, segs, n):

@@ -84,6 +84,61 @@ def test_no_grad_records_nothing():
     assert T.tape_size() == 0
 
 
+def test_backward_frees_non_leaf_gradients():
+    w = Tensor(np.array([[1.0, -2.0], [0.5, 3.0]]), requires_grad=True)
+    b = Tensor(np.array([0.25, -1.0]), requires_grad=True)
+    x = Tensor(np.array([[1.0, 2.0], [-1.0, 0.0], [3.0, 1.0]]))
+    hidden = T.relu(T.linear(x, w, b))
+    loss = T.sum_(T.mul(hidden, hidden))
+    recorded = list(T._TAPE)
+    T.backward(loss)
+    assert len(recorded) == 4 and loss in recorded
+    assert all(node.grad is None for node in recorded)
+    # d loss / d b = sum over rows of 2 relu(xW+b) [xW+b > 0]
+    pre = x.values @ w.values + b.values
+    np.testing.assert_array_equal(b.grad, (2 * np.maximum(pre, 0)).sum(axis=0))
+    np.testing.assert_array_equal(w.grad, x.values.T @ (2 * np.maximum(pre, 0)))
+
+
+def test_first_gradient_write_is_a_fresh_zero_normalised_buffer():
+    """`0.0 + g`, as zeros followed by += gives: -0.0 becomes +0.0, and the
+    buffer is not the caller's array (add hands one `g` to both parents)."""
+    node = Tensor(np.zeros(3))
+    node.requires_grad = True
+    node.grad = None
+    g = np.array([-0.0, 1.5, -2.0])
+    T._accum(node, g)
+    assert node.grad is not g
+    assert node.grad.tobytes() == (np.zeros(3) + g).tobytes()
+    assert not np.signbit(node.grad[0])
+    T._accum(node, g)
+    np.testing.assert_array_equal(node.grad, [0.0, 3.0, -4.0])
+
+
+def test_linear_matches_add_of_matmul_bit_for_bit():
+    rng = np.random.default_rng(12)
+    for b_shape in ((4,), (1,)):
+        x_vals = rng.normal(size=(6, 3))
+        w_vals = rng.normal(size=(3, 4))
+        b_vals = rng.normal(size=b_shape)
+        results = []
+        for fused in (True, False):
+            x, w, b = (Tensor(v.copy(), requires_grad=True)
+                       for v in (x_vals, w_vals, b_vals))
+            out = (T.linear(x, w, b) if fused
+                   else T.add(T.matmul(x, w), b))
+            T.backward(T.sumsq(T.tanh(out)))
+            results.append([out.values.tobytes()]
+                           + [t.grad.tobytes() for t in (x, w, b)])
+        assert results[0] == results[1], b_shape
+
+
+def test_linear_shape_error_names_shapes():
+    with pytest.raises(ShapeError, match=r"\(2, 3\).*\(2, 3\)"):
+        T.linear(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))),
+                 Tensor(np.zeros(3)))
+
+
 def _primitive_cases(rng):
     """(name, params, build_loss) triples covering every primitive op."""
     cases = []
@@ -156,6 +211,16 @@ def _primitive_cases(rng):
     lg = rand_tensor(rng, (6,))
     targets = rng.integers(0, 2, size=6).astype(float)
     case("bce_with_logits", [lg], lambda: T.bce_with_logits(lg, targets))
+
+    lx = rand_tensor(rng, (5, 3))
+    lw = rand_tensor(rng, (3, 4))
+    lb = rand_tensor(rng, (4,))
+    case("linear", [lx, lw, lb],
+         lambda: T.sumsq(T.tanh(T.linear(lx, lw, lb))))
+    lw1 = rand_tensor(rng, (3, 1))
+    lb1 = rand_tensor(rng, (1,))
+    case("linear_bias_1", [lx, lw1, lb1],
+         lambda: T.sumsq(T.sigmoid(T.linear(lx, lw1, lb1))))
     return cases
 
 

@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -11,8 +12,8 @@ from rolegnn.sampler import make_epoch_batches
 from rolegnn.training import (TrainConfig, _average_ranks, _mix, _task_loss,
                               build_state, evaluate, evaluate_state,
                               export_structure, load_checkpoint, mae,
-                              map_at_k, param_hash, roc_auc, structure_report,
-                              train, transfer_structure)
+                              map_at_k, param_hash, roc_auc, save_checkpoint,
+                              structure_report, train, transfer_structure)
 from rolegnn.rdb import LabelRecords, TaskSpec
 from rolegnn.synth import gen_completion_chain, gen_twohop
 
@@ -428,6 +429,74 @@ def test_link_prediction_trains_and_maps():
     assert 0.0 <= res["metric"] <= 1.0
 
 
+@pytest.mark.parametrize("previous", [False, True])
+def test_checkpoint_save_failing_midway_leaves_target_intact(tmp_path,
+                                                             monkeypatch,
+                                                             previous):
+    db, task, state = _small_state(seed=7, epochs=1)
+    ckpt = tmp_path / "checkpoint"
+    if previous:
+        save_checkpoint(ckpt, state)
+        saved_hash = param_hash(state.parameters())
+    state.model.params["head.b"].values += 1.0  # the save that fails differs
+
+    def fail(*args, **kwargs):
+        raise OSError("disk full")
+    monkeypatch.setattr(json, "dump", fail)  # meta.json, the last file
+    with pytest.raises(OSError, match="disk full"):
+        save_checkpoint(ckpt, state)
+    monkeypatch.undo()
+
+    assert sorted(p.name for p in tmp_path.iterdir()) == (
+        ["checkpoint"] if previous else [])
+    if previous:
+        loaded = load_checkpoint(ckpt, db, task)
+        assert param_hash(loaded.parameters()) == saved_hash
+    save_checkpoint(ckpt, state)  # a later save replaces it
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["checkpoint"]
+    assert sorted(p.name for p in ckpt.iterdir()) == [
+        "gates.json", "meta.json", "params.bin"]
+    loaded = load_checkpoint(ckpt, db, task)
+    assert param_hash(loaded.parameters()) == param_hash(state.parameters())
+
+
+def test_checkpoint_save_failing_at_the_swap_restores_previous(tmp_path,
+                                                              monkeypatch):
+    db, task, state = _small_state(seed=7, epochs=1)
+    ckpt = tmp_path / "checkpoint"
+    save_checkpoint(ckpt, state)
+    saved_hash = param_hash(state.parameters())
+    state.model.params["head.b"].values += 1.0
+
+    real_replace = os.replace
+    calls = []
+
+    def replace(src, dst):
+        calls.append((src, dst))
+        if len(calls) == 2:  # old moved aside; renaming the new one in fails
+            raise OSError("rename failed")
+        real_replace(src, dst)
+    monkeypatch.setattr(os, "replace", replace)
+    with pytest.raises(OSError, match="rename failed"):
+        save_checkpoint(ckpt, state)
+    monkeypatch.undo()
+
+    assert len(calls) == 3  # the third moved the old checkpoint back
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["checkpoint"]
+    loaded = load_checkpoint(ckpt, db, task)
+    assert param_hash(loaded.parameters()) == saved_hash
+
+
+def test_checkpoint_save_replaces_a_file(tmp_path):
+    db, task, state = _small_state(seed=7, epochs=1)
+    ckpt = tmp_path / "checkpoint"
+    ckpt.write_text("not a checkpoint")
+    save_checkpoint(ckpt, state)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["checkpoint"]
+    loaded = load_checkpoint(ckpt, db, task)
+    assert param_hash(loaded.parameters()) == param_hash(state.parameters())
+
+
 # --- seeds-only evaluation --------------------------------------------------
 
 def _force_full_forward(monkeypatch) -> list:
@@ -463,3 +532,40 @@ def test_seeds_only_link_evaluation_keeps_map(monkeypatch):
     asked = _force_full_forward(monkeypatch)
     assert evaluate_state(state, "test") == trimmed
     assert asked == [True, True]  # the source and the candidate forward
+
+
+# --- fused linear node ------------------------------------------------------
+
+def _step_gradients(monkeypatch, layers, fd_on, steps=3):
+    """Raw bytes of every parameter gradient after each of the first
+    `steps` backward passes of a fixed-seed training run (phase A and, with
+    FD on, phase B)."""
+    overrides = dict(epochs=1, batch_size=16)
+    if not fd_on:
+        overrides["disable_fd"] = True
+    _, _, state = _small_state(seed=5, layers=layers, **overrides)
+    real_backward = T.backward
+    seen = []
+
+    def spy(loss):
+        real_backward(loss)
+        if len(seen) < steps:
+            seen.append({n: p.grad.tobytes()
+                         for n, p in state.parameters().items()})
+
+    monkeypatch.setattr(T, "backward", spy)
+    train(state)
+    monkeypatch.setattr(T, "backward", real_backward)
+    return seen
+
+
+@pytest.mark.parametrize("layers,fd_on", [(1, True), (1, False),
+                                          (2, True), (2, False)])
+def test_linear_node_gradients_bit_equal_to_add_of_matmul(monkeypatch,
+                                                          layers, fd_on):
+    fused = _step_gradients(monkeypatch, layers, fd_on)
+    monkeypatch.setattr(T, "linear",
+                        lambda x, W, b: T.add(T.matmul(x, W), b))
+    unfused = _step_gradients(monkeypatch, layers, fd_on)
+    assert len(fused) == 3 and fused == unfused
+    assert any(np.frombuffer(g).any() for step in fused for g in step.values())
