@@ -20,6 +20,7 @@ from . import synth
 from .config import DEFAULTS, default_seed
 from .errors import (BundleError, CheckpointMismatch, EngineError, RoleError,
                      TrainingDiverged)
+from .fd import subspace_size
 from .model import ModelConfig
 from .rdb import canonical_form, fd_violations, ingest_bundle, load_task
 from .sampler import SamplerConfig
@@ -77,6 +78,10 @@ def _resolve_config(args: argparse.Namespace) -> dict:
         if not isinstance(loaded, dict):
             raise ValueError(f"--config file {args.config} must hold a JSON "
                              f"object")
+        unknown = sorted(set(loaded) - set(DEFAULTS) - set(TRAIN_FLAGS))
+        if unknown:
+            raise ValueError(f"--config file {args.config} has unknown key "
+                             f"{unknown[0]!r}")
         cfg.update(loaded)
     for name in TRAIN_FLAGS:
         val = getattr(args, name, None)
@@ -197,40 +202,34 @@ def cmd_synth(args) -> int:
 
 def _model_and_train_cfg(cfg: dict) -> tuple[ModelConfig, TrainConfig]:
     """The typed configs of a resolved config dict. A value of the wrong
-    type or out of range raises ValueError naming its key."""
-    mcfg = ModelConfig(channels=_typed(cfg, "channels", int),
-                       layers=_typed(cfg, "layers", int),
-                       dropout=_typed(cfg, "dropout", float),
-                       alpha=_typed(cfg, "alpha", float),
-                       mu=_typed(cfg, "mu", float),
-                       cat_dim=_typed(cfg, "cat_dim", int),
-                       seed=_typed(cfg, "seed", int))
-    tcfg = TrainConfig(epochs=_typed(cfg, "epochs", int),
-                       batch_size=_typed(cfg, "batch_size", int),
-                       lr=_typed(cfg, "lr", float),
-                       beta=_typed(cfg, "beta", float),
-                       gamma=_typed(cfg, "gamma", float),
-                       alpha=_typed(cfg, "alpha", float),
-                       mu=_typed(cfg, "mu", float),
-                       tau=_typed(cfg, "tau", float),
-                       negatives=_typed(cfg, "negatives", int),
-                       neighbor_samples=_typed(cfg, "neighbor_samples", int),
-                       seed=_typed(cfg, "seed", int),
-                       patience=_typed(cfg, "patience", int),
-                       subspace_dim=_typed(cfg, "subspace_dim", int))
+    type or out of range raises ValueError naming its key; the configs
+    check their integer fields themselves."""
+    mcfg = ModelConfig(channels=cfg["channels"], layers=cfg["layers"],
+                       dropout=_number(cfg, "dropout"),
+                       alpha=_number(cfg, "alpha"), mu=_number(cfg, "mu"),
+                       cat_dim=cfg["cat_dim"], seed=cfg["seed"])
+    tcfg = TrainConfig(epochs=cfg["epochs"], batch_size=cfg["batch_size"],
+                       lr=_number(cfg, "lr"), beta=_number(cfg, "beta"),
+                       gamma=_number(cfg, "gamma"), alpha=_number(cfg, "alpha"),
+                       mu=_number(cfg, "mu"), tau=_number(cfg, "tau"),
+                       negatives=cfg["negatives"],
+                       neighbor_samples=cfg["neighbor_samples"],
+                       seed=cfg["seed"], patience=cfg["patience"],
+                       subspace_dim=cfg["subspace_dim"])
     # training builds its SamplerConfig per batch; built here, its checks
     # (neighbor_samples >= 1) run before the bundle is read
     SamplerConfig(neighbor_samples=tcfg.neighbor_samples,
                   num_hops=mcfg.layers, seed=tcfg.seed)
+    if tcfg.fd_enabled:
+        subspace_size(mcfg.channels, tcfg.subspace_dim)
     return mcfg, tcfg
 
 
-def _typed(cfg: dict, key: str, typ: type):
+def _number(cfg: dict, key: str) -> float:
     try:
-        return typ(cfg[key])
+        return float(cfg[key])
     except (TypeError, ValueError):
-        kind = "an integer" if typ is int else "a number"
-        raise ValueError(f"{key} must be {kind}, got {cfg[key]!r}") from None
+        raise ValueError(f"{key} must be a number, got {cfg[key]!r}") from None
 
 
 def cmd_train(args) -> int:

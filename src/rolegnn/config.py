@@ -6,6 +6,7 @@ modules rely on so a run can assert its own configuration.
 
 from __future__ import annotations
 
+import numbers
 import os
 
 # Shipped defaults. Flags > config file > these.
@@ -46,6 +47,15 @@ def hop_budget(neighbor_samples: int, hop: int) -> int:
     if hop < 0:
         raise ValueError(f"hop must be >= 0, got {hop}")
     return neighbor_samples // (2 ** hop)
+
+
+def integral(name: str, value) -> int:
+    """`value` as an int when it is a whole number (an int, or a float with
+    no fraction), else ValueError naming `name`. A bool is not a number."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        if isinstance(value, numbers.Integral) or float(value).is_integer():
+            return int(value)
+    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def default_seed() -> int:

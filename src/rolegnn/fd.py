@@ -31,6 +31,17 @@ class FdDiagnostics:
     neg_score_mean: float
 
 
+def subspace_size(channels: int, subspace_dim: int) -> int:
+    """The subspace dimension of an FdModule: `subspace_dim`, or channels // 4
+    (at least 1) when that is 0 or less. ValueError unless below `channels`."""
+    if subspace_dim <= 0:
+        subspace_dim = max(channels // 4, 1)
+    if subspace_dim >= channels:
+        raise ValueError(f"subspace_dim must be < channels, got "
+                         f"{subspace_dim} >= {channels}")
+    return subspace_dim
+
+
 class FdModule:
     """Per-relation subspace parameters and scoring heads."""
 
@@ -38,11 +49,7 @@ class FdModule:
                  subspace_dim: int = 0, seed: int = 0):
         from .model import _param_seed  # shared stable seeding
 
-        if subspace_dim <= 0:
-            subspace_dim = max(channels // 4, 1)
-        if subspace_dim >= channels:
-            raise ValueError(f"subspace_dim must be < channels, got "
-                             f"{subspace_dim} >= {channels}")
+        subspace_dim = subspace_size(channels, subspace_dim)
         self.channels = channels
         self.subspace_dim = subspace_dim
         self.relations = sorted(

@@ -7,6 +7,11 @@ co-occurring endpoints, a multiplicative gate for mediated chains. A
 relation-conditioned gate blended with a running table-level average weighs
 the two branches; fusion sums the blended pairs over triples, and node types
 with no active triple keep the plain node-branch update.
+
+Messages are aggregated first where the message map is linear: a mean of
+linear maps is the map of the mean, so relation and co-occurrence messages
+average the neighbours of each destination row and map only those means.
+Each message is then added onto the self term at the rows that received one.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
+from .config import integral
 from .errors import ShapeError
 from .sampler import BatchSubgraph
 from .schema_graph import RelationalEntityGraph
@@ -42,6 +48,8 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("channels", "layers", "cat_dim", "seed"):
+            object.__setattr__(self, name, integral(name, getattr(self, name)))
         if self.channels < 1:
             raise ValueError(f"channels must be >= 1, got {self.channels}")
         if self.layers < 1:
@@ -263,10 +271,11 @@ def encoder_stats_paths(reg: RelationalEntityGraph) -> list[tuple[str, ...]]:
 
 
 def relation_message(W: Tensor, h_src: Tensor, src_idx: np.ndarray,
-                     dst_idx: np.ndarray, n_dst: int) -> Tensor:
-    """Mean of a relation-specific linear map of neighbor embeddings."""
-    mapped = T.matmul(T.take_rows(h_src, src_idx), W)
-    return T.segment_mean(mapped, dst_idx, n_dst)
+                     dst_idx: np.ndarray) -> tuple[np.ndarray, Tensor]:
+    """Mean of a relation-specific linear map of neighbor embeddings, as
+    (destination rows with a neighbor, one message row each)."""
+    rows, mean = T.neighbor_mean(h_src, src_idx, dst_idx)
+    return rows, T.matmul(mean, W)
 
 
 def cooccurrence_message(W: Tensor, h_w: Tensor, h_v: Tensor, h_u: Tensor) -> Tensor:
@@ -431,7 +440,7 @@ class Model:
                 self_term[c] = T.linear(hc, self.params[f"L{l}.self.{c}.W"],
                                         self.params[f"L{l}.self.{c}.b"])
 
-            messages: dict[str, Tensor] = {}
+            messages: dict[str, tuple[np.ndarray, Tensor]] = {}
             for key in self.relations:
                 pair = batch.edges.get(key.id)
                 if pair is None or key.dst_table not in h or key.src_table not in h:
@@ -442,19 +451,12 @@ class Model:
                     src, dst = src[keep], dst[keep]
                 messages[key.id] = relation_message(
                     self.params[f"L{l}.rel.{key.id}.W"], h[key.src_table],
-                    src, dst, n_out[key.dst_table])
+                    src, dst)
 
             by_dst: dict[str, list[str]] = {}
             for key in self.relations:
                 if key.id in messages:
                     by_dst.setdefault(key.dst_table, []).append(key.id)
-
-            node_full = {}
-            for c, hc in h.items():
-                total = self_term[c]
-                for kid in by_dst.get(c, []):
-                    total = T.add(total, messages[kid])
-                node_full[c] = act(total)
 
             fusion_pairs: dict[str, list[tuple[Tensor, Tensor, Tensor]]] = {}
             for tr in self.active_triples:
@@ -465,28 +467,33 @@ class Model:
                 u_idx, v_idx, w_idx = trip
                 if seeds_only:
                     # kept even when no path lands in a kept row: those rows
-                    # still fuse with a zero edge message, as in the full pass
+                    # still fuse, with no edge message, as in the full pass
                     keep = w_idx < n_out[c]
                     u_idx, v_idx, w_idx = u_idx[keep], v_idx[keep], w_idx[keep]
-                h_w = T.take_rows(h[c], w_idx)
-                h_v = T.take_rows(h[tr.v_table], v_idx)
-                h_u = T.take_rows(h[tr.u_table], u_idx)
                 if tr.pattern == "cooccurrence":
+                    # a w row's mean of its own embedding is that embedding
+                    rows, mean_v = T.neighbor_mean(h[tr.v_table], v_idx, w_idx)
+                    _, mean_u = T.neighbor_mean(h[tr.u_table], u_idx, w_idx)
                     msg = cooccurrence_message(
-                        self.params[f"L{l}.co.{tr.id}.W"], h_w, h_v, h_u)
+                        self.params[f"L{l}.co.{tr.id}.W"],
+                        T.take_rows(h[c], rows), mean_v, mean_u)
                 else:
-                    msg = completion_message(
+                    # the gated message is not linear: map every path first
+                    path_msg = completion_message(
                         self.params[f"L{l}.comp.{tr.id}.W1"],
                         self.params[f"L{l}.comp.{tr.id}.W2"],
                         self.params[f"L{l}.comp.{tr.id}.f.W"],
                         self.params[f"L{l}.comp.{tr.id}.f.b"],
-                        h_w, h_v, h_u)
-                e_agg = T.segment_mean(msg, w_idx, n_out[c])
-                h_e = act(T.add(self_term[c], e_agg))
+                        T.take_rows(h[c], w_idx),
+                        T.take_rows(h[tr.v_table], v_idx),
+                        T.take_rows(h[tr.u_table], u_idx))
+                    rows, msg = T.neighbor_mean(path_msg, np.arange(len(w_idx)),
+                                                w_idx)
+                h_e = act(T.add_rows(self_term[c], rows, msg))
 
                 match_id = tr.matching_relation().id
                 if match_id in messages:
-                    h_n = act(T.add(self_term[c], messages[match_id]))
+                    h_n = act(T.add_rows(self_term[c], *messages[match_id]))
                 else:
                     h_n = act(self_term[c])
 
@@ -511,8 +518,11 @@ class Model:
             for c in h:
                 if c in fusion_pairs:
                     h_next[c] = fuse(fusion_pairs[c])
-                else:
-                    h_next[c] = node_full[c]
+                else:  # the plain node-branch update
+                    total = self_term[c]
+                    for kid in by_dst.get(c, []):
+                        total = T.add_rows(total, *messages[kid])
+                    h_next[c] = act(total)
                 if self.cfg.dropout > 0:
                     h_next[c] = T.dropout(h_next[c], self.cfg.dropout, train, rng)
             h = h_next

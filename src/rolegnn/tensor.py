@@ -354,16 +354,40 @@ def dropout(a: Tensor, p: float, train: bool, rng: np.random.Generator | None = 
     return _record(out, (a,), bwd)
 
 
-def segment_mean(a: Tensor, segments: np.ndarray, num_segments: int) -> Tensor:
-    """Per-bucket mean of rows; empty buckets yield zero rows."""
-    segments = np.asarray(segments, dtype=np.int64)
-    means, counts = kernels.segment_mean(a.values, segments, num_segments)
+def neighbor_mean(h: Tensor, src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, Tensor]:
+    """Per destination, the mean of `h[src[e]]` over its edges e.
+
+    Returns the distinct `dst` values in ascending order and their means,
+    row for row (K x ch); a destination without edges gets no row. Backward
+    scatters each mean's gradient, divided by its edge count, onto the
+    edges' source rows in one sum.
+    """
+    src = np.asarray(src, dtype=np.int64)
+    dst = np.asarray(dst, dtype=np.int64)
+    present = np.bincount(dst) > 0
+    rows = np.flatnonzero(present)
+    inverse = (np.cumsum(present) - 1)[dst]
+    means, counts = kernels.segment_mean(h.values[src], inverse, len(rows))
     out = Tensor(means)
-    inv = 1.0 / np.maximum(counts, 1)
 
     def bwd(g):
-        _accum(a, (g * inv[:, None])[segments])
-    return _record(out, (a,), bwd)
+        share = (g / counts[:, None])[inverse]
+        _accum(h, kernels.segment_sum(share, src, h.shape[0]))
+    return rows, _record(out, (h,), bwd)
+
+
+def add_rows(base: Tensor, rows: np.ndarray, vals: Tensor) -> Tensor:
+    """A copy of `base` with row i of `vals` added to its row `rows[i]`;
+    `rows` must be distinct."""
+    rows = np.asarray(rows, dtype=np.int64)
+    v = base.values.copy()
+    v[rows] += vals.values
+    out = Tensor(v)
+
+    def bwd(g):
+        _accum(base, g)
+        _accum(vals, g[rows])
+    return _record(out, (base, vals), bwd)
 
 
 # ---------------------------------------------------------------------------

@@ -22,9 +22,9 @@ from pathlib import Path
 import numpy as np
 
 from . import tensor as T
-from .config import DEFAULTS
+from .config import DEFAULTS, integral
 from .errors import CheckpointMismatch, TrainingDiverged
-from .fd import FdModule, fd_losses
+from .fd import FdModule, fd_losses, subspace_size
 from .model import (GateState, Model, ModelConfig,
                     encoder_stats_paths, link_scores)
 from .rdb import RelationalDatabase, TaskSpec, canonical_form
@@ -59,6 +59,9 @@ class TrainConfig:
     allow_future: bool = False  # test-only causality switch, forwarded to sampling
 
     def __post_init__(self):
+        for name in ("epochs", "batch_size", "negatives", "neighbor_samples",
+                     "seed", "patience", "subspace_dim"):
+            object.__setattr__(self, name, integral(name, getattr(self, name)))
         for name in ("epochs", "batch_size"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
@@ -666,8 +669,9 @@ def _read_checkpoint_meta(path: str | Path) -> tuple[dict, GateState]:
 
     In the returned meta, "model_config", "train_config" and "triples" are
     ModelConfig, TrainConfig and EdgeRelationTriple objects. A missing file,
-    invalid JSON, a missing key or an unknown config key raises
-    CheckpointMismatch naming the file and the key.
+    invalid JSON, a missing key, an unknown config key or a config value
+    the configs or the FD module reject raises CheckpointMismatch naming
+    the file and the key.
     """
     path = Path(path)
     parsed = {}
@@ -695,6 +699,9 @@ def _read_checkpoint_meta(path: str | Path) -> tuple[dict, GateState]:
                 raise CheckpointMismatch(
                     f"{where}: unknown {key} key {unknown[0]!r}")
             meta[key] = cls(**meta[key])
+        if meta["train_config"].fd_enabled:
+            subspace_size(meta["model_config"].channels,
+                          meta["train_config"].subspace_dim)
         meta["triples"] = [EdgeRelationTriple(**d) for d in meta["triples"]]
         gates = GateState.from_dict(parsed["gates.json"])
     except (TypeError, ValueError) as exc:

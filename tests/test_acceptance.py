@@ -106,14 +106,20 @@ def test_criterion_3_gradient_correctness():
         rng = np.random.default_rng(900 + trial)
         ch = 3
 
-        # joint co-occurrence message pipeline
+        # joint co-occurrence message pipeline: average each w row's v and
+        # u neighbours, map the means, add them onto the w rows
         W = T.init_param((3 * ch, ch), fan_in=3 * ch, seed=trial)
         hw, hv, hu = (rand_tensor(rng, (4, ch)) for _ in range(3))
-        seg = rng.integers(0, 3, size=4)
+        u_idx, v_idx, w_idx = (rng.integers(0, 4, size=6) for _ in range(3))
+
+        def cooccurrence_loss():
+            rows, mean_v = T.neighbor_mean(hv, v_idx, w_idx)
+            _, mean_u = T.neighbor_mean(hu, u_idx, w_idx)
+            msg = cooccurrence_message(W, T.take_rows(hw, rows), mean_v, mean_u)
+            return T.sumsq(T.add_rows(hw, rows, msg))
+
         worst_comp = max(worst_comp, finite_diff_max_rel(
-            lambda: T.sumsq(T.segment_mean(
-                cooccurrence_message(W, hw, hv, hu), seg, 3)),
-            [W, hw, hv, hu]))
+            cooccurrence_loss, [W, hw, hv, hu]))
         n_comp += 1
 
         # mediated completion message pipeline

@@ -306,6 +306,16 @@ def test_damaged_checkpoint_exit_code(capsys, twohop_bundle, trained_checkpoint,
     assert "Traceback" not in err
 
 
+# case -> (meta.json section, key, damaged value); the key is what the
+# error must name
+_CONFIG_DAMAGE = {
+    "fractional-channels": ("model_config", "channels", 8.5),
+    "fractional-layers": ("model_config", "layers", 1.5),
+    "fractional-batch-size": ("train_config", "batch_size", 2.5),
+    "subspace-dim-too-large": ("train_config", "subspace_dim", 999),
+}
+
+
 def _damage_meta(ckpt, case: str) -> str:
     """Damage meta.json or gates.json of a copied checkpoint; returns the
     file or key the error message must name."""
@@ -325,6 +335,9 @@ def _damage_meta(ckpt, case: str) -> str:
     elif case == "encoder-stats-missing-table":
         del meta["encoder_stats"]["tables"]["user"]
         named = "encoder_stats.tables.user"
+    elif case in _CONFIG_DAMAGE:
+        section, named, value = _CONFIG_DAMAGE[case]
+        meta[section][named] = value
     elif case == "unknown-model-config-key":  # a field this version dropped
         meta["model_config"]["aggregation"] = "mean"
         named = "aggregation"
@@ -342,6 +355,7 @@ def _damage_meta(ckpt, case: str) -> str:
     ("eval", "unknown-model-config-key"),
     ("eval", "unknown-train-config-key"),
     ("eval", "encoder-stats-missing-table"),
+    *(("eval", case) for case in _CONFIG_DAMAGE),
     ("export-structure", "meta-invalid-json"),
     ("transfer", "missing-dir"),
     ("transfer", "task-missing-name"),
@@ -403,6 +417,10 @@ def test_train_out_of_range_flag_exits_2(capsys, twohop_bundle, tmp_path,
     ('{"channels": "wide"}', "channels must be an integer"),
     ('{"lr": null}', "lr must be a number"),
     ('{"epochs": 0}', "epochs must be >= 1"),
+    ('{"chanels": 8}', "unknown key 'chanels'"),
+    ('{"channels": 8.5}', "channels must be an integer"),
+    ('{"batch_size": true}', "batch_size must be an integer"),
+    ('{"channels": 8, "subspace_dim": 8}', "subspace_dim must be < channels"),
     (None, "cannot read --config file"),
 ])
 def test_train_bad_config_file_exits_2(capsys, twohop_bundle, tmp_path,

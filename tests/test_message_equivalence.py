@@ -1,0 +1,237 @@
+"""Aggregate-first message passing against the per-path pipeline it replaced.
+
+The oracle below is the earlier `Model.forward`: every edge and path row is
+gathered and mapped, and the mapped rows are then averaged into dense
+per-table message arrays. The engine now averages first and maps one row
+per destination, so sums run in another order: forward outputs and
+gradients agree within a tolerance, not bit for bit.
+"""
+
+import numpy as np
+import pytest
+
+from rolegnn import kernels
+from rolegnn import tensor as T
+from rolegnn.model import (ACTIVATIONS, ForwardResult, Model, ModelConfig,
+                           completion_message, compute_gate,
+                           cooccurrence_message, fuse)
+from rolegnn.sampler import SamplerConfig, sample_batch
+from rolegnn.schema_graph import (build_schema_graph, construct_reg,
+                                  enumerate_edge_triples)
+from rolegnn.synth import gen_completion_chain, gen_twohop
+from rolegnn.tensor import Tensor
+from rolegnn.training import TrainConfig, build_state, roles_for_mode, train
+
+RTOL = 1e-10
+
+
+def _segment_mean(a: Tensor, segments: np.ndarray, num_segments: int) -> Tensor:
+    """The replaced tape op: per-bucket mean of rows, zero rows for empty
+    buckets."""
+    segments = np.asarray(segments, dtype=np.int64)
+    means, counts = kernels.segment_mean(a.values, segments, num_segments)
+    out = Tensor(means)
+    inv = 1.0 / np.maximum(counts, 1)
+
+    def bwd(g):
+        T._accum(a, (g * inv[:, None])[segments])
+    return T._record(out, (a,), bwd)
+
+
+def _per_path_forward(self: Model, batch, gates, train: bool, rng=None,
+                      seeds_only: bool = False) -> ForwardResult:
+    """`Model.forward` as it was before aggregate-first messages."""
+    act = ACTIVATIONS[self.cfg.activation]
+    h = self.encoder.encode(batch)
+    running = dict(gates.values)
+    gate_diag = {}
+    layers = self.cfg.layers
+
+    for l in range(layers):
+        if seeds_only:
+            n_out = {c: batch.reach[c][layers - 1 - l] for c in h}
+        else:
+            n_out = {c: hc.shape[0] for c, hc in h.items()}
+
+        self_term = {}
+        for c, hc in h.items():
+            if n_out[c] < hc.shape[0]:
+                hc = T.take_rows(hc, np.arange(n_out[c]))
+            self_term[c] = T.linear(hc, self.params[f"L{l}.self.{c}.W"],
+                                    self.params[f"L{l}.self.{c}.b"])
+
+        messages = {}
+        for key in self.relations:
+            pair = batch.edges.get(key.id)
+            if pair is None or key.dst_table not in h or key.src_table not in h:
+                continue
+            src, dst = pair
+            if seeds_only:
+                keep = dst < n_out[key.dst_table]
+                src, dst = src[keep], dst[keep]
+            mapped = T.matmul(T.take_rows(h[key.src_table], src),
+                              self.params[f"L{l}.rel.{key.id}.W"])
+            messages[key.id] = _segment_mean(mapped, dst, n_out[key.dst_table])
+
+        by_dst = {}
+        for key in self.relations:
+            if key.id in messages:
+                by_dst.setdefault(key.dst_table, []).append(key.id)
+
+        node_full = {}
+        for c in h:
+            total = self_term[c]
+            for kid in by_dst.get(c, []):
+                total = T.add(total, messages[kid])
+            node_full[c] = act(total)
+
+        fusion_pairs = {}
+        for tr in self.active_triples:
+            c = tr.w_table
+            trip = batch.paths.get(tr.id)
+            if trip is None or c not in h:
+                continue
+            u_idx, v_idx, w_idx = trip
+            if seeds_only:
+                keep = w_idx < n_out[c]
+                u_idx, v_idx, w_idx = u_idx[keep], v_idx[keep], w_idx[keep]
+            h_w = T.take_rows(h[c], w_idx)
+            h_v = T.take_rows(h[tr.v_table], v_idx)
+            h_u = T.take_rows(h[tr.u_table], u_idx)
+            if tr.pattern == "cooccurrence":
+                msg = cooccurrence_message(
+                    self.params[f"L{l}.co.{tr.id}.W"], h_w, h_v, h_u)
+            else:
+                msg = completion_message(
+                    self.params[f"L{l}.comp.{tr.id}.W1"],
+                    self.params[f"L{l}.comp.{tr.id}.W2"],
+                    self.params[f"L{l}.comp.{tr.id}.f.W"],
+                    self.params[f"L{l}.comp.{tr.id}.f.b"],
+                    h_w, h_v, h_u)
+            e_agg = _segment_mean(msg, w_idx, n_out[c])
+            h_e = act(T.add(self_term[c], e_agg))
+
+            match_id = tr.matching_relation().id
+            if match_id in messages:
+                h_n = act(T.add(self_term[c], messages[match_id]))
+            else:
+                h_n = act(self_term[c])
+
+            role = self.reg.roles.role(tr.id)
+            if tr.id in self.fixed_gates:
+                g_used = Tensor(np.array(self.fixed_gates[tr.id]))
+            elif role == "edge":
+                g_used = Tensor(np.array(1.0))
+            else:
+                g_tilde, g, g_used = compute_gate(
+                    self.params[f"L{l}.gate.{tr.id}.W"],
+                    self.params[f"L{l}.gate.{tr.id}.b"],
+                    h_n, h_e, running[tr.id], gates.alpha, gates.mu, train)
+                if n_out[c]:
+                    gate_diag[tr.id] = (float(g_tilde.values.mean()),
+                                        float(g.values.mean()))
+                if train:
+                    running[tr.id] = float(g_used.values)
+            fusion_pairs.setdefault(c, []).append((h_n, h_e, g_used))
+
+        h_next = {}
+        for c in h:
+            if c in fusion_pairs:
+                h_next[c] = fuse(fusion_pairs[c])
+            else:
+                h_next[c] = node_full[c]
+            if self.cfg.dropout > 0:
+                h_next[c] = T.dropout(h_next[c], self.cfg.dropout, train, rng)
+        h = h_next
+
+    seed_h = T.take_rows(h[batch.entity_table], batch.seed_locals)
+    if self.task_type in ("classification", "regression"):
+        out = T.reshape(T.linear(seed_h, self.params["head.W"],
+                                 self.params["head.b"]),
+                        (len(batch.seed_locals),))
+    else:
+        out = seed_h
+    return ForwardResult(out, h, running, gate_diag)
+
+
+def _setup(gen, mode: str, layers: int):
+    db, task = gen()
+    sg = build_schema_graph(db)
+    roles, fixed = roles_for_mode(enumerate_edge_triples(sg), mode, seed=3)
+    reg = construct_reg(db, sg, roles)
+    model = Model(reg, ModelConfig(channels=8, layers=layers, seed=2),
+                  task.task_type, train_cut=task.split[0], fixed_gates=fixed)
+    recs = task.labels["test"]
+    seeds = [(int(recs.entity[i]), float(recs.t_predict[i]))
+             for i in range(min(24, len(recs.entity)))]
+    cfg = SamplerConfig(neighbor_samples=16, num_hops=layers, seed=layers)
+    return model, sample_batch(reg, seeds, cfg, task.entity_table)
+
+
+def _run(model: Model, forward, batch, seeds_only: bool):
+    """Output, committed gates and every parameter gradient of one
+    forward/backward; training mode unless `seeds_only`."""
+    res = forward(model, batch, model.init_gates(), train=not seeds_only,
+                  seeds_only=seeds_only)
+    T.backward(T.sumsq(T.tanh(res.output)))
+    grads = {}
+    for name, p in model.params.items():
+        grads[name] = p.grad.copy()
+        p.grad[:] = 0.0
+    return res.output.values, res.gates_after, grads
+
+
+def _assert_equivalent(model: Model, batch, seeds_only: bool) -> None:
+    out, gates, grads = _run(model, Model.forward, batch, seeds_only)
+    ref_out, ref_gates, ref_grads = _run(model, _per_path_forward, batch,
+                                         seeds_only)
+    np.testing.assert_allclose(out, ref_out, rtol=RTOL, atol=0)
+    assert gates.keys() == ref_gates.keys()
+    for tid in gates:
+        np.testing.assert_allclose(gates[tid], ref_gates[tid], rtol=RTOL)
+    assert any(np.any(g) for g in ref_grads.values())
+    for name, g in ref_grads.items():
+        np.testing.assert_allclose(grads[name], g, rtol=RTOL, atol=0,
+                                   err_msg=name)
+
+
+@pytest.mark.parametrize("seeds_only", [False, True])
+@pytest.mark.parametrize("layers", [1, 2, 3])
+@pytest.mark.parametrize("mode", ["learn", "all-edge", "all-node", "random"])
+def test_aggregate_first_matches_per_path(mode, layers, seeds_only):
+    model, batch = _setup(lambda: gen_twohop(120, 30, 400, 1.0, 0), mode,
+                          layers)
+    _assert_equivalent(model, batch, seeds_only)
+
+
+@pytest.mark.parametrize("seeds_only", [False, True])
+@pytest.mark.parametrize("layers", [1, 2])
+def test_completion_chain_matches_per_path(layers, seeds_only):
+    model, batch = _setup(lambda: gen_completion_chain((200, 100, 60), 1),
+                          "learn", layers)
+    assert any(t.pattern == "completion" and t.id in batch.paths
+               and len(batch.paths[t.id][0]) for t in model.active_triples)
+    _assert_equivalent(model, batch, seeds_only)
+
+
+def test_two_epoch_history_matches_per_path(monkeypatch):
+    def history(forward):
+        monkeypatch.setattr(Model, "forward", forward)
+        db, task = gen_twohop(120, 30, 400, 1.0, 4)
+        state = build_state(db, task,
+                            ModelConfig(channels=8, layers=2, dropout=0.1,
+                                        seed=5),
+                            TrainConfig(epochs=2, batch_size=32, lr=0.005,
+                                        neighbor_samples=16, seed=5))
+        return train(state)["history"]
+
+    new = history(Model.forward)
+    ref = history(_per_path_forward)
+    assert len(new) == len(ref) == 2
+    for row, ref_row in zip(new, ref):
+        for key, value in ref_row.items():
+            if isinstance(value, float):
+                np.testing.assert_allclose(row[key], value, rtol=1e-9,
+                                           err_msg=key)
+            else:
+                assert row[key] == value, key

@@ -152,12 +152,16 @@ def test_identical_rows_identical_embeddings():
 # --- branch primitives ------------------------------------------------------
 
 def test_relation_message_zero_neighbors_is_zero():
+    """Destinations without a neighbour get no message row, so the self
+    term they are added onto stays as it is."""
     W = Tensor(np.eye(2))
     h_src = Tensor(np.ones((3, 2)))
-    msg = relation_message(W, h_src, np.array([0, 1], dtype=np.int64),
-                           np.array([1, 1], dtype=np.int64), n_dst=4)
-    np.testing.assert_array_equal(msg.values[0], 0.0)
-    np.testing.assert_array_equal(msg.values[1], 1.0)
+    rows, msg = relation_message(W, h_src, np.array([0, 1], dtype=np.int64),
+                                 np.array([1, 1], dtype=np.int64))
+    np.testing.assert_array_equal(rows, [1])
+    np.testing.assert_array_equal(msg.values, [[1.0, 1.0]])
+    total = T.add_rows(Tensor(np.zeros((4, 2))), rows, msg)
+    np.testing.assert_array_equal(total.values, [[0, 0], [1, 1], [0, 0], [0, 0]])
 
 
 def test_node_update_identity_maps_adds_neighbor():

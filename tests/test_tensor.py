@@ -139,6 +139,27 @@ def test_linear_shape_error_names_shapes():
                  Tensor(np.zeros(3)))
 
 
+def test_neighbor_mean_matches_loop():
+    rng = np.random.default_rng(3)
+    h = Tensor(rng.normal(size=(6, 4)))
+    src = np.array([5, 2, 2, 0, 3, 2, 1])
+    dst = np.array([7, 1, 7, 7, 4, 1, 7])
+    rows, out = T.neighbor_mean(h, src, dst)
+    np.testing.assert_array_equal(rows, [1, 4, 7])
+    for r, got in zip(rows, out.values):
+        np.testing.assert_allclose(got, h.values[src[dst == r]].mean(axis=0),
+                                   rtol=1e-14)
+    rows, out = T.neighbor_mean(h, src[:0], dst[:0])
+    assert rows.shape == (0,) and out.shape == (0, 4)
+
+
+def test_add_rows_leaves_base_and_other_rows():
+    base = Tensor(np.arange(8.0).reshape(4, 2))
+    out = T.add_rows(base, np.array([2, 0]), Tensor([[10.0, 20.0], [1.0, 1.0]]))
+    np.testing.assert_array_equal(out.values, [[1, 2], [2, 3], [14, 25], [6, 7]])
+    np.testing.assert_array_equal(base.values, np.arange(8.0).reshape(4, 2))
+
+
 def _primitive_cases(rng):
     """(name, params, build_loss) triples covering every primitive op."""
     cases = []
@@ -199,9 +220,21 @@ def _primitive_cases(rng):
     case("dropout", [d],
          lambda: T.sumsq(T.dropout(d, 0.3, True, np.random.default_rng(11))))
 
-    sv = rand_tensor(rng, (7, 3))
-    seg = rng.integers(0, 4, size=7)
-    case("segment_mean", [sv], lambda: T.sumsq(T.segment_mean(sv, seg, 5)))
+    # destinations unsorted and repeated, edge 2 -> 4 twice, destinations 1
+    # and 3 with one edge each, source rows 1 and 5 read by no edge
+    nh = rand_tensor(rng, (6, 3))
+    nsrc = np.array([2, 0, 2, 3, 4, 2])
+    ndst = np.array([4, 0, 4, 1, 0, 3])
+    case("neighbor_mean", [nh],
+         lambda: T.sumsq(T.sigmoid(T.neighbor_mean(nh, nsrc, ndst)[1])))
+    none = np.zeros(0, dtype=np.int64)
+    case("neighbor_mean_no_edges", [nh],
+         lambda: T.sumsq(T.add_rows(nh, *T.neighbor_mean(nh, none, none))))
+    ab_base = rand_tensor(rng, (5, 3))
+    ab_vals = rand_tensor(rng, (3, 3))
+    ab_rows = np.array([3, 0, 4])
+    case("add_rows", [ab_base, ab_vals],
+         lambda: T.sumsq(T.tanh(T.add_rows(ab_base, ab_rows, ab_vals))))
 
     sp = rand_tensor(rng, (4, 3))
     case("softplus", [sp], lambda: T.sumsq(T.softplus(sp)))
