@@ -17,13 +17,12 @@ import time
 from pathlib import Path
 
 from . import synth
-from .config import DEFAULTS, default_seed
+from .config import DEFAULTS, default_seed, integral
 from .errors import (BundleError, CheckpointMismatch, EngineError, RoleError,
                      TrainingDiverged)
 from .fd import subspace_size
 from .model import ModelConfig
 from .rdb import canonical_form, fd_violations, ingest_bundle, load_task
-from .sampler import SamplerConfig
 from .schema_graph import (build_schema_graph, construct_reg,
                            demo_add_counterexample, demo_prune_counterexample,
                            enumerate_edge_triples, enumerate_pruning_maps,
@@ -216,10 +215,6 @@ def _model_and_train_cfg(cfg: dict) -> tuple[ModelConfig, TrainConfig]:
                        neighbor_samples=cfg["neighbor_samples"],
                        seed=cfg["seed"], patience=cfg["patience"],
                        subspace_dim=cfg["subspace_dim"])
-    # training builds its SamplerConfig per batch; built here, its checks
-    # (neighbor_samples >= 1) run before the bundle is read
-    SamplerConfig(neighbor_samples=tcfg.neighbor_samples,
-                  num_hops=mcfg.layers, seed=tcfg.seed)
     if tcfg.fd_enabled:
         subspace_size(mcfg.channels, tcfg.subspace_dim)
     return mcfg, tcfg
@@ -237,6 +232,9 @@ def cmd_train(args) -> int:
     try:
         cfg = _resolve_config(args)
         mcfg, tcfg = _model_and_train_cfg(cfg)
+        path_cap = integral("path_cap", cfg["path_cap"])
+        if path_cap < 1:
+            raise ValueError(f"path_cap must be >= 1, got {path_cap}")
     except ValueError as exc:  # a bad flag, config key or --config file
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -245,9 +243,10 @@ def cmd_train(args) -> int:
     out_dir = Path(args.output) if args.output else None
     if args.transfer_from:
         summary = transfer_structure(args.transfer_from, db, task, mcfg, tcfg,
-                                     out_dir=out_dir)
+                                     out_dir=out_dir, path_cap=path_cap)
     else:
-        state = build_state(db, task, mcfg, tcfg, roles_mode=args.roles)
+        state = build_state(db, task, mcfg, tcfg, roles_mode=args.roles,
+                            path_cap=path_cap)
         summary = train(state, out_dir=out_dir)
     report = _base_report("train", int(cfg["seed"]), cfg)
     report.update({

@@ -12,20 +12,24 @@ Messages are aggregated first where the message map is linear: a mean of
 linear maps is the map of the mean, so relation and co-occurrence messages
 average the neighbours of each destination row and map only those means.
 Each message is then added onto the self term at the rows that received one.
+
+Last-hop rows are computed once per distinct (row, prediction time): they
+receive no message, so every layer's embedding of one depends on that pair
+alone, and the copies that the per-seed trees hold share one compute row.
 """
 
 from __future__ import annotations
 
 import json
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import tensor as T
 from .config import integral
 from .errors import ShapeError
-from .sampler import BatchSubgraph
+from .sampler import BatchSubgraph, TypeNodes
 from .schema_graph import RelationalEntityGraph
 from .tensor import Tensor
 
@@ -54,6 +58,8 @@ class ModelConfig:
             raise ValueError(f"channels must be >= 1, got {self.channels}")
         if self.layers < 1:
             raise ValueError(f"layers must be >= 1, got {self.layers}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError(f"dropout must lie in [0, 1), got {self.dropout}")
         if not 0.0 <= self.alpha <= 1.0:
@@ -292,19 +298,21 @@ def completion_message(W1: Tensor, W2: Tensor, fW: Tensor, fb: Tensor,
 
 
 def compute_gate(att_W: Tensor, att_b: Tensor, h_n: Tensor, h_e: Tensor,
-                 gbar: float, alpha: float, mu: float,
-                 train: bool) -> tuple[Tensor, Tensor, Tensor]:
+                 gbar: float, alpha: float, mu: float, train: bool,
+                 rows: np.ndarray | None = None) -> tuple[Tensor, Tensor, Tensor]:
     """Per-node adaptive gate, blended gate, and the table-level gate to use.
 
     During training the returned table-level gate is the freshly updated
     running mean (kept on the tape so the gate head receives gradient); at
-    evaluation it is the stored constant.
+    evaluation it is the stored constant. `rows`, when given, lists the row
+    of g behind each node the mean runs over, a shared row once per node.
     """
     logits = T.linear(T.concat([h_n, h_e], axis=1), att_W, att_b)
     g_tilde = T.sigmoid(logits)
     g = T.add(T.scale(g_tilde, 1.0 - alpha), Tensor(np.array(alpha * gbar)))
     if train:
-        g_used = T.add(T.scale(T.mean(g), 1.0 - mu), Tensor(np.array(mu * gbar)))
+        g_all = g if rows is None else T.take_rows(g, rows)
+        g_used = T.add(T.scale(T.mean(g_all), 1.0 - mu), Tensor(np.array(mu * gbar)))
     else:
         g_used = Tensor(np.array(gbar))
     return g_tilde, g, g_used
@@ -402,6 +410,60 @@ class Model:
     def parameters(self) -> dict[str, Tensor]:
         return self.params
 
+    def share_leaves(self, batch: BatchSubgraph
+                     ) -> tuple[BatchSubgraph, dict[str, np.ndarray]]:
+        """The batch with each table's last-hop locals merged per distinct
+        (row, prediction time), and per merged table the compute row of
+        every local.
+
+        Last-hop locals, `[reach[c][-2], n)`, are never expanded, so no edge
+        or path ends in one, and each layer's embedding of one depends on
+        its (row, t_predict) alone. The other locals keep their numbering;
+        one member per merged class follows them. Edge sources and path u/v
+        ends are renumbered, in batch order. A table without `reach` or
+        with nothing to merge is left as it is.
+        """
+        # a local's prediction time is its seed's: classes from B seed times
+        _, t_class = np.unique(batch.seed_t_predict, return_inverse=True)
+        nodes = dict(batch.nodes)
+        expand: dict[str, np.ndarray] = {}
+        for c, tn in batch.nodes.items():
+            reach = batch.reach.get(c)
+            if reach is None or reach[-2] == tn.n:
+                continue
+            lo = reach[-2]
+            key = (t_class[tn.seed_of[lo:]] * self.reg.nodes[c].n_rows
+                   + tn.rows[lo:])
+            _, inverse = np.unique(key, return_inverse=True)
+            k = int(inverse.max()) + 1
+            if k == len(key):
+                continue
+            member = np.empty(k, dtype=np.int64)
+            member[inverse] = np.arange(lo, tn.n)  # any copy of a class will do
+            own = np.arange(lo, dtype=np.int64)
+            keep = np.concatenate([own, member])
+            nodes[c] = TypeNodes(tn.rows[keep], tn.t_predict[keep],
+                                 tn.seed_of[keep])
+            expand[c] = np.concatenate([own, lo + inverse])
+        if not expand:
+            return batch, expand
+
+        def renumber(table, idx):
+            return expand[table][idx] if table in expand else idx
+
+        edges = dict(batch.edges)
+        for key in self.relations:
+            if key.id in edges:
+                src, dst = edges[key.id]
+                edges[key.id] = (renumber(key.src_table, src), dst)
+        paths = dict(batch.paths)
+        for tr in self.active_triples:
+            if tr.id in paths:
+                u, v, w = paths[tr.id]
+                paths[tr.id] = (renumber(tr.u_table, u),
+                                renumber(tr.v_table, v), w)
+        return replace(batch, nodes=nodes, edges=edges, paths=paths), expand
+
     # -- forward ----------------------------------------------------------
 
     def forward(self, batch: BatchSubgraph, gates: GateState, train: bool,
@@ -417,15 +479,29 @@ class Model:
         `gate_diag` cover the kept rows only. Training needs every row (the
         running gate averages over all of them, FD reads every linked pair),
         so `seeds_only` is for evaluation alone.
+
+        Last-hop copies of one (row, prediction time) share one compute row
+        (`share_leaves`): the running gate and `gate_diag` average over every
+        copy, and full-mode `embeddings` hold one row per local again. Under
+        training dropout each copy keeps its own mask, so nothing is shared.
         """
         if seeds_only and train:
             raise ValueError("seeds_only forward is for evaluation: training "
                              "reads every row")
+        expand: dict[str, np.ndarray] = {}
+        if not (train and self.cfg.dropout > 0):
+            batch, expand = self.share_leaves(batch)
         act = ACTIVATIONS[self.cfg.activation]
         h = self.encoder.encode(batch)
         running = dict(gates.values)
         gate_diag: dict[str, tuple[float, float]] = {}
         layers = self.cfg.layers
+        # a table fuses when a triple into it has paths; it reads only the
+        # triples' matching relations, so no other message into it is built
+        fused_triples = [tr for tr in self.active_triples
+                         if tr.id in batch.paths and tr.w_table in h]
+        fused = {tr.w_table for tr in fused_triples}
+        read = {tr.matching_relation().id for tr in fused_triples}
 
         for l in range(layers):
             if seeds_only:
@@ -445,6 +521,8 @@ class Model:
                 pair = batch.edges.get(key.id)
                 if pair is None or key.dst_table not in h or key.src_table not in h:
                     continue
+                if key.dst_table in fused and key.id not in read:
+                    continue
                 src, dst = pair
                 if seeds_only:
                     keep = dst < n_out[key.dst_table]
@@ -459,12 +537,9 @@ class Model:
                     by_dst.setdefault(key.dst_table, []).append(key.id)
 
             fusion_pairs: dict[str, list[tuple[Tensor, Tensor, Tensor]]] = {}
-            for tr in self.active_triples:
+            for tr in fused_triples:
                 c = tr.w_table
-                trip = batch.paths.get(tr.id)
-                if trip is None or c not in h:
-                    continue
-                u_idx, v_idx, w_idx = trip
+                u_idx, v_idx, w_idx = batch.paths[tr.id]
                 if seeds_only:
                     # kept even when no path lands in a kept row: those rows
                     # still fuse, with no edge message, as in the full pass
@@ -503,13 +578,17 @@ class Model:
                 elif role == "edge":
                     g_used = Tensor(np.array(1.0))
                 else:
+                    # seeds-only layers keep no last-hop row
+                    copies = None if seeds_only else expand.get(c)
                     g_tilde, g, g_used = compute_gate(
                         self.params[f"L{l}.gate.{tr.id}.W"],
                         self.params[f"L{l}.gate.{tr.id}.b"],
-                        h_n, h_e, running[tr.id], gates.alpha, gates.mu, train)
+                        h_n, h_e, running[tr.id], gates.alpha, gates.mu, train,
+                        copies)
                     if n_out[c]:
-                        gate_diag[tr.id] = (float(g_tilde.values.mean()),
-                                            float(g.values.mean()))
+                        every = slice(None) if copies is None else copies
+                        gate_diag[tr.id] = (float(g_tilde.values[every].mean()),
+                                            float(g.values[every].mean()))
                     if train:
                         running[tr.id] = float(g_used.values)
                 fusion_pairs.setdefault(c, []).append((h_n, h_e, g_used))
@@ -534,6 +613,9 @@ class Model:
                             (len(batch.seed_locals),))
         else:
             out = seed_h
+        if not seeds_only:
+            h = {c: T.take_rows(hc, expand[c]) if c in expand else hc
+                 for c, hc in h.items()}
         return ForwardResult(out, h, running, gate_diag)
 
 

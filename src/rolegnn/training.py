@@ -13,6 +13,7 @@ import csv
 import hashlib
 import json
 import logging
+import numbers
 import os
 import shutil
 import time
@@ -62,9 +63,11 @@ class TrainConfig:
         for name in ("epochs", "batch_size", "negatives", "neighbor_samples",
                      "seed", "patience", "subspace_dim"):
             object.__setattr__(self, name, integral(name, getattr(self, name)))
-        for name in ("epochs", "batch_size"):
+        for name in ("epochs", "batch_size", "neighbor_samples"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.tau <= 0:
             raise ValueError("tau must be positive")
         if self.negatives < 1:
@@ -652,6 +655,40 @@ _META_KEYS = {
 }
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _check_numbers(where: Path, key: str, value) -> None:
+    """CheckpointMismatch unless `value` maps names to numbers."""
+    if not isinstance(value, dict):
+        raise CheckpointMismatch(f"{where}: {key} must be an object, "
+                                 f"got {value!r}")
+    for name, v in value.items():
+        if not _is_number(v):
+            raise CheckpointMismatch(f"{where}: {key}.{name} must be a "
+                                     f"number, got {v!r}")
+
+
+def _stats_type_error(stats: dict, paths) -> str | None:
+    """The first of the `encoder_stats_paths` whose value in `stats` is of
+    the wrong kind, as a message; None when all are right."""
+    for path in paths:
+        value = stats
+        for key in path:
+            value = value[key]
+        if len(path) in (1, 5):  # the time scale; a column's mean or std
+            ok, kind = _is_number(value), "a number"
+        elif len(path) == 4:  # a categorical column's vocabulary
+            ok = isinstance(value, list) and all(isinstance(v, str) for v in value)
+            kind = "a list of strings"
+        else:  # a table's numeric columns
+            ok, kind = isinstance(value, dict), "an object"
+        if not ok:
+            return f"encoder_stats.{'.'.join(path)} must be {kind}, got {value!r}"
+    return None
+
+
 def _first_absent(data, paths) -> str | None:
     """The first of the key paths (tuples) missing from the nested dicts
     `data`, dotted up to its first missing key."""
@@ -691,6 +728,11 @@ def _read_checkpoint_meta(path: str | Path) -> tuple[dict, GateState]:
         parsed[name] = data
     meta = parsed["meta.json"]
     where = path / "meta.json"
+    if not isinstance(meta["roles"], dict):
+        raise CheckpointMismatch(f"{where}: roles must be an object, "
+                                 f"got {meta['roles']!r}")
+    _check_numbers(where, "fixed_gates", meta["fixed_gates"])
+    _check_numbers(path / "gates.json", "gates", parsed["gates.json"]["gates"])
     try:
         for key, cls in (("model_config", ModelConfig),
                          ("train_config", TrainConfig)):
@@ -733,13 +775,21 @@ def load_checkpoint(path: str | Path, db: RelationalDatabase,
             f"extra={sorted(current - saved)}")
     roles = RoleAssignment(dict(meta["roles"]))
     reg = construct_reg(db, sg, roles)
-    absent = _first_absent(meta["encoder_stats"], encoder_stats_paths(reg))
+    stats_paths = encoder_stats_paths(reg)
+    absent = _first_absent(meta["encoder_stats"], stats_paths)
     if absent:
         raise CheckpointMismatch(
             f"{path / 'meta.json'} lacks key 'encoder_stats.{absent}'")
+    mistyped = _stats_type_error(meta["encoder_stats"], stats_paths)
+    if mistyped:
+        raise CheckpointMismatch(f"{path / 'meta.json'}: {mistyped}")
     model = Model(reg, model_cfg, task.task_type, train_cut=task.split[0],
                   fixed_gates=meta["fixed_gates"] or None,
                   encoder_stats=meta["encoder_stats"])
+    ungated = sorted({t.id for t in model.active_triples} - set(gates.values))
+    if ungated:
+        raise CheckpointMismatch(
+            f"{path / 'gates.json'} lacks the gate of triple {ungated[0]!r}")
     fdmod = None
     if train_cfg.fd_enabled:
         fdmod = FdModule(reg, model_cfg.channels, train_cfg.subspace_dim,
@@ -769,14 +819,15 @@ def evaluate(checkpoint_dir: str | Path, db: RelationalDatabase,
 def transfer_structure(source_checkpoint: str | Path, db: RelationalDatabase,
                        task: TaskSpec, model_cfg: ModelConfig,
                        train_cfg: TrainConfig,
-                       out_dir: str | Path | None = None) -> dict:
+                       out_dir: str | Path | None = None,
+                       path_cap: int = DEFAULTS["path_cap"]) -> dict:
     """Train task B with table-level gates copied from checkpoint A and frozen."""
     meta, gates = _read_checkpoint_meta(source_checkpoint)
     if meta["schema_digest"] != schema_digest(db.specs):
         raise CheckpointMismatch("source checkpoint schema does not match "
                                  "target database")
     state = build_state(db, task, model_cfg, train_cfg, roles_mode="transfer",
-                        transfer_gates=gates.values)
+                        transfer_gates=gates.values, path_cap=path_cap)
     summary = train(state, out_dir=out_dir)
     summary["transfer"] = {"source_task": meta["task"]["name"],
                            "target_task": task.name}

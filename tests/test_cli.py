@@ -1,7 +1,12 @@
 import json
+import re
 import shutil
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from rolegnn import cli
 from rolegnn.cli import main
@@ -313,6 +318,9 @@ _CONFIG_DAMAGE = {
     "fractional-layers": ("model_config", "layers", 1.5),
     "fractional-batch-size": ("train_config", "batch_size", 2.5),
     "subspace-dim-too-large": ("train_config", "subspace_dim", 999),
+    "negative-model-seed": ("model_config", "seed", -1),
+    "negative-train-seed": ("train_config", "seed", -1),
+    "negative-neighbor-samples": ("train_config", "neighbor_samples", -1),
 }
 
 
@@ -335,6 +343,21 @@ def _damage_meta(ckpt, case: str) -> str:
     elif case == "encoder-stats-missing-table":
         del meta["encoder_stats"]["tables"]["user"]
         named = "encoder_stats.tables.user"
+    elif case == "encoder-stats-text-mean":
+        meta["encoder_stats"]["tables"]["user"]["columns"]["u_noise_a"]["mean"] = "x"
+        named = "encoder_stats.tables.user.columns.u_noise_a.mean"
+    elif case == "roles-not-object":
+        meta["roles"] = True
+        named = "roles"
+    elif case in ("gate-dropped", "gate-text"):
+        gates = json.loads((ckpt / "gates.json").read_text())
+        named = sorted(gates["gates"])[0]
+        if case == "gate-dropped":
+            del gates["gates"][named]
+        else:
+            gates["gates"][named] = "0.5"
+        (ckpt / "gates.json").write_text(json.dumps(gates))
+        return named
     elif case in _CONFIG_DAMAGE:
         section, named, value = _CONFIG_DAMAGE[case]
         meta[section][named] = value
@@ -355,6 +378,10 @@ def _damage_meta(ckpt, case: str) -> str:
     ("eval", "unknown-model-config-key"),
     ("eval", "unknown-train-config-key"),
     ("eval", "encoder-stats-missing-table"),
+    ("eval", "encoder-stats-text-mean"),
+    ("eval", "roles-not-object"),
+    ("eval", "gate-dropped"),
+    ("eval", "gate-text"),
     *(("eval", case) for case in _CONFIG_DAMAGE),
     ("export-structure", "meta-invalid-json"),
     ("transfer", "missing-dir"),
@@ -384,6 +411,59 @@ def test_damaged_checkpoint_metadata_exit_code(capsys, twohop_bundle,
     assert "Traceback" not in err
 
 
+def _json_paths(node, prefix=()):
+    """Every key path into nested JSON objects and lists."""
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, value in items:
+        yield prefix + (key,)
+        yield from _json_paths(value, prefix + (key,))
+
+
+_WRONG_VALUES = [None, True, -1, 0, 2.5, 1e308, "x", [], [1, 2], {}, {"a": 1}]
+
+
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_fuzzed_checkpoint_eval_exits_0_or_4(capsys, twohop_bundle,
+                                             trained_checkpoint, data):
+    """A checkpoint damaged at random (params.bin cut short or its header
+    bytes flipped, a meta.json or gates.json key dropped or retyped) is
+    evaluated or refused with exit 4, never a traceback."""
+    with tempfile.TemporaryDirectory() as tmp:
+        ckpt = Path(tmp) / "checkpoint"
+        shutil.copytree(trained_checkpoint, ckpt)
+        params = ckpt / "params.bin"
+        blob = params.read_bytes()
+        kind = data.draw(st.sampled_from(["truncate", "flip", "meta.json",
+                                          "gates.json"]))
+        if kind == "truncate":
+            params.write_bytes(blob[:data.draw(st.integers(0, len(blob) - 1))])
+        elif kind == "flip":
+            header_end = 16 + int.from_bytes(blob[8:16], "little")
+            flipped = bytearray(blob)
+            for pos in data.draw(st.lists(st.integers(0, header_end - 1),
+                                          min_size=1, max_size=3)):
+                flipped[pos] ^= data.draw(st.integers(1, 255))
+            params.write_bytes(bytes(flipped))
+        else:
+            doc = json.loads((ckpt / kind).read_text())
+            path = data.draw(st.sampled_from(list(_json_paths(doc))))
+            parent = doc
+            for key in path[:-1]:
+                parent = parent[key]
+            if isinstance(parent, dict) and data.draw(st.booleans()):
+                del parent[path[-1]]
+            else:
+                parent[path[-1]] = data.draw(st.sampled_from(_WRONG_VALUES))
+            (ckpt / kind).write_text(json.dumps(doc))
+        code, _, err = _run(capsys, "eval", str(ckpt), str(twohop_bundle),
+                            str(twohop_bundle / "user-positive"))
+    assert code in (0, 4), err
+    assert "Traceback" not in err
+
+
 def test_unknown_flag_exits_2(capsys, twohop_bundle):
     with pytest.raises(SystemExit) as exc:
         main(["train", str(twohop_bundle), "x", "--no-such-flag"])
@@ -399,6 +479,7 @@ def test_unknown_flag_exits_2(capsys, twohop_bundle):
     (["--alpha", "2"], "alpha"),
     (["--dropout", "1.5"], "dropout"),
     (["--dropout", "-0.1"], "dropout"),
+    (["--seed", "-1"], "seed"),
 ])
 def test_train_out_of_range_flag_exits_2(capsys, twohop_bundle, tmp_path,
                                          flags, name):
@@ -421,6 +502,8 @@ def test_train_out_of_range_flag_exits_2(capsys, twohop_bundle, tmp_path,
     ('{"channels": 8.5}', "channels must be an integer"),
     ('{"batch_size": true}', "batch_size must be an integer"),
     ('{"channels": 8, "subspace_dim": 8}', "subspace_dim must be < channels"),
+    ('{"path_cap": 0}', "path_cap must be >= 1"),
+    ('{"path_cap": 2.5}', "path_cap must be an integer"),
     (None, "cannot read --config file"),
 ])
 def test_train_bad_config_file_exits_2(capsys, twohop_bundle, tmp_path,
@@ -436,6 +519,25 @@ def test_train_bad_config_file_exits_2(capsys, twohop_bundle, tmp_path,
     assert "Traceback" not in err
     if content is not None and "JSON" in name:
         assert "--config" in err and str(cfg) in err
+
+
+@pytest.mark.parametrize("transfer", [False, True])
+def test_train_config_path_cap_is_enforced(capsys, twohop_bundle,
+                                           trained_checkpoint, tmp_path,
+                                           transfer):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"path_cap": 1, "epochs": 1, "channels": 8,
+                               "layers": 1, "batch_size": 32,
+                               "neighbor_samples": 16}))
+    extra = ["--transfer-from", str(trained_checkpoint)] if transfer else []
+    code, out, err = _run(capsys, "train", str(twohop_bundle),
+                          str(twohop_bundle / "user-positive"),
+                          "--config", str(cfg), *extra,
+                          "-o", str(tmp_path / "o"))
+    assert code == 7
+    assert re.search(r"path relation co:\S+ would materialize \d+ "
+                     r"instances \(cap 1\)", err)
+    assert "Traceback" not in err and out == ""
 
 
 def test_config_file_precedence(capsys, twohop_bundle, tmp_path):

@@ -4,7 +4,9 @@ The oracle below is the earlier `Model.forward`: every edge and path row is
 gathered and mapped, and the mapped rows are then averaged into dense
 per-table message arrays. The engine now averages first and maps one row
 per destination, so sums run in another order: forward outputs and
-gradients agree within a tolerance, not bit for bit.
+gradients agree within a tolerance, not bit for bit. The oracle also
+computes every last-hop copy of a (row, prediction time) on its own, so it
+checks the engine's shared last-hop rows as well.
 """
 
 import numpy as np
@@ -12,6 +14,7 @@ import pytest
 
 from rolegnn import kernels
 from rolegnn import tensor as T
+from rolegnn.fd import fd_losses
 from rolegnn.model import (ACTIVATIONS, ForwardResult, Model, ModelConfig,
                            completion_message, compute_gate,
                            cooccurrence_message, fuse)
@@ -20,7 +23,8 @@ from rolegnn.schema_graph import (build_schema_graph, construct_reg,
                                   enumerate_edge_triples)
 from rolegnn.synth import gen_completion_chain, gen_twohop
 from rolegnn.tensor import Tensor
-from rolegnn.training import TrainConfig, build_state, roles_for_mode, train
+from rolegnn.training import (TrainConfig, _task_loss, build_state,
+                              roles_for_mode, train)
 
 RTOL = 1e-10
 
@@ -169,8 +173,8 @@ def _setup(gen, mode: str, layers: int):
 
 
 def _run(model: Model, forward, batch, seeds_only: bool):
-    """Output, committed gates and every parameter gradient of one
-    forward/backward; training mode unless `seeds_only`."""
+    """Output, committed gates, gate diagnostics and every parameter
+    gradient of one forward/backward; training mode unless `seeds_only`."""
     res = forward(model, batch, model.init_gates(), train=not seeds_only,
                   seeds_only=seeds_only)
     T.backward(T.sumsq(T.tanh(res.output)))
@@ -178,17 +182,20 @@ def _run(model: Model, forward, batch, seeds_only: bool):
     for name, p in model.params.items():
         grads[name] = p.grad.copy()
         p.grad[:] = 0.0
-    return res.output.values, res.gates_after, grads
+    return res.output.values, res.gates_after, res.gate_diag, grads
 
 
 def _assert_equivalent(model: Model, batch, seeds_only: bool) -> None:
-    out, gates, grads = _run(model, Model.forward, batch, seeds_only)
-    ref_out, ref_gates, ref_grads = _run(model, _per_path_forward, batch,
-                                         seeds_only)
+    out, gates, diag, grads = _run(model, Model.forward, batch, seeds_only)
+    ref_out, ref_gates, ref_diag, ref_grads = _run(
+        model, _per_path_forward, batch, seeds_only)
     np.testing.assert_allclose(out, ref_out, rtol=RTOL, atol=0)
     assert gates.keys() == ref_gates.keys()
     for tid in gates:
         np.testing.assert_allclose(gates[tid], ref_gates[tid], rtol=RTOL)
+    assert diag.keys() == ref_diag.keys()
+    for tid in diag:
+        np.testing.assert_allclose(diag[tid], ref_diag[tid], rtol=RTOL)
     assert any(np.any(g) for g in ref_grads.values())
     for name, g in ref_grads.items():
         np.testing.assert_allclose(grads[name], g, rtol=RTOL, atol=0,
@@ -214,12 +221,12 @@ def test_completion_chain_matches_per_path(layers, seeds_only):
     _assert_equivalent(model, batch, seeds_only)
 
 
-def test_two_epoch_history_matches_per_path(monkeypatch):
+def _assert_two_epoch_history_matches(monkeypatch, dropout: float) -> None:
     def history(forward):
         monkeypatch.setattr(Model, "forward", forward)
         db, task = gen_twohop(120, 30, 400, 1.0, 4)
         state = build_state(db, task,
-                            ModelConfig(channels=8, layers=2, dropout=0.1,
+                            ModelConfig(channels=8, layers=2, dropout=dropout,
                                         seed=5),
                             TrainConfig(epochs=2, batch_size=32, lr=0.005,
                                         neighbor_samples=16, seed=5))
@@ -235,3 +242,106 @@ def test_two_epoch_history_matches_per_path(monkeypatch):
                                            err_msg=key)
             else:
                 assert row[key] == value, key
+
+
+def test_two_epoch_history_matches_per_path(monkeypatch):
+    # training dropout keeps every last-hop copy apart
+    _assert_two_epoch_history_matches(monkeypatch, dropout=0.1)
+
+
+def test_two_epoch_history_with_shared_leaves_matches_per_path(monkeypatch):
+    _assert_two_epoch_history_matches(monkeypatch, dropout=0.0)
+
+
+# --- shared last-hop rows -----------------------------------------------------
+
+def _two_time_setup(mode: str, layers: int):
+    """A batch whose seeds are the same users under two prediction times,
+    so one leaf row is reached under both. The gate heads start away from
+    zero, so each row has its own gate."""
+    model, _ = _setup(lambda: gen_twohop(120, 30, 400, 1.0, 0), mode, layers)
+    rng = np.random.default_rng(1)
+    for name, p in model.params.items():
+        if ".gate." in name:
+            p.values[...] = rng.normal(scale=0.5, size=p.shape)
+    _, task = gen_twohop(120, 30, 400, 1.0, 0)
+    users = task.labels["test"].entity[:12]
+    times = [float(task.labels[s].t_predict[0]) for s in ("train", "test")]
+    assert times[0] != times[1]
+    seeds = [(int(u), t) for t in times for u in users]
+    cfg = SamplerConfig(neighbor_samples=16, num_hops=layers, seed=layers)
+    return model, sample_batch(model.reg, seeds, cfg, task.entity_table)
+
+
+@pytest.mark.parametrize("layers", [1, 2, 3])
+def test_shared_leaves_are_one_per_row_and_time(layers):
+    model, batch = _two_time_setup("learn", layers)
+    compact, expand = model.share_leaves(batch)
+    assert expand, "nothing was shared"
+    across_times = 0
+    for c, tn in batch.nodes.items():
+        lo = batch.reach[c][-2]
+        leaves = set(zip(tn.rows[lo:].tolist(), tn.t_predict[lo:].tolist()))
+        across_times += len(leaves) - len({r for r, _ in leaves})
+        if c not in expand:
+            assert len(leaves) == tn.n - lo
+            assert compact.nodes[c] is tn
+            continue
+        # non-leaf locals keep their numbering and are never merged
+        np.testing.assert_array_equal(expand[c][:lo], np.arange(lo))
+        assert compact.nodes[c].n == lo + len(leaves)
+        assert set(expand[c][lo:].tolist()) == set(range(lo, lo + len(leaves)))
+        # each local's compute row holds its own (row, prediction time)
+        np.testing.assert_array_equal(compact.nodes[c].rows[expand[c]], tn.rows)
+        np.testing.assert_array_equal(compact.nodes[c].t_predict[expand[c]],
+                                      tn.t_predict)
+    assert across_times > 0, "no leaf row was reached under both times"
+    for key in model.relations:
+        if key.id in batch.edges:
+            src, dst = batch.edges[key.id]
+            new_src, new_dst = compact.edges[key.id]
+            assert new_dst is dst
+            if key.src_table in expand:
+                np.testing.assert_array_equal(new_src, expand[key.src_table][src])
+
+
+@pytest.mark.parametrize("seeds_only", [False, True])
+@pytest.mark.parametrize("layers", [1, 2, 3])
+def test_shared_leaves_across_times_match_per_path(layers, seeds_only):
+    model, batch = _two_time_setup("learn", layers)
+    _assert_equivalent(model, batch, seeds_only)
+
+
+@pytest.mark.parametrize("layers", [1, 2])
+def test_fd_first_step_gradients_match_per_path(monkeypatch, layers):
+    """FD on: the FD losses read every local's embedding through the
+    gathered-back embeddings. With two layers they read shared last-hop
+    users; with one, the shared rows (products) are linked to nothing."""
+    def first_step(forward):
+        monkeypatch.setattr(Model, "forward", forward)
+        db, task = gen_twohop(120, 30, 400, 1.0, 4)
+        state = build_state(db, task,
+                            ModelConfig(channels=8, layers=layers, seed=5),
+                            TrainConfig(batch_size=32, neighbor_samples=16,
+                                        beta=0.5, gamma=0.5, seed=5))
+        cfg = state.train_cfg
+        rng = np.random.default_rng([cfg.seed, 0, 1, 0])
+        with T.tape_scope(), T.frozen(list(state.fdmod.params.values())):
+            loss, embeddings, batch, gates = _task_loss(
+                state, np.arange(32), "train", True, state.gates, rng)
+            total, _, _, _ = fd_losses(batch, embeddings, state.fdmod,
+                                       cfg.beta, cfg.gamma, cfg.tau,
+                                       cfg.negatives, rng)
+            T.backward(T.add(loss, total))
+        return gates.values, {n: p.grad.copy()
+                              for n, p in state.model.params.items()}
+
+    gates, grads = first_step(Model.forward)
+    ref_gates, ref_grads = first_step(_per_path_forward)
+    assert gates.keys() == ref_gates.keys()
+    for tid in gates:
+        np.testing.assert_allclose(gates[tid], ref_gates[tid], rtol=RTOL)
+    assert any(np.any(g) for g in ref_grads.values())
+    for name, g in ref_grads.items():
+        np.testing.assert_allclose(grads[name], g, rtol=RTOL, atol=0,
+                                   err_msg=name)

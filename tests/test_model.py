@@ -580,3 +580,44 @@ def test_seeds_only_forward_refuses_training():
     model, batch = _seeds_only_setup("learn", 1)
     with pytest.raises(ValueError, match="seeds_only"):
         model.forward(batch, model.init_gates(), train=True, seeds_only=True)
+
+
+def test_only_read_relation_messages_are_built(monkeypatch):
+    """A table that fuses reads only its triples' matching relations; the
+    plain update of any other table reads every relation into it. No other
+    message is built."""
+    import rolegnn.model as model_mod
+    from rolegnn.synth import gen_random_bundle
+
+    real = model_mod.relation_message
+    skipped = 0
+    for seed in range(30):
+        reg = _reg_for(gen_random_bundle(seed))
+        model = Model(reg, ModelConfig(channels=4, layers=1, seed=0),
+                      "classification", train_cut=1e18)
+        key_of = {id(model.params[f"L0.rel.{key.id}.W"]): key.id
+                  for key in model.relations}
+        built = []
+
+        def record(W, h_src, src, dst, key_of=key_of):
+            built.append(key_of[id(W)])
+            return real(W, h_src, src, dst)
+
+        monkeypatch.setattr(model_mod, "relation_message", record)
+        for table in sorted({tr.w_table for tr in model.active_triples}):
+            store = reg.nodes[table]
+            seeds = [(int(pk), 1e18) for pk in store.pk[:12]]
+            batch = _batch_for(reg, table, seeds, hops=1, budget=8)
+            built.clear()
+            model.forward(batch, model.init_gates(), train=False)
+            fusing = [tr for tr in model.active_triples
+                      if tr.id in batch.paths]
+            fused = {tr.w_table for tr in fusing}
+            read = {tr.matching_relation().id for tr in fusing}
+            wanted = {key.id for key in model.relations
+                      if key.id in batch.edges
+                      and (key.dst_table not in fused or key.id in read)}
+            assert sorted(built) == sorted(wanted), (seed, table)
+            skipped += sum(key.id in batch.edges and key.id not in wanted
+                           for key in model.relations)
+    assert skipped >= 5
