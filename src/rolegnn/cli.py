@@ -17,7 +17,7 @@ import time
 from pathlib import Path
 
 from . import synth
-from .config import DEFAULTS, default_seed, integral
+from .config import DEFAULTS, default_seed
 from .errors import (BundleError, CheckpointMismatch, EngineError, RoleError,
                      TrainingDiverged)
 from .fd import subspace_size
@@ -46,18 +46,18 @@ TRAIN_FLAGS = {
 }
 
 
-def _emit_report(report: dict, out_dir: Path | None) -> None:
+def _emit_report(command: str, seed: int, config: dict, t0: float,
+                 fields: dict, out_dir: Path | None = None) -> None:
+    """Print the run report of a command that started at `t0` (Unix time)
+    and, given `out_dir`, write it there as run_report.json."""
+    report = {"command": command, "seed": seed, "config": config,
+              "started_unix": t0, **fields, "wall_clock_s": time.time() - t0}
     text = json.dumps(report, indent=2, default=str)
     print(text)
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
         with open(out_dir / "run_report.json", "w", encoding="utf-8") as fh:
             fh.write(text)
-
-
-def _base_report(command: str, seed: int, config: dict) -> dict:
-    return {"command": command, "seed": seed, "config": config,
-            "started_unix": time.time()}
 
 
 def _resolve_config(args: argparse.Namespace) -> dict:
@@ -95,25 +95,20 @@ def _edge_list(g) -> list:
     return sorted(sorted(e) for e in g[1])
 
 
-def cmd_validate(args) -> int:
-    t0 = time.time()
+def cmd_validate(args, t0: float) -> int:
     db = ingest_bundle(args.bundle)
     violations = fd_violations(db)
-    report = _base_report("validate", default_seed(), {})
-    report.update({
+    _emit_report("validate", default_seed(), {}, t0, {
         "bundle": str(args.bundle),
         "dataset_digest": dataset_digest(db),
         "tables": {n: db.row_count(n) for n in db.table_names},
         "fd_violations": [{"table": v.table, "row": v.row, "column": v.column,
                            "value": v.value} for v in violations],
-        "wall_clock_s": time.time() - t0,
     })
-    _emit_report(report, None)
     return 0
 
 
-def cmd_roundtrip(args) -> int:
-    t0 = time.time()
+def cmd_roundtrip(args, t0: float) -> int:
     db = ingest_bundle(args.bundle)
     sg = build_schema_graph(db)
     triples = enumerate_edge_triples(sg)
@@ -122,20 +117,16 @@ def cmd_roundtrip(args) -> int:
     reg = construct_reg(db, sg, roles)
     rebuilt = invert_reg(reg)
     verdict = canonical_form(rebuilt) == canonical_form(db)
-    report = _base_report("roundtrip", seed, {"roles": args.roles})
-    report.update({
+    _emit_report("roundtrip", seed, {"roles": args.roles}, t0, {
         "bundle": str(args.bundle),
         "dataset_digest": dataset_digest(db),
         "graph_summary": reg.summary(),
         "verdict": "PASS" if verdict else "FAIL",
-        "wall_clock_s": time.time() - t0,
     })
-    _emit_report(report, None)
     return 0 if verdict else EXIT_ROUNDTRIP
 
 
-def cmd_demo_gsl(args) -> int:
-    t0 = time.time()
+def cmd_demo_gsl(args, t0: float) -> int:
     g1, g2, pruned = demo_prune_counterexample()
     a1, a2, aug = demo_add_counterexample()
     non_identity, collisions = enumerate_pruning_maps()
@@ -149,22 +140,18 @@ def cmd_demo_gsl(args) -> int:
     print(f"  both augment to:  {_edge_list(aug)}  (inferred edges untagged)")
     print(f"exhaustive 3-node check: {collisions}/{non_identity} "
           f"non-identity pruning maps collide")
-    report = _base_report("demo-gsl", default_seed(), {})
-    report.update({
+    _emit_report("demo-gsl", default_seed(), {}, t0, {
         "prune": {"g1": _edge_list(g1), "g2": _edge_list(g2),
                   "pruned": _edge_list(pruned)},
         "add": {"g1": _edge_list(a1), "g2": _edge_list(a2),
                 "augmented": _edge_list(aug)},
         "exhaustive": {"non_identity_maps": non_identity,
                        "maps_with_collision": collisions},
-        "wall_clock_s": time.time() - t0,
     })
-    _emit_report(report, None)
     return 0 if collisions == non_identity else EXIT_ENGINE
 
 
-def cmd_synth(args) -> int:
-    t0 = time.time()
+def cmd_synth(args, t0: float) -> int:
     params = {}
     for kv in args.params:
         if "=" not in kv:
@@ -187,54 +174,30 @@ def cmd_synth(args) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     db = ingest_bundle(out)
-    report = _base_report("synth", int(params["seed"]),
-                          {"generator": args.generator, "params": params})
-    report.update({
-        "output": str(out),
-        "dataset_digest": dataset_digest(db),
-        "tables": {n: db.row_count(n) for n in db.table_names},
-        "wall_clock_s": time.time() - t0,
-    })
-    _emit_report(report, out)
+    _emit_report("synth", int(params["seed"]),
+                 {"generator": args.generator, "params": params}, t0, {
+                     "output": str(out),
+                     "dataset_digest": dataset_digest(db),
+                     "tables": {n: db.row_count(n) for n in db.table_names},
+                 }, out)
     return 0
 
 
 def _model_and_train_cfg(cfg: dict) -> tuple[ModelConfig, TrainConfig]:
-    """The typed configs of a resolved config dict. A value of the wrong
-    type or out of range raises ValueError naming its key; the configs
-    check their integer fields themselves."""
-    mcfg = ModelConfig(channels=cfg["channels"], layers=cfg["layers"],
-                       dropout=_number(cfg, "dropout"),
-                       alpha=_number(cfg, "alpha"), mu=_number(cfg, "mu"),
-                       cat_dim=cfg["cat_dim"], seed=cfg["seed"])
-    tcfg = TrainConfig(epochs=cfg["epochs"], batch_size=cfg["batch_size"],
-                       lr=_number(cfg, "lr"), beta=_number(cfg, "beta"),
-                       gamma=_number(cfg, "gamma"), alpha=_number(cfg, "alpha"),
-                       mu=_number(cfg, "mu"), tau=_number(cfg, "tau"),
-                       negatives=cfg["negatives"],
-                       neighbor_samples=cfg["neighbor_samples"],
-                       seed=cfg["seed"], patience=cfg["patience"],
-                       subspace_dim=cfg["subspace_dim"])
+    """The typed configs of a resolved config dict, each built from its own
+    fields. A value of the wrong type or out of range raises ValueError
+    naming its key."""
+    mcfg, tcfg = (cls(**{k: cfg[k] for k in cls.__dataclass_fields__ if k in cfg})
+                  for cls in (ModelConfig, TrainConfig))
     if tcfg.fd_enabled:
         subspace_size(mcfg.channels, tcfg.subspace_dim)
     return mcfg, tcfg
 
 
-def _number(cfg: dict, key: str) -> float:
-    try:
-        return float(cfg[key])
-    except (TypeError, ValueError):
-        raise ValueError(f"{key} must be a number, got {cfg[key]!r}") from None
-
-
-def cmd_train(args) -> int:
-    t0 = time.time()
+def cmd_train(args, t0: float) -> int:
     try:
         cfg = _resolve_config(args)
         mcfg, tcfg = _model_and_train_cfg(cfg)
-        path_cap = integral("path_cap", cfg["path_cap"])
-        if path_cap < 1:
-            raise ValueError(f"path_cap must be >= 1, got {path_cap}")
     except ValueError as exc:  # a bad flag, config key or --config file
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -243,13 +206,11 @@ def cmd_train(args) -> int:
     out_dir = Path(args.output) if args.output else None
     if args.transfer_from:
         summary = transfer_structure(args.transfer_from, db, task, mcfg, tcfg,
-                                     out_dir=out_dir, path_cap=path_cap)
+                                     out_dir=out_dir)
     else:
-        state = build_state(db, task, mcfg, tcfg, roles_mode=args.roles,
-                            path_cap=path_cap)
+        state = build_state(db, task, mcfg, tcfg, roles_mode=args.roles)
         summary = train(state, out_dir=out_dir)
-    report = _base_report("train", int(cfg["seed"]), cfg)
-    report.update({
+    _emit_report("train", int(cfg["seed"]), cfg, t0, {
         "bundle": str(args.bundle),
         "task": task.name,
         "roles": args.roles if not args.transfer_from else "transfer",
@@ -259,41 +220,31 @@ def cmd_train(args) -> int:
         "epochs_run": summary["epochs_run"],
         "structure_path": summary.get("structure_path"),
         "checkpoint": summary.get("checkpoint"),
-        "wall_clock_s": time.time() - t0,
-    })
-    _emit_report(report, out_dir)
+    }, out_dir)
     return 0
 
 
-def cmd_eval(args) -> int:
-    t0 = time.time()
+def cmd_eval(args, t0: float) -> int:
     db = ingest_bundle(args.bundle)
     task = load_task(args.task, db)
     metrics = evaluate(args.checkpoint, db, task, args.split)
-    report = _base_report("eval", default_seed(), {"split": args.split})
-    report.update({
+    _emit_report("eval", default_seed(), {"split": args.split}, t0, {
         "checkpoint": str(args.checkpoint),
         "bundle": str(args.bundle),
         "task": task.name,
         "dataset_digest": dataset_digest(db),
         "metrics": metrics,
-        "wall_clock_s": time.time() - t0,
     })
-    _emit_report(report, None)
     return 0
 
 
-def cmd_export_structure(args) -> int:
-    t0 = time.time()
-    report_data = export_structure(args.checkpoint, args.output)
-    report = _base_report("export-structure", default_seed(), {})
-    report.update({
+def cmd_export_structure(args, t0: float) -> int:
+    structure = export_structure(args.checkpoint, args.output)
+    _emit_report("export-structure", default_seed(), {}, t0, {
         "checkpoint": str(args.checkpoint),
         "output": str(args.output),
-        "structure": report_data,
-        "wall_clock_s": time.time() - t0,
+        "structure": structure,
     })
-    _emit_report(report, None)
     return 0
 
 
@@ -360,7 +311,15 @@ def main(argv: list[str] | None = None) -> int:
     logging.getLogger("rolegnn").setLevel(
         logging.WARNING if getattr(args, "quiet", False) else logging.INFO)
     try:
-        return args.fn(args)
+        default_seed()
+        if (getattr(args, "seed", None) or 0) < 0:
+            raise ValueError(f"seed must be >= 0, got {args.seed}")
+    except ValueError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    t0 = time.time()  # the command's start, its report's started_unix
+    try:
+        return args.fn(args, t0)
     except BundleError as exc:
         print(f"bundle error: {exc}", file=sys.stderr)
         return EXIT_BUNDLE

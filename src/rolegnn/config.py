@@ -6,6 +6,7 @@ modules rely on so a run can assert its own configuration.
 
 from __future__ import annotations
 
+import json
 import numbers
 import os
 
@@ -58,12 +59,28 @@ def integral(name: str, value) -> int:
     raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
+def real(name: str, value) -> float:
+    """`value` as a float when it is a number, else ValueError naming
+    `name`. A bool is not a number."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        return float(value)
+    raise ValueError(f"{name} must be a number, got {value!r}")
+
+
 def default_seed() -> int:
-    """Seed default, overridable through the environment."""
+    """Seed default, overridable through the environment by a whole number
+    >= 0; any other value raises ValueError naming the variable."""
     raw = os.environ.get(SEED_ENV_VAR)
     if raw is None:
         return 0
-    return int(raw)
+    try:
+        value = json.loads(raw)
+    except ValueError:
+        value = raw
+    seed = integral(SEED_ENV_VAR, value)
+    if seed < 0:
+        raise ValueError(f"{SEED_ENV_VAR} must be >= 0, got {seed}")
+    return seed
 
 
 def defaults_self_test() -> list[tuple[str, bool, str]]:

@@ -21,13 +21,15 @@ alone, and the copies that the per-seed trees hold share one compute row.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 import zlib
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import tensor as T
-from .config import integral
+from .config import DEFAULTS, integral, real
 from .errors import ShapeError
 from .sampler import BatchSubgraph, TypeNodes
 from .schema_graph import RelationalEntityGraph
@@ -42,18 +44,20 @@ ACTIVATIONS = {
 
 @dataclass(frozen=True)
 class ModelConfig:
-    channels: int = 128
-    layers: int = 2
-    dropout: float = 0.0
-    alpha: float = 0.9        # blend toward the running gate
-    mu: float = 0.9           # running-gate momentum
+    channels: int = DEFAULTS["channels"]
+    layers: int = DEFAULTS["layers"]
+    dropout: float = DEFAULTS["dropout"]
+    alpha: float = DEFAULTS["alpha"]
+    mu: float = DEFAULTS["mu"]
     activation: str = "relu"
-    cat_dim: int = 8
+    cat_dim: int = DEFAULTS["cat_dim"]
     seed: int = 0
 
     def __post_init__(self):
         for name in ("channels", "layers", "cat_dim", "seed"):
             object.__setattr__(self, name, integral(name, getattr(self, name)))
+        for name in ("dropout", "alpha", "mu"):
+            object.__setattr__(self, name, real(name, getattr(self, name)))
         if self.channels < 1:
             raise ValueError(f"channels must be >= 1, got {self.channels}")
         if self.layers < 1:
@@ -62,15 +66,12 @@ class ModelConfig:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError(f"dropout must lie in [0, 1), got {self.dropout}")
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ValueError(f"alpha must lie in [0, 1], got {self.alpha}")
+        for name in ("alpha", "mu"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ValueError(f"{name} must lie in [0, 1], got "
+                                 f"{getattr(self, name)}")
         if self.activation not in ACTIVATIONS:
             raise ValueError(f"unknown activation {self.activation!r}")
-
-    def to_dict(self) -> dict:
-        return {k: getattr(self, k) for k in
-                ("channels", "layers", "dropout", "alpha", "mu", "activation",
-                 "cat_dim", "seed")}
 
 
 @dataclass
@@ -262,17 +263,35 @@ class FeatureEncoder:
 # branch primitives (also unit-test surfaces)
 # ---------------------------------------------------------------------------
 
-def encoder_stats_paths(reg: RelationalEntityGraph) -> list[tuple[str, ...]]:
-    """Key paths into FeatureEncoder.stats that encoding this graph reads."""
-    paths = [("time_scale",)]
+def _finite(value) -> bool:
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
+# what each kind of encoder statistic must be, and the test of it
+STATS_KINDS = {
+    "a positive, finite number": lambda v: _finite(v) and v > 0,
+    "a finite number": _finite,
+    "a list of strings": lambda v: (isinstance(v, list)
+                                    and all(isinstance(s, str) for s in v)),
+    "an object": lambda v: isinstance(v, dict),
+}
+
+
+def encoder_stats_paths(reg: RelationalEntityGraph) -> list[tuple[tuple[str, ...], str]]:
+    """Key paths into FeatureEncoder.stats that encoding this graph reads,
+    each with the STATS_KINDS entry its value must be."""
+    paths = [(("time_scale",), "a positive, finite number")]
     for name in sorted(reg.nodes):
-        paths.append(("tables", name, "columns"))
+        paths.append((("tables", name, "columns"), "an object"))
         for col_name, cd in sorted(reg.nodes[name].attrs.items()):
             if cd.kind == "categorical":
-                paths.append(("tables", name, "vocab", col_name))
+                paths.append((("tables", name, "vocab", col_name),
+                              "a list of strings"))
             else:
-                paths += [("tables", name, "columns", col_name, k)
-                          for k in ("mean", "std")]
+                col = ("tables", name, "columns", col_name)
+                paths += [(col + ("mean",), "a finite number"),
+                          (col + ("std",), "a positive, finite number")]
     return paths
 
 
@@ -356,10 +375,14 @@ class Model:
         self.encoder = FeatureEncoder(reg, cfg, train_cut=train_cut,
                                       stats=encoder_stats)
         self.params: dict[str, Tensor] = dict(self.encoder.params)
-        self.relations = sorted(reg.relation_keys, key=lambda k: k.id)
-        self.active_triples = sorted(
-            (t for t in reg.triples if reg.roles.role(t.id) != "node"),
-            key=lambda t: t.id)
+        self.relations = reg.relation_keys
+        self.active_triples = reg.active_triples
+        # the gate of every active triple that learns none: 1.0 for an edge
+        # role, else its fixed (random or transferred) gate
+        self._constant_gates = {
+            t.id: float(self.fixed_gates.get(t.id, 1.0))
+            for t in self.active_triples
+            if t.id in self.fixed_gates or reg.roles.role(t.id) == "edge"}
         self.node_types = sorted(reg.nodes)
         self._build_params()
 
@@ -389,7 +412,7 @@ class Model:
                     self._p(f"L{l}.comp.{tr.id}.W2", (2 * ch, ch), 2 * ch)
                     self._p(f"L{l}.comp.{tr.id}.f.W", (2 * ch, 1), 2 * ch)
                     self._p(f"L{l}.comp.{tr.id}.f.b", (1,), 1, zero=True)
-                if self.reg.roles.role(tr.id) == "learn" and tr.id not in self.fixed_gates:
+                if tr.id not in self._constant_gates:
                     self._p(f"L{l}.gate.{tr.id}.W", (2 * ch, 1), 2 * ch, zero=True)
                     self._p(f"L{l}.gate.{tr.id}.b", (1,), 1, zero=True)
         if self.task_type in ("classification", "regression"):
@@ -397,14 +420,8 @@ class Model:
             self._p("head.b", (1,), 1, zero=True)
 
     def init_gates(self) -> GateState:
-        values = {}
-        for tr in self.active_triples:
-            if tr.id in self.fixed_gates:
-                values[tr.id] = float(self.fixed_gates[tr.id])
-            elif self.reg.roles.role(tr.id) == "edge":
-                values[tr.id] = 1.0
-            else:
-                values[tr.id] = 0.5
+        values = {tr.id: self._constant_gates.get(tr.id, 0.5)
+                  for tr in self.active_triples}
         return GateState(values, self.cfg.alpha, self.cfg.mu)
 
     def parameters(self) -> dict[str, Tensor]:
@@ -572,11 +589,8 @@ class Model:
                 else:
                     h_n = act(self_term[c])
 
-                role = self.reg.roles.role(tr.id)
-                if tr.id in self.fixed_gates:
-                    g_used = Tensor(np.array(self.fixed_gates[tr.id]))
-                elif role == "edge":
-                    g_used = Tensor(np.array(1.0))
+                if tr.id in self._constant_gates:
+                    g_used = Tensor(np.array(self._constant_gates[tr.id]))
                 else:
                     # seeds-only layers keep no last-hop row
                     copies = None if seeds_only else expand.get(c)

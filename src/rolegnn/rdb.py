@@ -353,14 +353,52 @@ def build_database(specs: list[TableSpec], rows: dict[str, list[dict]]) -> Relat
 # bundle IO
 # ---------------------------------------------------------------------------
 
+def _schema_entry(entry, what: str, keys: tuple[str, ...], **ctx) -> None:
+    """SchemaError naming schema.json and the entry unless `entry` is an
+    object whose `keys` all hold strings."""
+    if not isinstance(entry, dict):
+        raise SchemaError(f"schema.json: a {what} must be an object", **ctx)
+    for key in keys:
+        if not isinstance(entry.get(key), str):
+            raise SchemaError(f"schema.json: a {what} needs a string {key!r}",
+                              **ctx)
+
+
+def _read_schema(schema_path: Path) -> list[TableSpec]:
+    """The table specs in a bundle's schema.json. Invalid JSON, or a table,
+    column or foreign key not shaped as `TableSpec.to_dict` writes it,
+    raises SchemaError naming the file and the table, column or key."""
+    try:
+        with open(schema_path, encoding="utf-8") as fh:
+            raw = json.load(fh)
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        raise SchemaError(f"schema.json is not valid JSON: {exc}") from None
+    if not isinstance(raw, dict) or not isinstance(raw.get("tables"), list):
+        raise SchemaError("schema.json must hold an object with a 'tables' list")
+    for t in raw["tables"]:
+        _schema_entry(t, "table", ("name", "primary_key"))
+        for key, default in (("columns", None), ("foreign_keys", [])):
+            if not isinstance(t.get(key, default), list):
+                raise SchemaError(f"schema.json: a table needs a {key!r} list",
+                                  table=t["name"])
+        for c in t["columns"]:
+            _schema_entry(c, "column", ("name", "kind"), table=t["name"])
+            if c["kind"] not in KINDS:
+                raise SchemaError(f"schema.json: column kind {c['kind']!r} is "
+                                  f"not one of {KINDS}", table=t["name"],
+                                  column=c["name"])
+        for fk in t.get("foreign_keys", []):
+            _schema_entry(fk, "foreign key", ("column", "references"),
+                          table=t["name"])
+    return [TableSpec.from_dict(t) for t in raw["tables"]]
+
+
 def ingest_bundle(path: str | Path) -> RelationalDatabase:
     path = Path(path)
     schema_path = path / "schema.json"
     if not schema_path.exists():
         raise MissingFileError(f"no schema.json under {path}")
-    with open(schema_path, encoding="utf-8") as fh:
-        raw = json.load(fh)
-    specs = [TableSpec.from_dict(t) for t in raw["tables"]]
+    specs = _read_schema(schema_path)
     spec_map = {s.name: s for s in specs}
     _validate_schema(spec_map)
 

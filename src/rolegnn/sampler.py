@@ -128,10 +128,6 @@ def sample_batch(reg: RelationalEntityGraph, seeds: list[tuple[int, float]],
     index = {entity_table: (seed_keys[order], order)}  # table -> sorted (keys, locals)
     frontier = {entity_table: (seed_rows, seed_locals, seed_locals)}  # (rows, seed, local)
 
-    relation_keys = sorted(reg.relation_keys, key=lambda k: k.id)
-    active_triples = sorted(
-        (t for t in reg.triples if reg.roles.role(t.id) != "node"),
-        key=lambda t: t.id)
     edges: dict[str, list[tuple[np.ndarray, ...]]] = {}
     paths: dict[str, list[tuple[np.ndarray, ...]]] = {}
 
@@ -156,13 +152,13 @@ def sample_batch(reg: RelationalEntityGraph, seeds: list[tuple[int, float]],
         wanted: dict[str, list[np.ndarray]] = {}  # table -> drawn key chunks
         drawn = []  # (edges or paths, id, [(table, chunk)], dst locals)
 
-        for key in relation_keys:
+        for key in reg.relation_keys:
             if key.dst_table in frontier:
                 indptr, nbr_rows, nbr_times = reg.adjacency(key)
                 seed_of, dst, slot = expand(key.dst_table, indptr, nbr_times, budget)
                 drawn.append((edges, key.id,
                               [want(key.src_table, seed_of, nbr_rows[slot])], dst))
-        for triple in active_triples:
+        for triple in reg.active_triples:
             if triple.w_table in frontier:
                 pr = reg.paths[triple.id]
                 indptr, inst_idx, inst_times = reg.path_adjacency(triple.id)

@@ -257,14 +257,15 @@ class RelationalEntityGraph:
         self.provenance = provenance
         self._adjacency: dict[str, tuple] = {}
         self._path_adjacency: dict[str, tuple] = {}
-
-    @property
-    def relation_keys(self) -> list[RelationKey]:
-        out = []
-        for es in self.edges.values():
-            out.append(es.key)
-            out.append(es.key.flipped())
-        return out
+        # both directions of every foreign key, and the triples with paths
+        # (role other than "node"); each in id order, the order sampling
+        # and the model visit them in
+        self.relation_keys: list[RelationKey] = sorted(
+            (k for es in edges.values() for k in (es.key, es.key.flipped())),
+            key=lambda k: k.id)
+        self.active_triples: list[EdgeRelationTriple] = sorted(
+            (t for t in triples if roles.role(t.id) != "node"),
+            key=lambda t: t.id)
 
     def summary(self) -> dict:
         return {

@@ -69,13 +69,12 @@ def frozen(params):
 
 
 class Tensor:
-    __slots__ = ("values", "grad", "requires_grad", "_parents", "_bwd")
+    __slots__ = ("values", "grad", "requires_grad", "_bwd")
 
     def __init__(self, values, requires_grad: bool = False):
         self.values = np.asarray(values, dtype=np.float64)
         self.requires_grad = requires_grad
         self.grad = np.zeros_like(self.values) if requires_grad else None
-        self._parents: tuple[Tensor, ...] = ()
         self._bwd = None
 
     @property
@@ -96,7 +95,6 @@ class Tensor:
 def _record(out: Tensor, parents: tuple[Tensor, ...], bwd) -> Tensor:
     if _GRAD_ENABLED and any(p.requires_grad for p in parents):
         out.requires_grad = True
-        out._parents = parents
         out._bwd = bwd
         _TAPE.append(out)
     return out
@@ -114,7 +112,8 @@ def _accum(t: Tensor, grad: np.ndarray) -> None:
 
 
 def backward(loss: Tensor) -> None:
-    """Accumulate d loss / d theta into every reachable gradient buffer.
+    """Accumulate d loss / d theta into the gradient buffer of every
+    parameter the loss depends on.
 
     The loss must be scalar. Only leaves (the parameters) keep their
     gradients: each recorded node's gradient is dropped as soon as it has
@@ -122,17 +121,11 @@ def backward(loss: Tensor) -> None:
     """
     if loss.size != 1:
         raise ShapeError(f"backward needs a scalar loss, got shape {loss.shape}")
-    reachable = set()
-    stack = [loss]
-    while stack:
-        node = stack.pop()
-        if id(node) in reachable:
-            continue
-        reachable.add(id(node))
-        stack.extend(node._parents)
+    # only the loss's ancestors receive a gradient: every other node keeps
+    # grad None and is skipped
     _accum(loss, np.ones_like(loss.values))
     for node in reversed(_TAPE):
-        if id(node) in reachable and node._bwd is not None and node.grad is not None:
+        if node._bwd is not None and node.grad is not None:
             node._bwd(node.grad)
             node.grad = None
     clear_tape()

@@ -17,17 +17,17 @@ import numbers
 import os
 import shutil
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from . import tensor as T
-from .config import DEFAULTS, integral
+from .config import DEFAULTS, integral, real
 from .errors import CheckpointMismatch, TrainingDiverged
 from .fd import FdModule, fd_losses, subspace_size
-from .model import (GateState, Model, ModelConfig,
-                    encoder_stats_paths, link_scores)
+from .model import (STATS_KINDS, ForwardResult, GateState, Model,
+                    ModelConfig, encoder_stats_paths, link_scores)
 from .rdb import RelationalDatabase, TaskSpec, canonical_form
 from .sampler import BatchSubgraph, SamplerConfig, make_epoch_batches, sample_batch
 from .schema_graph import (EdgeRelationTriple, RelationalEntityGraph,
@@ -48,22 +48,23 @@ class TrainConfig:
     lr: float = DEFAULTS["lr"]
     beta: float = DEFAULTS["beta"]
     gamma: float = DEFAULTS["gamma"]
-    alpha: float = DEFAULTS["alpha"]
-    mu: float = DEFAULTS["mu"]
     tau: float = DEFAULTS["tau"]
     negatives: int = DEFAULTS["negatives"]
     neighbor_samples: int = DEFAULTS["neighbor_samples"]
     seed: int = 0
     patience: int = DEFAULTS["patience"]
     subspace_dim: int = DEFAULTS["subspace_dim"]
+    path_cap: int = DEFAULTS["path_cap"]
     disable_fd: bool = False
     allow_future: bool = False  # test-only causality switch, forwarded to sampling
 
     def __post_init__(self):
         for name in ("epochs", "batch_size", "negatives", "neighbor_samples",
-                     "seed", "patience", "subspace_dim"):
+                     "seed", "patience", "subspace_dim", "path_cap"):
             object.__setattr__(self, name, integral(name, getattr(self, name)))
-        for name in ("epochs", "batch_size", "neighbor_samples"):
+        for name in ("lr", "beta", "gamma", "tau"):
+            object.__setattr__(self, name, real(name, getattr(self, name)))
+        for name in ("epochs", "batch_size", "neighbor_samples", "path_cap"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.seed < 0:
@@ -189,22 +190,26 @@ def roles_for_mode(triples, mode: str, seed: int,
     raise ValueError(f"unknown roles mode {mode!r}")
 
 
+def _check_triple_ids(triples: list, ids: set, holder: str) -> None:
+    """CheckpointMismatch unless `ids`, the triple ids `holder` has, are
+    those of `triples`."""
+    have = {t.id for t in triples}
+    if ids != have:
+        raise CheckpointMismatch(
+            f"triple sets differ: {holder} lack {sorted(have - ids)} and "
+            f"have extra {sorted(ids - have)}")
+
+
 def build_state(db: RelationalDatabase, task: TaskSpec, model_cfg: ModelConfig,
                 train_cfg: TrainConfig, roles_mode: str = "learn",
-                transfer_gates: dict[str, float] | None = None,
-                path_cap: int = DEFAULTS["path_cap"]) -> TrainState:
+                transfer_gates: dict[str, float] | None = None) -> TrainState:
     sg = build_schema_graph(db)
     triples = enumerate_edge_triples(sg)
     roles, fixed = roles_for_mode(triples, roles_mode, train_cfg.seed,
                                   transfer_gates)
     if transfer_gates is not None:
-        missing = sorted({t.id for t in triples} - set(transfer_gates))
-        extra = sorted(set(transfer_gates) - {t.id for t in triples})
-        if missing or extra:
-            raise CheckpointMismatch(
-                f"triple sets differ: missing={missing} extra={extra}")
-    reg = construct_reg(db, sg, roles, path_cap=path_cap)
-    model_cfg = replace(model_cfg, alpha=train_cfg.alpha, mu=train_cfg.mu)
+        _check_triple_ids(triples, set(transfer_gates), "the source gates")
+    reg = construct_reg(db, sg, roles, path_cap=train_cfg.path_cap)
     model = Model(reg, model_cfg, task.task_type, train_cut=task.split[0],
                   fixed_gates=fixed)
     fdmod = None
@@ -227,10 +232,20 @@ def _seed_list(task: TaskSpec, split: str, idx: np.ndarray):
             recs.target[idx] if recs.target is not None else None)
 
 
-def _sampler_cfg(state: TrainState, seed: int) -> SamplerConfig:
-    return SamplerConfig(neighbor_samples=state.train_cfg.neighbor_samples,
-                         num_hops=state.model.cfg.layers, seed=seed,
-                         allow_future=state.train_cfg.allow_future)
+def _sample_forward(state: TrainState, seeds: list[tuple[int, float]],
+                    table: str, rng: np.random.Generator, gates: GateState,
+                    train: bool, seeds_only: bool = False
+                    ) -> tuple[BatchSubgraph, ForwardResult]:
+    """Sample the batch of `seeds`, (pk of `table`, prediction time) pairs,
+    and run the model over it. The sampler's own seed is drawn from `rng`
+    first; sampling and dropout then draw from `rng` itself."""
+    cfg = SamplerConfig(neighbor_samples=state.train_cfg.neighbor_samples,
+                        num_hops=state.model.cfg.layers,
+                        seed=int(rng.integers(2 ** 62)),
+                        allow_future=state.train_cfg.allow_future)
+    batch = sample_batch(state.reg, seeds, cfg, table, rng=rng)
+    return batch, state.model.forward(batch, gates, train=train, rng=rng,
+                                      seeds_only=seeds_only)
 
 
 def _task_loss(state: TrainState, idx: np.ndarray, split: str, train: bool,
@@ -238,9 +253,8 @@ def _task_loss(state: TrainState, idx: np.ndarray, split: str, train: bool,
                ) -> tuple[Tensor, dict[str, Tensor], BatchSubgraph, GateState]:
     task = state.task
     seeds, labels, targets = _seed_list(task, split, idx)
-    scfg = _sampler_cfg(state, int(rng.integers(2 ** 62)))
-    batch = sample_batch(state.reg, seeds, scfg, task.entity_table, rng=rng)
-    result = state.model.forward(batch, gates, train=train, rng=rng)
+    batch, result = _sample_forward(state, seeds, task.entity_table, rng,
+                                    gates, train)
     new_gates = GateState(result.gates_after, gates.alpha, gates.mu)
 
     if task.task_type == "classification":
@@ -254,10 +268,9 @@ def _task_loss(state: TrainState, idx: np.ndarray, split: str, train: bool,
         neg_pk = target_pk[rng.integers(0, len(target_pk), size=n * k)]
         dst_seeds = [(int(p), seeds[i % n][1])
                      for i, p in enumerate(np.concatenate([targets, neg_pk]))]
-        dst_cfg = _sampler_cfg(state, int(rng.integers(2 ** 62)))
-        dst_batch = sample_batch(state.reg, dst_seeds, dst_cfg,
-                                 task.target_table, rng=rng)
-        dst_res = state.model.forward(dst_batch, new_gates, train=train, rng=rng)
+        dst_batch, dst_res = _sample_forward(state, dst_seeds,
+                                             task.target_table, rng,
+                                             new_gates, train)
         new_gates = GateState(dst_res.gates_after, gates.alpha, gates.mu)
         h_dst = T.take_rows(dst_res.embeddings[task.target_table],
                             dst_batch.seed_locals)
@@ -343,13 +356,11 @@ def train(state: TrainState, out_dir: str | Path | None = None,
                 rng = np.random.default_rng([cfg.seed, epoch, 3, bi])
                 opt_fd.zero_grad()
                 seeds, _, _ = _seed_list(task, "train", idx)
-                scfg = _sampler_cfg(state, int(rng.integers(2 ** 62)))
-                batch = sample_batch(state.reg, seeds, scfg, task.entity_table,
-                                     rng=rng)
                 # the representation is frozen: only FD nodes go on the tape
                 with T.no_grad():
-                    result = state.model.forward(batch, state.gates,
-                                                 train=False, rng=rng)
+                    batch, result = _sample_forward(
+                        state, seeds, task.entity_table, rng, state.gates,
+                        False)
                 with T.tape_scope():
                     total, l_emb, l_pair, diag = fd_losses(
                         batch, result.embeddings, state.fdmod, cfg.beta,
@@ -461,11 +472,8 @@ def evaluate_state(state: TrainState, split: str) -> dict:
             idx = np.arange(lo, min(lo + state.train_cfg.batch_size, len(recs)))
             seeds, _, _ = _seed_list(task, split, idx)
             rng = np.random.default_rng([state.train_cfg.seed, 99, lo])
-            scfg = _sampler_cfg(state, int(rng.integers(2 ** 62)))
-            batch = sample_batch(state.reg, seeds, scfg, task.entity_table,
-                                 rng=rng)
-            res = state.model.forward(batch, state.gates, train=False,
-                                      seeds_only=True)
+            _, res = _sample_forward(state, seeds, task.entity_table, rng,
+                                     state.gates, False, seeds_only=True)
             outputs[idx] = res.output.values
         if task.task_type == "classification":
             value = roc_auc(recs.label, outputs)
@@ -490,46 +498,29 @@ def _evaluate_links(state: TrainState, split: str) -> dict:
             by_source.setdefault(key, set())
 
     sources = sorted(by_source)
-    src_seeds = [(pk, t) for pk, t in sources]
     rng = np.random.default_rng([state.train_cfg.seed, 98])
-    scfg = _sampler_cfg(state, int(rng.integers(2 ** 62)))
-    src_batch = sample_batch(state.reg, src_seeds, scfg, task.entity_table,
-                             rng=rng)
-    src_res = state.model.forward(src_batch, state.gates, train=False,
-                                  seeds_only=True)
+    src_batch, src_res = _sample_forward(state, sources, task.entity_table,
+                                         rng, state.gates, False,
+                                         seeds_only=True)
     h_src = src_res.embeddings[task.entity_table].values[src_batch.seed_locals]
 
-    ap_scores = []
+    aps = []  # per source with a relevant target, its average precision
     cand_cache: dict[float, tuple[np.ndarray, np.ndarray]] = {}
     for si, (pk, t_pred) in enumerate(sources):
         if t_pred not in cand_cache:
-            admissible = target_store.times <= t_pred
-            cand_pk = target_store.pk[admissible]
+            cand_pk = target_store.pk[target_store.times <= t_pred]
             seeds = [(int(p), t_pred) for p in cand_pk]
-            rng2 = np.random.default_rng([state.train_cfg.seed, 97,
-                                          int(t_pred)])
-            scfg2 = _sampler_cfg(state, int(rng2.integers(2 ** 62)))
-            tb = sample_batch(state.reg, seeds, scfg2, task.target_table,
-                              rng=rng2)
-            tres = state.model.forward(tb, state.gates, train=False,
-                                       seeds_only=True)
+            rng = np.random.default_rng([state.train_cfg.seed, 97, int(t_pred)])
+            tb, tres = _sample_forward(state, seeds, task.target_table, rng,
+                                       state.gates, False, seeds_only=True)
             h_t = tres.embeddings[task.target_table].values[tb.seed_locals]
             cand_cache[t_pred] = (cand_pk, h_t)
         cand_pk, h_t = cand_cache[t_pred]
-        scores = h_src[si] @ h_t.T
-        ap_scores.append((scores, cand_pk, by_source[(pk, t_pred)]))
-
-    if not ap_scores:
-        return {"name": "map", "metric": float("nan"), "defined": False}
-    n_cand = {len(c) for _, c, _ in ap_scores}
-    if len(n_cand) == 1:
-        mat = np.stack([s for s, _, _ in ap_scores])
-        value = map_at_k(mat, ap_scores[0][1], [r for _, _, r in ap_scores],
-                         task.eval_k)
-    else:
-        vals = [map_at_k(s[None, :], c, [r], task.eval_k)
-                for s, c, r in ap_scores if r]
-        value = float(np.mean(vals)) if vals else float("nan")
+        relevant = by_source[(pk, t_pred)]
+        if relevant:
+            aps.append(map_at_k((h_src[si] @ h_t.T)[None, :], cand_pk,
+                                [relevant], task.eval_k))
+    value = float(np.mean(aps)) if aps else float("nan")
     return {"name": "map", "metric": value, "defined": bool(np.isfinite(value))}
 
 
@@ -613,7 +604,7 @@ def _write_checkpoint_files(path: Path, state: TrainState) -> None:
     with open(path / "gates.json", "w", encoding="utf-8") as fh:
         fh.write(state.gates.to_json())
     meta = {
-        "model_config": state.model.cfg.to_dict(),
+        "model_config": asdict(state.model.cfg),
         "encoder_stats": state.model.encoder.stats,
         "task": {
             "name": state.task.name,
@@ -623,8 +614,7 @@ def _write_checkpoint_files(path: Path, state: TrainState) -> None:
             "eval_k": state.task.eval_k,
             "split": list(state.task.split),
         },
-        "train_config": {k: getattr(state.train_cfg, k)
-                         for k in TrainConfig.__dataclass_fields__},
+        "train_config": asdict(state.train_cfg),
         "roles": dict(state.reg.roles.roles),
         "fixed_gates": state.model.fixed_gates,
         "triples": [{"pattern": t.pattern, "u_table": t.u_table,
@@ -671,20 +661,13 @@ def _check_numbers(where: Path, key: str, value) -> None:
 
 
 def _stats_type_error(stats: dict, paths) -> str | None:
-    """The first of the `encoder_stats_paths` whose value in `stats` is of
-    the wrong kind, as a message; None when all are right."""
-    for path in paths:
+    """The first of the `encoder_stats_paths` whose value in `stats` is not
+    of its kind, as a message; None when all are right."""
+    for path, kind in paths:
         value = stats
         for key in path:
             value = value[key]
-        if len(path) in (1, 5):  # the time scale; a column's mean or std
-            ok, kind = _is_number(value), "a number"
-        elif len(path) == 4:  # a categorical column's vocabulary
-            ok = isinstance(value, list) and all(isinstance(v, str) for v in value)
-            kind = "a list of strings"
-        else:  # a table's numeric columns
-            ok, kind = isinstance(value, dict), "an object"
-        if not ok:
+        if not STATS_KINDS[kind](value):
             return f"encoder_stats.{'.'.join(path)} must be {kind}, got {value!r}"
     return None
 
@@ -701,14 +684,15 @@ def _first_absent(data, paths) -> str | None:
     return None
 
 
-def _read_checkpoint_meta(path: str | Path) -> tuple[dict, GateState]:
+def _read_checkpoint_meta(path: str | Path, db: RelationalDatabase | None = None
+                          ) -> tuple[dict, GateState]:
     """meta.json and gates.json of a checkpoint directory.
 
     In the returned meta, "model_config", "train_config" and "triples" are
     ModelConfig, TrainConfig and EdgeRelationTriple objects. A missing file,
     invalid JSON, a missing key, an unknown config key or a config value
     the configs or the FD module reject raises CheckpointMismatch naming
-    the file and the key.
+    the file and the key, and so does a schema other than `db`'s.
     """
     path = Path(path)
     parsed = {}
@@ -748,16 +732,16 @@ def _read_checkpoint_meta(path: str | Path) -> tuple[dict, GateState]:
         gates = GateState.from_dict(parsed["gates.json"])
     except (TypeError, ValueError) as exc:
         raise CheckpointMismatch(f"unreadable checkpoint in {path}: {exc}") from None
+    if db is not None and meta["schema_digest"] != schema_digest(db.specs):
+        raise CheckpointMismatch(f"{path / 'meta.json'}: checkpoint schema "
+                                 f"does not match the database")
     return meta, gates
 
 
 def load_checkpoint(path: str | Path, db: RelationalDatabase,
                     task: TaskSpec | None = None) -> TrainState:
     path = Path(path)
-    meta, gates = _read_checkpoint_meta(path)
-    if meta["schema_digest"] != schema_digest(db.specs):
-        raise CheckpointMismatch("checkpoint schema does not match database")
-
+    meta, gates = _read_checkpoint_meta(path, db)
     model_cfg, train_cfg = meta["model_config"], meta["train_config"]
     if task is None:
         tmeta = meta["task"]
@@ -766,17 +750,12 @@ def load_checkpoint(path: str | Path, db: RelationalDatabase,
                         target_table=tmeta["target_table"],
                         eval_k=tmeta["eval_k"], split=tuple(tmeta["split"]))
     sg = build_schema_graph(db)
-    triples = enumerate_edge_triples(sg)
-    current = {t.id for t in triples}
-    saved = {t.id for t in meta["triples"]}
-    if current != saved:
-        raise CheckpointMismatch(
-            f"triple sets differ: missing={sorted(saved - current)} "
-            f"extra={sorted(current - saved)}")
+    _check_triple_ids(enumerate_edge_triples(sg),
+                      {t.id for t in meta["triples"]}, "the checkpoint's triples")
     roles = RoleAssignment(dict(meta["roles"]))
-    reg = construct_reg(db, sg, roles)
+    reg = construct_reg(db, sg, roles, path_cap=train_cfg.path_cap)
     stats_paths = encoder_stats_paths(reg)
-    absent = _first_absent(meta["encoder_stats"], stats_paths)
+    absent = _first_absent(meta["encoder_stats"], [p for p, _ in stats_paths])
     if absent:
         raise CheckpointMismatch(
             f"{path / 'meta.json'} lacks key 'encoder_stats.{absent}'")
@@ -786,7 +765,7 @@ def load_checkpoint(path: str | Path, db: RelationalDatabase,
     model = Model(reg, model_cfg, task.task_type, train_cut=task.split[0],
                   fixed_gates=meta["fixed_gates"] or None,
                   encoder_stats=meta["encoder_stats"])
-    ungated = sorted({t.id for t in model.active_triples} - set(gates.values))
+    ungated = sorted({t.id for t in reg.active_triples} - set(gates.values))
     if ungated:
         raise CheckpointMismatch(
             f"{path / 'gates.json'} lacks the gate of triple {ungated[0]!r}")
@@ -819,15 +798,11 @@ def evaluate(checkpoint_dir: str | Path, db: RelationalDatabase,
 def transfer_structure(source_checkpoint: str | Path, db: RelationalDatabase,
                        task: TaskSpec, model_cfg: ModelConfig,
                        train_cfg: TrainConfig,
-                       out_dir: str | Path | None = None,
-                       path_cap: int = DEFAULTS["path_cap"]) -> dict:
+                       out_dir: str | Path | None = None) -> dict:
     """Train task B with table-level gates copied from checkpoint A and frozen."""
-    meta, gates = _read_checkpoint_meta(source_checkpoint)
-    if meta["schema_digest"] != schema_digest(db.specs):
-        raise CheckpointMismatch("source checkpoint schema does not match "
-                                 "target database")
+    meta, gates = _read_checkpoint_meta(source_checkpoint, db)
     state = build_state(db, task, model_cfg, train_cfg, roles_mode="transfer",
-                        transfer_gates=gates.values, path_cap=path_cap)
+                        transfer_gates=gates.values)
     summary = train(state, out_dir=out_dir)
     summary["transfer"] = {"source_task": meta["task"]["name"],
                            "target_task": task.name}

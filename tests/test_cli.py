@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 import shutil
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 from rolegnn import cli
 from rolegnn.cli import main
-from rolegnn.config import SEED_ENV_VAR
+from rolegnn.config import DEFAULTS, SEED_ENV_VAR
 from rolegnn.errors import CheckpointMismatch
 from rolegnn.model import ModelConfig
 from rolegnn.rdb import ingest_bundle, load_task
@@ -36,6 +37,127 @@ def twohop_bundle(tmp_path_factory):
                  "n_reviews=200", "seed=3", "-o", str(path)])
     assert code == 0
     return path
+
+
+# each command's arguments; none is read before the seeds are checked
+_COMMANDS = {
+    "validate": ["validate", "b"],
+    "roundtrip": ["roundtrip", "b", "--roles", "random"],
+    "demo-gsl": ["demo-gsl"],
+    "synth": ["synth", "twohop", "-o", "out"],
+    "train": ["train", "b", "t"],
+    "eval": ["eval", "c", "b", "t"],
+    "export-structure": ["export-structure", "c", "-o", "s.json"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_COMMANDS))
+@pytest.mark.parametrize("raw", ["abc", "-1", "2.5", ""])
+def test_bad_seed_env_var_exits_2(capsys, monkeypatch, tmp_path, command, raw):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv(SEED_ENV_VAR, raw)
+    code, out, err = _run(capsys, *_COMMANDS[command])
+    assert code == 2
+    assert f"usage error: {SEED_ENV_VAR} must be" in err
+    assert "Traceback" not in err and out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["roundtrip", "synth", "train"])
+def test_negative_seed_flag_exits_2(capsys, monkeypatch, tmp_path, command):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = _run(capsys, *_COMMANDS[command], "--seed", "-1")
+    assert code == 2
+    assert "seed must be >= 0, got -1" in err
+    assert "Traceback" not in err and out == ""
+
+
+@pytest.mark.parametrize("command", ["validate", "demo-gsl"])
+def test_started_unix_is_the_start_time(capsys, monkeypatch, twohop_bundle,
+                                        command):
+    ticks = []
+
+    def clock():  # a fake clock one second further at each reading
+        ticks.append(1000.0 + len(ticks))
+        return ticks[-1]
+
+    argv = [command] + ([str(twohop_bundle)] if command == "validate" else [])
+    monkeypatch.setattr(cli.time, "time", clock)
+    code, out, _ = _run(capsys, *argv)
+    monkeypatch.undo()
+    assert code == 0
+    report = _last_json(out)
+    assert report["started_unix"] == ticks[0]
+    assert report["wall_clock_s"] == ticks[-1] - ticks[0] > 0
+
+
+def test_each_setting_has_one_home(capsys, monkeypatch, tmp_path):
+    """Every shipped default is a field of exactly one config, with that
+    default, and `train --config` takes exactly those keys and the seed."""
+    fields = {cls: {f.name: f.default for f in dataclasses.fields(cls)}
+              for cls in (ModelConfig, TrainConfig)}
+    for key, default in DEFAULTS.items():
+        homes = [cls for cls, names in fields.items() if key in names]
+        assert len(homes) == 1, (key, homes)
+        assert fields[homes[0]][key] == default, key
+    monkeypatch.chdir(tmp_path)  # no bundle "b": an accepted config exits 3
+    accepted = set()
+    for key in set(DEFAULTS) | {"seed"} | set().union(*fields.values()):
+        value = DEFAULTS.get(key, fields[TrainConfig].get(key, "relu"))
+        Path("cfg.json").write_text(json.dumps({key: value}))
+        code, _, err = _run(capsys, "train", "b", "t", "--config", "cfg.json")
+        assert code in (2, 3) and "Traceback" not in err
+        if code == 3:
+            accepted.add(key)
+        else:
+            assert f"unknown key {key!r}" in err
+    assert accepted == set(DEFAULTS) | {"seed"}
+
+
+def _damage_schema(bundle, case: str) -> str:
+    """Damage a copied bundle's schema.json; returns the key or value the
+    error must name besides the file."""
+    path = bundle / "schema.json"
+    if case == "invalid-json":
+        path.write_text('{"tables": [')
+        return "not valid JSON"
+    if case == "not-object":
+        path.write_text("[]")
+        return "'tables'"
+    schema = json.loads(path.read_text())
+    product = schema["tables"][1]
+    named = {"no-tables": "'tables'", "table-name": "'name'",
+             "table-columns": "'columns'", "table-primary-key": "'primary_key'",
+             "column-name": "'name'", "column-kind": "'kind'",
+             "column-kind-text": "'text'", "fk-references": "'references'"}[case]
+    if case == "no-tables":
+        schema = {"table": schema["tables"]}
+    elif case.startswith("table-"):
+        del product[named.strip("'")]
+    elif case == "column-kind-text":
+        product["columns"][1]["kind"] = "text"
+    elif case.startswith("column-"):
+        del product["columns"][1][named.strip("'")]
+    else:
+        del schema["tables"][2]["foreign_keys"][0]["references"]
+    path.write_text(json.dumps(schema))
+    return named
+
+
+@pytest.mark.parametrize("case", [
+    "invalid-json", "not-object", "no-tables", "table-name", "table-columns",
+    "table-primary-key", "column-name", "column-kind", "column-kind-text",
+    "fk-references"])
+def test_malformed_schema_exits_3(capsys, twohop_bundle, tmp_path, case):
+    bundle = tmp_path / "bundle"
+    shutil.copytree(twohop_bundle, bundle)
+    named = _damage_schema(bundle, case)
+    code, out, err = _run(capsys, "validate", str(bundle))
+    assert code == 3
+    assert "schema.json" in err and named in err
+    if case.startswith("column-") or case.startswith("fk-"):
+        assert "table=" in err
+    assert "Traceback" not in err and out == ""
 
 
 def test_synth_and_validate(capsys, twohop_bundle):
@@ -321,6 +443,20 @@ _CONFIG_DAMAGE = {
     "negative-model-seed": ("model_config", "seed", -1),
     "negative-train-seed": ("train_config", "seed", -1),
     "negative-neighbor-samples": ("train_config", "neighbor_samples", -1),
+    "mu-out-of-range": ("model_config", "mu", 5),
+}
+
+# case -> (key path under encoder_stats, damaged value); each once made
+# evaluation give a wrong metric with exit 0
+_STATS_DAMAGE = {
+    "zero-time-scale": (("time_scale",), 0),
+    "negative-time-scale": (("time_scale",), -1),
+    "infinite-time-scale": (("time_scale",), float("inf")),
+    "zero-std": (("tables", "user", "columns", "u_noise_a", "std"), 0),
+    "infinite-mean": (("tables", "user", "columns", "u_noise_a", "mean"),
+                      float("-inf")),
+    "nan-mean": (("tables", "user", "columns", "u_noise_a", "mean"),
+                 float("nan")),
 }
 
 
@@ -361,6 +497,17 @@ def _damage_meta(ckpt, case: str) -> str:
     elif case in _CONFIG_DAMAGE:
         section, named, value = _CONFIG_DAMAGE[case]
         meta[section][named] = value
+    elif case in _STATS_DAMAGE:
+        path, value = _STATS_DAMAGE[case]
+        node = meta["encoder_stats"]
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        named = "encoder_stats." + ".".join(path)
+    elif case == "pre-path-cap-train-config":  # as written before path_cap
+        del meta["train_config"]["path_cap"]
+        meta["train_config"].update(alpha=0.9, mu=0.9)
+        named = "'alpha'"
     elif case == "unknown-model-config-key":  # a field this version dropped
         meta["model_config"]["aggregation"] = "mean"
         named = "aggregation"
@@ -382,7 +529,9 @@ def _damage_meta(ckpt, case: str) -> str:
     ("eval", "roles-not-object"),
     ("eval", "gate-dropped"),
     ("eval", "gate-text"),
+    ("eval", "pre-path-cap-train-config"),
     *(("eval", case) for case in _CONFIG_DAMAGE),
+    *(("eval", case) for case in _STATS_DAMAGE),
     ("export-structure", "meta-invalid-json"),
     ("transfer", "missing-dir"),
     ("transfer", "task-missing-name"),
@@ -464,6 +613,21 @@ def test_fuzzed_checkpoint_eval_exits_0_or_4(capsys, twohop_bundle,
     assert "Traceback" not in err
 
 
+def test_eval_builds_the_graph_with_the_trained_path_cap(capsys, twohop_bundle,
+                                                        trained_checkpoint,
+                                                        tmp_path):
+    ckpt = tmp_path / "checkpoint"
+    shutil.copytree(trained_checkpoint, ckpt)
+    meta = json.loads((ckpt / "meta.json").read_text())
+    assert meta["train_config"]["path_cap"] == DEFAULTS["path_cap"]
+    meta["train_config"]["path_cap"] = 1
+    (ckpt / "meta.json").write_text(json.dumps(meta))
+    code, out, err = _run(capsys, "eval", str(ckpt), str(twohop_bundle),
+                          str(twohop_bundle / "user-positive"))
+    assert code == 7
+    assert "(cap 1)" in err and "Traceback" not in err and out == ""
+
+
 def test_unknown_flag_exits_2(capsys, twohop_bundle):
     with pytest.raises(SystemExit) as exc:
         main(["train", str(twohop_bundle), "x", "--no-such-flag"])
@@ -480,6 +644,7 @@ def test_unknown_flag_exits_2(capsys, twohop_bundle):
     (["--dropout", "1.5"], "dropout"),
     (["--dropout", "-0.1"], "dropout"),
     (["--seed", "-1"], "seed"),
+    (["--mu", "2"], "mu"),
 ])
 def test_train_out_of_range_flag_exits_2(capsys, twohop_bundle, tmp_path,
                                          flags, name):

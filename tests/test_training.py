@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from rolegnn import tensor as T
+from rolegnn import training
 from rolegnn.errors import CheckpointMismatch, TrainingDiverged
 from rolegnn.model import Model, ModelConfig
 from rolegnn.fd import fd_losses
@@ -307,6 +308,30 @@ def test_checkpoint_roundtrip_and_eval(tmp_path):
     report = export_structure(ckpt, tmp_path / "structure_out.json")
     parsed = json.loads((tmp_path / "structure_out.json").read_text())
     assert parsed == report
+
+
+def test_build_state_keeps_the_gate_settings_of_the_model_config():
+    db, task = gen_twohop(seed=0, **SMALL)
+    mcfg = ModelConfig(channels=8, layers=1, alpha=0.5, mu=0.3)
+    state = build_state(db, task, mcfg, TrainConfig(epochs=1))
+    assert (state.gates.alpha, state.gates.mu) == (0.5, 0.3)
+    assert state.model.cfg == mcfg
+
+
+def test_checkpoint_keeps_the_path_cap_it_was_built_with(tmp_path, monkeypatch):
+    db, task, state = _small_state(seed=1, epochs=1, path_cap=123_456)
+    save_checkpoint(tmp_path / "ckpt", state)
+    meta = json.loads((tmp_path / "ckpt" / "meta.json").read_text())
+    assert meta["train_config"]["path_cap"] == 123_456
+    caps = []
+    real = training.construct_reg
+
+    def spy(*args, **kwargs):
+        caps.append(kwargs["path_cap"])
+        return real(*args, **kwargs)
+    monkeypatch.setattr(training, "construct_reg", spy)
+    loaded = load_checkpoint(tmp_path / "ckpt", db, task)
+    assert caps == [123_456] and loaded.train_cfg.path_cap == 123_456
 
 
 def test_checkpoint_rejects_other_schema(tmp_path):
