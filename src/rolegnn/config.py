@@ -7,6 +7,7 @@ modules rely on so a run can assert its own configuration.
 from __future__ import annotations
 
 import json
+import math
 import numbers
 import os
 
@@ -60,10 +61,12 @@ def integral(name: str, value) -> int:
 
 
 def real(name: str, value) -> float:
-    """`value` as a float when it is a number, else ValueError naming
-    `name`. A bool is not a number."""
+    """`value` as a float when it is a finite number, else ValueError
+    naming `name`. A bool is not a number, nor are NaN and +-inf."""
     if isinstance(value, numbers.Real) and not isinstance(value, bool):
-        return float(value)
+        if math.isfinite(value):
+            return float(value)
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
     raise ValueError(f"{name} must be a number, got {value!r}")
 
 

@@ -16,6 +16,9 @@ Each message is then added onto the self term at the rows that received one.
 Last-hop rows are computed once per distinct (row, prediction time): they
 receive no message, so every layer's embedding of one depends on that pair
 alone, and the copies that the per-seed trees hold share one compute row.
+Layer 0 also computes each complete local (one that drew all its admissible
+neighbours and paths) once per (row, prediction time): its inputs there are
+encodings of its neighbours' pairs, which its own pair fixes.
 """
 
 from __future__ import annotations
@@ -337,6 +340,16 @@ def compute_gate(att_W: Tensor, att_b: Tensor, h_n: Tensor, h_e: Tensor,
     return g_tilde, g, g_used
 
 
+def _first_equal(values: np.ndarray) -> np.ndarray:
+    """Per element, the index of the first element equal to it."""
+    order = np.argsort(values, kind="stable")
+    ranked = values[order]
+    starts = np.concatenate(([True], ranked[1:] != ranked[:-1]))
+    out = np.empty(len(values), dtype=np.int64)
+    out[order] = order[starts][np.cumsum(starts) - 1]
+    return out
+
+
 def fuse(pairs: list[tuple[Tensor, Tensor, Tensor]]) -> Tensor:
     """Sum over relations of (1 - gate) * node branch + gate * edge branch."""
     total = None
@@ -427,6 +440,18 @@ class Model:
     def parameters(self) -> dict[str, Tensor]:
         return self.params
 
+    def _row_time_keys(self, batch: BatchSubgraph):
+        """`key(table, idx)`: one integer per local of `table` in `idx`,
+        equal exactly when two locals hold the same (row, prediction time)."""
+        # a local's prediction time is its seed's: classes from B seed times
+        _, t_class = np.unique(batch.seed_t_predict, return_inverse=True)
+
+        def key(table: str, idx: np.ndarray | slice) -> np.ndarray:
+            tn = batch.nodes[table]
+            return (t_class[tn.seed_of[idx]] * self.reg.nodes[table].n_rows
+                    + tn.rows[idx])
+        return key
+
     def share_leaves(self, batch: BatchSubgraph
                      ) -> tuple[BatchSubgraph, dict[str, np.ndarray]]:
         """The batch with each table's last-hop locals merged per distinct
@@ -440,8 +465,7 @@ class Model:
         ends are renumbered, in batch order. A table without `reach` or
         with nothing to merge is left as it is.
         """
-        # a local's prediction time is its seed's: classes from B seed times
-        _, t_class = np.unique(batch.seed_t_predict, return_inverse=True)
+        row_time = self._row_time_keys(batch)
         nodes = dict(batch.nodes)
         expand: dict[str, np.ndarray] = {}
         for c, tn in batch.nodes.items():
@@ -449,11 +473,9 @@ class Model:
             if reach is None or reach[-2] == tn.n:
                 continue
             lo = reach[-2]
-            key = (t_class[tn.seed_of[lo:]] * self.reg.nodes[c].n_rows
-                   + tn.rows[lo:])
-            _, inverse = np.unique(key, return_inverse=True)
+            _, inverse = np.unique(row_time(c, slice(lo, None)), return_inverse=True)
             k = int(inverse.max()) + 1
-            if k == len(key):
+            if k == tn.n - lo:
                 continue
             member = np.empty(k, dtype=np.int64)
             member[inverse] = np.arange(lo, tn.n)  # any copy of a class will do
@@ -481,6 +503,74 @@ class Model:
                                 renumber(tr.v_table, v), w)
         return replace(batch, nodes=nodes, edges=edges, paths=paths), expand
 
+    def share_first_layer(self, batch: BatchSubgraph
+                          ) -> tuple[BatchSubgraph, dict[str, np.ndarray]]:
+        """The batch layer 0 computes, with each table's complete non-leaf
+        locals merged per distinct (row, prediction time), and per merged
+        table the layer-0 row of every row of `batch`.
+
+        Every input of layer 0 is an encoding of (row, prediction time). A
+        local that drew all its admissible neighbours and paths
+        (`batch.complete`) therefore has a layer-0 output that depends on
+        its (row, t) alone, also where an edge into it starts at a non-leaf
+        local. From layer 1 on that no longer holds, so `forward` gathers
+        the rows back before layer 1. The first copy of each class
+        represents it: its edges and paths are kept, in batch order, those
+        of the other copies dropped. Every edge source and path u/v end is
+        renumbered to its class. `batch` may be leaf-shared: its non-leaf
+        locals, `[0, reach[c][-2])`, keep their numbering there.
+        """
+        row_time = self._row_time_keys(batch)
+        nodes = dict(batch.nodes)
+        reach = dict(batch.reach)
+        is_first: dict[str, np.ndarray] = {}
+        first: dict[str, np.ndarray] = {}
+        for c, tn in batch.nodes.items():
+            if c not in batch.complete:
+                continue
+            merge = np.flatnonzero(batch.complete[c][:batch.reach[c][-2]])
+            if len(merge) < 2:
+                continue
+            rep = _first_equal(row_time(c, merge))
+            if (rep == np.arange(len(merge))).all():
+                continue
+            target = np.arange(tn.n)
+            target[merge] = merge[rep]  # the first copy of its class
+            is_first[c] = target == np.arange(tn.n)
+            below = np.concatenate([[0], np.cumsum(is_first[c])])
+            first[c] = below[target]
+            keep = np.flatnonzero(is_first[c])
+            nodes[c] = TypeNodes(tn.rows[keep], tn.t_predict[keep],
+                                 tn.seed_of[keep])
+            reach[c] = [int(below[min(r, tn.n)]) for r in batch.reach[c]]
+        if not first:
+            return batch, first
+
+        def kept(table, end):  # edges or paths into first copies only
+            return is_first[table][end] if table in is_first else slice(None)
+
+        def renumber(table, idx):
+            return first[table][idx] if table in first else idx
+
+        edges = dict(batch.edges)
+        for key in self.relations:
+            if key.id in batch.edges:
+                src, dst = batch.edges[key.id]
+                keep = kept(key.dst_table, dst)
+                edges[key.id] = (renumber(key.src_table, src[keep]),
+                                 renumber(key.dst_table, dst[keep]))
+        paths = dict(batch.paths)
+        for tr in self.active_triples:
+            if tr.id in batch.paths:
+                u, v, w = batch.paths[tr.id]
+                keep = kept(tr.w_table, w)
+                paths[tr.id] = (renumber(tr.u_table, u[keep]),
+                                renumber(tr.v_table, v[keep]),
+                                renumber(tr.w_table, w[keep]))
+        return replace(batch, nodes=nodes, edges=edges, paths=paths, reach=reach,
+                       seed_locals=renumber(batch.entity_table, batch.seed_locals),
+                       complete={}), first
+
     # -- forward ----------------------------------------------------------
 
     def forward(self, batch: BatchSubgraph, gates: GateState, train: bool,
@@ -498,18 +588,29 @@ class Model:
         so `seeds_only` is for evaluation alone.
 
         Last-hop copies of one (row, prediction time) share one compute row
-        (`share_leaves`): the running gate and `gate_diag` average over every
-        copy, and full-mode `embeddings` hold one row per local again. Under
-        training dropout each copy keeps its own mask, so nothing is shared.
+        (`share_leaves`), and at layer 0 so do complete non-leaf copies
+        (`share_first_layer`), whose rows are gathered back before layer 1.
+        The running gate and `gate_diag` average over every copy, and
+        full-mode `embeddings` hold one row per local again. Layer-0 sharing
+        changes the order in which the other copies' neighbours are summed,
+        so results match computing every copy within rounding, not bit for
+        bit. Under training dropout each copy keeps its own mask, so nothing
+        is shared.
         """
         if seeds_only and train:
             raise ValueError("seeds_only forward is for evaluation: training "
                              "reads every row")
         expand: dict[str, np.ndarray] = {}
+        first: dict[str, np.ndarray] = {}
+        layer_batch = batch
         if not (train and self.cfg.dropout > 0):
             batch, expand = self.share_leaves(batch)
+            layer_batch, first = self.share_first_layer(batch)
+            if seeds_only:  # layer 0 computes the locals within L-1 hops
+                first = {c: f[:batch.reach[c][self.cfg.layers - 1]]
+                         for c, f in first.items()}
         act = ACTIVATIONS[self.cfg.activation]
-        h = self.encoder.encode(batch)
+        h = self.encoder.encode(layer_batch)
         running = dict(gates.values)
         gate_diag: dict[str, tuple[float, float]] = {}
         layers = self.cfg.layers
@@ -522,7 +623,7 @@ class Model:
 
         for l in range(layers):
             if seeds_only:
-                n_out = {c: batch.reach[c][layers - 1 - l] for c in h}
+                n_out = {c: layer_batch.reach[c][layers - 1 - l] for c in h}
             else:
                 n_out = {c: hc.shape[0] for c, hc in h.items()}
 
@@ -535,7 +636,7 @@ class Model:
 
             messages: dict[str, tuple[np.ndarray, Tensor]] = {}
             for key in self.relations:
-                pair = batch.edges.get(key.id)
+                pair = layer_batch.edges.get(key.id)
                 if pair is None or key.dst_table not in h or key.src_table not in h:
                     continue
                 if key.dst_table in fused and key.id not in read:
@@ -556,7 +657,7 @@ class Model:
             fusion_pairs: dict[str, list[tuple[Tensor, Tensor, Tensor]]] = {}
             for tr in fused_triples:
                 c = tr.w_table
-                u_idx, v_idx, w_idx = batch.paths[tr.id]
+                u_idx, v_idx, w_idx = layer_batch.paths[tr.id]
                 if seeds_only:
                     # kept even when no path lands in a kept row: those rows
                     # still fuse, with no edge message, as in the full pass
@@ -594,6 +695,8 @@ class Model:
                 else:
                     # seeds-only layers keep no last-hop row
                     copies = None if seeds_only else expand.get(c)
+                    if l == 0 and c in first:
+                        copies = first[c] if copies is None else first[c][copies]
                     g_tilde, g, g_used = compute_gate(
                         self.params[f"L{l}.gate.{tr.id}.W"],
                         self.params[f"L{l}.gate.{tr.id}.b"],
@@ -618,6 +721,10 @@ class Model:
                     h_next[c] = act(total)
                 if self.cfg.dropout > 0:
                     h_next[c] = T.dropout(h_next[c], self.cfg.dropout, train, rng)
+            if l == 0:  # back to one row per leaf-shared local
+                h_next = {c: T.take_rows(hc, first[c]) if c in first else hc
+                          for c, hc in h_next.items()}
+                layer_batch = batch
             h = h_next
 
         seed_h = T.take_rows(h[batch.entity_table], batch.seed_locals)

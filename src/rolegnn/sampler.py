@@ -58,6 +58,9 @@ class BatchSubgraph:
     # table -> [locals reached by hop 0, 1, ..., num_hops]. Locals are numbered
     # in discovery order, so the rows reached by hop k are a prefix.
     reach: dict[str, list[int]] = field(default_factory=dict)
+    # table -> per local, True unless one of its draws took fewer than all
+    # its admissible neighbours or paths (a last-hop local draws none)
+    complete: dict[str, np.ndarray] = field(default_factory=dict)
 
 
 _NO_NODES = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
@@ -130,6 +133,7 @@ def sample_batch(reg: RelationalEntityGraph, seeds: list[tuple[int, float]],
 
     edges: dict[str, list[tuple[np.ndarray, ...]]] = {}
     paths: dict[str, list[tuple[np.ndarray, ...]]] = {}
+    truncated: dict[str, list[np.ndarray]] = {}  # table -> locals over budget
 
     def expand(table, indptr, times, budget):
         rows, seed_of, locals_ = frontier[table]
@@ -137,6 +141,7 @@ def sample_batch(reg: RelationalEntityGraph, seeds: list[tuple[int, float]],
             counts = indptr[rows + 1] - indptr[rows]
         else:
             counts = admissible_counts(indptr, times, rows, seed_t[seed_of])
+        truncated.setdefault(table, []).append(locals_[counts > budget])
         owner, slot = _draw(rng, indptr[rows], counts, budget)
         return seed_of[owner], locals_[owner], slot
 
@@ -184,11 +189,15 @@ def sample_batch(reg: RelationalEntityGraph, seeds: list[tuple[int, float]],
         reached.append({t: len(keys) for t, (keys, _) in index.items()})
 
     nodes = {}
+    complete = {}
     for table, (keys, locals_) in index.items():
         if len(keys):
             keys = keys[np.argsort(locals_)]  # into local order
             seed_of = keys // n_rows[table]
             nodes[table] = TypeNodes(keys % n_rows[table], seed_t[seed_of], seed_of)
+            complete[table] = np.ones(len(keys), dtype=bool)
+            if table in truncated:
+                complete[table][np.concatenate(truncated[table])] = False
     edge_arrays = {}
     for key_id, parts in edges.items():
         src, dst = (np.concatenate(col) for col in zip(*parts))
@@ -208,7 +217,8 @@ def sample_batch(reg: RelationalEntityGraph, seeds: list[tuple[int, float]],
         nodes=nodes, edges=edge_arrays, paths=path_arrays,
         neighbor_count=sum(len(s) for s, _ in edge_arrays.values()),
         path_count=sum(len(u) for u, _, _ in path_arrays.values()),
-        reach={t: [r.get(t, 0) for r in reached] for t in nodes})
+        reach={t: [r.get(t, 0) for r in reached] for t in nodes},
+        complete=complete)
 
 
 def make_epoch_batches(labels: LabelRecords, batch_size: int,

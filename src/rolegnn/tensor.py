@@ -101,6 +101,8 @@ def _record(out: Tensor, parents: tuple[Tensor, ...], bwd) -> Tensor:
 
 
 def _accum(t: Tensor, grad: np.ndarray) -> None:
+    """Add `grad` into `t.grad`. Backward rules whose gradient costs more
+    than a view or a copy check `requires_grad` before computing it."""
     if not t.requires_grad:
         return
     if t.grad is None:
@@ -159,8 +161,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     out = Tensor(a.values @ b.values)
 
     def bwd(g):
-        _accum(a, g @ b.values.T)
-        _accum(b, a.values.T @ g)
+        if a.requires_grad:
+            _accum(a, g @ b.values.T)
+        if b.requires_grad:
+            _accum(b, a.values.T @ g)
     return _record(out, (a, b), bwd)
 
 
@@ -174,8 +178,10 @@ def linear(x: Tensor, W: Tensor, b: Tensor) -> Tensor:
     out = Tensor(v)
 
     def bwd(g):
-        _accum(x, g @ W.values.T)
-        _accum(W, x.values.T @ g)
+        if x.requires_grad:
+            _accum(x, g @ W.values.T)
+        if W.requires_grad:
+            _accum(W, x.values.T @ g)
         _accum(b, _unbroadcast(g, b.shape))
     return _record(out, (x, W, b), bwd)
 
@@ -196,7 +202,8 @@ def sub(a, b) -> Tensor:
 
     def bwd(g):
         _accum(a, _unbroadcast(g, a.shape))
-        _accum(b, _unbroadcast(-g, b.shape))
+        if b.requires_grad:
+            _accum(b, _unbroadcast(-g, b.shape))
     return _record(out, (a, b), bwd)
 
 
@@ -205,8 +212,10 @@ def mul(a, b) -> Tensor:
     out = Tensor(a.values * b.values)
 
     def bwd(g):
-        _accum(a, _unbroadcast(g * b.values, a.shape))
-        _accum(b, _unbroadcast(g * a.values, b.shape))
+        if a.requires_grad:
+            _accum(a, _unbroadcast(g * b.values, a.shape))
+        if b.requires_grad:
+            _accum(b, _unbroadcast(g * a.values, b.shape))
     return _record(out, (a, b), bwd)
 
 

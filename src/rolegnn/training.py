@@ -645,19 +645,17 @@ _META_KEYS = {
 }
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
-
-
-def _check_numbers(where: Path, key: str, value) -> None:
-    """CheckpointMismatch unless `value` maps names to numbers."""
+def _check_gates(where: Path, key: str, value) -> None:
+    """CheckpointMismatch unless `value` maps triple ids to gates: numbers
+    in [0, 1], so neither NaN nor an infinity."""
     if not isinstance(value, dict):
         raise CheckpointMismatch(f"{where}: {key} must be an object, "
                                  f"got {value!r}")
     for name, v in value.items():
-        if not _is_number(v):
+        if (not isinstance(v, numbers.Real) or isinstance(v, bool)
+                or not 0.0 <= v <= 1.0):
             raise CheckpointMismatch(f"{where}: {key}.{name} must be a "
-                                     f"number, got {v!r}")
+                                     f"number in [0, 1], got {v!r}")
 
 
 def _stats_type_error(stats: dict, paths) -> str | None:
@@ -715,8 +713,8 @@ def _read_checkpoint_meta(path: str | Path, db: RelationalDatabase | None = None
     if not isinstance(meta["roles"], dict):
         raise CheckpointMismatch(f"{where}: roles must be an object, "
                                  f"got {meta['roles']!r}")
-    _check_numbers(where, "fixed_gates", meta["fixed_gates"])
-    _check_numbers(path / "gates.json", "gates", parsed["gates.json"]["gates"])
+    _check_gates(where, "fixed_gates", meta["fixed_gates"])
+    _check_gates(path / "gates.json", "gates", parsed["gates.json"]["gates"])
     try:
         for key, cls in (("model_config", ModelConfig),
                          ("train_config", TrainConfig)):

@@ -444,6 +444,18 @@ _CONFIG_DAMAGE = {
     "negative-train-seed": ("train_config", "seed", -1),
     "negative-neighbor-samples": ("train_config", "neighbor_samples", -1),
     "mu-out-of-range": ("model_config", "mu", 5),
+    "nan-tau": ("train_config", "tau", float("nan")),
+    "infinite-beta": ("train_config", "beta", float("inf")),
+    "nan-dropout": ("model_config", "dropout", float("nan")),
+}
+
+# case -> damaged gate value; each gate must be a number in [0, 1]
+_GATE_DAMAGE = {
+    "gate-text": "0.5",
+    "gate-infinite": float("inf"),
+    "gate-nan": float("nan"),
+    "gate-negative": -0.25,
+    "gate-above-one": 1.5,
 }
 
 # case -> (key path under encoder_stats, damaged value); each once made
@@ -485,15 +497,18 @@ def _damage_meta(ckpt, case: str) -> str:
     elif case == "roles-not-object":
         meta["roles"] = True
         named = "roles"
-    elif case in ("gate-dropped", "gate-text"):
+    elif case == "gate-dropped" or case in _GATE_DAMAGE:
         gates = json.loads((ckpt / "gates.json").read_text())
         named = sorted(gates["gates"])[0]
         if case == "gate-dropped":
             del gates["gates"][named]
         else:
-            gates["gates"][named] = "0.5"
+            gates["gates"][named] = _GATE_DAMAGE[case]
         (ckpt / "gates.json").write_text(json.dumps(gates))
         return named
+    elif case == "fixed-gate-infinite":
+        named = sorted(json.loads((ckpt / "gates.json").read_text())["gates"])[0]
+        meta["fixed_gates"][named] = float("inf")
     elif case in _CONFIG_DAMAGE:
         section, named, value = _CONFIG_DAMAGE[case]
         meta[section][named] = value
@@ -528,7 +543,8 @@ def _damage_meta(ckpt, case: str) -> str:
     ("eval", "encoder-stats-text-mean"),
     ("eval", "roles-not-object"),
     ("eval", "gate-dropped"),
-    ("eval", "gate-text"),
+    *(("eval", case) for case in _GATE_DAMAGE),
+    ("eval", "fixed-gate-infinite"),
     ("eval", "pre-path-cap-train-config"),
     *(("eval", case) for case in _CONFIG_DAMAGE),
     *(("eval", case) for case in _STATS_DAMAGE),
@@ -557,6 +573,9 @@ def test_damaged_checkpoint_metadata_exit_code(capsys, twohop_bundle,
     code, _, err = _run(capsys, *argv)
     assert code == 4
     assert named in err
+    if case in _GATE_DAMAGE or case == "fixed-gate-infinite":
+        file = "meta.json" if case.startswith("fixed") else "gates.json"
+        assert file in err and "must be a number in [0, 1]" in err
     assert "Traceback" not in err
 
 
@@ -645,6 +664,11 @@ def test_unknown_flag_exits_2(capsys, twohop_bundle):
     (["--dropout", "-0.1"], "dropout"),
     (["--seed", "-1"], "seed"),
     (["--mu", "2"], "mu"),
+    (["--tau", "nan"], "tau"),
+    (["--lr", "nan"], "lr"),
+    (["--beta", "inf"], "beta"),
+    (["--gamma=-inf"], "gamma"),
+    (["--alpha", "nan"], "alpha"),
 ])
 def test_train_out_of_range_flag_exits_2(capsys, twohop_bundle, tmp_path,
                                          flags, name):
@@ -662,6 +686,8 @@ def test_train_out_of_range_flag_exits_2(capsys, twohop_bundle, tmp_path,
     ("[1, 2]", "must hold a JSON object"),
     ('{"channels": "wide"}', "channels must be an integer"),
     ('{"lr": null}', "lr must be a number"),
+    ('{"tau": NaN}', "tau must be a finite number"),
+    ('{"beta": Infinity}', "beta must be a finite number"),
     ('{"epochs": 0}', "epochs must be >= 1"),
     ('{"chanels": 8}', "unknown key 'chanels'"),
     ('{"channels": 8.5}', "channels must be an integer"),

@@ -9,6 +9,9 @@ computes every last-hop copy of a (row, prediction time) on its own, so it
 checks the engine's shared last-hop rows as well.
 """
 
+import dataclasses
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -345,3 +348,119 @@ def test_fd_first_step_gradients_match_per_path(monkeypatch, layers):
     for name, g in ref_grads.items():
         np.testing.assert_allclose(grads[name], g, rtol=RTOL, atol=0,
                                    err_msg=name)
+
+
+# --- shared first-layer rows --------------------------------------------------
+
+def _repeated_seed_setup(mode: str, layers: int):
+    """`_two_time_setup` with four seeds repeated, so that with one layer
+    some non-leaf (row, prediction time) is held twice as well."""
+    model, batch = _two_time_setup(mode, layers)
+    seeds = list(zip(batch.seed_rows.tolist(), batch.seed_t_predict.tolist()))
+    pk = model.reg.nodes[batch.entity_table].pk
+    seeds = [(int(pk[r]), t) for r, t in seeds + seeds[:4]]
+    cfg = SamplerConfig(neighbor_samples=16, num_hops=layers, seed=layers)
+    return model, sample_batch(model.reg, seeds, cfg, batch.entity_table)
+
+
+@pytest.mark.parametrize("layers", [1, 2, 3])
+def test_first_layer_classes_are_complete_locals_per_row_and_time(layers):
+    model, batch = _repeated_seed_setup("learn", layers)
+    leaf, _ = model.share_leaves(batch)
+    layer, first = model.share_first_layer(leaf)
+    assert first, "nothing was shared"
+    over_budget = []  # repeated product locals that drew part of their reviews
+    for c, tn in leaf.nodes.items():
+        if c not in first:
+            assert layer.nodes[c] is tn
+            continue
+        lo = batch.reach[c][-2]
+        done = batch.complete[c][:lo]
+        # each row's layer-0 row holds its own (row, prediction time)
+        np.testing.assert_array_equal(layer.nodes[c].rows[first[c]], tn.rows)
+        np.testing.assert_array_equal(layer.nodes[c].t_predict[first[c]],
+                                      tn.t_predict)
+        shared = np.bincount(first[c])[first[c]] > 1
+        assert not shared[lo:].any()  # leaf classes stay as they are
+        assert not shared[:lo][~done].any()  # an incomplete local stays alone
+        pairs = list(zip(tn.rows[:lo].tolist(), tn.t_predict[:lo].tolist()))
+        held = Counter(pairs)
+        complete_held = Counter(p for p, d in zip(pairs, done) if d)
+        for i in range(lo):
+            assert shared[i] == (done[i] and complete_held[pairs[i]] > 1), (c, i)
+            if c == "product" and not done[i] and held[pairs[i]] > 1:
+                over_budget.append(pairs[i])
+        # the first copy of a class keeps its in-edges, the others none
+        is_first = np.zeros(tn.n, dtype=bool)
+        is_first[np.unique(first[c], return_index=True)[1]] = True
+        for key in model.relations:
+            if key.dst_table == c and key.id in leaf.edges:
+                dst = leaf.edges[key.id][1]
+                np.testing.assert_array_equal(layer.edges[key.id][1],
+                                              first[c][dst[is_first[dst]]])
+    if layers == 2:  # products are hop-1 locals, drawing at most 16 // 2
+        assert over_budget
+        key = next(k for k in model.relations if k.id == "review.product_id->product")
+        indptr, _, times = model.reg.adjacency(key)
+        for row, t in over_budget:
+            assert np.count_nonzero(times[indptr[row]:indptr[row + 1]] <= t) > 8
+
+
+@pytest.mark.parametrize("seeds_only", [False, True])
+@pytest.mark.parametrize("layers", [1, 2, 3])
+@pytest.mark.parametrize("mode", ["learn", "all-edge"])
+def test_shared_first_layer_matches_unshared(mode, layers, seeds_only):
+    """Train outputs, gates, gate diagnostics and gradients, and seeds-only
+    outputs, against the same batch with no local marked complete. Copies
+    of a class sum their neighbours in another order: equal within rtol."""
+    model, batch = _repeated_seed_setup(mode, layers)
+    assert model.share_first_layer(model.share_leaves(batch)[0])[1]
+    unshared = dataclasses.replace(batch, complete={})
+    assert not model.share_first_layer(model.share_leaves(unshared)[0])[1]
+    out, gates, diag, grads = _run(model, Model.forward, batch, seeds_only)
+    ref_out, ref_gates, ref_diag, ref_grads = _run(model, Model.forward,
+                                                   unshared, seeds_only)
+    np.testing.assert_allclose(out, ref_out, rtol=1e-9, atol=0)
+    assert gates.keys() == ref_gates.keys() and diag.keys() == ref_diag.keys()
+    for tid in gates:
+        np.testing.assert_allclose(gates[tid], ref_gates[tid], rtol=1e-9)
+    for tid in diag:
+        np.testing.assert_allclose(diag[tid], ref_diag[tid], rtol=1e-9)
+    assert any(np.any(g) for g in ref_grads.values())
+    for name, g in ref_grads.items():
+        np.testing.assert_allclose(grads[name], g, rtol=1e-9, atol=0,
+                                   err_msg=name)
+
+
+def test_shared_first_layer_leaves_the_batch_and_its_counts():
+    model, batch = _repeated_seed_setup("learn", 2)
+    counts = (batch.neighbor_count, batch.path_count)
+    edges = {k: tuple(a.copy() for a in v) for k, v in batch.edges.items()}
+    model.forward(batch, model.init_gates(), train=True)
+    assert (batch.neighbor_count, batch.path_count) == counts
+    assert counts == (sum(len(s) for s, _ in edges.values()),
+                      sum(len(p[0]) for p in batch.paths.values()))
+    for k, (src, dst) in edges.items():
+        np.testing.assert_array_equal(batch.edges[k][0], src)
+        np.testing.assert_array_equal(batch.edges[k][1], dst)
+
+
+def test_training_dropout_shares_nothing(monkeypatch):
+    model, batch = _repeated_seed_setup("learn", 2)
+    model = Model(model.reg, dataclasses.replace(model.cfg, dropout=0.2),
+                  model.task_type, train_cut=model.encoder.train_cut)
+    calls = []
+    for name in ("share_leaves", "share_first_layer"):
+        real = getattr(Model, name)
+        monkeypatch.setattr(Model, name, lambda self, b, real=real, name=name:
+                            calls.append(name) or real(self, b))
+    sizes = []
+    real_encode = model.encoder.encode
+    monkeypatch.setattr(model.encoder, "encode", lambda b: sizes.append(
+        {c: tn.n for c, tn in b.nodes.items()}) or real_encode(b))
+    model.forward(batch, model.init_gates(), train=True,
+                  rng=np.random.default_rng(0))
+    assert calls == [] and sizes == [{c: tn.n for c, tn in batch.nodes.items()}]
+    model.forward(batch, model.init_gates(), train=False)  # evaluation shares
+    assert calls == ["share_leaves", "share_first_layer"]
+    assert sum(sizes[1].values()) < sum(sizes[0].values())

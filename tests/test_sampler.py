@@ -230,3 +230,64 @@ def test_reach_prefixes_are_first_reached_per_hop(role, num_hops):
             lo = reach[k - 1] if k else 0
             assert (hops[t][lo:reach[k]] == k).all(), (t, k)
             assert int((hops[t] == k).sum()) == reach[k] - lo, (t, k)
+
+
+def _expected_complete(reg, batch, cfg) -> dict[str, np.ndarray]:
+    """Per table, True per local unless some draw from it had more
+    admissible neighbours or paths than its budget, counted one by one."""
+    out = {}
+    for t, tn in batch.nodes.items():
+        done = np.ones(tn.n, dtype=bool)
+        reach = batch.reach[t]
+        for hop in range(cfg.num_hops):  # locals [reach[hop-1], reach[hop])
+            lo = reach[hop - 1] if hop else 0
+            budget = max(hop_budget(cfg.neighbor_samples, hop), 1)
+            for i in range(lo, reach[hop]):
+                row, when = tn.rows[i], tn.t_predict[i]
+                for key in reg.relation_keys:
+                    if key.dst_table == t:
+                        indptr, _, times = reg.adjacency(key)
+                        seg = times[indptr[row]:indptr[row + 1]]
+                        n = len(seg) if cfg.allow_future else np.count_nonzero(seg <= when)
+                        done[i] &= n <= budget
+                for tr in reg.active_triples:
+                    if tr.w_table == t:
+                        pr = reg.paths[tr.id]
+                        mine = pr.w_pos == row
+                        if not cfg.allow_future:
+                            mine &= pr.t_admissible <= when
+                        done[i] &= np.count_nonzero(mine) <= cfg.neighbor_samples
+        out[t] = done
+    return out
+
+
+@pytest.mark.parametrize("num_hops,allow_future", [(1, False), (2, False),
+                                                   (3, False), (2, True)])
+def test_complete_matches_brute_force_admissible_counts(num_hops, allow_future):
+    db, task = gen_twohop(60, 20, 300, 1.0, 0)
+    reg = _reg(db)
+    recs = task.labels["train"]
+    seeds = [(int(recs.entity[i]), float(recs.t_predict[i])) for i in range(16)]
+    cfg = SamplerConfig(8, num_hops, 2, allow_future=allow_future)
+    batch = sample_batch(reg, seeds, cfg, "user")
+    want = _expected_complete(reg, batch, cfg)
+    assert sorted(batch.complete) == sorted(batch.nodes)
+    for t, done in batch.complete.items():
+        np.testing.assert_array_equal(done, want[t], err_msg=t)
+    flags = np.concatenate([d[:batch.reach[t][-2]] for t, d in want.items()])
+    assert flags.any() and not flags.all()  # both kinds are drawn
+
+
+def test_draws_unchanged_by_the_completeness_record():
+    """Node, edge and path counts as drawn before `complete` was recorded."""
+    db, task = gen_twohop(120, 30, 400, 1.0, 0)
+    reg = _reg(db)
+    recs = task.labels["train"]
+    seeds = [(int(recs.entity[i]), float(recs.t_predict[i])) for i in range(24)]
+    for hops, neighbors, paths, sizes in [
+            (1, 80, 80, (80, 80, 24)),
+            (2, 880, 1139, (80, 1098, 887)),
+            (3, 5766, 4502, (695, 3473, 917))]:
+        batch = sample_batch(reg, seeds, SamplerConfig(16, hops, 7), "user")
+        assert (batch.neighbor_count, batch.path_count) == (neighbors, paths)
+        assert tuple(batch.nodes[t].n for t in ("product", "review", "user")) == sizes
