@@ -16,9 +16,11 @@ Each message is then added onto the self term at the rows that received one.
 Last-hop rows are computed once per distinct (row, prediction time): they
 receive no message, so every layer's embedding of one depends on that pair
 alone, and the copies that the per-seed trees hold share one compute row.
-Layer 0 also computes each complete local (one that drew all its admissible
-neighbours and paths) once per (row, prediction time): its inputs there are
-encodings of its neighbours' pairs, which its own pair fixes.
+The copies of a complete local (one that drew all its admissible neighbours
+and paths) hold the same neighbour pairs, so they form a class: layer 0
+computes one row per class, its inputs being encodings of those pairs, and
+later layers sum each class's neighbours once, correcting each copy for the
+few neighbours that differ from it.
 """
 
 from __future__ import annotations
@@ -27,7 +29,8 @@ import json
 import math
 import numbers
 import zlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -79,22 +82,20 @@ class ModelConfig:
 
 @dataclass
 class GateState:
-    """Running table-level gates, one per active triple; the learned structure."""
+    """Running table-level gates, one per active triple; the learned
+    structure. Their smoothing settings, alpha and mu, are `ModelConfig`'s."""
     values: dict[str, float]
-    alpha: float
-    mu: float
 
     def copy(self) -> "GateState":
-        return GateState(dict(self.values), self.alpha, self.mu)
+        return GateState(dict(self.values))
 
     def to_json(self) -> str:
-        return json.dumps({"gates": self.values, "alpha": self.alpha,
-                           "mu": self.mu}, sort_keys=True, indent=2)
+        return json.dumps({"gates": self.values}, sort_keys=True, indent=2)
 
     @staticmethod
     def from_dict(d: dict) -> "GateState":
-        """Inverse of the parsed `to_json` text."""
-        return GateState(dict(d["gates"]), float(d["alpha"]), float(d["mu"]))
+        """Inverse of the parsed `to_json` text; other keys are ignored."""
+        return GateState(dict(d["gates"]))
 
 
 def _param_seed(master: int, name: str) -> int:
@@ -271,10 +272,12 @@ def _finite(value) -> bool:
             and math.isfinite(value))
 
 
-# what each kind of encoder statistic must be, and the test of it
+# what each kind of encoder statistic must be, and the test of it. A value
+# within +-1e150, less a mean within +-1e150, over a std or time scale
+# within [1e-150, 1e150] stands at most 2e300 from 0: finite
 STATS_KINDS = {
-    "a positive, finite number": lambda v: _finite(v) and v > 0,
-    "a finite number": _finite,
+    "a number in [1e-150, 1e150]": lambda v: _finite(v) and 1e-150 <= v <= 1e150,
+    "a number in [-1e150, 1e150]": lambda v: _finite(v) and abs(v) <= 1e150,
     "a list of strings": lambda v: (isinstance(v, list)
                                     and all(isinstance(s, str) for s in v)),
     "an object": lambda v: isinstance(v, dict),
@@ -284,7 +287,7 @@ STATS_KINDS = {
 def encoder_stats_paths(reg: RelationalEntityGraph) -> list[tuple[tuple[str, ...], str]]:
     """Key paths into FeatureEncoder.stats that encoding this graph reads,
     each with the STATS_KINDS entry its value must be."""
-    paths = [(("time_scale",), "a positive, finite number")]
+    paths = [(("time_scale",), "a number in [1e-150, 1e150]")]
     for name in sorted(reg.nodes):
         paths.append((("tables", name, "columns"), "an object"))
         for col_name, cd in sorted(reg.nodes[name].attrs.items()):
@@ -293,17 +296,61 @@ def encoder_stats_paths(reg: RelationalEntityGraph) -> list[tuple[tuple[str, ...
                               "a list of strings"))
             else:
                 col = ("tables", name, "columns", col_name)
-                paths += [(col + ("mean",), "a finite number"),
-                          (col + ("std",), "a positive, finite number")]
+                paths += [(col + ("mean",), "a number in [-1e150, 1e150]"),
+                          (col + ("std",), "a number in [1e-150, 1e150]")]
     return paths
 
 
 def relation_message(W: Tensor, h_src: Tensor, src_idx: np.ndarray,
-                     dst_idx: np.ndarray) -> tuple[np.ndarray, Tensor]:
+                     dst_idx: np.ndarray, classes: tuple | None = None
+                     ) -> tuple[np.ndarray, Tensor]:
     """Mean of a relation-specific linear map of neighbor embeddings, as
-    (destination rows with a neighbor, one message row each)."""
-    rows, mean = T.neighbor_mean(h_src, src_idx, dst_idx)
+    (destination rows with a neighbor, one message row each). `classes`
+    goes to `class_neighbor_mean`."""
+    rows, mean = class_neighbor_mean(h_src, src_idx, dst_idx, classes)
     return rows, T.matmul(mean, W)
+
+
+def class_neighbor_mean(h: Tensor, src: np.ndarray, dst: np.ndarray,
+                        classes: tuple[np.ndarray, np.ndarray] | None = None
+                        ) -> tuple[np.ndarray, Tensor]:
+    """`T.neighbor_mean(h, src, dst)`, summing each class of copies once.
+
+    `classes` = (target, twin). `target` maps every destination local to
+    the first copy of its class, one outside a class to itself; the copies
+    of a class hold the same neighbour (row, prediction time) keys. `twin`
+    maps each non-leaf source, the first len(twin) rows of `h`, to the leaf
+    row holding its key, or -1. A leaf row is shared by every copy that
+    reaches its key, so a class's sum with each non-leaf source replaced by
+    its twin is the same for all its copies: it is taken once, over the
+    first copy's edges, and every copy adds h[s] - h[twin[s]] for its own
+    non-leaf sources s, then divides by its own count. A class with a
+    non-leaf source that has no twin is summed per copy.
+    """
+    if classes is None:
+        return T.neighbor_mean(h, src, dst)
+    target, twin = classes
+    n = len(target)
+    member = (np.bincount(target, minlength=n) > 1)[target]
+    fix = member[dst] & (src < len(twin))  # edges whose source differs per copy
+    lone = twin[src[fix]] < 0
+    if lone.any():
+        member &= ~np.isin(target, target[dst[fix][lone]])
+        fix &= member[dst]
+    if not member[dst].any():
+        return T.neighbor_mean(h, src, dst)
+    rep = np.where(member, target, np.arange(n))
+    present = np.bincount(dst, minlength=n) > 0
+    number = np.cumsum(present & (rep == np.arange(n))) - 1  # class of a first copy
+    keep = rep[dst] == dst  # the first copies' edges
+    own, stand_in = src[fix], twin[src[fix]]
+    canon = src.copy()
+    canon[fix] = stand_in
+    at = (np.cumsum(present) - 1)[dst[fix]]
+    return T.neighbor_mean(h, src, dst, (
+        canon[keep], number[dst[keep]], number[rep[np.flatnonzero(present)]],
+        (np.concatenate([own, stand_in]), np.concatenate([at, at]),
+         np.repeat([1.0, -1.0], len(own)))))
 
 
 def cooccurrence_message(W: Tensor, h_w: Tensor, h_v: Tensor, h_u: Tensor) -> Tensor:
@@ -369,9 +416,18 @@ def fuse(pairs: list[tuple[Tensor, Tensor, Tensor]]) -> Tensor:
 @dataclass
 class ForwardResult:
     output: Tensor                       # per-seed head output (logit / value)
-    embeddings: dict[str, Tensor]        # final-layer embeddings per type
+    rows: dict[str, Tensor]              # final layer, one row per compute row
     gates_after: dict[str, float]        # committed running gates
     gate_diag: dict[str, tuple[float, float]]  # triple -> (mean g~, mean g)
+    # table -> the compute row of each local, where rows are shared
+    expand: dict[str, np.ndarray] = field(default_factory=dict)
+
+    @cached_property
+    def embeddings(self) -> dict[str, Tensor]:
+        """Final-layer embeddings per type, one row per local: gathered on
+        first read, so a caller that reads none records no gather."""
+        return {c: T.take_rows(hc, self.expand[c]) if c in self.expand else hc
+                for c, hc in self.rows.items()}
 
 
 class Model:
@@ -435,7 +491,7 @@ class Model:
     def init_gates(self) -> GateState:
         values = {tr.id: self._constant_gates.get(tr.id, 0.5)
                   for tr in self.active_triples}
-        return GateState(values, self.cfg.alpha, self.cfg.mu)
+        return GateState(values)
 
     def parameters(self) -> dict[str, Tensor]:
         return self.params
@@ -503,28 +559,22 @@ class Model:
                                 renumber(tr.v_table, v), w)
         return replace(batch, nodes=nodes, edges=edges, paths=paths), expand
 
-    def share_first_layer(self, batch: BatchSubgraph
-                          ) -> tuple[BatchSubgraph, dict[str, np.ndarray]]:
-        """The batch layer 0 computes, with each table's complete non-leaf
-        locals merged per distinct (row, prediction time), and per merged
-        table the layer-0 row of every row of `batch`.
+    def share_classes(self, batch: BatchSubgraph) -> dict[str, np.ndarray]:
+        """Per table whose complete non-leaf locals repeat a (row, prediction
+        time), the class map: each such local of the leaf-shared `batch`
+        points to the first copy of its (row, t), every other local to
+        itself.
 
-        Every input of layer 0 is an encoding of (row, prediction time). A
-        local that drew all its admissible neighbours and paths
-        (`batch.complete`) therefore has a layer-0 output that depends on
-        its (row, t) alone, also where an edge into it starts at a non-leaf
-        local. From layer 1 on that no longer holds, so `forward` gathers
-        the rows back before layer 1. The first copy of each class
-        represents it: its edges and paths are kept, in batch order, those
-        of the other copies dropped. Every edge source and path u/v end is
-        renumbered to its class. `batch` may be leaf-shared: its non-leaf
-        locals, `[0, reach[c][-2])`, keep their numbering there.
+        A complete local (`batch.complete`) drew all its admissible
+        neighbours and paths, so the copies of one (row, t) hold the same
+        neighbour keys. Every input of layer 0 is an encoding of (row, t),
+        so layer 0 computes one row per class (`_first_layer`); later
+        layers sum each class's neighbours once (`class_neighbor_mean`).
+        Non-leaf locals, `[0, reach[c][-2])`, keep their numbering in a
+        leaf-shared batch.
         """
         row_time = self._row_time_keys(batch)
-        nodes = dict(batch.nodes)
-        reach = dict(batch.reach)
-        is_first: dict[str, np.ndarray] = {}
-        first: dict[str, np.ndarray] = {}
+        classes = {}
         for c, tn in batch.nodes.items():
             if c not in batch.complete:
                 continue
@@ -536,6 +586,26 @@ class Model:
                 continue
             target = np.arange(tn.n)
             target[merge] = merge[rep]  # the first copy of its class
+            classes[c] = target
+        return classes
+
+    def _first_layer(self, batch: BatchSubgraph, classes: dict[str, np.ndarray]
+                     ) -> tuple[BatchSubgraph, dict[str, np.ndarray]]:
+        """The batch layer 0 computes, with one local per class, and per
+        classed table the layer-0 row of every local of `batch`.
+
+        The first copy of each class keeps its edges and paths, in batch
+        order; those of the other copies are dropped. Every edge source and
+        path u/v end is renumbered to its class.
+        """
+        if not classes:
+            return batch, {}
+        nodes = dict(batch.nodes)
+        reach = dict(batch.reach)
+        is_first: dict[str, np.ndarray] = {}
+        first: dict[str, np.ndarray] = {}
+        for c, target in classes.items():
+            tn = batch.nodes[c]
             is_first[c] = target == np.arange(tn.n)
             below = np.concatenate([[0], np.cumsum(is_first[c])])
             first[c] = below[target]
@@ -543,8 +613,6 @@ class Model:
             nodes[c] = TypeNodes(tn.rows[keep], tn.t_predict[keep],
                                  tn.seed_of[keep])
             reach[c] = [int(below[min(r, tn.n)]) for r in batch.reach[c]]
-        if not first:
-            return batch, first
 
         def kept(table, end):  # edges or paths into first copies only
             return is_first[table][end] if table in is_first else slice(None)
@@ -571,6 +639,20 @@ class Model:
                        seed_locals=renumber(batch.entity_table, batch.seed_locals),
                        complete={}), first
 
+    def _leaf_twins(self, batch: BatchSubgraph, table: str) -> np.ndarray:
+        """Per non-leaf local of `table` in the leaf-shared `batch`, the leaf
+        row that holds the same (row, prediction time), or -1."""
+        row_time = self._row_time_keys(batch)
+        lo = batch.reach[table][-2]
+        leaves = row_time(table, slice(lo, None))
+        if not len(leaves):
+            return np.full(lo, -1, dtype=np.int64)
+        keys = row_time(table, slice(0, lo))
+        order = np.argsort(leaves)
+        at = order[np.minimum(np.searchsorted(leaves, keys, sorter=order),
+                              len(leaves) - 1)]
+        return np.where(leaves[at] == keys, lo + at, -1)
+
     # -- forward ----------------------------------------------------------
 
     def forward(self, batch: BatchSubgraph, gates: GateState, train: bool,
@@ -588,32 +670,62 @@ class Model:
         so `seeds_only` is for evaluation alone.
 
         Last-hop copies of one (row, prediction time) share one compute row
-        (`share_leaves`), and at layer 0 so do complete non-leaf copies
-        (`share_first_layer`), whose rows are gathered back before layer 1.
+        (`share_leaves`). Complete non-leaf copies of one pair form a class
+        (`share_classes`), built once and used by every layer:
+        - Layer 0 computes one row per class: each of its inputs is an
+          encoding of a pair, and the copies hold the same pairs. The rows
+          are gathered back to one per copy before layer 1.
+        - From layer 1 on the copies' inputs differ: a copy's own seed
+          reaches some of its neighbours as non-leaf locals, the others'
+          seeds reach them as shared leaves. But a mean is linear, so
+          `class_neighbor_mean` sums each class's neighbours once and
+          corrects each copy for the neighbours it holds as non-leaf
+          locals; the matmul, gate and fusion stay per copy. Rows the head
+          reads (within L-1-l hops at layer l) are aggregated per copy, so
+          `output` stays bit-identical to the seeds-only forward's.
         The running gate and `gate_diag` average over every copy, and
-        full-mode `embeddings` hold one row per local again. Layer-0 sharing
-        changes the order in which the other copies' neighbours are summed,
-        so results match computing every copy within rounding, not bit for
-        bit. Under training dropout each copy keeps its own mask, so nothing
-        is shared.
+        full-mode `embeddings` hold one row per local again, gathered on
+        first read. Class sums add in another order, so results match
+        computing every copy within rounding, not bit for bit. Under
+        training dropout each copy keeps its own mask, so nothing is shared.
         """
         if seeds_only and train:
             raise ValueError("seeds_only forward is for evaluation: training "
                              "reads every row")
         expand: dict[str, np.ndarray] = {}
-        first: dict[str, np.ndarray] = {}
-        layer_batch = batch
+        classes: dict[str, np.ndarray] = {}
         if not (train and self.cfg.dropout > 0):
             batch, expand = self.share_leaves(batch)
-            layer_batch, first = self.share_first_layer(batch)
-            if seeds_only:  # layer 0 computes the locals within L-1 hops
-                first = {c: f[:batch.reach[c][self.cfg.layers - 1]]
-                         for c, f in first.items()}
+            classes = self.share_classes(batch)
+        layer_batch, first = self._first_layer(batch, classes)
+        layers = self.cfg.layers
+        if seeds_only:  # layer 0 computes the locals within L-1 hops
+            first = {c: f[:batch.reach[c][layers - 1]] for c, f in first.items()}
+        twins: dict[str, np.ndarray] = {}
+        far: dict[tuple[int, str], np.ndarray] = {}
+
+        def shared(l: int, src_table: str, dst_table: str, dst: np.ndarray):
+            """`class_neighbor_mean`'s classes for layer l's messages. Rows
+            within L-1-l hops, which the head reads, stay per copy, so the
+            output equals the seeds-only forward's bit for bit; a seeds-only
+            layer past 0 holds no leaf row to stand in anyway."""
+            if (l == 0 or seeds_only or dst_table not in classes
+                    or not len(dst)):
+                return None
+            if (l, dst_table) not in far:
+                target = classes[dst_table]
+                local = np.arange(len(target))
+                near = local < batch.reach[dst_table][layers - 1 - l]
+                far[l, dst_table] = _first_equal(
+                    np.where(near, local, target + len(target)))
+            if src_table not in twins:
+                twins[src_table] = self._leaf_twins(batch, src_table)
+            return far[l, dst_table], twins[src_table]
+
         act = ACTIVATIONS[self.cfg.activation]
         h = self.encoder.encode(layer_batch)
         running = dict(gates.values)
         gate_diag: dict[str, tuple[float, float]] = {}
-        layers = self.cfg.layers
         # a table fuses when a triple into it has paths; it reads only the
         # triples' matching relations, so no other message into it is built
         fused_triples = [tr for tr in self.active_triples
@@ -647,7 +759,7 @@ class Model:
                     src, dst = src[keep], dst[keep]
                 messages[key.id] = relation_message(
                     self.params[f"L{l}.rel.{key.id}.W"], h[key.src_table],
-                    src, dst)
+                    src, dst, shared(l, key.src_table, key.dst_table, dst))
 
             by_dst: dict[str, list[str]] = {}
             for key in self.relations:
@@ -665,8 +777,12 @@ class Model:
                     u_idx, v_idx, w_idx = u_idx[keep], v_idx[keep], w_idx[keep]
                 if tr.pattern == "cooccurrence":
                     # a w row's mean of its own embedding is that embedding
-                    rows, mean_v = T.neighbor_mean(h[tr.v_table], v_idx, w_idx)
-                    _, mean_u = T.neighbor_mean(h[tr.u_table], u_idx, w_idx)
+                    rows, mean_v = class_neighbor_mean(
+                        h[tr.v_table], v_idx, w_idx,
+                        shared(l, tr.v_table, c, w_idx))
+                    _, mean_u = class_neighbor_mean(
+                        h[tr.u_table], u_idx, w_idx,
+                        shared(l, tr.u_table, c, w_idx))
                     msg = cooccurrence_message(
                         self.params[f"L{l}.co.{tr.id}.W"],
                         T.take_rows(h[c], rows), mean_v, mean_u)
@@ -700,8 +816,8 @@ class Model:
                     g_tilde, g, g_used = compute_gate(
                         self.params[f"L{l}.gate.{tr.id}.W"],
                         self.params[f"L{l}.gate.{tr.id}.b"],
-                        h_n, h_e, running[tr.id], gates.alpha, gates.mu, train,
-                        copies)
+                        h_n, h_e, running[tr.id], self.cfg.alpha, self.cfg.mu,
+                        train, copies)
                     if n_out[c]:
                         every = slice(None) if copies is None else copies
                         gate_diag[tr.id] = (float(g_tilde.values[every].mean()),
@@ -734,10 +850,8 @@ class Model:
                             (len(batch.seed_locals),))
         else:
             out = seed_h
-        if not seeds_only:
-            h = {c: T.take_rows(hc, expand[c]) if c in expand else hc
-                 for c, hc in h.items()}
-        return ForwardResult(out, h, running, gate_diag)
+        return ForwardResult(out, h, running, gate_diag,
+                             {} if seeds_only else expand)
 
 
 def link_scores(src_emb: Tensor, dst_emb: Tensor) -> Tensor:

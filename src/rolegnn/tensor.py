@@ -100,15 +100,21 @@ def _record(out: Tensor, parents: tuple[Tensor, ...], bwd) -> Tensor:
     return out
 
 
-def _accum(t: Tensor, grad: np.ndarray) -> None:
+def _accum(t: Tensor, grad: np.ndarray, own: bool = False) -> None:
     """Add `grad` into `t.grad`. Backward rules whose gradient costs more
-    than a view or a copy check `requires_grad` before computing it."""
+    than a view or a copy check `requires_grad` before computing it.
+
+    `own` says that the rule computed `grad` afresh for `t` alone, so a
+    first write adopts it as the buffer. Otherwise (the one `g` that
+    add/sub hand to both parents, or a view of `g`) the first write copies
+    it into a buffer of its own."""
     if not t.requires_grad:
         return
     if t.grad is None:
-        # a buffer of its own (add/sub hand one `g` to both parents) holding
-        # 0.0 + grad, as zeros followed by += would: -0.0 becomes +0.0
-        t.grad = np.add(grad, 0.0, out=np.empty_like(t.values))
+        # a copy holds 0.0 + grad, as zeros followed by += would (-0.0
+        # becomes +0.0); an adopted -0.0 stays, and parameter buffers, which
+        # add onto zero_grad's +0.0, never show the difference
+        t.grad = grad if own else np.add(grad, 0.0, out=np.empty_like(t.values))
     else:
         t.grad += grad
 
@@ -125,7 +131,7 @@ def backward(loss: Tensor) -> None:
         raise ShapeError(f"backward needs a scalar loss, got shape {loss.shape}")
     # only the loss's ancestors receive a gradient: every other node keeps
     # grad None and is skipped
-    _accum(loss, np.ones_like(loss.values))
+    _accum(loss, np.ones_like(loss.values), own=True)
     for node in reversed(_TAPE):
         if node._bwd is not None and node.grad is not None:
             node._bwd(node.grad)
@@ -162,9 +168,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
     def bwd(g):
         if a.requires_grad:
-            _accum(a, g @ b.values.T)
+            _accum(a, g @ b.values.T, own=True)
         if b.requires_grad:
-            _accum(b, a.values.T @ g)
+            _accum(b, a.values.T @ g, own=True)
     return _record(out, (a, b), bwd)
 
 
@@ -179,9 +185,9 @@ def linear(x: Tensor, W: Tensor, b: Tensor) -> Tensor:
 
     def bwd(g):
         if x.requires_grad:
-            _accum(x, g @ W.values.T)
+            _accum(x, g @ W.values.T, own=True)
         if W.requires_grad:
-            _accum(W, x.values.T @ g)
+            _accum(W, x.values.T @ g, own=True)
         _accum(b, _unbroadcast(g, b.shape))
     return _record(out, (x, W, b), bwd)
 
@@ -203,7 +209,7 @@ def sub(a, b) -> Tensor:
     def bwd(g):
         _accum(a, _unbroadcast(g, a.shape))
         if b.requires_grad:
-            _accum(b, _unbroadcast(-g, b.shape))
+            _accum(b, _unbroadcast(-g, b.shape), own=True)
     return _record(out, (a, b), bwd)
 
 
@@ -213,9 +219,9 @@ def mul(a, b) -> Tensor:
 
     def bwd(g):
         if a.requires_grad:
-            _accum(a, _unbroadcast(g * b.values, a.shape))
+            _accum(a, _unbroadcast(g * b.values, a.shape), own=True)
         if b.requires_grad:
-            _accum(b, _unbroadcast(g * a.values, b.shape))
+            _accum(b, _unbroadcast(g * a.values, b.shape), own=True)
     return _record(out, (a, b), bwd)
 
 
@@ -223,7 +229,7 @@ def scale(a: Tensor, c: float) -> Tensor:
     out = Tensor(a.values * c)
 
     def bwd(g):
-        _accum(a, g * c)
+        _accum(a, g * c, own=True)
     return _record(out, (a,), bwd)
 
 
@@ -263,7 +269,8 @@ def take_rows(a: Tensor, idx: np.ndarray) -> Tensor:
 
     def bwd(g):
         flat = g.reshape(len(idx), -1)
-        _accum(a, kernels.segment_sum(flat, idx, a.shape[0]).reshape(a.shape))
+        _accum(a, kernels.segment_sum(flat, idx, a.shape[0]).reshape(a.shape),
+               own=True)
     return _record(out, (a,), bwd)
 
 
@@ -273,7 +280,7 @@ def sigmoid(a: Tensor) -> Tensor:
     out = Tensor(v)
 
     def bwd(g):
-        _accum(a, g * v * (1.0 - v))
+        _accum(a, g * v * (1.0 - v), own=True)
     return _record(out, (a,), bwd)
 
 
@@ -281,7 +288,7 @@ def relu(a: Tensor) -> Tensor:
     out = Tensor(np.maximum(a.values, 0.0))
 
     def bwd(g):
-        _accum(a, g * (a.values > 0))
+        _accum(a, g * (a.values > 0), own=True)
     return _record(out, (a,), bwd)
 
 
@@ -290,7 +297,7 @@ def tanh(a: Tensor) -> Tensor:
     out = Tensor(v)
 
     def bwd(g):
-        _accum(a, g * (1.0 - v * v))
+        _accum(a, g * (1.0 - v * v), own=True)
     return _record(out, (a,), bwd)
 
 
@@ -300,10 +307,10 @@ def mean(a: Tensor, axis: int | None = None) -> Tensor:
 
     def bwd(g):
         if axis is None:
-            _accum(a, np.full_like(a.values, g / denom))
+            _accum(a, np.full_like(a.values, g / denom), own=True)
         else:
             _accum(a, np.broadcast_to(np.expand_dims(g, axis) / denom,
-                                      a.shape).copy())
+                                      a.shape).copy(), own=True)
     return _record(out, (a,), bwd)
 
 
@@ -312,9 +319,10 @@ def sum_(a: Tensor, axis: int | None = None) -> Tensor:
 
     def bwd(g):
         if axis is None:
-            _accum(a, np.full_like(a.values, g))
+            _accum(a, np.full_like(a.values, g), own=True)
         else:
-            _accum(a, np.broadcast_to(np.expand_dims(g, axis), a.shape).copy())
+            _accum(a, np.broadcast_to(np.expand_dims(g, axis), a.shape).copy(),
+                   own=True)
     return _record(out, (a,), bwd)
 
 
@@ -326,7 +334,7 @@ def logsumexp(a: Tensor, axis: int) -> Tensor:
     out = Tensor(np.squeeze(np.log(s) + m, axis=axis))
 
     def bwd(g):
-        _accum(a, np.expand_dims(g, axis) * (e / s))
+        _accum(a, np.expand_dims(g, axis) * (e / s), own=True)
     return _record(out, (a,), bwd)
 
 
@@ -336,9 +344,9 @@ def sumsq(a: Tensor, axis: int | None = None) -> Tensor:
 
     def bwd(g):
         if axis is None:
-            _accum(a, 2.0 * a.values * g)
+            _accum(a, 2.0 * a.values * g, own=True)
         else:
-            _accum(a, 2.0 * a.values * np.expand_dims(g, axis))
+            _accum(a, 2.0 * a.values * np.expand_dims(g, axis), own=True)
     return _record(out, (a,), bwd)
 
 
@@ -352,29 +360,45 @@ def dropout(a: Tensor, p: float, train: bool, rng: np.random.Generator | None = 
     out = Tensor(a.values * keep)
 
     def bwd(g):
-        _accum(a, g * keep)
+        _accum(a, g * keep, own=True)
     return _record(out, (a,), bwd)
 
 
-def neighbor_mean(h: Tensor, src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, Tensor]:
+def neighbor_mean(h: Tensor, src: np.ndarray, dst: np.ndarray,
+                  classes: tuple | None = None) -> tuple[np.ndarray, Tensor]:
     """Per destination, the mean of `h[src[e]]` over its edges e.
 
     Returns the distinct `dst` values in ascending order and their means,
     row for row (K x ch); a destination without edges gets no row. Backward
     scatters each mean's gradient, divided by its edge count, onto the
     edges' source rows in one sum.
+
+    `classes` = (class_src, cls, copies, (fix_src, fix_row, sign)) computes
+    the same means from fewer rows: row i is the mean over the edges
+    (class_src, cls) of class `copies[i]`, plus, divided by row i's count,
+    `sign * h[s]` for each correction (s, i, sign). The caller vouches that
+    this equals row i's own mean; backward runs per edge all the same, so
+    a gradient is exactly zero wherever the per-edge sum makes it so.
     """
     src = np.asarray(src, dtype=np.int64)
     dst = np.asarray(dst, dtype=np.int64)
     present = np.bincount(dst) > 0
     rows = np.flatnonzero(present)
     inverse = (np.cumsum(present) - 1)[dst]
-    means, counts = kernels.segment_mean(h.values[src], inverse, len(rows))
+    if classes is None:
+        means, counts = kernels.segment_mean(h.values[src], inverse, len(rows))
+    else:
+        class_src, cls, copies, (fix_src, fix_row, sign) = classes
+        means = kernels.segment_mean(h.values[class_src], cls,
+                                     int(cls.max()) + 1)[0][copies]
+        counts = kernels.segment_counts(inverse, len(rows))
+        means += kernels.segment_sum(sign[:, None] * h.values[fix_src], fix_row,
+                                     len(rows)) / counts[:, None]
     out = Tensor(means)
 
     def bwd(g):
         share = (g / counts[:, None])[inverse]
-        _accum(h, kernels.segment_sum(share, src, h.shape[0]))
+        _accum(h, kernels.segment_sum(share, src, h.shape[0]), own=True)
     return rows, _record(out, (h,), bwd)
 
 
@@ -388,7 +412,7 @@ def add_rows(base: Tensor, rows: np.ndarray, vals: Tensor) -> Tensor:
 
     def bwd(g):
         _accum(base, g)
-        _accum(vals, g[rows])
+        _accum(vals, g[rows], own=True)
     return _record(out, (base, vals), bwd)
 
 

@@ -250,12 +250,12 @@ def _sample_forward(state: TrainState, seeds: list[tuple[int, float]],
 
 def _task_loss(state: TrainState, idx: np.ndarray, split: str, train: bool,
                gates: GateState, rng: np.random.Generator
-               ) -> tuple[Tensor, dict[str, Tensor], BatchSubgraph, GateState]:
+               ) -> tuple[Tensor, ForwardResult, BatchSubgraph, GateState]:
     task = state.task
     seeds, labels, targets = _seed_list(task, split, idx)
     batch, result = _sample_forward(state, seeds, task.entity_table, rng,
                                     gates, train)
-    new_gates = GateState(result.gates_after, gates.alpha, gates.mu)
+    new_gates = GateState(result.gates_after)
 
     if task.task_type == "classification":
         loss = T.bce_with_logits(result.output, labels)
@@ -271,7 +271,7 @@ def _task_loss(state: TrainState, idx: np.ndarray, split: str, train: bool,
         dst_batch, dst_res = _sample_forward(state, dst_seeds,
                                              task.target_table, rng,
                                              new_gates, train)
-        new_gates = GateState(dst_res.gates_after, gates.alpha, gates.mu)
+        new_gates = GateState(dst_res.gates_after)
         h_dst = T.take_rows(dst_res.embeddings[task.target_table],
                             dst_batch.seed_locals)
         h_src = T.take_rows(result.embeddings[task.entity_table],
@@ -280,7 +280,7 @@ def _task_loss(state: TrainState, idx: np.ndarray, split: str, train: bool,
         logits = link_scores(src_rep, h_dst)
         y = np.concatenate([np.ones(n), np.zeros(n * k)])
         loss = T.bce_with_logits(logits, y)
-    return loss, result.embeddings, batch, new_gates
+    return loss, result, batch, new_gates
 
 
 # ---------------------------------------------------------------------------
@@ -324,14 +324,14 @@ def train(state: TrainState, out_dir: str | Path | None = None,
             opt_model.zero_grad()
             # FD parameters are frozen in phase A: they stay off the tape
             with T.tape_scope(), T.frozen(fd_params):
-                loss, embeddings, batch, new_gates = _task_loss(
+                loss, result, batch, new_gates = _task_loss(
                     state, idx, "train", True, state.gates, rng)
                 l_task = loss.item()
                 l_emb_v = l_pair_v = 0.0
                 if state.fdmod is not None:
                     total, l_emb, l_pair, diag = fd_losses(
-                        batch, embeddings, state.fdmod, cfg.beta, cfg.gamma,
-                        cfg.tau, cfg.negatives, rng)
+                        batch, result.embeddings, state.fdmod, cfg.beta,
+                        cfg.gamma, cfg.tau, cfg.negatives, rng)
                     loss = T.add(loss, total)
                     l_emb_v, l_pair_v = l_emb.item(), l_pair.item()
                 if not np.isfinite(loss.item()):
@@ -414,7 +414,8 @@ def train(state: TrainState, out_dir: str | Path | None = None,
         "metric_name": _metric_name(task.task_type),
         "epochs_run": len(state.history),
         "wall_clock_s": time.time() - t0,
-        "structure": structure_report(state.reg.triples, state.gates),
+        "structure": structure_report(state.reg.triples, state.gates,
+                                      state.model.cfg),
         "history": state.history,
     }
     if out_dir is not None:
@@ -528,7 +529,7 @@ def _evaluate_links(state: TrainState, split: str) -> dict:
 # structure report, checkpoints, transfer
 # ---------------------------------------------------------------------------
 
-def structure_report(triples: list, gates: GateState) -> dict:
+def structure_report(triples: list, gates: GateState, cfg: ModelConfig) -> dict:
     by_id = {t.id: t for t in triples}
     entries = []
     for tid in sorted(gates.values):
@@ -547,14 +548,14 @@ def structure_report(triples: list, gates: GateState) -> dict:
             "dominant_role": "node" if g < 0.5 else "edge",
             "orientation_consistency": consistency,
         })
-    return {"triples": entries, "alpha": gates.alpha, "mu": gates.mu}
+    return {"triples": entries, "alpha": cfg.alpha, "mu": cfg.mu}
 
 
 def export_structure(checkpoint_dir: str | Path,
                      out_path: str | Path | None = None) -> dict:
     """Build the structure report from a checkpoint alone."""
     meta, gates = _read_checkpoint_meta(checkpoint_dir)
-    report = structure_report(meta["triples"], gates)
+    report = structure_report(meta["triples"], gates, meta["model_config"])
     if out_path is not None:
         with open(out_path, "w", encoding="utf-8") as fh:
             json.dump(report, fh, indent=2)
@@ -641,7 +642,7 @@ _META_KEYS = {
                   "task.entity_table", "task.target_table", "task.eval_k",
                   "task.split", "train_config", "roles", "fixed_gates",
                   "triples", "schema_digest"),
-    "gates.json": ("gates", "alpha", "mu"),
+    "gates.json": ("gates",),
 }
 
 

@@ -3,6 +3,7 @@ import json
 import re
 import shutil
 import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
@@ -630,6 +631,50 @@ def test_fuzzed_checkpoint_eval_exits_0_or_4(capsys, twohop_bundle,
                             str(twohop_bundle / "user-positive"))
     assert code in (0, 4), err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("stat,value", [("mean", 1e308), ("mean", -1e151),
+                                        ("std", 1e-300), ("std", 1e151)])
+def test_encoder_stat_out_of_bounds_exits_4(capsys, twohop_bundle,
+                                           trained_checkpoint, tmp_path,
+                                           stat, value):
+    """A mean or std that could push a standardized feature past the float
+    range is refused before any row is encoded: once, a mean of 1e308 gave
+    exit 0, an AUC of 0.5 and overflow warnings."""
+    ckpt = tmp_path / "checkpoint"
+    shutil.copytree(trained_checkpoint, ckpt)
+    meta = json.loads((ckpt / "meta.json").read_text())
+    meta["encoder_stats"]["tables"]["user"]["columns"]["u_noise_a"][stat] = value
+    (ckpt / "meta.json").write_text(json.dumps(meta))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, _, err = _run(capsys, "eval", str(ckpt), str(twohop_bundle),
+                            str(twohop_bundle / "user-positive"))
+    assert code == 4
+    assert f"encoder_stats.tables.user.columns.u_noise_a.{stat}" in err
+    assert "Traceback" not in err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+def test_gate_settings_in_gates_json_are_ignored(capsys, twohop_bundle,
+                                                 trained_checkpoint, tmp_path):
+    """`gates.json` holds the gates alone; alpha and mu are the model
+    config's. An older file's own alpha and mu are read past."""
+    ckpt = tmp_path / "checkpoint"
+    shutil.copytree(trained_checkpoint, ckpt)
+    gates = json.loads((ckpt / "gates.json").read_text())
+    assert set(gates) == {"gates"}
+    gates.update(alpha=float("nan"), mu=7.0)
+    (ckpt / "gates.json").write_text(json.dumps(gates))
+    config = json.loads((ckpt / "meta.json").read_text())["model_config"]
+    out = tmp_path / "s.json"
+    code, _, err = _run(capsys, "export-structure", str(ckpt), "-o", str(out))
+    assert code == 0, err
+    report = json.loads(out.read_text())
+    assert (report["alpha"], report["mu"]) == (config["alpha"], config["mu"])
+    code, _, err = _run(capsys, "eval", str(ckpt), str(twohop_bundle),
+                        str(twohop_bundle / "user-positive"))
+    assert code == 0, err
 
 
 def test_eval_builds_the_graph_with_the_trained_path_cap(capsys, twohop_bundle,

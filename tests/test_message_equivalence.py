@@ -19,15 +19,15 @@ from rolegnn import kernels
 from rolegnn import tensor as T
 from rolegnn.fd import fd_losses
 from rolegnn.model import (ACTIVATIONS, ForwardResult, Model, ModelConfig,
-                           completion_message, compute_gate,
-                           cooccurrence_message, fuse)
+                           class_neighbor_mean, completion_message,
+                           compute_gate, cooccurrence_message, fuse)
 from rolegnn.sampler import SamplerConfig, sample_batch
 from rolegnn.schema_graph import (build_schema_graph, construct_reg,
                                   enumerate_edge_triples)
 from rolegnn.synth import gen_completion_chain, gen_twohop
 from rolegnn.tensor import Tensor
-from rolegnn.training import (TrainConfig, _task_loss, build_state,
-                              roles_for_mode, train)
+from rolegnn.training import (TrainConfig, _seed_list, _task_loss,
+                              build_state, roles_for_mode, train)
 
 RTOL = 1e-10
 
@@ -133,7 +133,8 @@ def _per_path_forward(self: Model, batch, gates, train: bool, rng=None,
                 g_tilde, g, g_used = compute_gate(
                     self.params[f"L{l}.gate.{tr.id}.W"],
                     self.params[f"L{l}.gate.{tr.id}.b"],
-                    h_n, h_e, running[tr.id], gates.alpha, gates.mu, train)
+                    h_n, h_e, running[tr.id], self.cfg.alpha, self.cfg.mu,
+                    train)
                 if n_out[c]:
                     gate_diag[tr.id] = (float(g_tilde.values.mean()),
                                         float(g.values.mean()))
@@ -330,9 +331,9 @@ def test_fd_first_step_gradients_match_per_path(monkeypatch, layers):
         cfg = state.train_cfg
         rng = np.random.default_rng([cfg.seed, 0, 1, 0])
         with T.tape_scope(), T.frozen(list(state.fdmod.params.values())):
-            loss, embeddings, batch, gates = _task_loss(
+            loss, result, batch, gates = _task_loss(
                 state, np.arange(32), "train", True, state.gates, rng)
-            total, _, _, _ = fd_losses(batch, embeddings, state.fdmod,
+            total, _, _, _ = fd_losses(batch, result.embeddings, state.fdmod,
                                        cfg.beta, cfg.gamma, cfg.tau,
                                        cfg.negatives, rng)
             T.backward(T.add(loss, total))
@@ -350,7 +351,7 @@ def test_fd_first_step_gradients_match_per_path(monkeypatch, layers):
                                    err_msg=name)
 
 
-# --- shared first-layer rows --------------------------------------------------
+# --- classes of complete copies -------------------------------------------
 
 def _repeated_seed_setup(mode: str, layers: int):
     """`_two_time_setup` with four seeds repeated, so that with one layer
@@ -365,10 +366,13 @@ def _repeated_seed_setup(mode: str, layers: int):
 
 @pytest.mark.parametrize("layers", [1, 2, 3])
 def test_first_layer_classes_are_complete_locals_per_row_and_time(layers):
+    """The class map, the layer-0 batch built from it, and the leaf twins
+    the later layers' class sums stand in for non-leaf sources."""
     model, batch = _repeated_seed_setup("learn", layers)
     leaf, _ = model.share_leaves(batch)
-    layer, first = model.share_first_layer(leaf)
-    assert first, "nothing was shared"
+    classes = model.share_classes(leaf)
+    layer, first = model._first_layer(leaf, classes)
+    assert classes and first.keys() == classes.keys(), "nothing was shared"
     over_budget = []  # repeated product locals that drew part of their reviews
     for c, tn in leaf.nodes.items():
         if c not in first:
@@ -376,6 +380,15 @@ def test_first_layer_classes_are_complete_locals_per_row_and_time(layers):
             continue
         lo = batch.reach[c][-2]
         done = batch.complete[c][:lo]
+        # each local points to the first complete copy of its pair
+        for i, target in enumerate(classes[c]):
+            if i < lo and done[i]:
+                same = [j for j in range(lo) if done[j]
+                        and tn.rows[j] == tn.rows[i]
+                        and tn.t_predict[j] == tn.t_predict[i]]
+                assert target == same[0], (c, i)
+            else:
+                assert target == i, (c, i)
         # each row's layer-0 row holds its own (row, prediction time)
         np.testing.assert_array_equal(layer.nodes[c].rows[first[c]], tn.rows)
         np.testing.assert_array_equal(layer.nodes[c].t_predict[first[c]],
@@ -404,22 +417,45 @@ def test_first_layer_classes_are_complete_locals_per_row_and_time(layers):
         indptr, _, times = model.reg.adjacency(key)
         for row, t in over_budget:
             assert np.count_nonzero(times[indptr[row]:indptr[row + 1]] <= t) > 8
+    twinned = 0
+    for c, tn in leaf.nodes.items():
+        lo = batch.reach[c][-2]
+        twin = model._leaf_twins(leaf, c)
+        assert len(twin) == lo
+        leaves = {(r, t): lo + i for i, (r, t) in enumerate(
+            zip(tn.rows[lo:].tolist(), tn.t_predict[lo:].tolist()))}
+        for i in range(lo):
+            assert twin[i] == leaves.get((tn.rows[i], tn.t_predict[i]), -1)
+        twinned += int((twin >= 0).sum())
+    assert twinned or layers == 1  # one layer reaches no user as a leaf
 
 
-@pytest.mark.parametrize("seeds_only", [False, True])
-@pytest.mark.parametrize("layers", [1, 2, 3])
-@pytest.mark.parametrize("mode", ["learn", "all-edge"])
-def test_shared_first_layer_matches_unshared(mode, layers, seeds_only):
-    """Train outputs, gates, gate diagnostics and gradients, and seeds-only
-    outputs, against the same batch with no local marked complete. Copies
-    of a class sum their neighbours in another order: equal within rtol."""
-    model, batch = _repeated_seed_setup(mode, layers)
-    assert model.share_first_layer(model.share_leaves(batch)[0])[1]
-    unshared = dataclasses.replace(batch, complete={})
-    assert not model.share_first_layer(model.share_leaves(unshared)[0])[1]
-    out, gates, diag, grads = _run(model, Model.forward, batch, seeds_only)
-    ref_out, ref_gates, ref_diag, ref_grads = _run(model, Model.forward,
-                                                   unshared, seeds_only)
+def _class_sums(monkeypatch) -> list[list]:
+    """Record each neighbour mean taken from class sums: (rows, classes,
+    corrections, whether backward handed it a nonzero gradient)."""
+    real = T.neighbor_mean
+    sums = []
+
+    def spy(h, src, dst, classes=None):
+        rows, out = real(h, src, dst, classes)
+        if classes is not None:
+            _, _, copies, fix = classes
+            record = [len(copies), len(np.unique(copies)), len(fix[0]), False]
+            sums.append(record)
+            inner = out._bwd
+
+            def bwd(g):
+                record[3] = record[3] or bool(np.any(g))
+                inner(g)
+            out._bwd = bwd
+        return rows, out
+    monkeypatch.setattr(T, "neighbor_mean", spy)
+    return sums
+
+
+def _assert_matches_unshared(run, ref_run) -> None:
+    out, gates, diag, grads = run
+    ref_out, ref_gates, ref_diag, ref_grads = ref_run
     np.testing.assert_allclose(out, ref_out, rtol=1e-9, atol=0)
     assert gates.keys() == ref_gates.keys() and diag.keys() == ref_diag.keys()
     for tid in gates:
@@ -430,6 +466,95 @@ def test_shared_first_layer_matches_unshared(mode, layers, seeds_only):
     for name, g in ref_grads.items():
         np.testing.assert_allclose(grads[name], g, rtol=1e-9, atol=0,
                                    err_msg=name)
+
+
+@pytest.mark.parametrize("seeds_only", [False, True])
+@pytest.mark.parametrize("layers", [1, 2, 3])
+@pytest.mark.parametrize("mode", ["learn", "all-edge"])
+def test_shared_first_layer_matches_unshared(monkeypatch, mode, layers,
+                                             seeds_only):
+    """Train outputs, gates, gate diagnostics and gradients, and seeds-only
+    outputs, against the same batch with no local marked complete. Layer 0
+    computes one row per class; from layer 1 on a training forward sums
+    each class's neighbours once, and with three layers gradients flow
+    through those sums. Sums run in another order: equal within rtol."""
+    model, batch = _repeated_seed_setup(mode, layers)
+    assert model.share_classes(model.share_leaves(batch)[0])
+    unshared = dataclasses.replace(batch, complete={})
+    assert not model.share_classes(model.share_leaves(unshared)[0])
+    sums = _class_sums(monkeypatch)
+    run = _run(model, Model.forward, batch, seeds_only)
+    merged = [s for s in sums if s[1] < s[0]]
+    # a seeds-only layer past 0 keeps no leaf row to stand in
+    assert bool(merged) == (layers > 1 and not seeds_only)
+    if layers == 3 and not seeds_only:
+        assert any(s[3] for s in merged)
+    sums.clear()
+    ref_run = _run(model, Model.forward, unshared, seeds_only)
+    assert not sums
+    _assert_matches_unshared(run, ref_run)
+
+
+def test_fd_gradients_flow_through_class_sums(monkeypatch):
+    """Two layers with FD on: the FD losses read every linked local, so
+    the layer-1 class sums of repeated products carry gradient."""
+    def first_step(clear: bool):
+        db, task = gen_twohop(120, 30, 400, 1.0, 4)
+        state = build_state(db, task, ModelConfig(channels=8, layers=2, seed=5),
+                            TrainConfig(batch_size=64, neighbor_samples=64,
+                                        beta=0.5, gamma=0.5, seed=5))
+        cfg = state.train_cfg
+        rng = np.random.default_rng([cfg.seed, 0, 1, 0])
+        seeds, labels, _ = _seed_list(task, "train", np.arange(64))
+        batch = sample_batch(state.reg, seeds,
+                             SamplerConfig(64, 2, cfg.seed), task.entity_table,
+                             rng=rng)
+        if clear:
+            batch = dataclasses.replace(batch, complete={})
+        with T.tape_scope(), T.frozen(list(state.fdmod.params.values())):
+            res = state.model.forward(batch, state.gates, train=True)
+            total, _, _, _ = fd_losses(batch, res.embeddings, state.fdmod,
+                                       cfg.beta, cfg.gamma, cfg.tau,
+                                       cfg.negatives, rng)
+            loss = T.add(T.bce_with_logits(res.output, labels), total)
+            T.backward(loss)
+        return (res.output.values, res.gates_after, res.gate_diag,
+                {n: p.grad.copy() for n, p in state.model.params.items()})
+
+    sums = _class_sums(monkeypatch)
+    run = first_step(clear=False)
+    assert any(s[1] < s[0] and s[3] for s in sums)
+    sums.clear()
+    ref_run = first_step(clear=True)
+    assert not sums
+    _assert_matches_unshared(run, ref_run)
+
+
+def test_class_with_a_twinless_source_stays_per_copy(monkeypatch):
+    """Destinations 0-2 form one class, 3-4 another. Sources 0-3 are
+    non-leaf and 4-7 leaves: 0 and 1 hold the key of leaf 6, 2 and 3 one
+    that no leaf holds. So the class {3, 4} is summed per copy, bit for bit
+    as without classes, while {0, 1, 2} sums once and corrects each copy."""
+    rng = np.random.default_rng(0)
+    values = rng.normal(size=(8, 3))
+    src = np.array([4, 5, 0, 4, 5, 6, 1, 4, 5, 7, 2, 3, 7])
+    dst = np.array([0, 0, 0, 1, 1, 1, 2, 2, 2, 3, 3, 4, 4])
+    twin = np.array([6, 6, -1, -1])
+    target = np.array([0, 0, 0, 3, 3])
+    sums = _class_sums(monkeypatch)
+    results = []
+    for classes in ((target, twin), None):
+        h = Tensor(values.copy(), requires_grad=True)
+        rows, mean = class_neighbor_mean(h, src, dst, classes)
+        T.backward(T.sumsq(T.sigmoid(mean)))
+        results.append((rows, mean.values, h.grad))
+    (rows, mean, grad), (ref_rows, ref_mean, ref_grad) = results
+    # five rows in three classes; sources 0 and 1 each correct their copy
+    assert [s[:3] for s in sums] == [[5, 3, 4]] and sums[0][3]
+    np.testing.assert_array_equal(rows, ref_rows)
+    np.testing.assert_allclose(mean, ref_mean, rtol=1e-12)
+    np.testing.assert_array_equal(mean[3:], ref_mean[3:])
+    np.testing.assert_allclose(grad, ref_grad, rtol=1e-12)
 
 
 def test_shared_first_layer_leaves_the_batch_and_its_counts():
@@ -450,17 +575,20 @@ def test_training_dropout_shares_nothing(monkeypatch):
     model = Model(model.reg, dataclasses.replace(model.cfg, dropout=0.2),
                   model.task_type, train_cut=model.encoder.train_cut)
     calls = []
-    for name in ("share_leaves", "share_first_layer"):
+    for name in ("share_leaves", "share_classes"):
         real = getattr(Model, name)
         monkeypatch.setattr(Model, name, lambda self, b, real=real, name=name:
                             calls.append(name) or real(self, b))
+    sums = _class_sums(monkeypatch)
     sizes = []
     real_encode = model.encoder.encode
     monkeypatch.setattr(model.encoder, "encode", lambda b: sizes.append(
         {c: tn.n for c, tn in b.nodes.items()}) or real_encode(b))
     model.forward(batch, model.init_gates(), train=True,
                   rng=np.random.default_rng(0))
-    assert calls == [] and sizes == [{c: tn.n for c, tn in batch.nodes.items()}]
+    assert calls == [] and not sums
+    assert sizes == [{c: tn.n for c, tn in batch.nodes.items()}]
     model.forward(batch, model.init_gates(), train=False)  # evaluation shares
-    assert calls == ["share_leaves", "share_first_layer"]
+    assert calls == ["share_leaves", "share_classes"]
     assert sum(sizes[1].values()) < sum(sizes[0].values())
+    assert any(s[1] < s[0] for s in sums)

@@ -499,7 +499,7 @@ def test_gate_ranges_during_training(twohop_setup):
             assert 0.0 < g_mean < 1.0
         for v in res.gates_after.values():
             assert 0.0 < v < 1.0
-        gates = GateState(res.gates_after, gates.alpha, gates.mu)
+        gates = GateState(res.gates_after)
 
 
 def test_composite_forward_gradients(twohop_setup):
@@ -553,6 +553,32 @@ def _assert_seeds_only_matches_full(model, batch):
         assert np.array_equal(emb.values, full.embeddings[c].values[:emb.shape[0]])
 
 
+def test_embeddings_are_gathered_on_first_read():
+    """Full-mode embeddings hold one row per local, gathered from the shared
+    last-hop rows on first read: until then the tape holds no gather."""
+    model, batch = _seeds_only_setup("learn", 2)
+    expand = model.share_leaves(batch)[1]
+    assert expand
+    with T.tape_scope():
+        res = model.forward(batch, model.init_gates(), train=True)
+        T.sumsq(res.output)
+        recorded = T.tape_size()
+        emb = res.embeddings
+        assert T.tape_size() == recorded + len(expand)
+        assert res.embeddings is emb
+        assert T.tape_size() == recorded + len(expand)
+    for c, tn in batch.nodes.items():
+        assert emb[c].shape[0] == tn.n
+        if c not in expand:
+            continue
+        # copies of one (row, prediction time) hold one embedding
+        firsts = {}
+        for i, key in enumerate(zip(tn.rows[:].tolist(), tn.t_predict.tolist())):
+            if i >= batch.reach[c][-2]:
+                j = firsts.setdefault(key, i)
+                assert np.array_equal(emb[c].values[i], emb[c].values[j])
+
+
 @pytest.mark.parametrize("layers", [1, 2, 3])
 @pytest.mark.parametrize("mode", ["learn", "all-edge", "all-node", "random"])
 def test_seeds_only_forward_equals_full(mode, layers):
@@ -599,9 +625,9 @@ def test_only_read_relation_messages_are_built(monkeypatch):
                   for key in model.relations}
         built = []
 
-        def record(W, h_src, src, dst, key_of=key_of):
+        def record(W, h_src, src, dst, classes=None, key_of=key_of):
             built.append(key_of[id(W)])
-            return real(W, h_src, src, dst)
+            return real(W, h_src, src, dst, classes)
 
         monkeypatch.setattr(model_mod, "relation_message", record)
         for table in sorted({tr.w_table for tr in model.active_triples}):

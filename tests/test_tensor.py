@@ -115,6 +115,32 @@ def test_first_gradient_write_is_a_fresh_zero_normalised_buffer():
     np.testing.assert_array_equal(node.grad, [0.0, 3.0, -4.0])
 
 
+def test_owned_first_gradient_write_is_adopted():
+    """A gradient a backward rule computed for one parent alone becomes
+    its buffer as it is; later writes add onto it."""
+    node = Tensor(np.zeros(3))
+    node.requires_grad = True
+    node.grad = None
+    g = np.array([-0.0, 1.5, -2.0])
+    T._accum(node, g, own=True)
+    assert node.grad is g
+    T._accum(node, np.ones(3))
+    np.testing.assert_array_equal(node.grad, [1.0, 2.5, -1.0])
+
+
+def test_add_parents_keep_separate_gradient_buffers():
+    """add hands one `g` to both parents: a later write into one parent's
+    gradient, from a consumer recorded before the add, must not reach the
+    other."""
+    x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+    y = Tensor(np.array([3.0, 4.0]), requires_grad=True)
+    a, b = T.scale(x, 1.0), T.scale(y, 1.0)
+    c = T.mul(a, Tensor(np.array([5.0, 5.0])))
+    T.backward(T.add(T.sum_(T.add(a, b)), T.sum_(c)))
+    np.testing.assert_array_equal(x.grad, [6.0, 6.0])
+    np.testing.assert_array_equal(y.grad, [1.0, 1.0])
+
+
 def test_linear_matches_add_of_matmul_bit_for_bit():
     rng = np.random.default_rng(12)
     for b_shape in ((4,), (1,)):
@@ -230,6 +256,18 @@ def _primitive_cases(rng):
     none = np.zeros(0, dtype=np.int64)
     case("neighbor_mean_no_edges", [nh],
          lambda: T.sumsq(T.add_rows(nh, *T.neighbor_mean(nh, none, none))))
+    # destinations 0 and 1 are one class; row 0 of h is 0's own non-leaf
+    # source, whose key leaf 2 holds: the class sums (h2 + h3) once, and 0
+    # adds h0 - h2. Destination 2 is a class of its own.
+    csrc = np.array([0, 3, 2, 3, 1])
+    cdst = np.array([0, 0, 1, 1, 2])
+    classes = (np.array([2, 3, 1]), np.array([0, 0, 1]), np.array([0, 0, 1]),
+               (np.array([0, 2]), np.array([0, 0]), np.array([1.0, -1.0])))
+    np.testing.assert_allclose(T.neighbor_mean(nh, csrc, cdst, classes)[1].values,
+                               T.neighbor_mean(nh, csrc, cdst)[1].values,
+                               rtol=1e-12)
+    case("neighbor_mean_classes", [nh],
+         lambda: T.sumsq(T.sigmoid(T.neighbor_mean(nh, csrc, cdst, classes)[1])))
     ab_base = rand_tensor(rng, (5, 3))
     ab_vals = rand_tensor(rng, (3, 3))
     ab_rows = np.array([3, 0, 4])

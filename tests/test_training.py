@@ -197,14 +197,45 @@ def test_phase_a_keeps_fd_parameters_off_the_tape(monkeypatch):
     idx, = make_epoch_batches(task.labels["train"], cfg.batch_size,
                               seed=_mix(cfg.seed, 0, 0))
     rng = np.random.default_rng([cfg.seed, 0, 1, 0])
-    loss, embeddings, batch, _ = _task_loss(oracle, idx, "train", True,
-                                            oracle.gates, rng)
-    total, _, _, _ = fd_losses(batch, embeddings, oracle.fdmod, cfg.beta,
+    loss, result, batch, _ = _task_loss(oracle, idx, "train", True,
+                                        oracle.gates, rng)
+    total, _, _, _ = fd_losses(batch, result.embeddings, oracle.fdmod, cfg.beta,
                                cfg.gamma, cfg.tau, cfg.negatives, rng)
     real_backward(T.add(loss, total))
     assert any(p.grad.any() for p in oracle.fdmod.params.values())
     for name, p in oracle.model.params.items():
         assert np.array_equal(model_grads[name], p.grad), name
+
+
+@pytest.mark.parametrize("layers", [1, 2])
+def test_adopted_gradient_buffers_keep_parameter_gradients(monkeypatch, layers):
+    """A first gradient write adopts an array its backward rule computed
+    for that parent alone instead of copying it. The copy only turned -0.0
+    into +0.0, which no parameter gradient tells apart: over the first 12
+    backward passes (phases A and B, FD on) every parameter gradient has
+    the bytes it has when every first write is copied."""
+    def gradient_bytes():
+        _, _, state = _small_state(seed=4, layers=layers, batch_size=16,
+                                   beta=0.5, gamma=0.5)
+        seen = []
+        real_backward = T.backward
+
+        def spy(loss):
+            real_backward(loss)
+            seen.append(b"".join(p.grad.tobytes() for _, p in
+                                 sorted(state.parameters().items())))
+        monkeypatch.setattr(T, "backward", spy)
+        train(state)
+        monkeypatch.undo()
+        assert len(seen) >= 12
+        return seen[:12]
+
+    adopted = gradient_bytes()
+    real_accum = T._accum
+    monkeypatch.setattr(T, "_accum", lambda t, grad, own=False:
+                        real_accum(t, grad))
+    copied = gradient_bytes()
+    assert adopted == copied
 
 
 def test_beta_gamma_zero_matches_task_only_run():
@@ -269,7 +300,7 @@ def test_gates_update_only_in_phase_a():
 
 def test_structure_report_initial_gates():
     db, task, state = _small_state(seed=6)
-    report = structure_report(state.reg.triples, state.gates)
+    report = structure_report(state.reg.triples, state.gates, state.model.cfg)
     assert report["triples"], "two-hop schema has co-occurrence triples"
     for entry in report["triples"]:
         assert entry["gate"] == 0.5
@@ -282,7 +313,7 @@ def test_structure_report_consistency_flag():
     tids = sorted(state.gates.values)
     state.gates.values[tids[0]] = 0.9
     state.gates.values[tids[1]] = 0.2
-    report = structure_report(state.reg.triples, state.gates)
+    report = structure_report(state.reg.triples, state.gates, state.model.cfg)
     flags = {e["triple"]: e["orientation_consistency"]
              for e in report["triples"]}
     assert set(flags.values()) == {"diff"}
@@ -314,7 +345,8 @@ def test_build_state_keeps_the_gate_settings_of_the_model_config():
     db, task = gen_twohop(seed=0, **SMALL)
     mcfg = ModelConfig(channels=8, layers=1, alpha=0.5, mu=0.3)
     state = build_state(db, task, mcfg, TrainConfig(epochs=1))
-    assert (state.gates.alpha, state.gates.mu) == (0.5, 0.3)
+    report = structure_report(state.reg.triples, state.gates, state.model.cfg)
+    assert (report["alpha"], report["mu"]) == (0.5, 0.3)
     assert state.model.cfg == mcfg
 
 
