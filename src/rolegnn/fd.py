@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
+from .kernels import sorted_unique
 from .sampler import BatchSubgraph
 from .schema_graph import RelationalEntityGraph, RelationKey
 from .tensor import Tensor
@@ -86,18 +87,20 @@ def _linked_pairs(batch: BatchSubgraph, embeddings: dict[str, Tensor],
     for key in relations:
         if key.reverse:
             continue
-        links = []
+        links = []  # (holder, referenced) locals
         fwd = batch.edges.get(key.id)
         if fwd is not None:
-            links.append(np.stack([fwd[0], fwd[1]], axis=1))
+            links.append(fwd)
         rev = batch.edges.get(key.flipped().id)
         if rev is not None:
-            links.append(np.stack([rev[1], rev[0]], axis=1))
+            links.append(rev[::-1])
         if not links or key.holder not in embeddings \
                 or key.referenced not in embeddings:
             continue
-        pairs = np.unique(np.concatenate(links, axis=0), axis=0)
-        holder_locals, ref_locals = pairs[:, 0], pairs[:, 1]
+        holder, ref = (np.concatenate(col) for col in zip(*links))
+        width = int(ref.max()) + 1 if len(ref) else 1
+        pairs = sorted_unique(holder * width + ref)  # sorted by (holder, ref)
+        holder_locals, ref_locals = pairs // width, pairs % width
         out[key.id] = (T.take_rows(embeddings[key.holder], holder_locals),
                        T.take_rows(embeddings[key.referenced], ref_locals),
                        holder_locals, ref_locals)

@@ -37,6 +37,7 @@ import numpy as np
 from . import tensor as T
 from .config import DEFAULTS, integral, real
 from .errors import ShapeError
+from .kernels import group_ids
 from .sampler import BatchSubgraph, TypeNodes
 from .schema_graph import RelationalEntityGraph
 from .tensor import Tensor
@@ -497,16 +498,20 @@ class Model:
         return self.params
 
     def _row_time_keys(self, batch: BatchSubgraph):
-        """`key(table, idx)`: one integer per local of `table` in `idx`,
-        equal exactly when two locals hold the same (row, prediction time)."""
+        """(`key(table, idx)`, `space(table)`): one integer in
+        [0, space(table)) per local of `table` in `idx`, equal exactly when
+        two locals hold the same (row, prediction time)."""
         # a local's prediction time is its seed's: classes from B seed times
-        _, t_class = np.unique(batch.seed_t_predict, return_inverse=True)
+        times, t_class = np.unique(batch.seed_t_predict, return_inverse=True)
 
         def key(table: str, idx: np.ndarray | slice) -> np.ndarray:
             tn = batch.nodes[table]
             return (t_class[tn.seed_of[idx]] * self.reg.nodes[table].n_rows
                     + tn.rows[idx])
-        return key
+
+        def space(table: str) -> int:
+            return len(times) * self.reg.nodes[table].n_rows
+        return key, space
 
     def share_leaves(self, batch: BatchSubgraph
                      ) -> tuple[BatchSubgraph, dict[str, np.ndarray]]:
@@ -521,7 +526,7 @@ class Model:
         ends are renumbered, in batch order. A table without `reach` or
         with nothing to merge is left as it is.
         """
-        row_time = self._row_time_keys(batch)
+        row_time, space = self._row_time_keys(batch)
         nodes = dict(batch.nodes)
         expand: dict[str, np.ndarray] = {}
         for c, tn in batch.nodes.items():
@@ -529,7 +534,7 @@ class Model:
             if reach is None or reach[-2] == tn.n:
                 continue
             lo = reach[-2]
-            _, inverse = np.unique(row_time(c, slice(lo, None)), return_inverse=True)
+            inverse = group_ids(row_time(c, slice(lo, None)), space(c))
             k = int(inverse.max()) + 1
             if k == tn.n - lo:
                 continue
@@ -573,7 +578,7 @@ class Model:
         Non-leaf locals, `[0, reach[c][-2])`, keep their numbering in a
         leaf-shared batch.
         """
-        row_time = self._row_time_keys(batch)
+        row_time, _ = self._row_time_keys(batch)
         classes = {}
         for c, tn in batch.nodes.items():
             if c not in batch.complete:
@@ -642,16 +647,12 @@ class Model:
     def _leaf_twins(self, batch: BatchSubgraph, table: str) -> np.ndarray:
         """Per non-leaf local of `table` in the leaf-shared `batch`, the leaf
         row that holds the same (row, prediction time), or -1."""
-        row_time = self._row_time_keys(batch)
+        row_time, space = self._row_time_keys(batch)
         lo = batch.reach[table][-2]
-        leaves = row_time(table, slice(lo, None))
-        if not len(leaves):
-            return np.full(lo, -1, dtype=np.int64)
-        keys = row_time(table, slice(0, lo))
-        order = np.argsort(leaves)
-        at = order[np.minimum(np.searchsorted(leaves, keys, sorter=order),
-                              len(leaves) - 1)]
-        return np.where(leaves[at] == keys, lo + at, -1)
+        ids = group_ids(row_time(table, slice(None)), space(table))
+        leaf = np.full(len(ids), -1, dtype=np.int64)  # per class, its leaf
+        leaf[ids[lo:]] = np.arange(lo, len(ids))  # leaves are distinct here
+        return leaf[ids[:lo]]
 
     # -- forward ----------------------------------------------------------
 

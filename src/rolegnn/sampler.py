@@ -14,7 +14,7 @@ import numpy as np
 
 from .config import hop_budget
 from .errors import GraphError
-from .kernels import admissible_counts, lookup_positions
+from .kernels import admissible_counts, lookup_positions, sorted_unique
 from .rdb import LabelRecords
 from .schema_graph import RelationalEntityGraph
 
@@ -85,12 +85,14 @@ def _draw(rng: np.random.Generator, lo: np.ndarray, counts: np.ndarray,
     return owner[keep], slot[keep]
 
 
-def _localize(index: tuple[np.ndarray, np.ndarray], keys: np.ndarray
+def _localize(index: tuple[np.ndarray, np.ndarray], keys: np.ndarray,
+              grow: bool = True
               ) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray]]:
     """Local ids of (seed, row) keys given a table's sorted (keys, locals)
     index. Keys not yet in the batch get the next ids in key order.
 
-    Returns (local per key, the fresh keys, the index with them added).
+    Returns (local per key, the fresh keys, the index with them added, or
+    the index as it was when not `grow`).
     """
     known, known_locals = index
     uniq, inverse = np.unique(keys, return_inverse=True)
@@ -99,8 +101,9 @@ def _localize(index: tuple[np.ndarray, np.ndarray], keys: np.ndarray
     locals_ = np.empty(len(uniq), dtype=np.int64)
     locals_[~fresh] = known_locals[pos[~fresh]]
     locals_[fresh] = len(known) + np.arange(int(fresh.sum()), dtype=np.int64)
-    index = (np.insert(known, pos[fresh], uniq[fresh]),
-             np.insert(known_locals, pos[fresh], locals_[fresh]))
+    if grow:
+        index = (np.insert(known, pos[fresh], uniq[fresh]),
+                 np.insert(known_locals, pos[fresh], locals_[fresh]))
     return locals_[inverse.reshape(-1)], uniq[fresh], index
 
 
@@ -113,6 +116,10 @@ def sample_batch(reg: RelationalEntityGraph, seeds: list[tuple[int, float]],
     and one draw per relation key and per active triple, then one dedup per
     table of the drawn (seed, row) pairs, keyed `seed_idx * n_rows + row`.
     Pairs new to the batch form the next frontier, so each is expanded once.
+    Each table keeps its keys in local order as they are numbered (the
+    seeds, then each hop's fresh keys in key order) beside a sorted index
+    for lookups; the last hop's fresh keys are not indexed, since nothing
+    looks them up.
     """
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
@@ -126,9 +133,9 @@ def sample_batch(reg: RelationalEntityGraph, seeds: list[tuple[int, float]],
 
     n_rows = {t: s.n_rows for t, s in reg.nodes.items()}
     seed_locals = np.arange(len(seeds), dtype=np.int64)
-    seed_keys = seed_locals * n_rows[entity_table] + seed_rows
-    order = np.argsort(seed_keys)
-    index = {entity_table: (seed_keys[order], order)}  # table -> sorted (keys, locals)
+    seed_keys = seed_locals * n_rows[entity_table] + seed_rows  # ascending
+    index = {entity_table: (seed_keys, seed_locals)}  # table -> sorted (keys, locals)
+    numbered = {entity_table: [seed_keys]}  # table -> key chunks in local order
     frontier = {entity_table: (seed_rows, seed_locals, seed_locals)}  # (rows, seed, local)
 
     edges: dict[str, list[tuple[np.ndarray, ...]]] = {}
@@ -174,25 +181,28 @@ def sample_batch(reg: RelationalEntityGraph, seeds: list[tuple[int, float]],
                               [want(triple.u_table, seed_of, pr.u_pos[inst]),
                                want(triple.v_table, seed_of, pr.v_pos[inst])], w))
 
+        last = hop == cfg.num_hops - 1
         frontier = {}
         resolved = {}  # table -> local ids per drawn chunk
         for table, chunks in wanted.items():
             known = index.get(table, _NO_NODES)
-            locals_, fresh, index[table] = _localize(known, np.concatenate(chunks))
+            locals_, fresh, index[table] = _localize(known, np.concatenate(chunks),
+                                                     grow=not last)
             resolved[table] = np.split(locals_, np.cumsum([len(c) for c in chunks])[:-1])
-            if len(fresh):
+            numbered.setdefault(table, []).append(fresh)
+            if len(fresh) and not last:
                 frontier[table] = (fresh % n_rows[table], fresh // n_rows[table],
                                    len(known[0]) + np.arange(len(fresh), dtype=np.int64))
         for out, ident, refs, dst in drawn:
             out.setdefault(ident, []).append(
                 tuple(resolved[t][c] for t, c in refs) + (dst,))
-        reached.append({t: len(keys) for t, (keys, _) in index.items()})
+        reached.append({t: sum(map(len, chunks)) for t, chunks in numbered.items()})
 
     nodes = {}
     complete = {}
-    for table, (keys, locals_) in index.items():
+    for table, chunks in numbered.items():
+        keys = np.concatenate(chunks)
         if len(keys):
-            keys = keys[np.argsort(locals_)]  # into local order
             seed_of = keys // n_rows[table]
             nodes[table] = TypeNodes(keys % n_rows[table], seed_t[seed_of], seed_of)
             complete[table] = np.ones(len(keys), dtype=bool)
@@ -203,7 +213,7 @@ def sample_batch(reg: RelationalEntityGraph, seeds: list[tuple[int, float]],
         src, dst = (np.concatenate(col) for col in zip(*parts))
         if len(src):
             width = int(dst.max()) + 1
-            pairs = np.unique(src * width + dst)  # sorted by (src, dst)
+            pairs = sorted_unique(src * width + dst)  # sorted by (src, dst)
             edge_arrays[key_id] = (pairs // width, pairs % width)
     path_arrays = {}
     for tid, parts in paths.items():

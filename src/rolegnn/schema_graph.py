@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import PathCapExceeded, ProvenanceError, RoleError
-from .kernels import lookup_positions
+from .kernels import lookup_positions, sorted_unique
 from .rdb import ColumnData, RelationalDatabase, TableSpec, build_database
 
 ROLES = ("node", "edge", "learn")
@@ -425,7 +425,7 @@ def construct_reg(db: RelationalDatabase, sg: SchemaGraph, roles: RoleAssignment
         u_store = nodes[triple.u_table]
         t_path = v_store.times[v_pos]
         t_admissible = np.maximum(t_path, u_store.times[u_pos])
-        v_attr_rows = np.unique(v_pos)
+        v_attr_rows = sorted_unique(v_pos)
         paths[triple.id] = PathRelation(
             triple, u_pos, v_pos, w_pos, v_pk=v_store.pk[v_pos],
             t_path=t_path, t_admissible=t_admissible,

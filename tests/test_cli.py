@@ -809,3 +809,81 @@ def test_train_determinism(capsys, twohop_bundle, tmp_path):
         assert code == 0
         metrics.append(_last_json(out)["best_val_metric"])
     assert metrics[0] == metrics[1]
+
+
+# --- fuzzed bundle and task CSVs ----------------------------------------------
+
+@pytest.fixture(scope="module")
+def tiny_bundle(tmp_path_factory):
+    path = tmp_path_factory.mktemp("tiny") / "twohop"
+    assert main(["synth", "twohop", "n_users=30", "n_products=10",
+                 "n_reviews=80", "seed=3", "-o", str(path)]) == 0
+    return path
+
+
+_CELL_TEXT = st.one_of(
+    st.sampled_from(["", "nan", "inf", "-1", "0", "1.5", "1e999", "9" * 25,
+                     "-9" * 13, "x", ",", '"', "\n", "1,2", "0x10", "NULL"]),
+    st.text(st.characters(blacklist_categories=("Cs",)), max_size=6))
+
+
+def _fuzz_csv(path: Path, data) -> None:
+    """Rewrite one CSV with a drawn damage: a cell or header field replaced,
+    a field added or dropped, or a line deleted or repeated."""
+    lines = path.read_text(encoding="utf-8").splitlines()
+    kind = data.draw(st.sampled_from(["cell", "header", "extra", "short",
+                                      "delete", "repeat"]))
+    at = 0 if kind == "header" else data.draw(st.integers(
+        0 if kind in ("delete", "repeat") else 1, len(lines) - 1))
+    fields = lines[at].split(",")
+    if kind in ("cell", "header"):
+        fields[data.draw(st.integers(0, len(fields) - 1))] = data.draw(_CELL_TEXT)
+        lines[at] = ",".join(fields)
+    elif kind == "extra":
+        lines[at] = ",".join(fields + [data.draw(_CELL_TEXT)])
+    elif kind == "short":
+        lines[at] = ",".join(fields[:-1])
+    elif kind == "delete":
+        del lines[at]
+    else:
+        lines.insert(at, lines[at])
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+_TINY_TRAIN = ["--epochs", "1", "--channels", "8", "--layers", "1", "--quiet"]
+
+
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_fuzzed_bundle_csv_exits_0_2_or_3(capsys, tiny_bundle, data):
+    """A table CSV damaged at random is validated and trained on, or
+    refused with exit 2 or 3, never a traceback."""
+    with tempfile.TemporaryDirectory() as tmp:
+        bundle = Path(tmp) / "bundle"
+        shutil.copytree(tiny_bundle, bundle)
+        table = data.draw(st.sampled_from(["user", "product", "review"]))
+        _fuzz_csv(bundle / f"{table}.csv", data)
+        for argv in (["validate", str(bundle)],
+                     ["train", str(bundle), str(bundle / "user-positive"),
+                      *_TINY_TRAIN]):
+            code, _, err = _run(capsys, *argv)
+            assert code in (0, 2, 3), (argv[0], err)
+            assert "Traceback" not in err
+
+
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_fuzzed_task_csv_exits_0_2_or_3(capsys, tiny_bundle, data):
+    """A task CSV damaged at random is trained on, or refused with exit 2
+    or 3, never a traceback."""
+    with tempfile.TemporaryDirectory() as tmp:
+        bundle = Path(tmp) / "bundle"
+        shutil.copytree(tiny_bundle, bundle)
+        split = data.draw(st.sampled_from(["train", "val", "test"]))
+        _fuzz_csv(bundle / "user-positive" / f"task_{split}.csv", data)
+        code, _, err = _run(capsys, "train", str(bundle),
+                            str(bundle / "user-positive"), *_TINY_TRAIN)
+    assert code in (0, 2, 3), err
+    assert "Traceback" not in err

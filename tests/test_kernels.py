@@ -1,4 +1,10 @@
+import ast
+from pathlib import Path
+
 import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rolegnn import kernels
 
@@ -107,3 +113,82 @@ def test_admissible_counts_bit_equal_to_loop():
     assert empty.tolist() == [0, 0]
     assert kernels.admissible_counts(indptr, times, np.empty(0, dtype=np.int64),
                                      np.empty(0)).shape == (0,)
+
+
+# --- integer key sets ---------------------------------------------------------
+
+@st.composite
+def _keys_in_space(draw):
+    """(keys, space): up to 60 keys in [0, space), often with repeats."""
+    space = draw(st.integers(1, 400))
+    keys = draw(st.lists(st.integers(0, space - 1), max_size=60))
+    return np.asarray(keys, dtype=np.int64), space
+
+
+_EDGE_CASES = [(np.empty(0, dtype=np.int64), 1), (np.array([0]), 1),
+               (np.array([6]), 7), (np.full(9, 4), 5), (np.array([2, 0, 2]), 3),
+               (np.array([0, 99, 0]), 100)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_keys_in_space())
+def test_sorted_unique_equals_np_unique(case):
+    keys, _ = case
+    got, want = kernels.sorted_unique(keys), np.unique(keys)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_keys_in_space())
+def test_group_ids_equals_np_unique_inverse(case):
+    keys, space = case
+    got, want = kernels.group_ids(keys, space), np.unique(keys, return_inverse=True)[1]
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("count", [True, False], ids=["counted", "sorted"])
+@pytest.mark.parametrize("keys,space", _EDGE_CASES)
+def test_group_ids_both_paths_on_edge_cases(monkeypatch, keys, space, count):
+    want = np.unique(keys, return_inverse=True)[1]
+    assert np.array_equal(kernels.sorted_unique(keys), np.unique(keys))
+    factor = 10 ** 6 if count else 0
+    monkeypatch.setattr(kernels, "COUNT_FACTOR", factor)
+    if space <= factor * len(keys):  # counted: never reaches np.unique
+        monkeypatch.setattr(np, "unique", None)
+    got = kernels.group_ids(keys, space)
+    monkeypatch.undo()
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def _bare_unique_calls(path: Path) -> list[int]:
+    """Lines of `np.unique(...)` calls with no return_* or axis argument."""
+    lines = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "unique"
+                and isinstance(node.func.value, ast.Name)
+                and node.func.value.id in ("np", "numpy")
+                and not any(kw.arg and (kw.arg.startswith("return_") or kw.arg == "axis")
+                            for kw in node.keywords)):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_no_bare_np_unique_in_the_engine():
+    """numpy >= 2.3 runs a bare `np.unique` through a hash table, 25-30x
+    slower than a sort on batch-sized int64 keys."""
+    src = Path(kernels.__file__).parent
+    found = [f"{path.name}:{line}" for path in sorted(src.glob("*.py"))
+             for line in _bare_unique_calls(path)]
+    assert not found, (f"bare np.unique at {', '.join(found)}: "
+                       "use kernels.sorted_unique")
+
+
+def test_bare_unique_scan_sees_calls_not_text(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text('"""np.unique(x) in a docstring"""\n'
+                     "a = np.unique(x)\n"
+                     "b = np.unique(x, return_inverse=True)\n"
+                     "c = np.unique(x, axis=0)\n"
+                     "d = numpy.unique(\n    x)\n")
+    assert _bare_unique_calls(probe) == [2, 5]

@@ -309,6 +309,59 @@ def test_shared_leaves_are_one_per_row_and_time(layers):
                 np.testing.assert_array_equal(new_src, expand[key.src_table][src])
 
 
+def _leaf_reference(model: Model, batch):
+    """`share_leaves` and `_leaf_twins` as first written, by `np.unique`
+    classes and an argsort lookup: (nodes, expand, twins) per merged table."""
+    _, t_class = np.unique(batch.seed_t_predict, return_inverse=True)
+
+    def key(tn, c, idx):
+        return t_class[tn.seed_of[idx]] * model.reg.nodes[c].n_rows + tn.rows[idx]
+
+    out = {}
+    for c, tn in batch.nodes.items():
+        lo = batch.reach[c][-2]
+        _, inverse = np.unique(key(tn, c, slice(lo, None)), return_inverse=True)
+        k = int(inverse.max()) + 1 if tn.n > lo else 0
+        if k == tn.n - lo:
+            continue
+        member = np.empty(k, dtype=np.int64)
+        member[inverse] = np.arange(lo, tn.n)
+        keep = np.concatenate([np.arange(lo), member])
+        merged = dataclasses.replace(tn, rows=tn.rows[keep],
+                                     t_predict=tn.t_predict[keep],
+                                     seed_of=tn.seed_of[keep])
+        leaves = key(merged, c, slice(lo, None))
+        keys = key(merged, c, slice(0, lo))
+        order = np.argsort(leaves)
+        at = order[np.minimum(np.searchsorted(leaves, keys, sorter=order),
+                              len(leaves) - 1)]
+        out[c] = (merged, np.concatenate([np.arange(lo), lo + inverse]),
+                  np.where(leaves[at] == keys, lo + at, -1))
+    return out
+
+
+@pytest.mark.parametrize("count_factor", [kernels.COUNT_FACTOR, 0])
+@pytest.mark.parametrize("layers", [1, 2, 3])
+def test_leaf_classes_byte_equal_to_np_unique(monkeypatch, layers, count_factor):
+    """Counted leaf classes and twins (and, with a count factor of 0, the
+    sorted fallback) give the very arrays the `np.unique` passes gave."""
+    monkeypatch.setattr(kernels, "COUNT_FACTOR", count_factor)
+    model, batch = _two_time_setup("learn", layers)
+    want = _leaf_reference(model, batch)
+    compact, expand = model.share_leaves(batch)
+    assert sorted(expand) == sorted(want)
+    for c, (nodes, renumber, twins) in want.items():
+        for got, ref in [(compact.nodes[c].rows, nodes.rows),
+                         (compact.nodes[c].t_predict, nodes.t_predict),
+                         (compact.nodes[c].seed_of, nodes.seed_of),
+                         (expand[c], renumber), (model._leaf_twins(compact, c), twins)]:
+            assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes(), c
+    for key in model.relations:
+        if key.id in batch.edges and key.src_table in want:
+            src = compact.edges[key.id][0]
+            assert src.tobytes() == want[key.src_table][1][batch.edges[key.id][0]].tobytes()
+
+
 @pytest.mark.parametrize("seeds_only", [False, True])
 @pytest.mark.parametrize("layers", [1, 2, 3])
 def test_shared_leaves_across_times_match_per_path(layers, seeds_only):

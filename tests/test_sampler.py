@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -291,3 +293,127 @@ def test_draws_unchanged_by_the_completeness_record():
         batch = sample_batch(reg, seeds, SamplerConfig(16, hops, 7), "user")
         assert (batch.neighbor_count, batch.path_count) == (neighbors, paths)
         assert tuple(batch.nodes[t].n for t in ("product", "review", "user")) == sizes
+
+
+# ---------------------------------------------------------------------------
+# pinned output: every array of sampled batches, byte for byte
+# ---------------------------------------------------------------------------
+
+# (role, num_hops, neighbor_samples, allow_future); 8 truncates, 2**20 does not
+_PINNED_CASES = [("learn", 1, 8, False), ("learn", 2, 8, False),
+                 ("learn", 3, 8, False), ("learn", 2, 8, True),
+                 ("learn", 1, 2 ** 20, False), ("learn", 2, 2 ** 20, False),
+                 ("learn", 3, 2 ** 20, True), ("node", 3, 8, False)]
+
+
+def _pinned_batch(role, num_hops, neighbor_samples, allow_future):
+    db, task = gen_twohop(60, 20, 300, 1.0, 0)
+    recs = task.labels["train"]
+    seeds = [(int(recs.entity[i]), float(recs.t_predict[i])) for i in range(16)]
+    seeds.append(seeds[3])  # a repeated seed gets its own tree
+    cfg = SamplerConfig(neighbor_samples, num_hops, 5, allow_future=allow_future)
+    return sample_batch(_reg(db, role), seeds, cfg, "user")
+
+
+def _digest(named: list[tuple[str, np.ndarray]]) -> str:
+    h = hashlib.sha256()
+    for name, arr in named:
+        arr = np.ascontiguousarray(arr)
+        h.update(f"{name}|{arr.dtype.str}|{arr.shape}|".encode())
+        h.update(arr.tobytes())
+    return h.hexdigest()
+
+
+def _batch_digests(b) -> dict[str, str]:
+    nodes = [("seed_rows", b.seed_rows), ("seed_t_predict", b.seed_t_predict),
+             ("seed_locals", b.seed_locals),
+             ("counts", np.asarray([b.neighbor_count, b.path_count]))]
+    for t in sorted(b.nodes):
+        tn = b.nodes[t]
+        nodes += [(f"{t}.rows", tn.rows), (f"{t}.t_predict", tn.t_predict),
+                  (f"{t}.seed_of", tn.seed_of)]
+    return {
+        "nodes": _digest(nodes),
+        "edges": _digest([(f"{k}.{i}", a) for k in sorted(b.edges)
+                          for i, a in enumerate(b.edges[k])]),
+        "paths": _digest([(f"{k}.{i}", a) for k in sorted(b.paths)
+                          for i, a in enumerate(b.paths[k])]),
+        "reach": _digest([(t, np.asarray(b.reach[t], dtype=np.int64))
+                          for t in sorted(b.reach)]),
+        "complete": _digest([(t, b.complete[t]) for t in sorted(b.complete)]),
+    }
+
+
+_PINNED_DIGESTS = {  # recorded before the sampler kept its keys in local order
+    ('learn', 1, 8, False): {
+        "nodes": "3dd9235ed77acbe4957080dabd5bdae5d352baa10603b3923c1b3b41a8e48d1b",
+        "edges": "cc0364fb341bccd6fb1d3622e7656b538c4c7bea12c807857ae11750a1e15a10",
+        "paths": "4170724d4e85be123d06d59d6fc71e8f60bcdeed96400736dc7b67a5052592fc",
+        "reach": "4bb6c5a5a24592882e98e17ab01dcec0daa29964d8dcec593b89e45bab272f03",
+        "complete": "95be8d4bade113d3f20d71ca961f1eb2fa3a91f68e5b2c3bde129961dc0603fc",
+    },
+    ('learn', 2, 8, False): {
+        "nodes": "7277ab030e33fe4bea9ae847f07cbf0127be0d5a9b3a12ed319c848eb1e9722e",
+        "edges": "18a55b6d29beb8a1e910735b3c4028ce3d99cd307f5ff1521d219f34b1ec7020",
+        "paths": "fe7938f86b27cb23cb3ad67303134ac2567879cc08fb8a2f34874b038665dd69",
+        "reach": "dfb37becfb0914e207d25be807154bb2ebcaeae12041bc58c3b0688a6245d541",
+        "complete": "18ed4b79e30767c862ab9893491171dc373df6341fcb35737921690136c4d5b8",
+    },
+    ('learn', 3, 8, False): {
+        "nodes": "f451d4099b704319e22ada2bc344881530bb088ed4270d35f9ce749f4a34d4fd",
+        "edges": "b7d5ff1e39a9ddaa2af4e4050a2a2407025a0d18a7d43514817075f855c4538f",
+        "paths": "562b1a29dc2e4711c2525e97c01bda3d38499e57d8b69711158bb27375e1878a",
+        "reach": "738f8cf41734abf1153bf56405ceb527a95dbdfcb1dae519028a6ee87c6c04e8",
+        "complete": "c7bdcb60d31ffd38c418e4ee086a7fdb670a550f9f230cb6704654ba8df244b9",
+    },
+    ('learn', 2, 8, True): {
+        "nodes": "7277ab030e33fe4bea9ae847f07cbf0127be0d5a9b3a12ed319c848eb1e9722e",
+        "edges": "18a55b6d29beb8a1e910735b3c4028ce3d99cd307f5ff1521d219f34b1ec7020",
+        "paths": "fe7938f86b27cb23cb3ad67303134ac2567879cc08fb8a2f34874b038665dd69",
+        "reach": "dfb37becfb0914e207d25be807154bb2ebcaeae12041bc58c3b0688a6245d541",
+        "complete": "18ed4b79e30767c862ab9893491171dc373df6341fcb35737921690136c4d5b8",
+    },
+    ('learn', 1, 1048576, False): {
+        "nodes": "75bfac2c5f83c3d9f39b2562cb8e2e585b0b6e1d1ca8c9f59263cd229c6c5dbb",
+        "edges": "938eca6dd4a5a8aa7a31948f8e7f79c17a2d98f656544f661c960b118a423ffd",
+        "paths": "19c947c552bc97bf6ddd61891dd0d2270b12aa6e220e961e05e890d1a1b1a84e",
+        "reach": "169d2449a1c1f6ff12a9701f76f317fec6d8869607182d3749dcaddf553e10bc",
+        "complete": "d15f5ca214f6f22bb35f0f81401c124ebdb55018b75f164478b684b4aeda592b",
+    },
+    ('learn', 2, 1048576, False): {
+        "nodes": "6746d1147fb697bbbafbce133dcef1d11fa5eaa0786f05f2d992013c1bbe281a",
+        "edges": "d843228379296b02e337da49c6c41c5be7f2b4646d4dc9631a147c662f417d00",
+        "paths": "4863168066b3457e87f35b90668cca61cb4de5a864f1ef3153d9a39ee639fb1a",
+        "reach": "5a1820ea5b903aeb2db5684e455bbeaf2d26bd5d1a7a795f0fed864abaf4cd44",
+        "complete": "efd2c5522062fd6ec154d6db01d5a004b439ea5f9f764cb6ceab8d3febf8c9bd",
+    },
+    ('learn', 3, 1048576, True): {
+        "nodes": "9a642051a6d4037b29fa5b9a098da4d29f266895051531579bfc15e8632e84dc",
+        "edges": "54091542961976d7acc4460888240f5bc35de6dd4ba32c6e88d91bc9b2e479f0",
+        "paths": "bb73aecb3bfade0ac75948d97a94c6805e6f8e7c6c77b8c5c481283a306618fe",
+        "reach": "dfef61a380358d4defb874d0db440c5d942ae2c783b744fa29c05ac715bb3a2b",
+        "complete": "cc0dc839e9c278699ba70d052ecf8ea244fc7835e444abe9c2c0e19d380f1d06",
+    },
+    ('node', 3, 8, False): {
+        "nodes": "b0b43a0b2da855f4ee1e2bedb1c67dc707ab86f43db28efeb7f942d599b9af20",
+        "edges": "872675669f20d1c095a4b40599b84a232c09797f9a9793c270c1d7db2353e0b3",
+        "paths": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "reach": "8bf0c570b703e8cfa6458a8481b7aa7b84d190f020c2f56fc1729004139a4357",
+        "complete": "f66f578478edfa9baccb605199bbc223d10c047c75cbcdb65132f5b0d874da28",
+    },
+}
+
+
+@pytest.mark.parametrize("case", _PINNED_CASES, ids=lambda c: "{}-{}hop-n{}{}".format(
+    *c[:3], "-future" if c[3] else ""))
+def test_sampled_arrays_pinned_byte_for_byte(case):
+    """Node, edge, path, reach and completeness arrays equal those recorded
+    when each table's keys were sorted into local order at the end."""
+    batch = _pinned_batch(*case)
+    assert _batch_digests(batch) == _PINNED_DIGESTS[case]
+    for src, dst in batch.edges.values():  # packed (src, dst) strictly increasing
+        packed = src * (int(dst.max()) + 1) + dst
+        assert (np.diff(packed) > 0).all()
+    assert batch.neighbor_count > 0 and (batch.path_count > 0) == (case[0] == "learn")
+    truncated = not all(done.all() for done in batch.complete.values())
+    assert truncated == (case[2] == 8)
