@@ -117,19 +117,21 @@ def loss_emb(diffs: Tensor, P: Tensor, s: Tensor) -> Tensor:
     return T.mean(T.sumsq(T.sub(centered, projected), axis=1))
 
 
-def score_pairs(fd: FdModule, relation_id: str, h_i: Tensor, h_j: Tensor) -> Tensor:
-    """Relation scoring head applied to h_i - h_j (holder minus referenced).
+def score_pairs(fd: FdModule, relation_id: str, h_i: Tensor, h_ref: Tensor,
+                ref_idx: np.ndarray | None = None) -> Tensor:
+    """Relation scoring head applied to holder-minus-referenced differences,
+    as one `T.pair_mlp` node.
 
-    The last axis holds the channels; leading axes broadcast, and the result
-    has the broadcast leading shape.
+    With `ref_idx` None, row i of `h_i` is scored against row i of `h_ref`
+    and the scores have shape (n,). With an (n, k) array of `h_ref` rows,
+    row i is scored against each of `h_ref[ref_idx[i]]` and the scores are
+    (n, k); the node gathers those rows itself and scatters their gradient
+    back onto `h_ref`.
     """
-    x = T.sub(h_i, h_j)
-    flat = T.reshape(x, (-1, x.shape[-1]))
-    hidden = T.relu(T.linear(flat, fd.params[f"fd.{relation_id}.ms.W1"],
-                             fd.params[f"fd.{relation_id}.ms.b1"]))
-    raw = T.linear(hidden, fd.params[f"fd.{relation_id}.ms.W2"],
-                   fd.params[f"fd.{relation_id}.ms.b2"])
-    return T.reshape(raw, x.shape[:-1])
+    p = fd.params
+    return T.pair_mlp(h_i, h_ref, ref_idx,
+                      p[f"fd.{relation_id}.ms.W1"], p[f"fd.{relation_id}.ms.b1"],
+                      p[f"fd.{relation_id}.ms.W2"], p[f"fd.{relation_id}.ms.b2"])
 
 
 def loss_pair(pos: Tensor, negs: Tensor, tau: float) -> Tensor:
@@ -202,7 +204,8 @@ def fd_losses(batch: BatchSubgraph, embeddings: dict[str, Tensor], fd: FdModule,
     row differs from the pair's true row, without replacement when the pair
     has at least that many alternatives. A relation whose batch offers no
     alternative (None from the sampler) contributes no pair term. All k
-    negatives are scored in one (n, k) block against the holder embeddings.
+    negatives are scored in one (n, k) block against the holder embeddings,
+    gathered from the referenced table's embeddings by the scoring node.
     """
     pairs = _linked_pairs(batch, embeddings, fd.relations)
     emb_terms: list[Tensor] = []
@@ -223,9 +226,7 @@ def fd_losses(batch: BatchSubgraph, embeddings: dict[str, Tensor], fd: FdModule,
             diagnostics.append(FdDiagnostics(rid, n, l_emb.item(), float("nan"),
                                              float(pos.values.mean()), float("nan")))
             continue
-        h_neg = T.take_rows(embeddings[key.referenced], neg_locals.reshape(-1))
-        negs = score_pairs(fd, rid, T.reshape(h_i, (n, 1, h_i.shape[1])),
-                           T.reshape(h_neg, (n, negatives, h_i.shape[1])))
+        negs = score_pairs(fd, rid, h_i, embeddings[key.referenced], neg_locals)
         l_pair = loss_pair(pos, negs, tau)
         pair_terms.append(l_pair)
         diagnostics.append(FdDiagnostics(rid, n, l_emb.item(), l_pair.item(),

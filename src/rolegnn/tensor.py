@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import kernels
-from .errors import CheckpointMismatch, ShapeError
+from .errors import CheckpointMismatch, ShapeError, TrainingDiverged
 
 _TAPE: list["Tensor"] = []
 _GRAD_ENABLED = True
@@ -402,6 +402,79 @@ def neighbor_mean(h: Tensor, src: np.ndarray, dst: np.ndarray,
     return rows, _record(out, (h,), bwd)
 
 
+def pair_mlp(h_i: Tensor, h_ref: Tensor, ref_idx: np.ndarray | None,
+             W1: Tensor, b1: Tensor, W2: Tensor, b2: Tensor) -> Tensor:
+    """relu((h_i - h_ref[ref_idx]) W1 + b1) W2 + b2 as one tape node, W2
+    with one column.
+
+    With `ref_idx` None, row i of `h_i` pairs with row i of `h_ref` and the
+    scores have shape (n,). With an (n, k) array of `h_ref` rows, row i of
+    `h_i` pairs with each of `h_ref[ref_idx[i]]` and the scores are (n, k);
+    backward scatters the gradient of the gathered rows onto `h_ref` in one
+    segment sum. Outputs and gradients are bit-equal to the composed chain
+    of `take_rows`, `reshape`, `sub`, `linear`, `relu` and `linear`.
+    """
+    c = h_i.shape[-1]
+    pairs_ok = (h_ref.shape == h_i.shape if ref_idx is None
+                else np.ndim(ref_idx) == 2 and len(ref_idx) == h_i.shape[0])
+    if not pairs_ok or h_i.values.ndim != 2 or h_ref.shape[1:] != (c,) \
+            or W1.shape[:1] != (c,) or W2.shape[1:] != (1,):
+        raise ShapeError(f"pair_mlp shape mismatch: {h_i.shape} against "
+                         f"{h_ref.shape} at {np.shape(ref_idx)}, "
+                         f"{W1.shape} then {W2.shape}")
+    if ref_idx is None:
+        lead = (h_i.shape[0],)
+        x = h_i.values - h_ref.values
+    else:
+        ref_idx = np.asarray(ref_idx, dtype=np.int64)
+        lead = ref_idx.shape
+        x = h_ref.values[ref_idx]
+        np.subtract(h_i.values[:, None, :], x, out=x)
+        x = x.reshape(-1, c)
+    hidden = x @ W1.values
+    hidden += b1.values
+    np.maximum(hidden, 0.0, out=hidden)
+    raw = hidden @ W2.values
+    raw += b2.values
+    out = Tensor(raw.reshape(lead))
+
+    def bwd(g):
+        # each `+ 0.0` turns -0.0 into +0.0, as the chain's copies of a
+        # first-written gradient did
+        g = np.add(g.reshape(-1, 1), 0.0)
+        if W2.requires_grad:
+            _accum(W2, hidden.T @ g, own=True)
+        if b2.requires_grad:
+            _accum(b2, _unbroadcast(g, b2.shape))
+        need_x = h_i.requires_grad or h_ref.requires_grad
+        if not (need_x or W1.requires_grad or b1.requires_grad):
+            return
+        g = g @ W2.values.T
+        g *= hidden > 0
+        if W1.requires_grad:
+            _accum(W1, x.T @ g, own=True)
+        if b1.requires_grad:
+            _accum(b1, _unbroadcast(g, b1.shape))
+        if not need_x:
+            return
+        dx = g @ W1.values.T
+        if ref_idx is None:
+            dx += 0.0
+            _accum(h_i, dx)
+            if h_ref.requires_grad:
+                _accum(h_ref, -dx, own=True)
+            return
+        if h_i.requires_grad:
+            rows = dx.reshape(lead + (c,)).sum(axis=1)
+            rows += 0.0
+            _accum(h_i, rows, own=True)
+        if h_ref.requires_grad:
+            np.negative(dx, out=dx)
+            _accum(h_ref, kernels.segment_sum(dx, ref_idx.reshape(-1),
+                                              h_ref.shape[0]), own=True)
+    return _record(out, (h_i, h_ref, W1, b1, W2, b2), bwd)
+
+
 def add_rows(base: Tensor, rows: np.ndarray, vals: Tensor) -> Tensor:
     """A copy of `base` with row i of `vals` added to its row `rows[i]`;
     `rows` must be distinct."""
@@ -456,11 +529,17 @@ def zeros_param(shape: tuple[int, ...]) -> Tensor:
 
 
 class Adam:
-    """Adaptive-moment optimizer; `step` also zeroes the gradients."""
+    """Adaptive-moment optimizer; `step` also zeroes the gradients.
+
+    `names` label the parameters in a divergence error (default: their
+    positions)."""
 
     def __init__(self, params: list[Tensor], lr: float = 1e-3,
-                 betas: tuple[float, float] = (0.9, 0.999), eps: float = 1e-8):
+                 betas: tuple[float, float] = (0.9, 0.999), eps: float = 1e-8,
+                 names: list[str] | None = None):
         self.params = list(params)
+        self.names = (list(names) if names is not None
+                      else [f"#{i}" for i in range(len(self.params))])
         self.lr = lr
         self.beta1, self.beta2 = betas
         self.eps = eps
@@ -469,17 +548,33 @@ class Adam:
         self.v = [np.zeros_like(p.values) for p in self.params]
 
     def step(self) -> None:
-        self.t += 1
-        b1c = 1.0 - self.beta1 ** self.t
-        b2c = 1.0 - self.beta2 ** self.t
-        for p, m, v in zip(self.params, self.m, self.v):
-            g = p.grad
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            p.values -= self.lr * (m / b1c) / (np.sqrt(v / b2c) + self.eps)
-            g[:] = 0.0
+        """Update every parameter, or raise TrainingDiverged naming the first
+        one whose moments or values would turn non-finite (a gradient past
+        ~1e154 overflows its square) and change nothing."""
+        t = self.t + 1
+        b1c = 1.0 - self.beta1 ** t
+        b2c = 1.0 - self.beta2 ** t
+        updates = []
+        with np.errstate(over="ignore", invalid="ignore"):
+            for name, p, m, v in zip(self.names, self.params, self.m, self.v):
+                g = p.grad
+                m = m * self.beta1
+                m += (1.0 - self.beta1) * g
+                v = v * self.beta2
+                v += (1.0 - self.beta2) * g * g
+                values = p.values - self.lr * (m / b1c) / (np.sqrt(v / b2c) + self.eps)
+                # a non-finite m makes the values non-finite too
+                if not (np.isfinite(v).all() and np.isfinite(values).all()):
+                    raise TrainingDiverged(
+                        f"Adam step {t} would make parameter {name!r} "
+                        f"non-finite", {"parameter": name, "step": t})
+                updates.append((m, v, values))
+        self.t = t
+        self.m = [m for m, _, _ in updates]
+        self.v = [v for _, v, _ in updates]
+        for p, (_, _, values) in zip(self.params, updates):
+            p.values[...] = values
+            p.grad[:] = 0.0
 
     def zero_grad(self) -> None:
         for p in self.params:

@@ -298,13 +298,15 @@ def train(state: TrainState, out_dir: str | Path | None = None,
     """
     cfg = state.train_cfg
     task = state.task
-    model_params = [state.model.params[k] for k in sorted(state.model.params)]
-    opt_model = Adam(model_params, lr=cfg.lr)
+    names = sorted(state.model.params)
+    opt_model = Adam([state.model.params[k] for k in names], lr=cfg.lr,
+                     names=names)
     opt_fd = None
     fd_params = []
     if state.fdmod is not None:
-        fd_params = [state.fdmod.params[k] for k in sorted(state.fdmod.params)]
-        opt_fd = Adam(fd_params, lr=cfg.lr)
+        names = sorted(state.fdmod.params)
+        fd_params = [state.fdmod.params[k] for k in names]
+        opt_fd = Adam(fd_params, lr=cfg.lr, names=names)
 
     direction = "min" if task.task_type == "regression" else "max"
     best = None

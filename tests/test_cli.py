@@ -887,3 +887,131 @@ def test_fuzzed_task_csv_exits_0_2_or_3(capsys, tiny_bundle, data):
                             str(bundle / "user-positive"), *_TINY_TRAIN)
     assert code in (0, 2, 3), err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("flags", [["--tau", "1e-300"], ["--beta", "1e300"]])
+def test_overflowing_adam_step_exits_6(capsys, tiny_bundle, flags):
+    """A gradient whose square overflows float64 once left an infinite
+    second moment, so its parameter silently stopped moving and training
+    exited 0 with an overflow warning. The step is refused instead, naming
+    the parameter."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = _run(capsys, "train", str(tiny_bundle),
+                              str(tiny_bundle / "user-positive"),
+                              *_TINY_TRAIN, *flags)
+    assert code == 6
+    assert re.search(r"would make parameter '[^']+' non-finite", err)
+    assert "Traceback" not in err and out == ""
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+# --- fuzzed schema.json, train flags and --config values ----------------------
+
+def _json_leaves(node):
+    """Every scalar in nested JSON objects and lists."""
+    items = (node.values() if isinstance(node, dict)
+             else node if isinstance(node, list) else None)
+    if items is None:
+        yield node
+        return
+    for value in items:
+        yield from _json_leaves(value)
+
+
+def _run_any(capsys, *argv):
+    """`_run`, taking argparse's own usage exit (SystemExit) as the code."""
+    try:
+        return _run(capsys, *argv)
+    except SystemExit as exc:
+        out = capsys.readouterr()
+        return exc.code, out.out, out.err
+
+
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_fuzzed_schema_exits_0_2_3_4_or_6(capsys, tiny_bundle, data):
+    """A schema.json field or list item dropped, or replaced by a wrong type
+    or by another of the schema's own names and kinds, is validated and
+    trained on, or refused with its exit code, never a traceback."""
+    with tempfile.TemporaryDirectory() as tmp:
+        bundle = Path(tmp) / "bundle"
+        shutil.copytree(tiny_bundle, bundle)
+        doc = json.loads((bundle / "schema.json").read_text())
+        own = sorted({str(value) for value in _json_leaves(doc)})
+        path = data.draw(st.sampled_from(list(_json_paths(doc))))
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        if data.draw(st.booleans()):
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = data.draw(st.sampled_from(_WRONG_VALUES + own))
+        (bundle / "schema.json").write_text(json.dumps(doc))
+        for argv in (["validate", str(bundle)],
+                     ["train", str(bundle), str(bundle / "user-positive"),
+                      *_TINY_TRAIN]):
+            code, _, err = _run_any(capsys, *argv)
+            assert code in (0, 2, 3, 4, 6), (argv[0], err)
+            assert "Traceback" not in err
+
+
+# size-like settings stay small, so no example asks for a huge allocation;
+# path_cap is left out: a small cap is refused with exit 7 by design
+_FUZZ_SIZES = {"channels": (-1, 12), "layers": (-1, 3), "cat_dim": (-1, 8),
+               "subspace_dim": (-1, 12), "negatives": (-1, 10),
+               "epochs": (-1, 2), "batch_size": (-1, 64),
+               "neighbor_samples": (-1, 16), "patience": (-1, 3),
+               "seed": (-1, 99)}
+_FUZZ_REALS = ("lr", "dropout", "beta", "gamma", "alpha", "mu", "tau")
+_REAL_VALUES = [0.0, -0.5, 1e-3, 0.5, 1.0, 1.5, 1e-300, 1e300]
+_FUZZ_BASE = {"epochs": 1, "channels": 8, "layers": 1, "batch_size": 32,
+              "neighbor_samples": 8}
+
+
+def _fuzz_setting(data, key: str, as_flag: bool):
+    """A drawn value for `key`: usually of its kind and near its range,
+    sometimes of a wrong kind; text when it goes on the command line."""
+    if key in _FUZZ_SIZES:
+        value = data.draw(st.integers(*_FUZZ_SIZES[key]))
+        if not as_flag and data.draw(st.booleans()):
+            value = data.draw(st.sampled_from([float(value), value + 0.5]))
+    else:
+        value = data.draw(st.sampled_from(_REAL_VALUES))
+    if data.draw(st.integers(0, 7)) == 0:  # the wrong kind
+        value = data.draw(st.sampled_from(
+            ["x", "", "nan", "inf", "1e999"] if as_flag
+            else [None, True, "x", [], {}]))
+    return str(value) if as_flag else value
+
+
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_fuzzed_train_settings_exit_0_2_4_or_6(capsys, tiny_bundle, data):
+    """Settings drawn at random, some as flags and some as --config values,
+    train or are refused with exit 2 (4 for a transfer without a source, 6
+    when they make training diverge), never a traceback."""
+    keys = data.draw(st.lists(st.sampled_from(sorted(
+        [*_FUZZ_SIZES, *_FUZZ_REALS])), min_size=1, max_size=4, unique=True))
+    flags, config = [], {}
+    for key in keys:
+        as_flag = key in cli.TRAIN_FLAGS and data.draw(st.booleans())
+        value = _fuzz_setting(data, key, as_flag)
+        if as_flag:
+            flags += [f"--{key.replace('_', '-')}", value]
+        else:
+            config[key] = value
+    base = [arg for key, value in _FUZZ_BASE.items() if key not in keys
+            for arg in (f"--{key.replace('_', '-')}", str(value))]
+    roles = data.draw(st.sampled_from(ROLE_MODES))
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        code, _, err = _run_any(capsys, "train", str(tiny_bundle),
+                                str(tiny_bundle / "user-positive"), "--quiet",
+                                "--roles", roles, "--config", str(cfg),
+                                *base, *flags)
+    assert code in (0, 2, 4, 6), err
+    assert "Traceback" not in err

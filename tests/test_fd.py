@@ -10,6 +10,7 @@ from rolegnn import fd as fd_module
 from rolegnn import tensor as T
 from rolegnn.fd import (FdModule, fd_losses, loss_emb, loss_pair,
                         sample_negative_targets, score_pairs)
+from rolegnn.errors import ShapeError
 from rolegnn.model import ModelConfig
 from rolegnn.sampler import SamplerConfig, sample_batch
 from rolegnn.schema_graph import (RoleAssignment, build_schema_graph,
@@ -446,3 +447,102 @@ def test_fd_gradients_identical_with_forward_off_the_tape():
     for name in on_tape:
         assert np.array_equal(on_tape[name], off_tape[name]), name
     assert any(g.any() for g in on_tape.values())
+
+
+# --- the fused scoring node against the composed chain ----------------------
+
+def _composed_score_pairs(fd, relation_id, h_i, h_ref, ref_idx=None):
+    """`score_pairs` as the chain of primitives it was before it became one
+    `T.pair_mlp` node; in fd_losses the (n, k) block took `h_ref`'s rows
+    first, then shaped both sides for the broadcast difference."""
+    if ref_idx is not None:
+        (n, k), c = ref_idx.shape, h_i.shape[1]
+        gathered = T.take_rows(h_ref, ref_idx.reshape(-1))
+        h_i = T.reshape(h_i, (n, 1, c))
+        h_ref = T.reshape(gathered, (n, k, c))
+    x = T.sub(h_i, h_ref)
+    flat = T.reshape(x, (-1, x.shape[-1]))
+    hidden = T.relu(T.linear(flat, fd.params[f"fd.{relation_id}.ms.W1"],
+                             fd.params[f"fd.{relation_id}.ms.b1"]))
+    raw = T.linear(hidden, fd.params[f"fd.{relation_id}.ms.W2"],
+                   fd.params[f"fd.{relation_id}.ms.b2"])
+    return T.reshape(raw, x.shape[:-1])
+
+
+def _run_mode(mode, fd, embeddings, build):
+    """Output and gradient bytes of `build()` under one phase's freezing:
+    "a" freezes the FD parameters, "b" makes the embeddings constants,
+    "all" trains both."""
+    emb = {t: Tensor(e.copy(), requires_grad=mode != "b")
+           for t, e in embeddings.items()}
+    for p in fd.params.values():
+        p.grad[:] = 0.0
+    frozen = fd.params.values() if mode == "a" else ()
+    with T.frozen(frozen):
+        out, loss = build(emb)
+        T.backward(loss)
+    grads = {n: p.grad.tobytes() for n, p in fd.params.items()}
+    grads.update({t: e.grad.tobytes() for t, e in emb.items() if mode != "b"})
+    return out.values.tobytes(), loss.values.tobytes(), grads
+
+
+@pytest.mark.parametrize("mode", ["a", "b", "all"])
+@pytest.mark.parametrize("form", ["rows", "block"])
+def test_pair_mlp_bit_equal_to_composed_chain(mode, form):
+    db, meta, reg, fd = _subspace_setup(seed=2)
+    rid = fd.relations[0].id
+    rng = np.random.default_rng(8)
+    embeddings = {"holder": rng.normal(size=(6, 8)),
+                  "ref": rng.normal(size=(5, 8))}
+    holder_locals = np.array([0, 2, 2, 5])
+    ref_locals = np.array([1, 1, 3, 0])
+    # local 1 repeats within pair 0 and across pairs 0, 1 and 3
+    ref_idx = np.array([[1, 1, 3], [3, 0, 1], [4, 4, 4], [1, 2, 0]])
+
+    def build(score):
+        def run(emb):
+            h_i = T.take_rows(emb["holder"], holder_locals)
+            if form == "rows":
+                out = score(fd, rid, h_i, T.take_rows(emb["ref"], ref_locals))
+            else:
+                out = score(fd, rid, h_i, emb["ref"], ref_idx)
+            # h_i also feeds a second term, so its gradient is written twice
+            return out, T.add(T.sumsq(T.tanh(out)), T.sumsq(h_i))
+        return run
+
+    fused = _run_mode(mode, fd, embeddings, build(score_pairs))
+    chain = _run_mode(mode, fd, embeddings, build(_composed_score_pairs))
+    assert fused == chain
+    trained = ([n for n in fd.params if ".ms." in n] if mode != "a"
+               else list(embeddings))
+    assert all(np.frombuffer(fused[2][n]).any() for n in trained)
+
+
+@pytest.mark.parametrize("mode", ["a", "b", "all"])
+def test_fd_losses_bit_equal_to_composed_chain(monkeypatch, mode):
+    """The whole FD step, positives and the negative block, keeps its loss
+    and every gradient byte for byte."""
+    batch, emb, fd = _fd_setup()
+    embeddings = {t: e.values for t, e in emb.items()}
+
+    def build(e):
+        total = fd_losses(batch, e, fd, 0.3, 0.7, 0.1, 4,
+                          np.random.default_rng(0))[0]
+        return total, total
+
+    fused = _run_mode(mode, fd, embeddings, build)
+    monkeypatch.setattr(fd_module, "score_pairs", _composed_score_pairs)
+    chain = _run_mode(mode, fd, embeddings, build)
+    assert fused == chain
+
+
+def test_pair_mlp_shape_errors_name_shapes():
+    h = Tensor(np.zeros((3, 4)))
+    head = [Tensor(np.zeros((4, 2))), Tensor(np.zeros(2)),
+            Tensor(np.zeros((2, 1))), Tensor(np.zeros(1))]
+    for h_ref, idx in [(Tensor(np.zeros((2, 4))), None),
+                       (Tensor(np.zeros((5, 4))), np.zeros(3, dtype=int)),
+                       (Tensor(np.zeros((5, 4))), np.zeros((2, 2), dtype=int)),
+                       (Tensor(np.zeros((5, 3))), np.zeros((3, 2), dtype=int))]:
+        with pytest.raises(ShapeError, match=r"\(3, 4\)"):
+            T.pair_mlp(h, h_ref, idx, *head)

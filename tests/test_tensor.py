@@ -1,11 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from conftest import finite_diff_max_rel, rand_tensor
 from rolegnn import tensor as T
-from rolegnn.errors import CheckpointMismatch, ShapeError
+from rolegnn.errors import CheckpointMismatch, ShapeError, TrainingDiverged
 from rolegnn.tensor import Adam, Tensor
 
 
@@ -216,13 +217,25 @@ def _primitive_cases(rng):
     case("reshape", [r], lambda: T.sumsq(T.sigmoid(T.reshape(r, (3, 4)))))
     case("transpose", [r], lambda: T.sumsq(T.tanh(T.transpose(r))))
 
-    # fd.score_pairs: one holder row against its k candidate rows, then the
-    # (n, k, c) block flattened to (n*k, c)
+    # the composed oracle of pair_mlp in test_fd.py: one holder row against
+    # its k candidate rows, then the (n, k, c) block flattened to (n*k, c)
     hi = rand_tensor(rng, (2, 1, 3))
     hk = rand_tensor(rng, (2, 4, 3))
     case("sub_broadcast_3d", [hi, hk], lambda: T.sumsq(T.sub(hi, hk)))
     case("reshape_3d_rows", [hk],
          lambda: T.sumsq(T.tanh(T.reshape(hk, (-1, 3)))))
+
+    # fd.score_pairs: the pair MLP row-aligned, and as an (n, k) block whose
+    # indices repeat a row within and across pairs
+    pi, pj = rand_tensor(rng, (3, 4)), rand_tensor(rng, (3, 4))
+    pr = rand_tensor(rng, (5, 4))
+    head = [rand_tensor(rng, (4, 6)), rand_tensor(rng, (6,)),
+            rand_tensor(rng, (6, 1)), rand_tensor(rng, (1,))]
+    pidx = np.array([[1, 1], [4, 1], [0, 3]])
+    case("pair_mlp_rows", [pi, pj, *head],
+         lambda: T.sumsq(T.tanh(T.pair_mlp(pi, pj, None, *head))))
+    case("pair_mlp_block", [pi, pr, *head],
+         lambda: T.sumsq(T.tanh(T.pair_mlp(pi, pr, pidx, *head))))
 
     e = rand_tensor(rng, (5, 3))
     idx = rng.integers(0, 5, size=8)
@@ -330,6 +343,33 @@ def test_adam_zero_grad_leaves_param():
     opt = Adam([w], lr=0.1)
     opt.step()  # grad is zero
     assert w.values[0] == 1.5
+
+
+def test_adam_step_that_would_overflow_raises_and_changes_nothing():
+    w1 = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+    w2 = Tensor(np.array([[3.0]]), requires_grad=True)
+    opt = Adam([w1, w2], lr=0.1, names=["a.W", "b.W"])
+    w1.grad[:] = 0.5
+    w2.grad[:] = 0.5
+    opt.step()
+    before = [(w.values.copy(), m.copy(), v.copy())
+              for w, m, v in zip((w1, w2), opt.m, opt.v)]
+    w1.grad[:] = 0.5
+    w2.grad[:] = 1e160  # its square overflows the second moment
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(TrainingDiverged, match="'b.W'") as err:
+            opt.step()
+    assert err.value.diagnostics == {"parameter": "b.W", "step": 2}
+    assert opt.t == 1
+    for (values, m, v), w, m_now, v_now in zip(before, (w1, w2), opt.m, opt.v):
+        assert values.tobytes() == w.values.tobytes()
+        assert m.tobytes() == m_now.tobytes() and v.tobytes() == v_now.tobytes()
+    assert w2.grad[0, 0] == 1e160
+    with pytest.raises(TrainingDiverged, match="'#0'"):
+        w = Tensor(np.array([1.0]), requires_grad=True)
+        w.grad[:] = np.nan
+        Adam([w]).step()
 
 
 def test_adam_symmetry_and_grad_zeroing():

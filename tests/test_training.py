@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 
@@ -236,6 +237,41 @@ def test_adopted_gradient_buffers_keep_parameter_gradients(monkeypatch, layers):
                         real_accum(t, grad))
     copied = gradient_bytes()
     assert adopted == copied
+
+
+# SHA-256 of (parameter hash, history) after training, and of every parameter
+# gradient of the first 12 backward passes; recorded before the FD scoring
+# head became one tape node
+_FD_PINNED = {
+    1: ("a5b332ee772c65acef2d6db9bce8bcfa81abc3ca05c336cfc12fea8d49222f80",
+        "8d373982fb0c497ffba8568ed60d830514a6ba22df87ff6540f283e3b8d13255"),
+    2: ("4a4d455bef502fa46e7a71d10fef82664d6c3c476359ac8360ffef7359b2f631",
+        "f33bfc7bb202e44b173e36b5f36d4a63233699d592f07234316592e42fbe7176"),
+}
+
+
+@pytest.mark.parametrize("layers", [1, 2])
+def test_fd_training_matches_pinned_digests(monkeypatch, layers):
+    """A fixed-seed FD training (phases A and B) keeps its bytes."""
+    _, _, state = _small_state(seed=4, layers=layers, batch_size=16,
+                               beta=0.5, gamma=0.5)
+    grads = hashlib.sha256()
+    passes = []
+    real_backward = T.backward
+
+    def spy(loss):
+        real_backward(loss)
+        if len(passes) < 12:
+            passes.append(loss.item())
+            for _, p in sorted(state.parameters().items()):
+                grads.update(p.grad.tobytes())
+
+    monkeypatch.setattr(T, "backward", spy)
+    history = train(state)["history"]
+    assert len(passes) == 12
+    run = hashlib.sha256(
+        f"{param_hash(state.parameters())}|{history!r}".encode()).hexdigest()
+    assert (run, grads.hexdigest()) == _FD_PINNED[layers]
 
 
 def test_beta_gamma_zero_matches_task_only_run():
