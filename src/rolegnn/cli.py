@@ -4,7 +4,7 @@ export-structure.
 Every run prints exactly one JSON report to stdout (and writes it next to the
 other outputs when an output directory is involved). Exit codes: 0 success,
 2 usage, 3 invalid bundle, 4 incompatible checkpoint/schema/roles, 5 failed
-round-trip, 6 divergence, 7 other engine error.
+round-trip, 6 divergence, 7 other engine error or out of memory.
 """
 
 from __future__ import annotations
@@ -331,6 +331,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_DIVERGED
     except EngineError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ENGINE
+    except MemoryError:
+        print(f"error: out of memory running {args.command}", file=sys.stderr)
         return EXIT_ENGINE
 
 

@@ -32,6 +32,11 @@ DEFAULTS = {
     "path_cap": 5_000_000,
 }
 
+# Upper bounds of the size settings that array shapes scale with; a larger
+# value is refused as a usage error rather than left to fail an allocation.
+MAX_CHANNELS = 1024
+MAX_NEGATIVES = 256
+
 # Search grid used by the reference experiments.
 GRID = {
     "lr": [0.005, 0.001, 0.0005, 0.0001],

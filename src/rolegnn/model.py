@@ -13,14 +13,15 @@ linear maps is the map of the mean, so relation and co-occurrence messages
 average the neighbours of each destination row and map only those means.
 Each message is then added onto the self term at the rows that received one.
 
-Last-hop rows are computed once per distinct (row, prediction time): they
-receive no message, so every layer's embedding of one depends on that pair
-alone, and the copies that the per-seed trees hold share one compute row.
-The copies of a complete local (one that drew all its admissible neighbours
-and paths) hold the same neighbour pairs, so they form a class: layer 0
-computes one row per class, its inputs being encodings of those pairs, and
-later layers sum each class's neighbours once, correcting each copy for the
-few neighbours that differ from it.
+The per-seed trees hold many copies of one (row, prediction time). One
+pass per forward (`Model.share`) labels each table's locals by that pair and
+derives all sharing from the labels. Last-hop copies receive no message, so
+every layer's embedding of one depends on the pair alone: they share one
+compute row. The copies of a complete local (one that drew all its
+admissible neighbours and paths) hold the same neighbour pairs, so they form
+a class: layer 0 computes one row per class, its inputs being encodings of
+those pairs, and later layers sum each class's neighbours once, correcting
+each copy for the few neighbours that differ from it.
 """
 
 from __future__ import annotations
@@ -34,10 +35,10 @@ from functools import cached_property
 
 import numpy as np
 
+from . import kernels
 from . import tensor as T
-from .config import DEFAULTS, integral, real
+from .config import DEFAULTS, MAX_CHANNELS, integral, real
 from .errors import ShapeError
-from .kernels import group_ids
 from .sampler import BatchSubgraph, TypeNodes
 from .schema_graph import RelationalEntityGraph
 from .tensor import Tensor
@@ -65,8 +66,9 @@ class ModelConfig:
             object.__setattr__(self, name, integral(name, getattr(self, name)))
         for name in ("dropout", "alpha", "mu"):
             object.__setattr__(self, name, real(name, getattr(self, name)))
-        if self.channels < 1:
-            raise ValueError(f"channels must be >= 1, got {self.channels}")
+        if not 1 <= self.channels <= MAX_CHANNELS:
+            raise ValueError(f"channels must lie in [1, {MAX_CHANNELS}], "
+                             f"got {self.channels}")
         if self.layers < 1:
             raise ValueError(f"layers must be >= 1, got {self.layers}")
         if self.seed < 0:
@@ -249,7 +251,8 @@ class FeatureEncoder:
                 times = store.times[tn.rows]
                 present = np.isfinite(times)
                 dt = np.where(present,
-                              (tn.t_predict - times) / self.stats["time_scale"],
+                              (batch.seed_t_predict[tn.seed_of] - times)
+                              / self.stats["time_scale"],
                               0.0)
                 cols.append(dt[:, None])
                 cols.append(present.astype(np.float64)[:, None])
@@ -388,14 +391,16 @@ def compute_gate(att_W: Tensor, att_b: Tensor, h_n: Tensor, h_e: Tensor,
     return g_tilde, g, g_used
 
 
-def _first_equal(values: np.ndarray) -> np.ndarray:
-    """Per element, the index of the first element equal to it."""
-    order = np.argsort(values, kind="stable")
-    ranked = values[order]
-    starts = np.concatenate(([True], ranked[1:] != ranked[:-1]))
-    out = np.empty(len(values), dtype=np.int64)
-    out[order] = order[starts][np.cumsum(starts) - 1]
-    return out
+def _first_copies(ids: np.ndarray, done: np.ndarray, start: int,
+                  n: int) -> np.ndarray:
+    """Per local of `n`, the first local of the ascending `done` at or past
+    `start` with its id; every other local maps to itself."""
+    done = done[np.searchsorted(done, start):]
+    lowest = np.full(len(ids), n)  # per id; ids are < len(ids)
+    np.minimum.at(lowest, ids[done], done)
+    target = np.arange(n)
+    target[done] = lowest[ids[done]]
+    return target
 
 
 def fuse(pairs: list[tuple[Tensor, Tensor, Tensor]]) -> Tensor:
@@ -429,6 +434,30 @@ class ForwardResult:
         first read, so a caller that reads none records no gather."""
         return {c: T.take_rows(hc, self.expand[c]) if c in self.expand else hc
                 for c, hc in self.rows.items()}
+
+
+@dataclass
+class SharedBatch:
+    """What `Model.share` derives from a sampled batch: `batch`, the
+    leaf-shared batch that layers past 0 run over, and `layer0`, with one
+    local per class, that layer 0 runs over."""
+    batch: BatchSubgraph
+    layer0: BatchSubgraph
+    # table -> per sampled local, its leaf-shared local
+    expand: dict[str, np.ndarray] = field(default_factory=dict)
+    # table -> per leaf-shared local, its layer-0 local
+    first: dict[str, np.ndarray] = field(default_factory=dict)
+    # table -> per non-leaf local, the leaf-shared leaf holding its pair, or -1
+    twins: dict[str, np.ndarray] = field(default_factory=dict)
+    # table with classes -> (pair id per local, complete non-leaf locals)
+    labels: dict[str, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
+
+    def class_map(self, table: str, start: int = 0) -> np.ndarray:
+        """Per leaf-shared local of `table`, the first complete non-leaf copy
+        of its pair at or past `start`; a local before `start` or outside a
+        class maps to itself. `start` 0 gives layer 0's classes."""
+        ids, done = self.labels[table]
+        return _first_copies(ids, done, start, self.batch.nodes[table].n)
 
 
 class Model:
@@ -497,162 +526,112 @@ class Model:
     def parameters(self) -> dict[str, Tensor]:
         return self.params
 
-    def _row_time_keys(self, batch: BatchSubgraph):
-        """(`key(table, idx)`, `space(table)`): one integer in
-        [0, space(table)) per local of `table` in `idx`, equal exactly when
-        two locals hold the same (row, prediction time)."""
+    def share(self, batch: BatchSubgraph) -> SharedBatch:
+        """The sharing pass: each table's locals labelled once by their
+        (row, prediction time), and every shared row derived from the labels.
+
+        - Leaves: last-hop locals, `[reach[c][-2], n)`, are never expanded,
+          so no edge or path ends in one, and each layer's embedding of one
+          depends on its pair alone. Each distinct leaf pair keeps one
+          member (any copy will do), numbered in pair order after the
+          non-leaf locals, which keep theirs.
+        - Twins: a non-leaf local's twin is the leaf-shared leaf holding its
+          pair, or -1.
+        - Classes: a complete local (`batch.complete`) drew all its
+          admissible neighbours and paths, so the complete non-leaf copies
+          of one pair hold the same neighbour pairs. Layer 0 computes one
+          row per class, over the first copy's edges and paths, so its
+          batch is the leaf-shared one renumbered through `first`.
+
+        Edge sources and path u/v ends are renumbered, in batch order. When
+        nothing merges, the batch comes back unchanged with empty maps.
+        """
         # a local's prediction time is its seed's: classes from B seed times
         times, t_class = np.unique(batch.seed_t_predict, return_inverse=True)
-
-        def key(table: str, idx: np.ndarray | slice) -> np.ndarray:
-            tn = batch.nodes[table]
-            return (t_class[tn.seed_of[idx]] * self.reg.nodes[table].n_rows
-                    + tn.rows[idx])
-
-        def space(table: str) -> int:
-            return len(times) * self.reg.nodes[table].n_rows
-        return key, space
-
-    def share_leaves(self, batch: BatchSubgraph
-                     ) -> tuple[BatchSubgraph, dict[str, np.ndarray]]:
-        """The batch with each table's last-hop locals merged per distinct
-        (row, prediction time), and per merged table the compute row of
-        every local.
-
-        Last-hop locals, `[reach[c][-2], n)`, are never expanded, so no edge
-        or path ends in one, and each layer's embedding of one depends on
-        its (row, t_predict) alone. The other locals keep their numbering;
-        one member per merged class follows them. Edge sources and path u/v
-        ends are renumbered, in batch order. A table without `reach` or
-        with nothing to merge is left as it is.
-        """
-        row_time, space = self._row_time_keys(batch)
-        nodes = dict(batch.nodes)
-        expand: dict[str, np.ndarray] = {}
+        expand, first, twins, labels = {}, {}, {}, {}
+        nodes, nodes0, reach0, heads = {}, {}, {}, {}
         for c, tn in batch.nodes.items():
-            reach = batch.reach.get(c)
-            if reach is None or reach[-2] == tn.n:
+            if c not in batch.reach:
                 continue
-            lo = reach[-2]
-            inverse = group_ids(row_time(c, slice(lo, None)), space(c))
-            k = int(inverse.max()) + 1
-            if k == tn.n - lo:
+            n_rows = self.reg.nodes[c].n_rows
+            key = tn.rows if len(times) == 1 else \
+                t_class[tn.seed_of] * n_rows + tn.rows
+            ids = kernels.group_ids(key, len(times) * n_rows)
+            n, lo, k = tn.n, batch.reach[c][-2], int(ids.max()) + 1
+            if k == n:  # every pair is held once: nothing shared
+                twins[c] = np.full(lo, -1, dtype=np.int64)
                 continue
-            member = np.empty(k, dtype=np.int64)
-            member[inverse] = np.arange(lo, tn.n)  # any copy of a class will do
-            own = np.arange(lo, dtype=np.int64)
-            keep = np.concatenate([own, member])
-            nodes[c] = TypeNodes(tn.rows[keep], tn.t_predict[keep],
-                                 tn.seed_of[keep])
-            expand[c] = np.concatenate([own, lo + inverse])
-        if not expand:
-            return batch, expand
+            in_leaves = np.bincount(ids[lo:], minlength=k) > 0  # per pair id
+            at = lo + np.cumsum(in_leaves) - 1  # per leaf pair, its merged leaf
+            kept = np.arange(n)  # per leaf-shared local, its sampled local
+            if at[-1] + 1 < n:
+                row = at[ids[lo:]]
+                expand[c] = np.concatenate([kept[:lo], row])
+                member = np.empty(at[-1] + 1 - lo, dtype=np.int64)
+                member[row - lo] = kept[lo:]
+                kept = np.concatenate([kept[:lo], member])
+                nodes[c] = TypeNodes(tn.rows[kept], tn.seed_of[kept])
+            else:  # the leaves are distinct and keep their places
+                at[ids[lo:]] = kept[lo:]
+            twins[c] = np.where(in_leaves[ids[:lo]], at[ids[:lo]], -1)
 
+            if c not in batch.complete or lo < 2:
+                continue
+            done = np.flatnonzero(batch.complete[c][:lo])
+            target = _first_copies(ids, done, 0, len(kept))
+            if (target[done] == done).all():
+                continue
+            labels[c] = (ids, done)
+            heads[c] = target == np.arange(len(kept))
+            below = np.concatenate([[0], np.cumsum(heads[c])])
+            first[c] = below[target]
+            keep = kept[heads[c]]
+            nodes0[c] = TypeNodes(tn.rows[keep], tn.seed_of[keep])
+            reach0[c] = [int(below[min(r, len(kept))]) for r in batch.reach[c]]
+        if not expand and not first:
+            return SharedBatch(batch, batch)
+        leaf = batch
+        if expand:
+            leaf = replace(batch, nodes={**batch.nodes, **nodes},
+                           **self._renumbered(batch, expand, {}))
+        layer0 = leaf
+        if first:
+            seeds = batch.seed_locals
+            layer0 = replace(
+                leaf, nodes={**leaf.nodes, **nodes0},
+                **self._renumbered(leaf, first, heads),
+                reach={**batch.reach, **reach0}, complete={},
+                seed_locals=first[batch.entity_table][seeds]
+                if batch.entity_table in first else seeds)
+        return SharedBatch(leaf, layer0, expand, first, twins, labels)
+
+    def _renumbered(self, batch: BatchSubgraph, maps: dict[str, np.ndarray],
+                    heads: dict[str, np.ndarray]) -> dict:
+        """`batch`'s edges and paths, in batch order, with each edge source
+        and path u/v end renumbered through `maps`. Into a table of `heads`
+        (per local, whether it is kept) only the edges and paths into kept
+        locals remain, their ends renumbered too."""
         def renumber(table, idx):
-            return expand[table][idx] if table in expand else idx
+            return maps[table][idx] if table in maps else idx
 
         edges = dict(batch.edges)
         for key in self.relations:
             if key.id in edges:
                 src, dst = edges[key.id]
+                if key.dst_table in heads:
+                    keep = heads[key.dst_table][dst]
+                    src, dst = src[keep], maps[key.dst_table][dst[keep]]
                 edges[key.id] = (renumber(key.src_table, src), dst)
         paths = dict(batch.paths)
         for tr in self.active_triples:
             if tr.id in paths:
                 u, v, w = paths[tr.id]
+                if tr.w_table in heads:
+                    keep = heads[tr.w_table][w]
+                    u, v, w = u[keep], v[keep], maps[tr.w_table][w[keep]]
                 paths[tr.id] = (renumber(tr.u_table, u),
                                 renumber(tr.v_table, v), w)
-        return replace(batch, nodes=nodes, edges=edges, paths=paths), expand
-
-    def share_classes(self, batch: BatchSubgraph) -> dict[str, np.ndarray]:
-        """Per table whose complete non-leaf locals repeat a (row, prediction
-        time), the class map: each such local of the leaf-shared `batch`
-        points to the first copy of its (row, t), every other local to
-        itself.
-
-        A complete local (`batch.complete`) drew all its admissible
-        neighbours and paths, so the copies of one (row, t) hold the same
-        neighbour keys. Every input of layer 0 is an encoding of (row, t),
-        so layer 0 computes one row per class (`_first_layer`); later
-        layers sum each class's neighbours once (`class_neighbor_mean`).
-        Non-leaf locals, `[0, reach[c][-2])`, keep their numbering in a
-        leaf-shared batch.
-        """
-        row_time, _ = self._row_time_keys(batch)
-        classes = {}
-        for c, tn in batch.nodes.items():
-            if c not in batch.complete:
-                continue
-            merge = np.flatnonzero(batch.complete[c][:batch.reach[c][-2]])
-            if len(merge) < 2:
-                continue
-            rep = _first_equal(row_time(c, merge))
-            if (rep == np.arange(len(merge))).all():
-                continue
-            target = np.arange(tn.n)
-            target[merge] = merge[rep]  # the first copy of its class
-            classes[c] = target
-        return classes
-
-    def _first_layer(self, batch: BatchSubgraph, classes: dict[str, np.ndarray]
-                     ) -> tuple[BatchSubgraph, dict[str, np.ndarray]]:
-        """The batch layer 0 computes, with one local per class, and per
-        classed table the layer-0 row of every local of `batch`.
-
-        The first copy of each class keeps its edges and paths, in batch
-        order; those of the other copies are dropped. Every edge source and
-        path u/v end is renumbered to its class.
-        """
-        if not classes:
-            return batch, {}
-        nodes = dict(batch.nodes)
-        reach = dict(batch.reach)
-        is_first: dict[str, np.ndarray] = {}
-        first: dict[str, np.ndarray] = {}
-        for c, target in classes.items():
-            tn = batch.nodes[c]
-            is_first[c] = target == np.arange(tn.n)
-            below = np.concatenate([[0], np.cumsum(is_first[c])])
-            first[c] = below[target]
-            keep = np.flatnonzero(is_first[c])
-            nodes[c] = TypeNodes(tn.rows[keep], tn.t_predict[keep],
-                                 tn.seed_of[keep])
-            reach[c] = [int(below[min(r, tn.n)]) for r in batch.reach[c]]
-
-        def kept(table, end):  # edges or paths into first copies only
-            return is_first[table][end] if table in is_first else slice(None)
-
-        def renumber(table, idx):
-            return first[table][idx] if table in first else idx
-
-        edges = dict(batch.edges)
-        for key in self.relations:
-            if key.id in batch.edges:
-                src, dst = batch.edges[key.id]
-                keep = kept(key.dst_table, dst)
-                edges[key.id] = (renumber(key.src_table, src[keep]),
-                                 renumber(key.dst_table, dst[keep]))
-        paths = dict(batch.paths)
-        for tr in self.active_triples:
-            if tr.id in batch.paths:
-                u, v, w = batch.paths[tr.id]
-                keep = kept(tr.w_table, w)
-                paths[tr.id] = (renumber(tr.u_table, u[keep]),
-                                renumber(tr.v_table, v[keep]),
-                                renumber(tr.w_table, w[keep]))
-        return replace(batch, nodes=nodes, edges=edges, paths=paths, reach=reach,
-                       seed_locals=renumber(batch.entity_table, batch.seed_locals),
-                       complete={}), first
-
-    def _leaf_twins(self, batch: BatchSubgraph, table: str) -> np.ndarray:
-        """Per non-leaf local of `table` in the leaf-shared `batch`, the leaf
-        row that holds the same (row, prediction time), or -1."""
-        row_time, space = self._row_time_keys(batch)
-        lo = batch.reach[table][-2]
-        ids = group_ids(row_time(table, slice(None)), space(table))
-        leaf = np.full(len(ids), -1, dtype=np.int64)  # per class, its leaf
-        leaf[ids[lo:]] = np.arange(lo, len(ids))  # leaves are distinct here
-        return leaf[ids[:lo]]
+        return {"edges": edges, "paths": paths}
 
     # -- forward ----------------------------------------------------------
 
@@ -670,9 +649,10 @@ class Model:
         running gate averages over all of them, FD reads every linked pair),
         so `seeds_only` is for evaluation alone.
 
-        Last-hop copies of one (row, prediction time) share one compute row
-        (`share_leaves`). Complete non-leaf copies of one pair form a class
-        (`share_classes`), built once and used by every layer:
+        One sharing pass (`share`) labels the batch's (row, prediction
+        time) pairs once. Last-hop copies of one pair share one compute
+        row. Complete non-leaf copies of one pair form a class, used by
+        every layer:
         - Layer 0 computes one row per class: each of its inputs is an
           encoding of a pair, and the copies hold the same pairs. The rows
           are gathered back to one per copy before layer 1.
@@ -681,9 +661,10 @@ class Model:
           seeds reach them as shared leaves. But a mean is linear, so
           `class_neighbor_mean` sums each class's neighbours once and
           corrects each copy for the neighbours it holds as non-leaf
-          locals; the matmul, gate and fusion stay per copy. Rows the head
-          reads (within L-1-l hops at layer l) are aggregated per copy, so
-          `output` stays bit-identical to the seeds-only forward's.
+          locals; the matmul, gate and fusion stay per copy. Layer l's
+          class map (`SharedBatch.class_map`) starts past the rows the
+          head reads (within L-1-l hops), which are aggregated per copy,
+          so `output` stays bit-identical to the seeds-only forward's.
         The running gate and `gate_diag` average over every copy, and
         full-mode `embeddings` hold one row per local again, gathered on
         first read. Class sums add in another order, so results match
@@ -693,35 +674,20 @@ class Model:
         if seeds_only and train:
             raise ValueError("seeds_only forward is for evaluation: training "
                              "reads every row")
-        expand: dict[str, np.ndarray] = {}
-        classes: dict[str, np.ndarray] = {}
-        if not (train and self.cfg.dropout > 0):
-            batch, expand = self.share_leaves(batch)
-            classes = self.share_classes(batch)
-        layer_batch, first = self._first_layer(batch, classes)
+        sharing = (SharedBatch(batch, batch) if train and self.cfg.dropout > 0
+                   else self.share(batch))
+        batch, layer_batch = sharing.batch, sharing.layer0
+        expand, first = sharing.expand, sharing.first
         layers = self.cfg.layers
         if seeds_only:  # layer 0 computes the locals within L-1 hops
             first = {c: f[:batch.reach[c][layers - 1]] for c, f in first.items()}
-        twins: dict[str, np.ndarray] = {}
-        far: dict[tuple[int, str], np.ndarray] = {}
+        classes: dict[str, np.ndarray] = {}  # this layer's class maps
 
-        def shared(l: int, src_table: str, dst_table: str, dst: np.ndarray):
-            """`class_neighbor_mean`'s classes for layer l's messages. Rows
-            within L-1-l hops, which the head reads, stay per copy, so the
-            output equals the seeds-only forward's bit for bit; a seeds-only
-            layer past 0 holds no leaf row to stand in anyway."""
-            if (l == 0 or seeds_only or dst_table not in classes
-                    or not len(dst)):
+        def shared(src_table: str, dst_table: str, dst: np.ndarray):
+            """`class_neighbor_mean`'s classes for a message into `dst`."""
+            if dst_table not in classes or not len(dst):
                 return None
-            if (l, dst_table) not in far:
-                target = classes[dst_table]
-                local = np.arange(len(target))
-                near = local < batch.reach[dst_table][layers - 1 - l]
-                far[l, dst_table] = _first_equal(
-                    np.where(near, local, target + len(target)))
-            if src_table not in twins:
-                twins[src_table] = self._leaf_twins(batch, src_table)
-            return far[l, dst_table], twins[src_table]
+            return classes[dst_table], sharing.twins[src_table]
 
         act = ACTIVATIONS[self.cfg.activation]
         h = self.encoder.encode(layer_batch)
@@ -739,6 +705,13 @@ class Model:
                 n_out = {c: layer_batch.reach[c][layers - 1 - l] for c in h}
             else:
                 n_out = {c: hc.shape[0] for c, hc in h.items()}
+            if l and not seeds_only:
+                # rows within L-1-l hops, which the head reads, stay per
+                # copy, so the output equals the seeds-only forward's bit
+                # for bit; a seeds-only layer past 0 holds no leaf row to
+                # stand in anyway
+                classes = {c: sharing.class_map(c, batch.reach[c][layers - 1 - l])
+                           for c in first}
 
             self_term = {}
             for c, hc in h.items():
@@ -760,7 +733,7 @@ class Model:
                     src, dst = src[keep], dst[keep]
                 messages[key.id] = relation_message(
                     self.params[f"L{l}.rel.{key.id}.W"], h[key.src_table],
-                    src, dst, shared(l, key.src_table, key.dst_table, dst))
+                    src, dst, shared(key.src_table, key.dst_table, dst))
 
             by_dst: dict[str, list[str]] = {}
             for key in self.relations:
@@ -780,10 +753,10 @@ class Model:
                     # a w row's mean of its own embedding is that embedding
                     rows, mean_v = class_neighbor_mean(
                         h[tr.v_table], v_idx, w_idx,
-                        shared(l, tr.v_table, c, w_idx))
+                        shared(tr.v_table, c, w_idx))
                     _, mean_u = class_neighbor_mean(
                         h[tr.u_table], u_idx, w_idx,
-                        shared(l, tr.u_table, c, w_idx))
+                        shared(tr.u_table, c, w_idx))
                     msg = cooccurrence_message(
                         self.params[f"L{l}.co.{tr.id}.W"],
                         T.take_rows(h[c], rows), mean_v, mean_u)

@@ -35,9 +35,9 @@ class SamplerConfig:
 
 @dataclass
 class TypeNodes:
-    rows: np.ndarray       # positions into the node store
-    t_predict: np.ndarray  # owning seed's prediction time per local node
-    seed_of: np.ndarray    # owning seed index per local node
+    rows: np.ndarray     # positions into the node store
+    seed_of: np.ndarray  # owning seed index per local node; its prediction
+                         # time is the batch's seed_t_predict[seed_of]
 
     @property
     def n(self) -> int:
@@ -203,8 +203,7 @@ def sample_batch(reg: RelationalEntityGraph, seeds: list[tuple[int, float]],
     for table, chunks in numbered.items():
         keys = np.concatenate(chunks)
         if len(keys):
-            seed_of = keys // n_rows[table]
-            nodes[table] = TypeNodes(keys % n_rows[table], seed_t[seed_of], seed_of)
+            nodes[table] = TypeNodes(keys % n_rows[table], keys // n_rows[table])
             complete[table] = np.ones(len(keys), dtype=bool)
             if table in truncated:
                 complete[table][np.concatenate(truncated[table])] = False

@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import tensor as T
-from .config import DEFAULTS, integral, real
+from .config import DEFAULTS, MAX_NEGATIVES, integral, real
 from .errors import CheckpointMismatch, TrainingDiverged
 from .fd import FdModule, fd_losses, subspace_size
 from .model import (STATS_KINDS, ForwardResult, GateState, Model,
@@ -71,8 +71,9 @@ class TrainConfig:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.tau <= 0:
             raise ValueError("tau must be positive")
-        if self.negatives < 1:
-            raise ValueError("negatives must be >= 1")
+        if not 1 <= self.negatives <= MAX_NEGATIVES:
+            raise ValueError(f"negatives must lie in [1, {MAX_NEGATIVES}], "
+                             f"got {self.negatives}")
         if min(self.beta, self.gamma) < 0:
             raise ValueError("beta and gamma must be >= 0")
 

@@ -448,6 +448,8 @@ _CONFIG_DAMAGE = {
     "nan-tau": ("train_config", "tau", float("nan")),
     "infinite-beta": ("train_config", "beta", float("inf")),
     "nan-dropout": ("model_config", "dropout", float("nan")),
+    "huge-channels": ("model_config", "channels", 10 ** 18),
+    "huge-negatives": ("train_config", "negatives", 10 ** 18),
 }
 
 # case -> damaged gate value; each gate must be a number in [0, 1]
@@ -714,6 +716,9 @@ def test_unknown_flag_exits_2(capsys, twohop_bundle):
     (["--beta", "inf"], "beta"),
     (["--gamma=-inf"], "gamma"),
     (["--alpha", "nan"], "alpha"),
+    # past the size bounds: refused before anything is allocated
+    (["--channels", "1000000000000000000"], "channels"),
+    (["--negatives", "1000000000000000000"], "negatives"),
 ])
 def test_train_out_of_range_flag_exits_2(capsys, twohop_bundle, tmp_path,
                                          flags, name):
@@ -724,6 +729,17 @@ def test_train_out_of_range_flag_exits_2(capsys, twohop_bundle, tmp_path,
     assert f"{name} must" in err
     assert "Traceback" not in err
     assert out == "" and not (tmp_path / "o").exists()
+
+
+def test_out_of_memory_exits_7(capsys, twohop_bundle, tmp_path, monkeypatch):
+    def build_state(*args, **kwargs):
+        raise MemoryError()
+    monkeypatch.setattr(cli, "build_state", build_state)
+    code, out, err = _run(capsys, "train", str(twohop_bundle),
+                          str(twohop_bundle / "user-positive"),
+                          "-o", str(tmp_path / "o"))
+    assert code == 7
+    assert err == "error: out of memory running train\n" and out == ""
 
 
 @pytest.mark.parametrize("content,name", [

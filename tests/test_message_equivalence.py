@@ -10,6 +10,7 @@ checks the engine's shared last-hop rows as well.
 """
 
 import dataclasses
+import hashlib
 from collections import Counter
 
 import numpy as np
@@ -280,12 +281,14 @@ def _two_time_setup(mode: str, layers: int):
 @pytest.mark.parametrize("layers", [1, 2, 3])
 def test_shared_leaves_are_one_per_row_and_time(layers):
     model, batch = _two_time_setup("learn", layers)
-    compact, expand = model.share_leaves(batch)
+    sharing = model.share(batch)
+    compact, expand = sharing.batch, sharing.expand
     assert expand, "nothing was shared"
     across_times = 0
     for c, tn in batch.nodes.items():
         lo = batch.reach[c][-2]
-        leaves = set(zip(tn.rows[lo:].tolist(), tn.t_predict[lo:].tolist()))
+        times = batch.seed_t_predict[tn.seed_of]
+        leaves = set(zip(tn.rows[lo:].tolist(), times[lo:].tolist()))
         across_times += len(leaves) - len({r for r, _ in leaves})
         if c not in expand:
             assert len(leaves) == tn.n - lo
@@ -297,8 +300,8 @@ def test_shared_leaves_are_one_per_row_and_time(layers):
         assert set(expand[c][lo:].tolist()) == set(range(lo, lo + len(leaves)))
         # each local's compute row holds its own (row, prediction time)
         np.testing.assert_array_equal(compact.nodes[c].rows[expand[c]], tn.rows)
-        np.testing.assert_array_equal(compact.nodes[c].t_predict[expand[c]],
-                                      tn.t_predict)
+        np.testing.assert_array_equal(
+            compact.seed_t_predict[compact.nodes[c].seed_of[expand[c]]], times)
     assert across_times > 0, "no leaf row was reached under both times"
     for key in model.relations:
         if key.id in batch.edges:
@@ -310,7 +313,7 @@ def test_shared_leaves_are_one_per_row_and_time(layers):
 
 
 def _leaf_reference(model: Model, batch):
-    """`share_leaves` and `_leaf_twins` as first written, by `np.unique`
+    """The leaf sharing and the twins as first written, by `np.unique`
     classes and an argsort lookup: (nodes, expand, twins) per merged table."""
     _, t_class = np.unique(batch.seed_t_predict, return_inverse=True)
 
@@ -328,7 +331,6 @@ def _leaf_reference(model: Model, batch):
         member[inverse] = np.arange(lo, tn.n)
         keep = np.concatenate([np.arange(lo), member])
         merged = dataclasses.replace(tn, rows=tn.rows[keep],
-                                     t_predict=tn.t_predict[keep],
                                      seed_of=tn.seed_of[keep])
         leaves = key(merged, c, slice(lo, None))
         keys = key(merged, c, slice(0, lo))
@@ -348,13 +350,15 @@ def test_leaf_classes_byte_equal_to_np_unique(monkeypatch, layers, count_factor)
     monkeypatch.setattr(kernels, "COUNT_FACTOR", count_factor)
     model, batch = _two_time_setup("learn", layers)
     want = _leaf_reference(model, batch)
-    compact, expand = model.share_leaves(batch)
+    sharing = model.share(batch)
+    compact, expand = sharing.batch, sharing.expand
     assert sorted(expand) == sorted(want)
+    times = batch.seed_t_predict
     for c, (nodes, renumber, twins) in want.items():
         for got, ref in [(compact.nodes[c].rows, nodes.rows),
-                         (compact.nodes[c].t_predict, nodes.t_predict),
+                         (times[compact.nodes[c].seed_of], times[nodes.seed_of]),
                          (compact.nodes[c].seed_of, nodes.seed_of),
-                         (expand[c], renumber), (model._leaf_twins(compact, c), twins)]:
+                         (expand[c], renumber), (sharing.twins[c], twins)]:
             assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes(), c
     for key in model.relations:
         if key.id in batch.edges and key.src_table in want:
@@ -417,15 +421,89 @@ def _repeated_seed_setup(mode: str, layers: int):
     return model, sample_batch(model.reg, seeds, cfg, batch.entity_table)
 
 
+# SHA-256 of a forward's output, committed gates, gate diagnostics, full-mode
+# embeddings and, in training, every parameter gradient of one backward
+# pass; recorded before the sharing passes were merged into one
+_FORWARD_PINNED = {
+    ("learn", 1, "train"):
+        "78d69ab7b30b1e30955161cb32f920913a8b499e844770fce78744e9e885ce52",
+    ("learn", 1, "full"):
+        "e0b7e41e6ce3bd460efb0c76735fb051b38c79dae9035286b5795052324e678d",
+    ("learn", 1, "seeds-only"):
+        "bf5c60207910e0d42480224b5fb03da045dd313f311e1a253e035c575c9256b4",
+    ("learn", 2, "train"):
+        "66b14491859dc4eb0f42303a171ab4e1106eeec62fcb6cb45e12c508de1de766",
+    ("learn", 2, "full"):
+        "b063b43bc5b11dba43e064ee8a113898bff5cfa162b68add62a9e60b0a3d47fe",
+    ("learn", 2, "seeds-only"):
+        "a562d9e774d1fc9394c4d57ed596d0143e05fb0b8842aad95490a0f79daa836d",
+    ("learn", 3, "train"):
+        "949af33961ea2922c3d145076b97085b55b7dafed4143c52dcc79ac0f939db25",
+    ("learn", 3, "full"):
+        "23f473221f08e5fba73daddc5352470532b3bb3e6ab4124a6e33664dbac4988b",
+    ("learn", 3, "seeds-only"):
+        "e358b695805deff83d42781a286a6587c0819b05ed06efa61226589c0aaed89d",
+    ("all-edge", 1, "train"):
+        "5980720655360879e2886129b71b3527fe3fe0ec80ffe5851588d5acf692d86f",
+    ("all-edge", 1, "full"):
+        "5f2beeb241bcd41fe8cf943b9971345f311876c70f7db1114c046d4633f2db65",
+    ("all-edge", 1, "seeds-only"):
+        "97d8876ac720c441b81d3020ab158a73f38489791230d86a1679421bd7361df4",
+    ("all-edge", 2, "train"):
+        "9e6d2b47d76151fce0fa18658560cea1342a2ab4eb9a3f189dd228be7842226b",
+    ("all-edge", 2, "full"):
+        "9608d5919127b9c69dca3e395b1a9a53f61b5bc29d0aa0ecb44eb91aed3ed430",
+    ("all-edge", 2, "seeds-only"):
+        "5e543615cb9253a9840122b0e7fb9a9dbce0d4cc95984aa0a4614113add616d9",
+    ("all-edge", 3, "train"):
+        "62139cbc6808601491b314cda015824ced1322903739a2173ebc1dd4d02712e1",
+    ("all-edge", 3, "full"):
+        "5f9002b40ba2242b345164334e891be99b4715ff206aef7be17fb8c2012daac9",
+    ("all-edge", 3, "seeds-only"):
+        "ff0538c7f67d57b5785883a31e5b51bfe862b8007b020ec307f3ab1b7f0eebcc",
+}
+
+
+def _forward_digest(model: Model, batch, how: str) -> str:
+    train, seeds_only = how == "train", how == "seeds-only"
+    digest = hashlib.sha256()
+    with T.tape_scope():
+        res = model.forward(batch, model.init_gates(), train=train,
+                            seeds_only=seeds_only)
+        digest.update(res.output.values.tobytes())
+        digest.update(repr(sorted(res.gates_after.items())).encode())
+        digest.update(repr(sorted(res.gate_diag.items())).encode())
+        if not seeds_only:
+            for c, emb in sorted(res.embeddings.items()):
+                digest.update(c.encode() + emb.values.tobytes())
+        if train:
+            T.backward(T.sumsq(T.tanh(res.output)))
+            for name, p in sorted(model.params.items()):
+                digest.update(name.encode() + p.grad.tobytes())
+                p.grad[:] = 0.0
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("how", ["train", "full", "seeds-only"])
+@pytest.mark.parametrize("layers", [1, 2, 3])
+@pytest.mark.parametrize("mode", ["learn", "all-edge"])
+def test_forward_matches_pinned_digests(mode, layers, how):
+    model, batch = _repeated_seed_setup(mode, layers)
+    assert _forward_digest(model, batch, how) == \
+        _FORWARD_PINNED[mode, layers, how]
+
+
 @pytest.mark.parametrize("layers", [1, 2, 3])
 def test_first_layer_classes_are_complete_locals_per_row_and_time(layers):
-    """The class map, the layer-0 batch built from it, and the leaf twins
+    """The class maps of every layer, the layer-0 batch, and the leaf twins
     the later layers' class sums stand in for non-leaf sources."""
     model, batch = _repeated_seed_setup("learn", layers)
-    leaf, _ = model.share_leaves(batch)
-    classes = model.share_classes(leaf)
-    layer, first = model._first_layer(leaf, classes)
+    sharing = model.share(batch)
+    leaf, layer, first = sharing.batch, sharing.layer0, sharing.first
+    classes = {c: sharing.class_map(c) for c in first}
     assert classes and first.keys() == classes.keys(), "nothing was shared"
+    seed_t = batch.seed_t_predict
+    later = 0  # copies that a layer past 0 sums as a class
     over_budget = []  # repeated product locals that drew part of their reviews
     for c, tn in leaf.nodes.items():
         if c not in first:
@@ -438,32 +516,53 @@ def test_first_layer_classes_are_complete_locals_per_row_and_time(layers):
             if i < lo and done[i]:
                 same = [j for j in range(lo) if done[j]
                         and tn.rows[j] == tn.rows[i]
-                        and tn.t_predict[j] == tn.t_predict[i]]
+                        and seed_t[tn.seed_of[j]] == seed_t[tn.seed_of[i]]]
                 assert target == same[0], (c, i)
             else:
                 assert target == i, (c, i)
+        # layer l >= 1: the first complete copy at or past reach[L-1-l]
+        for l in range(1, layers):
+            start = batch.reach[c][layers - 1 - l]
+            firsts = {}
+            for j in range(start, lo):
+                if done[j]:
+                    firsts.setdefault((tn.rows[j], seed_t[tn.seed_of[j]]), j)
+            got = sharing.class_map(c, start)
+            later += int((got != np.arange(tn.n)).sum())
+            for i in range(tn.n):
+                want = i
+                if start <= i < lo and done[i]:
+                    want = firsts[tn.rows[i], seed_t[tn.seed_of[i]]]
+                assert got[i] == want, (c, l, i)
         # each row's layer-0 row holds its own (row, prediction time)
         np.testing.assert_array_equal(layer.nodes[c].rows[first[c]], tn.rows)
-        np.testing.assert_array_equal(layer.nodes[c].t_predict[first[c]],
-                                      tn.t_predict)
+        np.testing.assert_array_equal(
+            seed_t[layer.nodes[c].seed_of[first[c]]], seed_t[tn.seed_of])
         shared = np.bincount(first[c])[first[c]] > 1
         assert not shared[lo:].any()  # leaf classes stay as they are
         assert not shared[:lo][~done].any()  # an incomplete local stays alone
-        pairs = list(zip(tn.rows[:lo].tolist(), tn.t_predict[:lo].tolist()))
+        pairs = list(zip(tn.rows[:lo].tolist(),
+                         seed_t[tn.seed_of[:lo]].tolist()))
         held = Counter(pairs)
         complete_held = Counter(p for p, d in zip(pairs, done) if d)
         for i in range(lo):
             assert shared[i] == (done[i] and complete_held[pairs[i]] > 1), (c, i)
             if c == "product" and not done[i] and held[pairs[i]] > 1:
                 over_budget.append(pairs[i])
-        # the first copy of a class keeps its in-edges, the others none
+        # the first copy of a class keeps its in-edges, the others none;
+        # a source's layer-0 row is that of its leaf-shared row
         is_first = np.zeros(tn.n, dtype=bool)
         is_first[np.unique(first[c], return_index=True)[1]] = True
         for key in model.relations:
             if key.dst_table == c and key.id in leaf.edges:
-                dst = leaf.edges[key.id][1]
+                src, dst = leaf.edges[key.id]
+                kept = is_first[dst]
+                if key.src_table in first:
+                    src = first[key.src_table][src]
+                np.testing.assert_array_equal(layer.edges[key.id][0], src[kept])
                 np.testing.assert_array_equal(layer.edges[key.id][1],
-                                              first[c][dst[is_first[dst]]])
+                                              first[c][dst[kept]])
+    assert bool(later) == (layers > 1)
     if layers == 2:  # products are hop-1 locals, drawing at most 16 // 2
         assert over_budget
         key = next(k for k in model.relations if k.id == "review.product_id->product")
@@ -473,12 +572,13 @@ def test_first_layer_classes_are_complete_locals_per_row_and_time(layers):
     twinned = 0
     for c, tn in leaf.nodes.items():
         lo = batch.reach[c][-2]
-        twin = model._leaf_twins(leaf, c)
+        twin = sharing.twins[c]
         assert len(twin) == lo
+        tn_times = seed_t[tn.seed_of]
         leaves = {(r, t): lo + i for i, (r, t) in enumerate(
-            zip(tn.rows[lo:].tolist(), tn.t_predict[lo:].tolist()))}
+            zip(tn.rows[lo:].tolist(), tn_times[lo:].tolist()))}
         for i in range(lo):
-            assert twin[i] == leaves.get((tn.rows[i], tn.t_predict[i]), -1)
+            assert twin[i] == leaves.get((tn.rows[i], tn_times[i]), -1)
         twinned += int((twin >= 0).sum())
     assert twinned or layers == 1  # one layer reaches no user as a leaf
 
@@ -532,9 +632,9 @@ def test_shared_first_layer_matches_unshared(monkeypatch, mode, layers,
     each class's neighbours once, and with three layers gradients flow
     through those sums. Sums run in another order: equal within rtol."""
     model, batch = _repeated_seed_setup(mode, layers)
-    assert model.share_classes(model.share_leaves(batch)[0])
+    assert model.share(batch).first
     unshared = dataclasses.replace(batch, complete={})
-    assert not model.share_classes(model.share_leaves(unshared)[0])
+    assert not model.share(unshared).first
     sums = _class_sums(monkeypatch)
     run = _run(model, Model.forward, batch, seeds_only)
     merged = [s for s in sums if s[1] < s[0]]
@@ -628,10 +728,9 @@ def test_training_dropout_shares_nothing(monkeypatch):
     model = Model(model.reg, dataclasses.replace(model.cfg, dropout=0.2),
                   model.task_type, train_cut=model.encoder.train_cut)
     calls = []
-    for name in ("share_leaves", "share_classes"):
-        real = getattr(Model, name)
-        monkeypatch.setattr(Model, name, lambda self, b, real=real, name=name:
-                            calls.append(name) or real(self, b))
+    real = Model.share
+    monkeypatch.setattr(Model, "share", lambda self, b:
+                        calls.append("share") or real(self, b))
     sums = _class_sums(monkeypatch)
     sizes = []
     real_encode = model.encoder.encode
@@ -642,6 +741,37 @@ def test_training_dropout_shares_nothing(monkeypatch):
     assert calls == [] and not sums
     assert sizes == [{c: tn.n for c, tn in batch.nodes.items()}]
     model.forward(batch, model.init_gates(), train=False)  # evaluation shares
-    assert calls == ["share_leaves", "share_classes"]
+    assert calls == ["share"]
     assert sum(sizes[1].values()) < sum(sizes[0].values())
     assert any(s[1] < s[0] for s in sums)
+
+
+def test_one_labelling_per_table_per_forward(monkeypatch):
+    """The sharing pass labels each table's (row, prediction time) pairs
+    with one `group_ids` call, and a forward runs the pass once."""
+    model, batch = _repeated_seed_setup("learn", 3)
+    calls = []
+    real = kernels.group_ids
+    monkeypatch.setattr(kernels, "group_ids", lambda keys, space:
+                        calls.append(len(keys)) or real(keys, space))
+    for train, seeds_only in [(True, False), (False, False), (False, True)]:
+        calls.clear()
+        model.forward(batch, model.init_gates(), train=train,
+                      seeds_only=seeds_only)
+        assert sorted(calls) == sorted(tn.n for tn in batch.nodes.values())
+
+
+def test_batch_with_distinct_pairs_comes_back_unchanged():
+    """Seeds at distinct prediction times hold distinct (row, prediction
+    time) pairs in every table: nothing merges and no map is built."""
+    model, batch = _two_time_setup("learn", 2)
+    seeds = [(int(model.reg.nodes[batch.entity_table].pk[r]), t + i)
+             for i, (r, t) in enumerate(zip(batch.seed_rows.tolist(),
+                                            batch.seed_t_predict.tolist()))]
+    cfg = SamplerConfig(neighbor_samples=16, num_hops=2, seed=2)
+    distinct = sample_batch(model.reg, seeds, cfg, batch.entity_table)
+    sharing = model.share(distinct)
+    assert sharing.batch is distinct and sharing.layer0 is distinct
+    assert not (sharing.expand or sharing.first or sharing.twins
+                or sharing.labels)
+    assert model.share(batch).expand  # the same rows at two times do merge

@@ -557,7 +557,7 @@ def test_embeddings_are_gathered_on_first_read():
     """Full-mode embeddings hold one row per local, gathered from the shared
     last-hop rows on first read: until then the tape holds no gather."""
     model, batch = _seeds_only_setup("learn", 2)
-    expand = model.share_leaves(batch)[1]
+    expand = model.share(batch).expand
     assert expand
     with T.tape_scope():
         res = model.forward(batch, model.init_gates(), train=True)
@@ -573,7 +573,8 @@ def test_embeddings_are_gathered_on_first_read():
             continue
         # copies of one (row, prediction time) hold one embedding
         firsts = {}
-        for i, key in enumerate(zip(tn.rows[:].tolist(), tn.t_predict.tolist())):
+        times = batch.seed_t_predict[tn.seed_of]
+        for i, key in enumerate(zip(tn.rows.tolist(), times.tolist())):
             if i >= batch.reach[c][-2]:
                 j = firsts.setdefault(key, i)
                 assert np.array_equal(emb[c].values[i], emb[c].values[j])

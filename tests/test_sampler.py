@@ -90,7 +90,7 @@ def test_bit_identical_determinism():
     assert sorted(a.nodes) == sorted(b.nodes)
     for t in a.nodes:
         np.testing.assert_array_equal(a.nodes[t].rows, b.nodes[t].rows)
-        np.testing.assert_array_equal(a.nodes[t].t_predict, b.nodes[t].t_predict)
+        np.testing.assert_array_equal(a.nodes[t].seed_of, b.nodes[t].seed_of)
     assert sorted(a.edges) == sorted(b.edges)
     for k in a.edges:
         np.testing.assert_array_equal(a.edges[k][0], b.edges[k][0])
@@ -112,12 +112,12 @@ def test_causality_invariant_all_elements():
     for t, tn in batch.nodes.items():
         times = reg.nodes[t].times[tn.rows]
         finite = np.isfinite(times)
-        assert (times[finite] <= tn.t_predict[finite]).all()
+        assert (times[finite] <= batch.seed_t_predict[tn.seed_of][finite]).all()
     for tid, (u_idx, v_idx, w_idx) in batch.paths.items():
         pr = reg.paths[tid]
         tn_v = batch.nodes[pr.triple.v_table]
         times = reg.nodes[pr.triple.v_table].times[tn_v.rows[v_idx]]
-        cut = tn_v.t_predict[v_idx]
+        cut = batch.seed_t_predict[tn_v.seed_of[v_idx]]
         finite = np.isfinite(times)
         assert (times[finite] <= cut[finite]).all()
 
@@ -245,7 +245,7 @@ def _expected_complete(reg, batch, cfg) -> dict[str, np.ndarray]:
             lo = reach[hop - 1] if hop else 0
             budget = max(hop_budget(cfg.neighbor_samples, hop), 1)
             for i in range(lo, reach[hop]):
-                row, when = tn.rows[i], tn.t_predict[i]
+                row, when = tn.rows[i], batch.seed_t_predict[tn.seed_of[i]]
                 for key in reg.relation_keys:
                     if key.dst_table == t:
                         indptr, _, times = reg.adjacency(key)
@@ -330,7 +330,8 @@ def _batch_digests(b) -> dict[str, str]:
              ("counts", np.asarray([b.neighbor_count, b.path_count]))]
     for t in sorted(b.nodes):
         tn = b.nodes[t]
-        nodes += [(f"{t}.rows", tn.rows), (f"{t}.t_predict", tn.t_predict),
+        nodes += [(f"{t}.rows", tn.rows),
+                  (f"{t}.t_predict", b.seed_t_predict[tn.seed_of]),
                   (f"{t}.seed_of", tn.seed_of)]
     return {
         "nodes": _digest(nodes),

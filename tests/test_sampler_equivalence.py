@@ -29,10 +29,9 @@ class _Builder:
     def __init__(self):
         self.index = {}
         self.rows = {}
-        self.t_predict = {}
         self.seed_of = {}
 
-    def local(self, table, seed_idx, row, t_pred):
+    def local(self, table, seed_idx, row):
         idx = self.index.setdefault(table, {})
         key = (seed_idx, row)
         if key in idx:
@@ -40,13 +39,11 @@ class _Builder:
         local = len(self.rows.setdefault(table, []))
         idx[key] = local
         self.rows[table].append(row)
-        self.t_predict.setdefault(table, []).append(t_pred)
         self.seed_of.setdefault(table, []).append(seed_idx)
         return local, True
 
     def freeze(self):
         return {t: TypeNodes(np.asarray(self.rows[t], dtype=np.int64),
-                             np.asarray(self.t_predict[t], dtype=np.float64),
                              np.asarray(self.seed_of[t], dtype=np.int64))
                 for t in self.rows}
 
@@ -72,7 +69,7 @@ def _oracle_sample_batch(reg, seeds, cfg, entity_table, rng=None):
     seed_locals = np.empty(len(seeds), dtype=np.int64)
     frontier = []
     for si in range(len(seeds)):
-        local, _ = builder.local(entity_table, si, int(seed_rows[si]), float(seed_t[si]))
+        local, _ = builder.local(entity_table, si, int(seed_rows[si]))
         seed_locals[si] = local
         frontier.append((entity_table, int(seed_rows[si]), local))
 
@@ -98,23 +95,22 @@ def _oracle_sample_batch(reg, seeds, cfg, entity_table, rng=None):
             indptr, nbr_rows, nbr_times = reg.adjacency(key)
             t_rows = np.asarray([r for r, _ in targets], dtype=np.int64)
             t_locals = [l for _, l in targets]
-            t_pred = builder.t_predict[key.dst_table]
-            t_cut = np.asarray([t_pred[l] for l in t_locals], dtype=np.float64)
+            seed_of = builder.seed_of[key.dst_table]
+            t_cut = seed_t[[seed_of[l] for l in t_locals]]
             if cfg.allow_future:
                 counts = (indptr[t_rows + 1] - indptr[t_rows]).astype(np.int64)
             else:
                 counts = admissible_counts(indptr, nbr_times, t_rows, t_cut)
-            seed_of = builder.seed_of[key.dst_table]
             for i, local in enumerate(t_locals):
                 c = int(counts[i])
                 if c == 0:
                     continue
                 slots = _sample_prefix(rng, int(indptr[t_rows[i]]), c, budget)
-                si, tp = seed_of[local], t_pred[local]
+                si = seed_of[local]
                 eset = edges.setdefault(key.id, set())
                 for s in slots:
                     src_local, fresh = builder.local(key.src_table, si,
-                                                     int(nbr_rows[s]), tp)
+                                                     int(nbr_rows[s]))
                     if (src_local, local) not in eset:
                         eset.add((src_local, local))
                         neighbor_count += 1
@@ -129,26 +125,25 @@ def _oracle_sample_batch(reg, seeds, cfg, entity_table, rng=None):
             indptr, inst_idx, inst_times = reg.path_adjacency(triple.id)
             t_rows = np.asarray([r for r, _ in targets], dtype=np.int64)
             t_locals = [l for _, l in targets]
-            t_pred = builder.t_predict[triple.w_table]
-            t_cut = np.asarray([t_pred[l] for l in t_locals], dtype=np.float64)
+            seed_of = builder.seed_of[triple.w_table]
+            t_cut = seed_t[[seed_of[l] for l in t_locals]]
             if cfg.allow_future:
                 counts = (indptr[t_rows + 1] - indptr[t_rows]).astype(np.int64)
             else:
                 counts = admissible_counts(indptr, inst_times, t_rows, t_cut)
-            seed_of = builder.seed_of[triple.w_table]
             plist = paths.setdefault(triple.id, [])
             for i, local in enumerate(t_locals):
                 c = int(counts[i])
                 if c == 0:
                     continue
                 slots = _sample_prefix(rng, int(indptr[t_rows[i]]), c, path_budget)
-                si, tp = seed_of[local], t_pred[local]
+                si = seed_of[local]
                 for s in slots:
                     inst = int(inst_idx[s])
                     u_local, fresh_u = builder.local(triple.u_table, si,
-                                                     int(pr.u_pos[inst]), tp)
+                                                     int(pr.u_pos[inst]))
                     v_local, fresh_v = builder.local(triple.v_table, si,
-                                                     int(pr.v_pos[inst]), tp)
+                                                     int(pr.v_pos[inst]))
                     plist.append((u_local, v_local, local))
                     path_count += 1
                     if fresh_u:
@@ -241,8 +236,8 @@ def test_set_exact_where_no_draw_truncates(num_hops, allow_future):
                                   got.seed_rows)
     np.testing.assert_array_equal(got.nodes["user"].seed_of[got.seed_locals],
                                   np.arange(len(seeds)))
-    for tn in got.nodes.values():
-        np.testing.assert_array_equal(tn.t_predict, got.seed_t_predict[tn.seed_of])
+    for tn in got.nodes.values():  # each local's time is its seed's
+        assert ((tn.seed_of >= 0) & (tn.seed_of < len(seeds))).all()
     for src, dst in got.edges.values():  # sorted by (src, dst), no repeats
         order = np.lexsort((dst, src))
         np.testing.assert_array_equal(order, np.arange(len(src)))
@@ -284,4 +279,5 @@ def test_truncated_draws_take_min_count_budget_distinct_admissible_slots(monkeyp
                                        batch.seed_t_predict)
         np.testing.assert_array_equal(per_seed, np.minimum(admissible, 4))
         src_times = reg.nodes[key.src_table].times[batch.nodes[key.src_table].rows[src]]
-        assert (src_times <= batch.nodes["user"].t_predict[dst]).all()
+        user_t = batch.seed_t_predict[batch.nodes["user"].seed_of]
+        assert (src_times <= user_t[dst]).all()

@@ -274,6 +274,27 @@ def test_fd_training_matches_pinned_digests(monkeypatch, layers):
     assert (run, grads.hexdigest()) == _FD_PINNED[layers]
 
 
+# SHA-256 of (parameter hash, history) after a 2-epoch training at the x1
+# benchmark shape (two-hop 2000/300/8000, 2 layers, 32 channels, 256 seeds
+# per batch, 128 neighbours, FD off); recorded before the sharing passes
+# were merged into one
+_X1_PINNED = ("113c5378e2d8de2a09edb3a928f8e15a"
+              "c3ea9130710686bd190bf0e54d005878")
+
+
+def test_x1_training_matches_pinned_digest():
+    db, task = gen_twohop(2000, 300, 8000, 1.0, 7)
+    state = build_state(db, task, ModelConfig(channels=32, layers=2, seed=7),
+                        TrainConfig(epochs=2, batch_size=256, lr=0.005,
+                                    neighbor_samples=128, patience=2, seed=7,
+                                    beta=0.0, gamma=0.0))
+    history = train(state)["history"]
+    assert state.fdmod is None and len(history) == 2
+    run = hashlib.sha256(
+        f"{param_hash(state.parameters())}|{history!r}".encode()).hexdigest()
+    assert run == _X1_PINNED
+
+
 def test_beta_gamma_zero_matches_task_only_run():
     db, task, state_a = _small_state(seed=2, epochs=3, beta=0.0, gamma=0.0)
     _, _, state_b = _small_state(seed=2, epochs=3, beta=0.5, gamma=0.5,
