@@ -554,8 +554,7 @@ class Model:
             if c not in batch.reach:
                 continue
             n_rows = self.reg.nodes[c].n_rows
-            key = tn.rows if len(times) == 1 else \
-                t_class[tn.seed_of] * n_rows + tn.rows
+            key = t_class[tn.seed_of] * n_rows + tn.rows
             ids = kernels.group_ids(key, len(times) * n_rows)
             n, lo, k = tn.n, batch.reach[c][-2], int(ids.max()) + 1
             if k == n:  # every pair is held once: nothing shared
