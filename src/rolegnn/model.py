@@ -554,7 +554,7 @@ class Model:
             if c not in batch.reach:
                 continue
             n_rows = self.reg.nodes[c].n_rows
-            key = t_class[tn.seed_of] * n_rows + tn.rows
+            key = (t_class * n_rows)[tn.seed_of] + tn.rows
             ids = kernels.group_ids(key, len(times) * n_rows)
             n, lo, k = tn.n, batch.reach[c][-2], int(ids.max()) + 1
             if k == n:  # every pair is held once: nothing shared
@@ -564,11 +564,11 @@ class Model:
             at = lo + np.cumsum(in_leaves) - 1  # per leaf pair, its merged leaf
             kept = np.arange(n)  # per leaf-shared local, its sampled local
             if at[-1] + 1 < n:
-                row = at[ids[lo:]]
-                expand[c] = np.concatenate([kept[:lo], row])
-                member = np.empty(at[-1] + 1 - lo, dtype=np.int64)
-                member[row - lo] = kept[lo:]
-                kept = np.concatenate([kept[:lo], member])
+                expand[c] = at[ids]
+                expand[c][:lo] = kept[:lo]
+                member = kept[:at[-1] + 1].copy()
+                member[expand[c][lo:]] = kept[lo:]  # any copy will do
+                kept = member
                 nodes[c] = TypeNodes(tn.rows[kept], tn.seed_of[kept])
             else:  # the leaves are distinct and keep their places
                 at[ids[lo:]] = kept[lo:]
