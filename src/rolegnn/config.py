@@ -35,6 +35,7 @@ DEFAULTS = {
 # Upper bounds of the size settings that array shapes scale with; a larger
 # value is refused as a usage error rather than left to fail an allocation.
 MAX_CHANNELS = 1024
+MAX_LAYERS = 16   # twice the grid's largest value
 MAX_NEGATIVES = 256
 
 # Search grid used by the reference experiments.

@@ -80,13 +80,13 @@ class FdModule:
 
 def _linked_pairs(batch: BatchSubgraph, embeddings: dict[str, Tensor],
                   relations: list[RelationKey]
-                  ) -> dict[str, tuple[Tensor, Tensor, np.ndarray, np.ndarray]]:
-    """Per relation: (h_holder, h_referenced, holder locals, referenced
-    locals) over the distinct FK links present in the batch."""
-    out = {}
+                  ) -> list[tuple[RelationKey, Tensor, Tensor, np.ndarray]]:
+    """(key, h_holder, h_referenced, referenced locals) over the distinct FK
+    links present in the batch, for each forward relation in `relations`
+    order that has links. Every gather is taped before any score, which
+    fixes the order of the gradient sum of a table two relations share."""
+    out = []
     for key in relations:
-        if key.reverse:
-            continue
         links = []  # (holder, referenced) locals
         fwd = batch.edges.get(key.id)
         if fwd is not None:
@@ -101,9 +101,9 @@ def _linked_pairs(batch: BatchSubgraph, embeddings: dict[str, Tensor],
         width = int(ref.max()) + 1 if len(ref) else 1
         pairs = sorted_unique(holder * width + ref)  # sorted by (holder, ref)
         holder_locals, ref_locals = pairs // width, pairs % width
-        out[key.id] = (T.take_rows(embeddings[key.holder], holder_locals),
-                       T.take_rows(embeddings[key.referenced], ref_locals),
-                       holder_locals, ref_locals)
+        out.append((key, T.take_rows(embeddings[key.holder], holder_locals),
+                    T.take_rows(embeddings[key.referenced], ref_locals),
+                    ref_locals))
     return out
 
 
@@ -207,12 +207,12 @@ def fd_losses(batch: BatchSubgraph, embeddings: dict[str, Tensor], fd: FdModule,
     negatives are scored in one (n, k) block against the holder embeddings,
     gathered from the referenced table's embeddings by the scoring node.
     """
-    pairs = _linked_pairs(batch, embeddings, fd.relations)
     emb_terms: list[Tensor] = []
     pair_terms: list[Tensor] = []
     diagnostics: list[FdDiagnostics] = []
-    for rid, (h_i, h_j, _, ref_locals) in sorted(pairs.items()):
-        key = next(k for k in fd.relations if k.id == rid)
+    for key, h_i, h_j, ref_locals in _linked_pairs(batch, embeddings,
+                                                   fd.relations):
+        rid = key.id
         P, s = fd.subspace(rid)
         n = len(ref_locals)
         l_emb = loss_emb(T.sub(h_j, h_i), P, s)

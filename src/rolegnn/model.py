@@ -37,7 +37,7 @@ import numpy as np
 
 from . import kernels
 from . import tensor as T
-from .config import DEFAULTS, MAX_CHANNELS, integral, real
+from .config import DEFAULTS, MAX_CHANNELS, MAX_LAYERS, integral, real
 from .errors import ShapeError
 from .sampler import BatchSubgraph, TypeNodes
 from .schema_graph import RelationalEntityGraph
@@ -69,8 +69,9 @@ class ModelConfig:
         if not 1 <= self.channels <= MAX_CHANNELS:
             raise ValueError(f"channels must lie in [1, {MAX_CHANNELS}], "
                              f"got {self.channels}")
-        if self.layers < 1:
-            raise ValueError(f"layers must be >= 1, got {self.layers}")
+        if not 1 <= self.layers <= MAX_LAYERS:
+            raise ValueError(f"layers must lie in [1, {MAX_LAYERS}], "
+                             f"got {self.layers}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not 0.0 <= self.dropout < 1.0:

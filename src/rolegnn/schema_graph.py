@@ -7,10 +7,13 @@ reverse). Three-table join patterns are materialized as path relations:
     CoOccurrence  u <- v -> w   (v references both endpoints)
     Completion    u -> v -> w   (v mediates)
 
-The u -> v <- w pattern is never generated. The entity graph carries enough
-provenance (primary keys per row, per-edge origin rows, direction tags) that
-the originating database is reconstructed exactly, whatever the role
-assignment; `strip_provenance` demonstrates the failure mode without it.
+The u -> v <- w pattern is never generated. Each fact is kept once: a path
+relation holds only the join (row positions and admissibility times), and
+every table's attributes live in its node store, whatever its role. The
+entity graph carries enough provenance (primary keys per row, per-edge origin
+rows, direction tags) that the originating database is reconstructed exactly,
+whatever the role assignment; `strip_provenance` demonstrates the failure
+mode without it.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import PathCapExceeded, ProvenanceError, RoleError
-from .kernels import lookup_positions, sorted_unique
+from .kernels import lookup_positions
 from .rdb import ColumnData, RelationalDatabase, TableSpec, build_database
 
 ROLES = ("node", "edge", "learn")
@@ -171,14 +174,6 @@ class RoleAssignment:
         if bad:
             raise RoleError(f"invalid roles: {bad}")
 
-    def edge_role_tables(self, triples: list[EdgeRelationTriple]) -> dict[str, str]:
-        """Intermediate tables assigned the edge role, with the covering triple."""
-        out: dict[str, str] = {}
-        for t in triples:
-            if self.roles.get(t.id) == "edge" and t.v_table not in out:
-                out[t.v_table] = t.id
-        return out
-
 
 # ---------------------------------------------------------------------------
 # entity graph storage
@@ -216,26 +211,18 @@ class EdgeSet:
 
 
 class PathRelation:
-    """Materialized exact join of one triple.
-
-    `v_attr_rows`/`v_attrs` are the intermediate rows' attribute copy (the
-    edge features); reconstruction of an edge-role table reads these, not the
-    node store.
+    """Materialized exact join of one triple: positions into the u, v and w
+    node stores. The intermediate rows' attributes (the edge features) stay
+    in v's node store, whatever the triple's role.
     """
 
     def __init__(self, triple: EdgeRelationTriple, u_pos: np.ndarray,
-                 v_pos: np.ndarray, w_pos: np.ndarray, v_pk: np.ndarray,
-                 t_path: np.ndarray, t_admissible: np.ndarray,
-                 v_attr_rows: np.ndarray, v_attrs: dict[str, ColumnData]):
+                 v_pos: np.ndarray, w_pos: np.ndarray, t_admissible: np.ndarray):
         self.triple = triple
         self.u_pos = u_pos
         self.v_pos = v_pos
         self.w_pos = w_pos
-        self.v_pk = v_pk
-        self.t_path = t_path            # the v row's timestamp per instance
         self.t_admissible = t_admissible  # max(u, v) timestamps per instance
-        self.v_attr_rows = v_attr_rows  # v positions covered by the attr copy
-        self.v_attrs = v_attrs          # columns restricted to v_attr_rows
 
     @property
     def n_instances(self) -> int:
@@ -246,7 +233,7 @@ class RelationalEntityGraph:
     def __init__(self, specs: dict[str, TableSpec], triples: list[EdgeRelationTriple],
                  roles: RoleAssignment, nodes: dict[str, NodeStore],
                  edges: dict[str, EdgeSet], paths: dict[str, PathRelation],
-                 null_link_counts: dict[str, int], provenance: bool = True):
+                 null_link_counts: dict[str, int]):
         self.specs = specs
         self.triples = triples
         self.roles = roles
@@ -254,7 +241,6 @@ class RelationalEntityGraph:
         self.edges = edges
         self.paths = paths
         self.null_link_counts = null_link_counts
-        self.provenance = provenance
         self._adjacency: dict[str, tuple] = {}
         self._path_adjacency: dict[str, tuple] = {}
         # both directions of every foreign key, and the triples with paths
@@ -266,6 +252,11 @@ class RelationalEntityGraph:
         self.active_triples: list[EdgeRelationTriple] = sorted(
             (t for t in triples if roles.role(t.id) != "node"),
             key=lambda t: t.id)
+
+    @property
+    def provenance(self) -> bool:
+        """Whether every node store keeps its rows' primary keys."""
+        return all(s.pk is not None for s in self.nodes.values())
 
     def summary(self) -> dict:
         return {
@@ -282,7 +273,7 @@ class RelationalEntityGraph:
                  for t, s in self.nodes.items()}
         return RelationalEntityGraph(self.specs, self.triples, self.roles,
                                      nodes, self.edges, self.paths,
-                                     self.null_link_counts, provenance=False)
+                                     self.null_link_counts)
 
     # -- adjacency caches for the sampler ---------------------------------
 
@@ -349,35 +340,19 @@ def _node_store(db: RelationalDatabase, name: str) -> tuple[NodeStore, np.ndarra
     return NodeStore(pk, times, attrs), order
 
 
-def _restrict_columns(attrs: dict[str, ColumnData], rows: np.ndarray) -> dict[str, ColumnData]:
-    out = {}
-    for name, cd in attrs.items():
-        if cd.kind == "categorical":
-            values = [cd.values[int(i)] for i in rows]
-        else:
-            values = cd.values[rows].copy()
-        out[name] = ColumnData(cd.kind, values, cd.mask[rows].copy(),
-                               list(cd.vocab) if cd.vocab is not None else None)
-    return out
-
-
 def construct_reg(db: RelationalDatabase, sg: SchemaGraph, roles: RoleAssignment,
                   path_cap: int = 5_000_000) -> RelationalEntityGraph:
     """Materialize node sets, both FK edge directions, and exact path joins."""
     triples = enumerate_edge_triples(sg)
     roles.validate(triples)
 
-    nodes: dict[str, NodeStore] = {}
-    for name in db.table_names:
-        nodes[name], _ = _node_store(db, name)
-
     # FK columns reordered to node-store (pk-sorted) row order
+    nodes: dict[str, NodeStore] = {}
     fk_cols: dict[tuple[str, str], tuple[np.ndarray, np.ndarray]] = {}
-    for name, spec in db.specs.items():
-        data = db.data[name]
-        order = np.argsort(data.pk, kind="stable")
-        for fk in spec.foreign_keys:
-            cd = data.cols[fk.column]
+    for name in db.table_names:
+        nodes[name], order = _node_store(db, name)
+        for fk in db.specs[name].foreign_keys:
+            cd = db.data[name].cols[fk.column]
             fk_cols[(name, fk.column)] = (cd.values[order].astype(np.int64),
                                           cd.mask[order].copy())
 
@@ -421,16 +396,10 @@ def construct_reg(db: RelationalDatabase, sg: SchemaGraph, roles: RoleAssignment
             v_pos = v_of_u[keep]
             w_pos = lookup_positions(nodes[triple.w_table].pk, vals_vw[v_pos])
 
-        v_store = nodes[triple.v_table]
-        u_store = nodes[triple.u_table]
-        t_path = v_store.times[v_pos]
-        t_admissible = np.maximum(t_path, u_store.times[u_pos])
-        v_attr_rows = sorted_unique(v_pos)
-        paths[triple.id] = PathRelation(
-            triple, u_pos, v_pos, w_pos, v_pk=v_store.pk[v_pos],
-            t_path=t_path, t_admissible=t_admissible,
-            v_attr_rows=v_attr_rows,
-            v_attrs=_restrict_columns(v_store.attrs, v_attr_rows))
+        t_admissible = np.maximum(nodes[triple.v_table].times[v_pos],
+                                  nodes[triple.u_table].times[u_pos])
+        paths[triple.id] = PathRelation(triple, u_pos, v_pos, w_pos,
+                                        t_admissible)
 
     return RelationalEntityGraph(dict(db.specs), triples, roles, nodes, edges,
                                  paths, null_links)
@@ -443,17 +412,12 @@ def construct_reg(db: RelationalDatabase, sg: SchemaGraph, roles: RoleAssignment
 def invert_reg(reg: RelationalEntityGraph) -> RelationalDatabase:
     """Reconstruct the database; exact under canonical_form.
 
-    Node-role tables read attributes from their node store; edge-role
-    intermediates read them from the covering path relation's attribute copy
-    (rows never joined, e.g. NULL foreign keys, fall back to the node store and
-    are counted).
+    Every table, whatever its role, reads its attributes from its node store
+    and its foreign keys from the edge sets.
     """
-    if not reg.provenance or any(s.pk is None for s in reg.nodes.values()):
+    if not reg.provenance:
         raise ProvenanceError("entity graph carries no provenance; the original "
                               "database cannot be reconstructed")
-
-    edge_tables = reg.roles.edge_role_tables(reg.triples)
-    fallback_counts: dict[str, int] = {}
 
     rows: dict[str, list[dict]] = {}
     for name, spec in reg.specs.items():
@@ -464,23 +428,9 @@ def invert_reg(reg: RelationalEntityGraph) -> RelationalDatabase:
             table_rows[i][spec.primary_key] = int(store.pk[i])
 
         # attributes (includes the time column)
-        if name in edge_tables:
-            pr = reg.paths[edge_tables[name]]
-            covered = {int(p): j for j, p in enumerate(pr.v_attr_rows)}
-            fallback_counts[name] = 0
+        for col_name, cd in store.attrs.items():
             for i in range(n):
-                j = covered.get(i)
-                if j is None:
-                    fallback_counts[name] += 1
-                    src, idx = store.attrs, i
-                else:
-                    src, idx = pr.v_attrs, j
-                for col_name, cd in src.items():
-                    table_rows[i][col_name] = cd.cell(idx)
-        else:
-            for col_name, cd in store.attrs.items():
-                for i in range(n):
-                    table_rows[i][col_name] = cd.cell(i)
+                table_rows[i][col_name] = cd.cell(i)
 
         # foreign keys from edge incidence
         for fk in spec.foreign_keys:
@@ -493,9 +443,7 @@ def invert_reg(reg: RelationalEntityGraph) -> RelationalDatabase:
                 table_rows[int(holder)][fk.column] = int(ref_pk[int(ref)])
         rows[name] = table_rows
 
-    db = build_database(list(reg.specs.values()), rows)
-    db.reconstruction_fallbacks = fallback_counts  # type: ignore[attr-defined]
-    return db
+    return build_database(list(reg.specs.values()), rows)
 
 
 # ---------------------------------------------------------------------------

@@ -555,12 +555,12 @@ def structure_report(triples: list, gates: GateState, cfg: ModelConfig) -> dict:
 
 
 def export_structure(checkpoint_dir: str | Path,
-                     out_path: str | Path | None = None) -> dict:
+                     output: str | Path | None = None) -> dict:
     """Build the structure report from a checkpoint alone."""
     meta, gates = _read_checkpoint_meta(checkpoint_dir)
     report = structure_report(meta["triples"], gates, meta["model_config"])
-    if out_path is not None:
-        with open(out_path, "w", encoding="utf-8") as fh:
+    if output is not None:
+        with open(output, "w", encoding="utf-8") as fh:
             json.dump(report, fh, indent=2)
     return report
 

@@ -449,6 +449,7 @@ _CONFIG_DAMAGE = {
     "infinite-beta": ("train_config", "beta", float("inf")),
     "nan-dropout": ("model_config", "dropout", float("nan")),
     "huge-channels": ("model_config", "channels", 10 ** 18),
+    "huge-layers": ("model_config", "layers", 10 ** 18),
     "huge-negatives": ("train_config", "negatives", 10 ** 18),
 }
 
@@ -719,6 +720,7 @@ def test_unknown_flag_exits_2(capsys, twohop_bundle):
     # past the size bounds: refused before anything is allocated
     (["--channels", "1000000000000000000"], "channels"),
     (["--negatives", "1000000000000000000"], "negatives"),
+    (["--layers", "1000000000000000000"], "layers"),
 ])
 def test_train_out_of_range_flag_exits_2(capsys, twohop_bundle, tmp_path,
                                          flags, name):

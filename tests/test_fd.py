@@ -47,21 +47,24 @@ def test_diff_pairs_values_and_counts():
                          "user")
     emb = {t: Tensor(np.random.default_rng(1).normal(size=(tn.n, 4)))
            for t, tn in batch.nodes.items()}
-    relations = [es.key for es in reg.edges.values()]
+    relations = sorted((es.key for es in reg.edges.values()), key=lambda k: k.id)
     pairs = fd_module._linked_pairs(batch, emb, relations)
-    for rid, (h_i, h_j, i_idx, j_idx) in pairs.items():
+    keys = [key for key, *_ in pairs]
+    assert keys and keys == [k for k in relations if k in keys]
+    for key, h_i, h_j, j_idx in pairs:
         diffs = T.sub(h_j, h_i)
-        key = next(k for k in relations if k.id == rid)
-        # oracle: distinct in-batch FK links, whichever direction sampled them
+        # oracle: distinct in-batch FK links, whichever direction sampled
+        # them, sorted by (holder, referenced)
         links = set()
-        fwd = batch.edges.get(rid)
+        fwd = batch.edges.get(key.id)
         if fwd is not None:
             links |= set(zip(fwd[0].tolist(), fwd[1].tolist()))
         rev = batch.edges.get(key.flipped().id)
         if rev is not None:
             links |= set(zip(rev[1].tolist(), rev[0].tolist()))
+        i_idx, want_j = (np.array(col) for col in zip(*sorted(links)))
         assert diffs.shape[0] == len(links)
-        assert set(zip(i_idx.tolist(), j_idx.tolist())) == links
+        assert j_idx.tolist() == want_j.tolist()
         oracle = emb[key.referenced].values[j_idx] - emb[key.holder].values[i_idx]
         np.testing.assert_allclose(diffs.values, oracle, rtol=1e-12)
 
@@ -357,14 +360,11 @@ def _fd_losses_per_column(batch, embeddings, fd, beta, gamma, tau, negatives,
     """The FD loss as it was computed before the stacked block: one gather
     pair per relation for L_pair, and one scoring call per negative column."""
     emb_terms, pair_terms = [], []
-    for rid, (link_i, link_j, holder_locals, ref_locals) in sorted(
-            fd_module._linked_pairs(batch, embeddings, fd.relations).items()):
-        diffs = T.sub(link_j, link_i)
-        key = next(k for k in fd.relations if k.id == rid)
+    for key, h_i, h_j, ref_locals in fd_module._linked_pairs(
+            batch, embeddings, fd.relations):
+        rid = key.id
         P, s = fd.subspace(rid)
-        emb_terms.append(loss_emb(diffs, P, s))
-        h_i = T.take_rows(embeddings[key.holder], holder_locals)
-        h_j = T.take_rows(embeddings[key.referenced], ref_locals)
+        emb_terms.append(loss_emb(T.sub(h_j, h_i), P, s))
         pos = score_pairs(fd, rid, h_i, h_j)
         neg_locals = draw(batch, key.referenced, ref_locals, negatives)
         cols = [T.reshape(score_pairs(fd, rid, h_i,

@@ -1,3 +1,6 @@
+import hashlib
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -229,19 +232,23 @@ def test_roundtrip_every_role_mode(review_db):
         assert canonical_form(invert_reg(reg)) == canonical_form(review_db)
 
 
-def test_edge_role_reconstruction_uses_path_features(review_db):
-    """With the intermediate modeled as edge, rows come back from the path
-    relation's attribute copy, not the node store."""
+def test_reconstruction_reads_node_store_attributes(review_db):
+    """Whatever the role, every table's attributes come back from its node
+    store: the graph round-trips, and an edit to the store of the
+    intermediate (review, the edge-role table under all-edge) shows at that
+    row and nowhere else."""
     sg = build_schema_graph(review_db)
     triples = enumerate_edge_triples(sg)
-    roles = RoleAssignment.uniform(triples, "edge")
-    reg = construct_reg(review_db, sg, roles)
-    # corrupt the node-store attributes of the edge-role table
-    store = reg.nodes["review"]
-    store.attrs["rating"].values[:] = -1.0
-    rebuilt = invert_reg(reg)
-    assert canonical_form(rebuilt) == canonical_form(review_db)
-    assert rebuilt.reconstruction_fallbacks["review"] == 0
+    original = review_db.table("review")
+    want = dict(zip(original.pk.tolist(), original.cols["rating"].values.tolist()))
+    for mode in ("node", "learn", "edge"):
+        reg = construct_reg(review_db, sg, RoleAssignment.uniform(triples, mode))
+        assert canonical_form(invert_reg(reg)) == canonical_form(review_db)
+        store = reg.nodes["review"]
+        store.attrs["rating"].values[2] = -1.0
+        rebuilt = invert_reg(reg).table("review")
+        got = dict(zip(rebuilt.pk.tolist(), rebuilt.cols["rating"].values.tolist()))
+        assert got == {**want, int(store.pk[2]): -1.0}
 
 
 def test_provenance_stripped_reconstruction_fails(review_db):
@@ -282,6 +289,69 @@ def test_roundtrip_random_bundles_property(seed, mode_idx):
              RoleAssignment.random(triples, seed)][mode_idx]
     reg = construct_reg(db, sg, roles)
     assert canonical_form(invert_reg(reg)) == canonical_form(db)
+
+
+def _reg_digest(reg) -> str:
+    """SHA-256 over every entity-graph array that sampling and the model read."""
+    h = hashlib.sha256()
+
+    def put(name, arr):
+        arr = np.ascontiguousarray(arr)
+        h.update(f"{name}|{arr.dtype.str}|{arr.shape}|".encode())
+        h.update(arr.tobytes())
+
+    for t in sorted(reg.nodes):
+        store = reg.nodes[t]
+        put(f"{t}.pk", store.pk)
+        put(f"{t}.times", store.times)
+        for c in sorted(store.attrs):
+            cd = store.attrs[c]
+            if cd.kind == "categorical":
+                h.update(f"{t}.{c}|{cd.values!r}|{cd.vocab!r}|".encode())
+            else:
+                put(f"{t}.{c}", cd.values)
+            put(f"{t}.{c}.mask", cd.mask)
+    for k in sorted(reg.edges):
+        put(f"{k}.holder_rows", reg.edges[k].holder_rows)
+        put(f"{k}.ref_rows", reg.edges[k].ref_rows)
+    for tid in sorted(reg.paths):
+        pr = reg.paths[tid]
+        for name in ("u_pos", "v_pos", "w_pos", "t_admissible"):
+            put(f"{tid}.{name}", getattr(pr, name))
+        for i, arr in enumerate(reg.path_adjacency(tid)):
+            put(f"{tid}.adj{i}", arr)
+    for key in reg.relation_keys:
+        for i, arr in enumerate(reg.adjacency(key)):
+            put(f"{key.id}.adj{i}", arr)
+    return h.hexdigest()
+
+
+_REG_BUNDLES = {"twohop-x1": lambda: gen_twohop(2000, 300, 8000, 1.0, 7)[0],
+                "random-0": lambda: gen_random_bundle(0),
+                "random-3": lambda: gen_random_bundle(3),
+                "random-8": lambda: gen_random_bundle(8)}
+_REG_ROLES = {"learn": RoleAssignment.learn_all,
+              "all-edge": lambda ts: RoleAssignment.uniform(ts, "edge"),
+              "random": lambda ts: RoleAssignment.random(ts, 5)}
+# recorded while path relations still carried a copy of the intermediate
+# table's attributes; construct_reg joins every triple whatever its role, so
+# each role mode gives the bundle's one digest
+_REG_PINNED = {
+    "random-0": "d49e412625859bca437557abc2d0514d5a29b57ed23eaaaccb34a8d6dc5db439",
+    "random-3": "24c83fd627fa9b714ceeb1769fa8103b68ba546bd26991eff955fc0245aee30d",
+    "random-8": "af068ae1a7f8d53bd8074c88e270f8d55050f3f6cbc6d61d8a31e9e782aa5f62",
+    "twohop-x1": "45bffd1559e0558c3581f56f6fec81ea555d3aec56f644f1cb5d2a6e9a61a456",
+}
+
+
+@pytest.mark.parametrize("bundle", sorted(_REG_BUNDLES))
+def test_entity_graph_arrays_pinned_byte_for_byte(bundle):
+    db = _REG_BUNDLES[bundle]()
+    sg = build_schema_graph(db)
+    triples = enumerate_edge_triples(sg)
+    for make in _REG_ROLES.values():
+        assert _reg_digest(construct_reg(db, sg, make(triples))) \
+            == _REG_PINNED[bundle]
 
 
 # --- structure-learning incompatibility demos ------------------------------
