@@ -209,15 +209,16 @@ def _parse_cell(text: str, col: ColumnSpec, table: str, row: int):
         raise CellParseError(f"empty cell in non-nullable column",
                              table=table, row=row, column=col.name)
     try:
-        if col.kind == "integer":
-            return int(text)
+        if col.kind in ("integer", "datetime"):
+            value = int(text) if col.kind == "integer" else parse_datetime(text)
+            if not -2**63 <= value < 2**63:
+                raise ValueError("out of the int64 range")
+            return value
         if col.kind == "real":
             value = float(text)
             if not math.isfinite(value):
                 raise ValueError("real cells must be finite")
             return value
-        if col.kind == "datetime":
-            return parse_datetime(text)
         return text
     except ValueError as exc:
         raise CellParseError(f"unparseable cell {text!r}: {exc}",

@@ -146,6 +146,24 @@ def test_unparseable_cell(tmp_path):
     assert err.value.table == "user"
 
 
+@pytest.mark.parametrize("column", ["user_id", "created_at"])
+@pytest.mark.parametrize("text", ["9" * 25, "-" + "9" * 25])
+def test_out_of_int64_cell_names_location(tmp_path, column, text):
+    """An integer or epoch-datetime cell past the int64 range is refused
+    with its location, not an OverflowError from the column array."""
+    _write_bundle(tmp_path)
+    lines = (tmp_path / "review.csv").read_text().splitlines()
+    at = lines[0].split(",").index(column)
+    fields = lines[2].split(",")
+    fields[at] = text
+    lines[2] = ",".join(fields)
+    (tmp_path / "review.csv").write_text("\n".join(lines) + "\n")
+    with pytest.raises(CellParseError) as err:
+        ingest_bundle(tmp_path)
+    assert (err.value.table, err.value.row, err.value.column) == \
+        ("review", 1, column)
+
+
 def test_datetime_accepts_iso_and_epoch():
     assert rdb.parse_datetime("1600000000") == 1_600_000_000
     assert rdb.parse_datetime("2020-09-13T12:26:40+00:00") == 1_600_000_000
