@@ -19,7 +19,7 @@ from pathlib import Path
 from . import synth
 from .config import DEFAULTS, default_seed
 from .errors import (BundleError, CheckpointMismatch, EngineError, RoleError,
-                     TrainingDiverged)
+                     SchemaError, TrainingDiverged)
 from .fd import subspace_size
 from .model import ModelConfig
 from .rdb import canonical_form, fd_violations, ingest_bundle, load_task
@@ -203,6 +203,9 @@ def cmd_train(args, t0: float) -> int:
         return EXIT_USAGE
     db = ingest_bundle(args.bundle)
     task = load_task(args.task, db)
+    if not len(task.labels.get("train", ())):
+        raise SchemaError("task_train.csv is missing or holds no rows: "
+                          "nothing to train on")
     out_dir = Path(args.output) if args.output else None
     if args.transfer_from:
         summary = transfer_structure(args.transfer_from, db, task, mcfg, tcfg,

@@ -98,22 +98,7 @@ class ColumnData:
         self.kind = kind
         self.values = values
         self.mask = mask  # True where a value is present
-        self.vocab = vocab  # frozen for categorical columns after ingestion
-
-    def copy(self) -> "ColumnData":
-        vals = list(self.values) if self.kind == "categorical" else self.values.copy()
-        vocab = list(self.vocab) if self.vocab is not None else None
-        return ColumnData(self.kind, vals, self.mask.copy(), vocab)
-
-    def cell(self, i: int):
-        if not self.mask[i]:
-            return None
-        v = self.values[i]
-        if self.kind in ("integer", "datetime"):
-            return int(v)
-        if self.kind == "real":
-            return float(v)
-        return v
+        self.vocab = vocab  # set for categorical columns by from_columns
 
 
 class TableData:
@@ -225,12 +210,41 @@ def _parse_cell(text: str, col: ColumnSpec, table: str, row: int):
                              table=table, row=row, column=col.name) from exc
 
 
-def _render_cell(value, kind: str) -> str:
-    if value is None:
-        return ""
-    if kind == "real":
-        return "%.17g" % value
-    return str(value)
+def _column(kind: str, cells: list) -> ColumnData:
+    """A typed column from Python cells, None standing for NULL."""
+    mask = np.array([v is not None for v in cells], dtype=bool)
+    if kind == "categorical":
+        return ColumnData(kind, [None if v is None else str(v) for v in cells],
+                          mask)
+    dtype = np.float64 if kind == "real" else np.int64
+    return ColumnData(kind, np.array([0 if v is None else v for v in cells],
+                                     dtype=dtype), mask)
+
+
+_FORMATS = {"real": "%.17g".__mod__, "integer": "%d".__mod__,
+            "datetime": "%d".__mod__}
+_BLOCK = 8192  # rows rendered at once, which bounds the text held in memory
+
+
+def _render_rows(columns: list[ColumnData], null: str, text=str,
+                 order: np.ndarray | None = None):
+    """Tuples of cell text per row, in `order` (storage order by default),
+    rendered a block of whole columns at a time: reals with 17 significant
+    digits, integers and datetimes as %d, categoricals through `text`, and
+    `null` for NULL."""
+    if order is None:
+        order = np.arange(len(columns[0].mask))
+    for start in range(0, len(order), _BLOCK):
+        rows = order[start:start + _BLOCK]
+        block = []
+        for col in columns:
+            values = ([col.values[i] for i in rows.tolist()]
+                      if col.kind == "categorical" else col.values[rows].tolist())
+            cells = list(map(_FORMATS.get(col.kind, text), values))
+            for i in np.flatnonzero(~col.mask[rows]).tolist():
+                cells[i] = null
+            block.append(cells)
+        yield from zip(*block)
 
 
 # ---------------------------------------------------------------------------
@@ -268,50 +282,29 @@ def _validate_schema(specs: dict[str, TableSpec]) -> None:
                                   table=spec.name, column=spec.time_column)
 
 
-def _build_table(spec: TableSpec, rows: list[dict], table: str) -> TableData:
-    n = len(rows)
-    cols: dict[str, ColumnData] = {}
+def _table(spec: TableSpec, cols: dict[str, ColumnData]) -> TableData:
     for col in spec.columns:
-        mask = np.ones(n, dtype=bool)
-        if col.kind == "categorical":
-            values: list = [None] * n
-            for i, r in enumerate(rows):
-                v = r.get(col.name)
-                if v is None:
-                    mask[i] = False
-                else:
-                    values[i] = str(v)
-        else:
-            dtype = np.float64 if col.kind == "real" else np.int64
-            values = np.zeros(n, dtype=dtype)
-            for i, r in enumerate(rows):
-                v = r.get(col.name)
-                if v is None:
-                    mask[i] = False
-                else:
-                    values[i] = v
-        if not col.nullable and not mask.all():
-            bad = int(np.flatnonzero(~mask)[0])
-            raise CellParseError("NULL in non-nullable column", table=table,
+        cd = cols[col.name]
+        if not col.nullable and not cd.mask.all():
+            bad = int(np.flatnonzero(~cd.mask)[0])
+            raise CellParseError("NULL in non-nullable column", table=spec.name,
                                  row=bad, column=col.name)
-        vocab = None
         if col.kind == "categorical":
-            vocab = sorted({v for v in values if v is not None})
-        cols[col.name] = ColumnData(col.kind, values, mask, vocab)
+            cd.vocab = sorted({v for v in cd.values if v is not None})
 
     pk_col = cols[spec.primary_key]
     if not pk_col.mask.all():
         bad = int(np.flatnonzero(~pk_col.mask)[0])
-        raise CellParseError("NULL primary key", table=table, row=bad,
+        raise CellParseError("NULL primary key", table=spec.name, row=bad,
                              column=spec.primary_key)
     pk = pk_col.values.astype(np.int64)
     uniq, counts = np.unique(pk, return_counts=True)
     if (counts > 1).any():
         dup = int(uniq[counts > 1][0])
         row = int(np.flatnonzero(pk == dup)[1])
-        raise DuplicateKeyError(f"duplicate primary key {dup}", table=table,
+        raise DuplicateKeyError(f"duplicate primary key {dup}", table=spec.name,
                                 row=row, column=spec.primary_key)
-    return TableData(pk, cols)
+    return TableData(pk, {c.name: cols[c.name] for c in spec.columns})
 
 
 def _check_referential_integrity(db: RelationalDatabase) -> None:
@@ -338,16 +331,27 @@ def fd_violations(db: RelationalDatabase) -> list[FdViolation]:
     return out
 
 
-def build_database(specs: list[TableSpec], rows: dict[str, list[dict]]) -> RelationalDatabase:
-    """Construct and fully validate a database from in-memory rows."""
+def from_columns(specs: list[TableSpec],
+                 columns: dict[str, dict[str, ColumnData]]) -> RelationalDatabase:
+    """The one table builder: validate typed columns, `columns[table][column]`
+    for every declared column, into a database. NULLs in non-nullable
+    columns, NULL or duplicate primary keys and dangling foreign keys are
+    refused with their location; categorical columns get their vocabularies."""
     spec_map = {s.name: s for s in specs}
     _validate_schema(spec_map)
-    data = {}
-    for name, spec in spec_map.items():
-        data[name] = _build_table(spec, rows.get(name, []), name)
+    data = {name: _table(spec, columns[name]) for name, spec in spec_map.items()}
     db = RelationalDatabase(spec_map, data)
     _check_referential_integrity(db)
     return db
+
+
+def build_database(specs: list[TableSpec], rows: dict[str, list[dict]]) -> RelationalDatabase:
+    """A database from in-memory rows, one dict per row; a missing key or
+    None is NULL, a missing table is empty."""
+    return from_columns(specs, {
+        s.name: {c.name: _column(c.kind, [r.get(c.name) for r in rows.get(s.name, [])])
+                 for c in s.columns}
+        for s in specs})
 
 
 # ---------------------------------------------------------------------------
@@ -400,15 +404,14 @@ def ingest_bundle(path: str | Path) -> RelationalDatabase:
     if not schema_path.exists():
         raise MissingFileError(f"no schema.json under {path}")
     specs = _read_schema(schema_path)
-    spec_map = {s.name: s for s in specs}
-    _validate_schema(spec_map)
+    _validate_schema({s.name: s for s in specs})  # before any CSV is read
 
-    data = {}
+    columns = {}
     for spec in specs:
         csv_path = path / f"{spec.name}.csv"
         if not csv_path.exists():
             raise MissingFileError(f"no CSV for declared table", table=spec.name)
-        rows = []
+        cells: list[list] = [[] for _ in spec.columns]
         with open(csv_path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
@@ -416,17 +419,15 @@ def ingest_bundle(path: str | Path) -> RelationalDatabase:
                 raise SchemaError(
                     f"CSV header {header!r} does not match schema columns "
                     f"{spec.column_names!r}", table=spec.name)
-            for i, cells in enumerate(reader):
-                if len(cells) != len(spec.columns):
-                    raise SchemaError(f"row has {len(cells)} cells, expected "
+            for i, row in enumerate(reader):  # row-major: the first bad cell
+                if len(row) != len(spec.columns):
+                    raise SchemaError(f"row has {len(row)} cells, expected "
                                       f"{len(spec.columns)}", table=spec.name, row=i)
-                rows.append({c.name: _parse_cell(cell, c, spec.name, i)
-                             for c, cell in zip(spec.columns, cells)})
-        data[spec.name] = _build_table(spec, rows, spec.name)
-
-    db = RelationalDatabase(spec_map, data)
-    _check_referential_integrity(db)
-    return db
+                for col, out, text in zip(spec.columns, cells, row):
+                    out.append(_parse_cell(text, col, spec.name, i))
+        columns[spec.name] = {c.name: _column(c.kind, v)
+                              for c, v in zip(spec.columns, cells)}
+    return from_columns(specs, columns)
 
 
 def export_bundle(db: RelationalDatabase, path: str | Path,
@@ -441,9 +442,8 @@ def export_bundle(db: RelationalDatabase, path: str | Path,
         with open(path / f"{name}.csv", "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(spec.column_names)
-            for i in range(data.n_rows):
-                writer.writerow([_render_cell(data.cols[c.name].cell(i), c.kind)
-                                 for c in spec.columns])
+            writer.writerows(_render_rows(
+                [data.cols[c] for c in spec.column_names], ""))
     if task is not None:
         export_task(task, path / task.name)
     return path
@@ -466,34 +466,35 @@ def export_task(task: TaskSpec, path: str | Path) -> Path:
         recs = task.labels.get(split)
         if recs is None:
             continue
+        present = np.ones(len(recs), dtype=bool)
+        columns = {"entity_id": ("integer", recs.entity),
+                   "target_id": ("integer", recs.target),
+                   "timestamp": ("real", recs.t_predict),
+                   "label": ("real", recs.label)}
+        if task.task_type != "link_prediction":
+            del columns["target_id"]
         with open(path / f"task_{split}.csv", "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
-            if task.task_type == "link_prediction":
-                writer.writerow(["entity_id", "target_id", "timestamp", "label"])
-                for i in range(len(recs)):
-                    writer.writerow([int(recs.entity[i]), int(recs.target[i]),
-                                     "%.17g" % recs.t_predict[i],
-                                     "%.17g" % recs.label[i]])
-            else:
-                writer.writerow(["entity_id", "timestamp", "label"])
-                for i in range(len(recs)):
-                    writer.writerow([int(recs.entity[i]),
-                                     "%.17g" % recs.t_predict[i],
-                                     "%.17g" % recs.label[i]])
+            writer.writerow(list(columns))
+            writer.writerows(_render_rows(
+                [ColumnData(kind, values, present)
+                 for kind, values in columns.values()], ""))
     return path
 
 
-def _task_column(fpath: Path, rows: list[dict], column: str,
-                 parse: type) -> np.ndarray:
+def _task_column(fpath: Path, rows: list[list[str]], at: dict[str, int],
+                 column: str, parse: type) -> np.ndarray:
     """One column of a task CSV: `int` ids as int64, `float` values as
-    finite float64."""
+    finite float64. A row too short to hold the column reads None."""
+    j = at[column]
     values = []
     for i, row in enumerate(rows):
+        text = row[j] if j < len(row) else None
         try:
-            values.append(parse(row[column]))
+            values.append(parse(text))
         except (TypeError, ValueError) as exc:
-            raise CellParseError(f"{fpath.name}: unparseable cell "
-                                 f"{row[column]!r}", row=i, column=column) from exc
+            raise CellParseError(f"{fpath.name}: unparseable cell {text!r}",
+                                 row=i, column=column) from exc
     if parse is int:
         try:
             return np.asarray(values, dtype=np.int64)
@@ -563,13 +564,15 @@ def load_task(path: str | Path, db: RelationalDatabase) -> TaskSpec:
         if not fpath.exists():
             continue
         with open(fpath, newline="", encoding="utf-8") as fh:
-            reader = csv.DictReader(fh)
-            absent = [c for c in columns if c not in (reader.fieldnames or ())]
+            reader = csv.reader(fh)
+            # as csv.DictReader: the last of a repeated name; no blank rows
+            at = {name: j for j, name in enumerate(next(reader, []))}
+            absent = [c for c in columns if c not in at]
             if absent:
                 raise SchemaError(f"{fpath.name} lacks a column",
                                   column=absent[0])
-            rows = list(reader)
-        entity = _task_column(fpath, rows, "entity_id", int)
+            rows = [row for row in reader if row]
+        entity = _task_column(fpath, rows, at, "entity_id", int)
         bad = lookup_positions(entity_pk, entity) < 0
         if bad.any():
             i = int(np.flatnonzero(bad)[0])
@@ -578,23 +581,26 @@ def load_task(path: str | Path, db: RelationalDatabase) -> TaskSpec:
                                    column="entity_id")
         target = None
         if task_type == "link_prediction":
-            target = _task_column(fpath, rows, "target_id", int)
+            target = _task_column(fpath, rows, at, "target_id", int)
             bad = lookup_positions(target_pk, target) < 0
             if bad.any():
                 i = int(np.flatnonzero(bad)[0])
                 raise DanglingKeyError(f"{fpath.name}: label target "
                                        f"{int(target[i])} not in {target_table}",
                                        row=i, column="target_id")
-        label = _task_column(fpath, rows, "label", float)
+        label = _task_column(fpath, rows, at, "label", float)
         if task_type == "classification":
             bad = np.flatnonzero(~np.isin(label, (0.0, 1.0)))
             if len(bad):
                 raise SchemaError(f"{fpath.name}: classification labels must "
                                   f"be 0/1", row=int(bad[0]), column="label")
+        t_predict = _task_column(fpath, rows, at, "timestamp", float)
+        bad = np.flatnonzero((t_predict < -2.0**63) | (t_predict >= 2.0**63))
+        if len(bad):  # as table datetime cells
+            raise CellParseError(f"{fpath.name}: timestamp out of the int64 "
+                                 f"range", row=int(bad[0]), column="timestamp")
         task.labels[split_name] = LabelRecords(
-            entity=entity, t_predict=_task_column(fpath, rows, "timestamp",
-                                                  float),
-            label=label, target=target)
+            entity=entity, t_predict=t_predict, label=label, target=target)
     return task
 
 
@@ -602,14 +608,8 @@ def load_task(path: str | Path, db: RelationalDatabase) -> TaskSpec:
 # canonical serialization
 # ---------------------------------------------------------------------------
 
-def _canonical_cell(value, kind: str) -> str:
-    if value is None:
-        return "NULL"
-    if kind == "real":
-        return "%.17g" % value
-    if kind == "categorical":
-        return json.dumps(value, ensure_ascii=False)
-    return str(value)
+def _json_text(value: str) -> str:
+    return json.dumps(value, ensure_ascii=False)
 
 
 def canonical_form(db: RelationalDatabase) -> bytes:
@@ -621,9 +621,7 @@ def canonical_form(db: RelationalDatabase) -> bytes:
         data = db.data[name]
         lines.append(f"TABLE {name}")
         lines.append("SPEC " + json.dumps(spec.to_dict(), sort_keys=True))
-        order = np.argsort(data.pk, kind="stable")
-        for ri in order:
-            cells = [_canonical_cell(data.cols[c.name].cell(int(ri)), c.kind)
-                     for c in spec.columns]
-            lines.append("ROW " + "|".join(cells))
+        lines.extend("ROW " + "|".join(row) for row in _render_rows(
+            [data.cols[c] for c in spec.column_names], "NULL", _json_text,
+            np.argsort(data.pk, kind="stable")))
     return ("\n".join(lines) + "\n").encode("utf-8")

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import PathCapExceeded, ProvenanceError, RoleError
 from .kernels import lookup_positions
-from .rdb import ColumnData, RelationalDatabase, TableSpec, build_database
+from .rdb import ColumnData, RelationalDatabase, TableSpec, from_columns
 
 ROLES = ("node", "edge", "learn")
 
@@ -419,31 +419,25 @@ def invert_reg(reg: RelationalEntityGraph) -> RelationalDatabase:
         raise ProvenanceError("entity graph carries no provenance; the original "
                               "database cannot be reconstructed")
 
-    rows: dict[str, list[dict]] = {}
+    columns: dict[str, dict[str, ColumnData]] = {}
     for name, spec in reg.specs.items():
         store = reg.nodes[name]
         n = store.n_rows
-        table_rows = [dict() for _ in range(n)]
-        for i in range(n):
-            table_rows[i][spec.primary_key] = int(store.pk[i])
-
-        # attributes (includes the time column)
-        for col_name, cd in store.attrs.items():
-            for i in range(n):
-                table_rows[i][col_name] = cd.cell(i)
-
-        # foreign keys from edge incidence
+        cols = {spec.primary_key: ColumnData("integer", store.pk.copy(),
+                                             np.ones(n, dtype=bool))}
+        for col_name, cd in store.attrs.items():  # includes the time column
+            values = (list(cd.values) if cd.kind == "categorical"
+                      else cd.values.copy())
+            cols[col_name] = ColumnData(cd.kind, values, cd.mask.copy())
         for fk in spec.foreign_keys:
-            key = RelationKey(name, fk.column, fk.references)
-            es = reg.edges[key.id]
-            ref_pk = reg.nodes[fk.references].pk
-            for i in range(n):
-                table_rows[i][fk.column] = None
-            for holder, ref in zip(es.holder_rows, es.ref_rows):
-                table_rows[int(holder)][fk.column] = int(ref_pk[int(ref)])
-        rows[name] = table_rows
-
-    return build_database(list(reg.specs.values()), rows)
+            es = reg.edges[RelationKey(name, fk.column, fk.references).id]
+            values = np.zeros(n, dtype=np.int64)
+            mask = np.zeros(n, dtype=bool)
+            values[es.holder_rows] = reg.nodes[fk.references].pk[es.ref_rows]
+            mask[es.holder_rows] = True
+            cols[fk.column] = ColumnData("integer", values, mask)
+        columns[name] = cols
+    return from_columns(list(reg.specs.values()), columns)
 
 
 # ---------------------------------------------------------------------------

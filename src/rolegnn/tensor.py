@@ -275,8 +275,10 @@ def take_rows(a: Tensor, idx: np.ndarray) -> Tensor:
 
 
 def sigmoid(a: Tensor) -> Tensor:
-    v = np.where(a.values >= 0, 1.0 / (1.0 + np.exp(-a.values)),
-                 np.exp(a.values) / (1.0 + np.exp(a.values)))
+    # 1/(1+e) for x >= 0 and e/(1+e) below, from e = exp(-|x|) <= 1, so
+    # nothing overflows
+    e = np.exp(-np.abs(a.values))
+    v = np.where(a.values >= 0, 1.0, e) / (1.0 + e)
     out = Tensor(v)
 
     def bwd(g):

@@ -365,6 +365,49 @@ def test_damaged_task_exit_code(capsys, twohop_bundle, tmp_path, damage, where):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("text", ["1e300", "-1e300", "9.3e18"])
+def test_task_timestamp_out_of_int64_exits_3(capsys, twohop_bundle, tmp_path,
+                                             text):
+    """A finite task timestamp past the int64 range is refused at the input,
+    as table datetime cells are; it once overflowed in the loss and exited 6."""
+    bundle = tmp_path / "bundle"
+    shutil.copytree(twohop_bundle, bundle)
+    _set_task_cell(bundle / "user-positive", "task_train.csv", 3, "timestamp",
+                   text)
+    code, out, err = _run(capsys, "train", str(bundle),
+                          str(bundle / "user-positive"), "--epochs", "1",
+                          "--channels", "8", "--layers", "1")
+    assert code == 3
+    assert ("task_train.csv: timestamp out of the int64 range "
+            "(row=3, column=timestamp)") in err
+    assert "Traceback" not in err and out == ""
+
+
+@pytest.mark.parametrize("case", ["header-only", "absent"])
+def test_empty_train_split_exits_3(capsys, twohop_bundle, trained_checkpoint,
+                                   tmp_path, case):
+    """Training on no rows is refused before anything is built or written;
+    evaluating on such a task still works."""
+    bundle = tmp_path / "bundle"
+    shutil.copytree(twohop_bundle, bundle)
+    train_csv = bundle / "user-positive" / "task_train.csv"
+    if case == "absent":
+        train_csv.unlink()
+    else:
+        train_csv.write_text(train_csv.read_text().splitlines()[0] + "\n")
+    run = tmp_path / "run"
+    code, out, err = _run(capsys, "train", str(bundle),
+                          str(bundle / "user-positive"), "--epochs", "1",
+                          "--channels", "8", "--layers", "1", "-o", str(run))
+    assert code == 3
+    assert "task_train.csv is missing or holds no rows" in err
+    assert "Traceback" not in err and out == "" and not run.exists()
+    code, out, err = _run(capsys, "eval", str(trained_checkpoint), str(bundle),
+                          str(bundle / "user-positive"))
+    assert code == 0, err
+    assert _last_json(out)["metrics"]
+
+
 def test_incompatible_checkpoint_exit_code(capsys, twohop_bundle, tmp_path):
     chain = tmp_path / "chain"
     main(["synth", "completion_chain", "n_src=80", "n_mid=40", "n_sink=20",

@@ -1,3 +1,6 @@
+import hashlib
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +12,9 @@ from rolegnn.errors import (CellParseError, DanglingKeyError, DuplicateKeyError,
                             MissingFileError, SchemaError)
 from rolegnn.rdb import (build_database, canonical_form, export_bundle,
                          fd_violations, ingest_bundle, load_task)
+from rolegnn.schema_graph import (RoleAssignment, build_schema_graph,
+                                  construct_reg, enumerate_edge_triples,
+                                  invert_reg)
 from rolegnn.synth import gen_random_bundle, gen_twohop
 
 
@@ -164,6 +170,23 @@ def test_out_of_int64_cell_names_location(tmp_path, column, text):
         ("review", 1, column)
 
 
+def test_first_bad_cell_in_row_major_order(tmp_path):
+    """Of two bad cells, ingest names the one met first reading row by row,
+    not the one in the earlier column."""
+    _write_bundle(tmp_path)
+    lines = (tmp_path / "review.csv").read_text().splitlines()
+    header = lines[0].split(",")
+    for row, column in ((1, "rating"), (2, "user_id")):
+        fields = lines[row + 1].split(",")
+        fields[header.index(column)] = "bad"
+        lines[row + 1] = ",".join(fields)
+    (tmp_path / "review.csv").write_text("\n".join(lines) + "\n")
+    with pytest.raises(CellParseError) as err:
+        ingest_bundle(tmp_path)
+    assert (err.value.table, err.value.row, err.value.column) == \
+        ("review", 1, "rating")
+
+
 def test_datetime_accepts_iso_and_epoch():
     assert rdb.parse_datetime("1600000000") == 1_600_000_000
     assert rdb.parse_datetime("2020-09-13T12:26:40+00:00") == 1_600_000_000
@@ -178,7 +201,7 @@ def test_nullable_numeric_mask():
                                       {"t_id": 2, "x": 7.0}]})
     col = db.table("t").cols["x"]
     assert col.mask.tolist() == [False, True]
-    assert col.values[0] == 0.0 and col.cell(0) is None
+    assert col.values[0] == 0.0 and not col.mask[0]
 
 
 def test_task_validation(tmp_path):
@@ -219,3 +242,88 @@ def test_task_classification_labels_must_be_binary(tmp_path):
 def test_canonical_form_random_bundles_stable(seed):
     db = gen_random_bundle(seed % 50)
     assert canonical_form(db) == canonical_form(db)
+
+
+# --- byte pins: canonical form, exported bundles, rebuilt databases ----------
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _export_digest(root: Path) -> str:
+    """SHA-256 over every exported file's relative path and bytes."""
+    h = hashlib.sha256()
+    for f in sorted(p for p in root.rglob("*") if p.is_file()):
+        data = f.read_bytes()
+        h.update(f"{f.relative_to(root).as_posix()}|{len(data)}|".encode())
+        h.update(data)
+    return h.hexdigest()
+
+
+_PIN_BUNDLES = {"twohop-x1": lambda: gen_twohop(2000, 300, 8000, 1.0, 7),
+                **{f"random-{s}": lambda s=s: (gen_random_bundle(s), None)
+                   for s in range(10)}}
+
+# (canonical form, exported files), recorded while tables were still built
+# from one dict per row and serialized one cell at a time; the random seeds
+# cover NULLs, quoted and non-ASCII categoricals, self-references and
+# datetimes
+_BYTES_PINNED = {
+    "random-0": ("e5c2796375c77f8888fa707243a70f2c37499b57bec57833b1b482e8dfdf7770",
+                 "157d063d09be36ada3638f1aeb3256ba64a99b6f63e1cb3a6f1a48241b8cae15"),
+    "random-1": ("76c3df106c90672486138a9c4fccc1c59e2eefcb1b3090611ec22af6914174ce",
+                 "a1d24c0683f869a1b7e340d18f600177198d34551190f5f43c067690d7ae3224"),
+    "random-2": ("42d4a3b5a825b1929cfcf7c445915d128e5e2f4aeb9b502294b29fbdb4cf7a04",
+                 "e23ea44bc0d65b4f09e2940f0c7b3129bcecc4a4ca2509cd98ec6f35d34b57b3"),
+    "random-3": ("b38199a66a86cdc86b2cf1db0607ac11d61c3ef255b1d0ce872c0f2232ba8963",
+                 "72331311ea696c9c6b60d31b295eda092e6a9b7d51f1b5b46b146019e633197e"),
+    "random-4": ("2ba2e503dedf1f9b4187e441431881d0bc3a3343ab3a36c59878c32dcf42f019",
+                 "85c8e5ebe8f0d9ba018f241bf63b1ce5c5affa7d053032e1a9ddfa23256c3254"),
+    "random-5": ("21509eb9f9d1f0de3d39c63ef4f85fb6036913ae3b1ae070841d5455d5be1337",
+                 "6ec2279e100f4ecd5ba9cfcd96e1a288abbac7607a6234c23558cb0188aa9c31"),
+    "random-6": ("e7addb924bdf50ac8ce372c681933b8b626378390051b5fabead2c902e0e81b7",
+                 "b4b273c67ced46d1d7e62872be9f0290ad54b866be35a31b43948f46a9b5d464"),
+    "random-7": ("152b11977e42c1977668f6b92a7ea1afa3067b770db825cc484c25b85428facb",
+                 "6ddeec148a3b867d46bd178b9691ac6285ac6f6f6aa885d08558c45a0890c710"),
+    "random-8": ("3a09eaf9d3c86402134dc96f5dff833845a5d147fd5c5ab26a9934539c377c96",
+                 "5dad0a27980fecc59eef4442dc0838d3bbed0958dacb37ffe90815b1e345898d"),
+    "random-9": ("581192f49b497dd2f267d1e2e1bb28437e019500f896959d45b224fb700b4bf9",
+                 "341fdc498869a462c81b07aac25126633cbab1e8c4d0eb2c4821d2836ad363db"),
+    "twohop-x1": ("9648b0d26d755fc4b07c717bf69bc8aaec1cff745f3226d8d696d01a06656f9c",
+                  "55e32fb30e2aa8cfa1f01b227dc819d79d935a5192d3c4e992e8af9b09112e3d"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PIN_BUNDLES))
+def test_serialized_bytes_pinned(tmp_path, name):
+    """The canonical form and the exported bundle (with its task) keep their
+    bytes, and so does the database rebuilt from the entity graph under
+    all-node, learn and all-edge roles: its canonical form, and its export,
+    as every pinned bundle is stored in primary-key order."""
+    db, task = _PIN_BUNDLES[name]()
+    canonical, exported = _BYTES_PINNED[name]
+    assert _sha(canonical_form(db)) == canonical
+    export_bundle(db, tmp_path / "original", task=task)
+    assert _export_digest(tmp_path / "original") == exported
+    assert _sha(canonical_form(ingest_bundle(tmp_path / "original"))) == canonical
+    sg = build_schema_graph(db)
+    triples = enumerate_edge_triples(sg)
+    for mode, roles in (("node", RoleAssignment.uniform(triples, "node")),
+                        ("learn", RoleAssignment.learn_all(triples)),
+                        ("edge", RoleAssignment.uniform(triples, "edge"))):
+        rebuilt = invert_reg(construct_reg(db, sg, roles))
+        assert _sha(canonical_form(rebuilt)) == canonical, mode
+        export_bundle(rebuilt, tmp_path / mode, task=task)
+        assert _export_digest(tmp_path / mode) == exported, mode
+
+
+def test_rendering_blocks_keep_the_bytes(tmp_path, monkeypatch):
+    """Rows are rendered a block at a time; blocks that end mid-table, in
+    NULL runs and between categoricals, change no byte."""
+    monkeypatch.setattr(rdb, "_BLOCK", 7)
+    for seed in range(10):
+        db = gen_random_bundle(seed)
+        canonical, exported = _BYTES_PINNED[f"random-{seed}"]
+        assert _sha(canonical_form(db)) == canonical
+        export_bundle(db, tmp_path / str(seed))
+        assert _export_digest(tmp_path / str(seed)) == exported

@@ -14,6 +14,22 @@ def test_sigmoid_symmetry():
     assert T.sigmoid(Tensor(np.zeros(3))).values.tolist() == [0.5, 0.5, 0.5]
 
 
+def test_sigmoid_matches_two_branch_formula_without_warnings():
+    """The same bytes as exp(-x) above zero and exp(x) below it, which
+    evaluated both on every input; extreme inputs raise no overflow."""
+    x = np.concatenate([np.linspace(-750.0, 750.0, 30001),
+                        [-0.0, 1e-300, -1e-300, 36.7, -36.7]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        old = np.where(x >= 0, 1.0 / (1.0 + np.exp(-x)),
+                       np.exp(x) / (1.0 + np.exp(x)))
+    assert T.sigmoid(Tensor(x)).values.tobytes() == old.tobytes()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = T.sigmoid(Tensor(np.array([-1000.0, 1000.0]), requires_grad=True))
+        T.backward(T.sum_(out))
+    assert out.values.tolist() == [0.0, 1.0]
+
+
 def test_matmul_identity():
     rng = np.random.default_rng(0)
     a = rng.normal(size=(3, 3))
