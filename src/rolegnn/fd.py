@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .kernels import sorted_unique
+from .kernels import unique_pairs
 from .sampler import BatchSubgraph
 from .schema_graph import RelationalEntityGraph, RelationKey
 from .tensor import Tensor
@@ -98,9 +98,7 @@ def _linked_pairs(batch: BatchSubgraph, embeddings: dict[str, Tensor],
                 or key.referenced not in embeddings:
             continue
         holder, ref = (np.concatenate(col) for col in zip(*links))
-        width = int(ref.max()) + 1 if len(ref) else 1
-        pairs = sorted_unique(holder * width + ref)  # sorted by (holder, ref)
-        holder_locals, ref_locals = pairs // width, pairs % width
+        holder_locals, ref_locals = unique_pairs(holder, ref)
         out.append((key, T.take_rows(embeddings[key.holder], holder_locals),
                     T.take_rows(embeddings[key.referenced], ref_locals),
                     ref_locals))

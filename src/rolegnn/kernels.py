@@ -94,6 +94,14 @@ def sorted_unique(keys: np.ndarray) -> np.ndarray:
     return ranked[np.concatenate(([True], ranked[1:] != ranked[:-1]))]
 
 
+def unique_pairs(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct pairs (a[i], b[i]) of two non-negative integer arrays,
+    sorted by (a, b), as two arrays: each pair is one key `a * width + b`."""
+    width = int(b.max()) + 1 if len(b) else 1
+    pairs = sorted_unique(a * width + b)
+    return pairs // width, pairs % width
+
+
 def group_ids(keys: np.ndarray, space: int) -> np.ndarray:
     """`np.unique(keys, return_inverse=True)[1]` for 1-D keys in [0, space).
 

@@ -27,7 +27,6 @@ each copy for the few neighbours that differ from it.
 from __future__ import annotations
 
 import json
-import math
 import numbers
 import zlib
 from dataclasses import dataclass, field, replace
@@ -38,7 +37,7 @@ import numpy as np
 from . import kernels
 from . import tensor as T
 from .config import DEFAULTS, MAX_CHANNELS, MAX_LAYERS, integral, real
-from .errors import ShapeError
+from .errors import CheckpointMismatch, ShapeError
 from .sampler import BatchSubgraph, TypeNodes
 from .schema_graph import RelationalEntityGraph
 from .tensor import Tensor
@@ -112,6 +111,33 @@ def _param_seed(master: int, name: str) -> int:
 # feature encoding
 # ---------------------------------------------------------------------------
 
+# what each kind of encoder statistic must be, and the test of it. A value
+# within +-1e150, less a mean within +-1e150, over a std or time scale
+# within [1e-150, 1e150] stands at most 2e300 from 0: finite. NaN fails
+# every bound
+_SCALE = ("a number in [1e-150, 1e150]",
+          lambda v: _number(v) and 1e-150 <= v <= 1e150)
+_CENTRE = ("a number in [-1e150, 1e150]", lambda v: _number(v) and abs(v) <= 1e150)
+_WORDS = ("a list of strings",
+          lambda v: isinstance(v, list) and all(isinstance(s, str) for s in v))
+
+
+def _number(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+@dataclass(frozen=True)
+class TableInputs:
+    """A table's encoder inputs per store row, built once."""
+    # the constant slot, then per numeric column in name order its
+    # standardized value (0 at NULL) and, if nullable, its presence bit
+    block: np.ndarray
+    # categorical column -> embedding index: 1 + the value's position in
+    # the frozen vocabulary, 0 if missing or unknown
+    codes: dict[str, np.ndarray]
+    times: np.ndarray | None  # row times, for a table with a time column
+
+
 class FeatureEncoder:
     """Raw rows to layer-0 embeddings.
 
@@ -120,6 +146,10 @@ class FeatureEncoder:
     lookups (index 0 reserved for unknown/missing), the row timestamp becomes
     a scaled distance to the prediction time, and nullable columns contribute
     presence bits. Everything is concatenated and linearly projected.
+
+    Only the time distance depends on the prediction time, so each table's
+    other inputs are built once, with the encoder (`inputs`), and a batch
+    gathers its rows of them.
     """
 
     def __init__(self, reg: RelationalEntityGraph, cfg: ModelConfig,
@@ -128,9 +158,10 @@ class FeatureEncoder:
         self.train_cut = train_cut
         self.params: dict[str, Tensor] = {}
         self.reg = reg
+        self._given = stats is not None
         self.stats = stats if stats is not None else self._compute_stats(reg)
-        self._build_params(reg)
-        self.codes = self._category_codes(reg)
+        self.time_scale = self._stat(_SCALE, "time_scale")
+        self.inputs = {name: self._table_inputs(name) for name in sorted(reg.nodes)}
 
     def _compute_stats(self, reg: RelationalEntityGraph) -> dict:
         stats: dict = {"tables": {}, "time_scale": 1.0}
@@ -161,107 +192,80 @@ class FeatureEncoder:
         stats["time_scale"] = max_span
         return stats
 
-    def _feature_plan(self, reg: RelationalEntityGraph, name: str):
-        """Ordered numeric/mask/time slots and categorical columns for a table."""
-        spec = reg.specs[name]
-        store = reg.nodes[name]
-        numeric, categorical = [], []
+    def _stat(self, kind: tuple, *path: str):
+        """The statistic at key `path` in `stats`. Given statistics (a
+        checkpoint's) are checked before use: CheckpointMismatch naming
+        `encoder_stats.<path>` unless the value is there and passes `kind`,
+        a (description, test) pair."""
+        value = self.stats
+        for i, key in enumerate(path):
+            if self._given and (not isinstance(value, dict) or key not in value):
+                raise CheckpointMismatch(
+                    f"lacks key 'encoder_stats.{'.'.join(path[:i + 1])}'")
+            value = value[key]
+        described, test = kind
+        if self._given and not test(value):
+            raise CheckpointMismatch(f"encoder_stats.{'.'.join(path)} must be "
+                                     f"{described}, got {value!r}")
+        return value
+
+    def _table_inputs(self, name: str) -> TableInputs:
+        """One pass over a table's columns: its inputs and its parameters."""
+        store, spec = self.reg.nodes[name], self.reg.specs[name]
+        seed, cat_dim = self.cfg.seed, self.cfg.cat_dim
+        slots, codes = [np.ones(store.n_rows)], {}
         for col_name in sorted(store.attrs):
             cd = store.attrs[col_name]
             if cd.kind == "categorical":
-                categorical.append(col_name)
-            else:
-                numeric.append(col_name)
-        has_time = spec.time_column is not None
-        return numeric, categorical, has_time
-
-    def _raw_dim(self, reg: RelationalEntityGraph, name: str) -> int:
-        numeric, categorical, has_time = self._feature_plan(reg, name)
-        store = reg.nodes[name]
-        dim = 1  # constant slot
-        for col_name in numeric:
-            dim += 1
-            if self._nullable(reg, name, col_name):
-                dim += 1
-        if has_time:
-            dim += 2  # scaled distance to prediction time + presence bit
-        for col_name in categorical:
-            dim += self.cfg.cat_dim
-        return dim
-
-    @staticmethod
-    def _nullable(reg: RelationalEntityGraph, table: str, column: str) -> bool:
-        return reg.specs[table].column(column).nullable
-
-    def vocab(self, table: str, column: str) -> list[str]:
-        return self.stats["tables"][table]["vocab"][column]
-
-    def _build_params(self, reg: RelationalEntityGraph):
-        ch = self.cfg.channels
-        for name in sorted(reg.nodes):
-            _, categorical, _ = self._feature_plan(reg, name)
-            for col_name in categorical:
-                vocab = self.vocab(name, col_name)
-                pname = f"enc.{name}.cat.{col_name}"
-                self.params[pname] = T.init_param(
-                    (len(vocab) + 1, self.cfg.cat_dim), fan_in=1,
-                    seed=_param_seed(self.cfg.seed, pname))
-            raw = self._raw_dim(reg, name)
-            wname = f"enc.{name}.proj.W"
-            self.params[wname] = T.init_param((raw, ch), fan_in=raw,
-                                              seed=_param_seed(self.cfg.seed, wname))
-            self.params[f"enc.{name}.proj.b"] = T.zeros_param((ch,))
-
-    def _category_codes(self, reg: RelationalEntityGraph) -> dict[tuple[str, str], np.ndarray]:
-        """Embedding index of every store row, per categorical (table,
-        column): 1 + its position in the frozen vocabulary, 0 if missing or
-        unknown. Batches gather from these."""
-        codes = {}
-        for name in sorted(reg.nodes):
-            _, categorical, _ = self._feature_plan(reg, name)
-            for col_name in categorical:
-                cd = reg.nodes[name].attrs[col_name]
-                index = {v: i + 1 for i, v in enumerate(self.vocab(name, col_name))}
-                codes[(name, col_name)] = np.fromiter(
+                vocab = self._stat(_WORDS, "tables", name, "vocab", col_name)
+                index = {v: i + 1 for i, v in enumerate(vocab)}
+                codes[col_name] = np.fromiter(
                     (index.get(v, 0) if present else 0
                      for v, present in zip(cd.values, cd.mask)),
                     dtype=np.int64, count=len(cd.mask))
-        return codes
+                pname = f"enc.{name}.cat.{col_name}"
+                self.params[pname] = T.init_param(
+                    (len(vocab) + 1, cat_dim), fan_in=1,
+                    seed=_param_seed(seed, pname))
+                continue
+            column = ("tables", name, "columns", col_name)
+            mean = self._stat(_CENTRE, *column, "mean")
+            std = self._stat(_SCALE, *column, "std")
+            vals = np.asarray(cd.values, dtype=np.float64)
+            slots.append(np.where(cd.mask, (vals - mean) / std, 0.0))
+            if spec.column(col_name).nullable:
+                slots.append(cd.mask.astype(np.float64))
+        timed = spec.time_column is not None
+        raw = len(slots) + 2 * timed + cat_dim * len(codes)
+        wname = f"enc.{name}.proj.W"
+        self.params[wname] = T.init_param((raw, self.cfg.channels), fan_in=raw,
+                                          seed=_param_seed(seed, wname))
+        self.params[f"enc.{name}.proj.b"] = T.zeros_param((self.cfg.channels,))
+        return TableInputs(np.stack(slots, axis=1), codes,
+                           store.times if timed else None)
 
     def encode(self, batch: BatchSubgraph) -> dict[str, Tensor]:
         """Input embeddings of the batch's nodes, rows of the graph the
         encoder was built with."""
-        reg = self.reg
         out: dict[str, Tensor] = {}
         for name in sorted(batch.nodes):
             tn = batch.nodes[name]
-            store = reg.nodes[name]
-            numeric, categorical, has_time = self._feature_plan(reg, name)
-            tstats = self.stats["tables"][name]["columns"]
-            cols = [np.ones((tn.n, 1))]
-            for col_name in numeric:
-                cd = store.attrs[col_name]
-                vals = np.asarray(cd.values, dtype=np.float64)[tn.rows]
-                mask = cd.mask[tn.rows]
-                st = tstats[col_name]
-                std_vals = np.where(mask, (vals - st["mean"]) / st["std"], 0.0)
-                cols.append(std_vals[:, None])
-                if self._nullable(reg, name, col_name):
-                    cols.append(mask.astype(np.float64)[:, None])
-            if has_time:
-                times = store.times[tn.rows]
+            inputs = self.inputs[name]
+            x = inputs.block[tn.rows]
+            if inputs.times is not None:
+                # scaled distance to the prediction time + presence bit
+                times = inputs.times[tn.rows]
                 present = np.isfinite(times)
                 dt = np.where(present,
                               (batch.seed_t_predict[tn.seed_of] - times)
-                              / self.stats["time_scale"],
+                              / self.time_scale,
                               0.0)
-                cols.append(dt[:, None])
-                cols.append(present.astype(np.float64)[:, None])
-            parts = [Tensor(np.concatenate(cols, axis=1))]
-            for col_name in categorical:
-                codes = self.codes[(name, col_name)][tn.rows]
+                x = np.concatenate([x, dt[:, None],
+                                    present.astype(np.float64)[:, None]], axis=1)
+            parts = [Tensor(x)]
+            for col_name, codes in inputs.codes.items():
                 parts.append(T.take_rows(self.params[f"enc.{name}.cat.{col_name}"],
-                                         codes))
+                                         codes[tn.rows]))
             raw = parts[0] if len(parts) == 1 else T.concat(parts, axis=1)
             out[name] = T.linear(raw, self.params[f"enc.{name}.proj.W"],
                                  self.params[f"enc.{name}.proj.b"])
@@ -271,40 +275,6 @@ class FeatureEncoder:
 # ---------------------------------------------------------------------------
 # branch primitives (also unit-test surfaces)
 # ---------------------------------------------------------------------------
-
-def _finite(value) -> bool:
-    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
-            and math.isfinite(value))
-
-
-# what each kind of encoder statistic must be, and the test of it. A value
-# within +-1e150, less a mean within +-1e150, over a std or time scale
-# within [1e-150, 1e150] stands at most 2e300 from 0: finite
-STATS_KINDS = {
-    "a number in [1e-150, 1e150]": lambda v: _finite(v) and 1e-150 <= v <= 1e150,
-    "a number in [-1e150, 1e150]": lambda v: _finite(v) and abs(v) <= 1e150,
-    "a list of strings": lambda v: (isinstance(v, list)
-                                    and all(isinstance(s, str) for s in v)),
-    "an object": lambda v: isinstance(v, dict),
-}
-
-
-def encoder_stats_paths(reg: RelationalEntityGraph) -> list[tuple[tuple[str, ...], str]]:
-    """Key paths into FeatureEncoder.stats that encoding this graph reads,
-    each with the STATS_KINDS entry its value must be."""
-    paths = [(("time_scale",), "a number in [1e-150, 1e150]")]
-    for name in sorted(reg.nodes):
-        paths.append((("tables", name, "columns"), "an object"))
-        for col_name, cd in sorted(reg.nodes[name].attrs.items()):
-            if cd.kind == "categorical":
-                paths.append((("tables", name, "vocab", col_name),
-                              "a list of strings"))
-            else:
-                col = ("tables", name, "columns", col_name)
-                paths += [(col + ("mean",), "a number in [-1e150, 1e150]"),
-                          (col + ("std",), "a number in [1e-150, 1e150]")]
-    return paths
-
 
 def relation_message(W: Tensor, h_src: Tensor, src_idx: np.ndarray,
                      dst_idx: np.ndarray, classes: tuple | None = None

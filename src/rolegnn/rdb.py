@@ -594,6 +594,12 @@ def load_task(path: str | Path, db: RelationalDatabase) -> TaskSpec:
             if len(bad):
                 raise SchemaError(f"{fpath.name}: classification labels must "
                                   f"be 0/1", row=int(bad[0]), column="label")
+        elif task_type == "regression":  # bounded as encoder statistics are
+            bad = np.flatnonzero(np.abs(label) > 1e150)
+            if len(bad):
+                raise CellParseError(f"{fpath.name}: regression label outside "
+                                     f"[-1e150, 1e150]", row=int(bad[0]),
+                                     column="label")
         t_predict = _task_column(fpath, rows, at, "timestamp", float)
         bad = np.flatnonzero((t_predict < -2.0**63) | (t_predict >= 2.0**63))
         if len(bad):  # as table datetime cells
@@ -615,13 +621,14 @@ def _json_text(value: str) -> str:
 def canonical_form(db: RelationalDatabase) -> bytes:
     """Deterministic byte serialization: sorted tables, pk-sorted rows,
     schema-ordered columns, 17-significant-digit floats."""
-    lines = []
+    out = bytearray()  # each line is encoded as it is rendered
     for name in sorted(db.table_names):
         spec = db.specs[name]
         data = db.data[name]
-        lines.append(f"TABLE {name}")
-        lines.append("SPEC " + json.dumps(spec.to_dict(), sort_keys=True))
-        lines.extend("ROW " + "|".join(row) for row in _render_rows(
-            [data.cols[c] for c in spec.column_names], "NULL", _json_text,
-            np.argsort(data.pk, kind="stable")))
-    return ("\n".join(lines) + "\n").encode("utf-8")
+        out += f"TABLE {name}\n".encode()
+        out += f"SPEC {json.dumps(spec.to_dict(), sort_keys=True)}\n".encode()
+        for row in _render_rows([data.cols[c] for c in spec.column_names],
+                                "NULL", _json_text,
+                                np.argsort(data.pk, kind="stable")):
+            out += f"ROW {'|'.join(row)}\n".encode()
+    return bytes(out)

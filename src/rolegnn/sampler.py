@@ -14,7 +14,7 @@ import numpy as np
 
 from .config import hop_budget
 from .errors import GraphError
-from .kernels import admissible_counts, lookup_positions, sorted_unique
+from .kernels import admissible_counts, lookup_positions, unique_pairs
 from .rdb import LabelRecords
 from .schema_graph import RelationalEntityGraph
 
@@ -211,9 +211,7 @@ def sample_batch(reg: RelationalEntityGraph, seeds: list[tuple[int, float]],
     for key_id, parts in edges.items():
         src, dst = (np.concatenate(col) for col in zip(*parts))
         if len(src):
-            width = int(dst.max()) + 1
-            pairs = sorted_unique(src * width + dst)  # sorted by (src, dst)
-            edge_arrays[key_id] = (pairs // width, pairs % width)
+            edge_arrays[key_id] = unique_pairs(src, dst)  # sorted by (src, dst)
     path_arrays = {}
     for tid, parts in paths.items():
         cols = tuple(np.concatenate(col) for col in zip(*parts))

@@ -288,14 +288,7 @@ class RelationalEntityGraph:
         else:
             src, dst = es.holder_rows, es.ref_rows
         src_times = self.nodes[key.src_table].times[src] if len(src) else np.empty(0)
-        n_dst = self.nodes[key.dst_table].n_rows
-        order = np.lexsort((src, src_times, dst))
-        dst_sorted = dst[order]
-        indptr = np.zeros(n_dst + 1, dtype=np.int64)
-        np.add.at(indptr, dst_sorted + 1, 1)
-        indptr = np.cumsum(indptr)
-        adj = (indptr, src[order].astype(np.int64),
-               src_times[order].astype(np.float64))
+        adj = _csr(dst, src_times, src, self.nodes[key.dst_table].n_rows)
         self._adjacency[key.id] = adj
         return adj
 
@@ -304,16 +297,22 @@ class RelationalEntityGraph:
         if triple_id in self._path_adjacency:
             return self._path_adjacency[triple_id]
         pr = self.paths[triple_id]
-        n_w = self.nodes[pr.triple.w_table].n_rows
-        idx = np.arange(pr.n_instances, dtype=np.int64)
-        order = np.lexsort((idx, pr.t_admissible, pr.w_pos))
-        w_sorted = pr.w_pos[order]
-        indptr = np.zeros(n_w + 1, dtype=np.int64)
-        np.add.at(indptr, w_sorted + 1, 1)
-        indptr = np.cumsum(indptr)
-        adj = (indptr, idx[order], pr.t_admissible[order])
+        adj = _csr(pr.w_pos, pr.t_admissible,
+                   np.arange(pr.n_instances, dtype=np.int64),
+                   self.nodes[pr.triple.w_table].n_rows)
         self._path_adjacency[triple_id] = adj
         return adj
+
+
+def _csr(segments: np.ndarray, times: np.ndarray, items: np.ndarray,
+         n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """CSR over `n` segments of (item, time) entries: (indptr, items,
+    times), each segment sorted by (time, item)."""
+    order = np.lexsort((items, times, segments))
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    indptr[1:] = np.cumsum(np.bincount(segments, minlength=n))
+    return (indptr, items[order].astype(np.int64, copy=False),
+            times[order].astype(np.float64, copy=False))
 
 
 # ---------------------------------------------------------------------------

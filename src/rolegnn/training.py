@@ -17,6 +17,7 @@ import numbers
 import os
 import shutil
 import time
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -26,8 +27,7 @@ from . import tensor as T
 from .config import DEFAULTS, MAX_NEGATIVES, integral, real
 from .errors import CheckpointMismatch, TrainingDiverged
 from .fd import FdModule, fd_losses, subspace_size
-from .model import (STATS_KINDS, ForwardResult, GateState, Model,
-                    ModelConfig, encoder_stats_paths, link_scores)
+from .model import ForwardResult, GateState, Model, ModelConfig, link_scores
 from .rdb import RelationalDatabase, TaskSpec, canonical_form
 from .sampler import BatchSubgraph, SamplerConfig, make_epoch_batches, sample_batch
 from .schema_graph import (EdgeRelationTriple, RelationalEntityGraph,
@@ -288,6 +288,19 @@ def _task_loss(state: TrainState, idx: np.ndarray, split: str, train: bool,
 # the training loop
 # ---------------------------------------------------------------------------
 
+@contextmanager
+def _overflow_diverges(epoch: int, batch: int | None = None):
+    """Run the block with floating-point overflow raising TrainingDiverged
+    instead of warning: past the float range, training has diverged."""
+    where = f"epoch {epoch}" + ("" if batch is None else f" batch {batch}")
+    try:
+        with np.errstate(over="raise"):
+            yield
+    except FloatingPointError as exc:
+        raise TrainingDiverged(f"{exc} at {where}",
+                               {"epoch": epoch, "batch": batch}) from None
+
+
 def train(state: TrainState, out_dir: str | Path | None = None,
           phase_hook=None) -> dict:
     """Run the alternating loop; returns a summary with history and report.
@@ -326,7 +339,8 @@ def train(state: TrainState, out_dir: str | Path | None = None,
             rng = np.random.default_rng([cfg.seed, epoch, 1, bi])
             opt_model.zero_grad()
             # FD parameters are frozen in phase A: they stay off the tape
-            with T.tape_scope(), T.frozen(fd_params):
+            with (T.tape_scope(), T.frozen(fd_params),
+                  _overflow_diverges(epoch, bi)):
                 loss, result, batch, new_gates = _task_loss(
                     state, idx, "train", True, state.gates, rng)
                 l_task = loss.item()
@@ -360,11 +374,11 @@ def train(state: TrainState, out_dir: str | Path | None = None,
                 opt_fd.zero_grad()
                 seeds, _, _ = _seed_list(task, "train", idx)
                 # the representation is frozen: only FD nodes go on the tape
-                with T.no_grad():
+                with T.no_grad(), _overflow_diverges(epoch, bi):
                     batch, result = _sample_forward(
                         state, seeds, task.entity_table, rng, state.gates,
                         False)
-                with T.tape_scope():
+                with T.tape_scope(), _overflow_diverges(epoch, bi):
                     total, l_emb, l_pair, diag = fd_losses(
                         batch, result.embeddings, state.fdmod, cfg.beta,
                         cfg.gamma, cfg.tau, cfg.negatives, rng)
@@ -384,7 +398,8 @@ def train(state: TrainState, out_dir: str | Path | None = None,
             phase_hook("after_phase_b", epoch, state)
 
         n_batches = max(len(batches), 1)
-        val = evaluate_state(state, "val")
+        with _overflow_diverges(epoch):
+            val = evaluate_state(state, "val")
         row = {"epoch": epoch, "split": "val", "metric": val["metric"],
                "l_task": sums["l_task"] / n_batches,
                "l_emb": sums["l_emb"] / n_batches,
@@ -662,18 +677,6 @@ def _check_gates(where: Path, key: str, value) -> None:
                                      f"number in [0, 1], got {v!r}")
 
 
-def _stats_type_error(stats: dict, paths) -> str | None:
-    """The first of the `encoder_stats_paths` whose value in `stats` is not
-    of its kind, as a message; None when all are right."""
-    for path, kind in paths:
-        value = stats
-        for key in path:
-            value = value[key]
-        if not STATS_KINDS[kind](value):
-            return f"encoder_stats.{'.'.join(path)} must be {kind}, got {value!r}"
-    return None
-
-
 def _first_absent(data, paths) -> str | None:
     """The first of the key paths (tuples) missing from the nested dicts
     `data`, dotted up to its first missing key."""
@@ -756,17 +759,12 @@ def load_checkpoint(path: str | Path, db: RelationalDatabase,
                       {t.id for t in meta["triples"]}, "the checkpoint's triples")
     roles = RoleAssignment(dict(meta["roles"]))
     reg = construct_reg(db, sg, roles, path_cap=train_cfg.path_cap)
-    stats_paths = encoder_stats_paths(reg)
-    absent = _first_absent(meta["encoder_stats"], [p for p, _ in stats_paths])
-    if absent:
-        raise CheckpointMismatch(
-            f"{path / 'meta.json'} lacks key 'encoder_stats.{absent}'")
-    mistyped = _stats_type_error(meta["encoder_stats"], stats_paths)
-    if mistyped:
-        raise CheckpointMismatch(f"{path / 'meta.json'}: {mistyped}")
-    model = Model(reg, model_cfg, task.task_type, train_cut=task.split[0],
-                  fixed_gates=meta["fixed_gates"] or None,
-                  encoder_stats=meta["encoder_stats"])
+    try:  # the encoder checks each statistic it reads
+        model = Model(reg, model_cfg, task.task_type, train_cut=task.split[0],
+                      fixed_gates=meta["fixed_gates"] or None,
+                      encoder_stats=meta["encoder_stats"])
+    except CheckpointMismatch as exc:
+        raise CheckpointMismatch(f"{path / 'meta.json'}: {exc}") from None
     ungated = sorted({t.id for t in reg.active_triples} - set(gates.values))
     if ungated:
         raise CheckpointMismatch(

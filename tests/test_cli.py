@@ -383,6 +383,29 @@ def test_task_timestamp_out_of_int64_exits_3(capsys, twohop_bundle, tmp_path,
     assert "Traceback" not in err and out == ""
 
 
+@pytest.mark.parametrize("text", ["1e308", "-1e151"])
+def test_huge_regression_label_exits_3(capsys, twohop_bundle, tmp_path, text):
+    """A regression label whose square could overflow is refused at the
+    input; 1e308 once overflowed in the loss and exited 6."""
+    bundle = tmp_path / "bundle"
+    shutil.copytree(twohop_bundle, bundle)
+    task_dir = bundle / "user-positive"
+    meta = json.loads((task_dir / "task.json").read_text())
+    (task_dir / "task.json").write_text(json.dumps({**meta,
+                                                    "task_type": "regression"}))
+    _set_task_cell(task_dir, "task_train.csv", 2, "label", text)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = _run(capsys, "train", str(bundle), str(task_dir),
+                              "--epochs", "1", "--channels", "8",
+                              "--layers", "1")
+    assert code == 3
+    assert ("task_train.csv: regression label outside [-1e150, 1e150] "
+            "(row=2, column=label)") in err
+    assert "Traceback" not in err and out == ""
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
 @pytest.mark.parametrize("case", ["header-only", "absent"])
 def test_empty_train_split_exits_3(capsys, twohop_bundle, trained_checkpoint,
                                    tmp_path, case):
@@ -963,6 +986,21 @@ def test_overflowing_adam_step_exits_6(capsys, tiny_bundle, flags):
                               *_TINY_TRAIN, *flags)
     assert code == 6
     assert re.search(r"would make parameter '[^']+' non-finite", err)
+    assert "Traceback" not in err and out == ""
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+def test_overflowing_forward_exits_6(capsys, tiny_bundle):
+    """A step of 1e300 leaves the parameters finite but so large that the
+    next forward overflows; that once warned and, with warnings as errors,
+    ended in a traceback. It is refused as divergence instead."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = _run(capsys, "train", str(tiny_bundle),
+                              str(tiny_bundle / "user-positive"), *_TINY_TRAIN,
+                              "--lr", "1e300", "--batch-size", "1")
+    assert code == 6
+    assert "overflow encountered" in err and "at epoch 0 batch" in err
     assert "Traceback" not in err and out == ""
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 

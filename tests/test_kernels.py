@@ -160,6 +160,17 @@ def test_group_ids_both_paths_on_edge_cases(monkeypatch, keys, space, count):
     assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_unique_pairs_equals_np_unique_rows(seed):
+    rng = np.random.default_rng(seed)
+    n = 0 if seed == 0 else int(rng.integers(1, 200))
+    a = rng.integers(0, 1 + 9 * seed, size=n)
+    b = rng.integers(0, 1 + 4 * seed, size=n)
+    got = np.stack(kernels.unique_pairs(a, b), axis=1)
+    want = np.unique(np.stack([a, b], axis=1), axis=0)
+    assert got.dtype == np.int64 and np.array_equal(got, want)
+
+
 def _bare_unique_calls(path: Path) -> list[int]:
     """Lines of `np.unique(...)` calls with no return_* or axis argument."""
     lines = []

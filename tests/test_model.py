@@ -95,7 +95,8 @@ def test_unseen_category_maps_to_unknown_index():
 
 def _category_codes_loop(enc, table, column, cd, rows):
     """The per-batch-row dict lookup the store-wide code arrays replaced."""
-    index = {v: i + 1 for i, v in enumerate(enc.vocab(table, column))}
+    index = {v: i + 1
+             for i, v in enumerate(enc.stats["tables"][table]["vocab"][column])}
     codes = np.zeros(len(rows), dtype=np.int64)
     for i, row in enumerate(rows):
         v = cd.values[int(row)] if cd.mask[int(row)] else None
@@ -112,26 +113,118 @@ def test_category_codes_match_row_loop_on_random_schemas():
     for seed in range(12):
         reg = _reg_for(gen_random_bundle(seed))
         cfg = ModelConfig(channels=4, layers=1, cat_dim=2, seed=0)
-        full = FeatureEncoder(reg, cfg, train_cut=np.inf)
+        # a finite cut: given statistics are checked, and the time scale
+        # of an infinite one is infinite
+        full = FeatureEncoder(reg, cfg, train_cut=TRAIN_CUT)
         # a vocabulary missing some values, as one frozen on other data
         stats = {"time_scale": full.stats["time_scale"], "tables": {
             name: {"columns": t["columns"],
                    "vocab": {c: v[::2] for c, v in t["vocab"].items()}}
             for name, t in full.stats["tables"].items()}}
-        thin = FeatureEncoder(reg, cfg, train_cut=np.inf, stats=stats)
+        thin = FeatureEncoder(reg, cfg, train_cut=TRAIN_CUT, stats=stats)
         for name, store in sorted(reg.nodes.items()):
             for col, cd in sorted(store.attrs.items()):
                 if cd.kind != "categorical":
                     continue
                 rows = rng.integers(0, store.n_rows, size=3 * store.n_rows)
                 for enc in (full, thin):
-                    got = enc.codes[(name, col)][rows]
+                    got = enc.inputs[name].codes[col][rows]
                     assert got.dtype == np.int64
                     np.testing.assert_array_equal(
                         got, _category_codes_loop(enc, name, col, cd, rows))
                 checked += 1
-                assert (thin.codes[(name, col)] == 0).any()
+                assert (thin.inputs[name].codes[col] == 0).any()
     assert checked >= 5
+
+
+def _encode_per_column(enc, batch):
+    """The encoder's per-batch loop that the per-table input blocks
+    replaced: every numeric column standardized again for each batch."""
+    reg, out = enc.reg, {}
+    for name in sorted(batch.nodes):
+        tn, store, spec = batch.nodes[name], reg.nodes[name], reg.specs[name]
+        tstats = enc.stats["tables"][name]
+        cols, categorical = [np.ones((tn.n, 1))], []
+        for col_name in sorted(store.attrs):
+            cd = store.attrs[col_name]
+            if cd.kind == "categorical":
+                categorical.append(col_name)
+                continue
+            vals = np.asarray(cd.values, dtype=np.float64)[tn.rows]
+            mask = cd.mask[tn.rows]
+            st = tstats["columns"][col_name]
+            cols.append(np.where(mask, (vals - st["mean"]) / st["std"], 0.0)[:, None])
+            if spec.column(col_name).nullable:
+                cols.append(mask.astype(np.float64)[:, None])
+        if spec.time_column is not None:
+            times = store.times[tn.rows]
+            present = np.isfinite(times)
+            dt = np.where(present, (batch.seed_t_predict[tn.seed_of] - times)
+                          / enc.stats["time_scale"], 0.0)
+            cols += [dt[:, None], present.astype(np.float64)[:, None]]
+        parts = [Tensor(np.concatenate(cols, axis=1))]
+        for col_name in categorical:
+            cd = store.attrs[col_name]
+            parts.append(T.take_rows(enc.params[f"enc.{name}.cat.{col_name}"],
+                                     _category_codes_loop(enc, name, col_name,
+                                                          cd, tn.rows)))
+        raw = parts[0] if len(parts) == 1 else T.concat(parts, axis=1)
+        out[name] = T.linear(raw, enc.params[f"enc.{name}.proj.W"],
+                             enc.params[f"enc.{name}.proj.b"])
+    return out
+
+
+def test_encode_matches_per_column_loop_bit_for_bit():
+    """Gathering rows of the blocks built once gives the bytes of
+    standardizing each column per batch, forward and backward, with
+    computed statistics and with statistics read back from JSON."""
+    import json
+    from types import SimpleNamespace
+
+    from rolegnn.model import FeatureEncoder
+    from rolegnn.sampler import TypeNodes
+    from rolegnn.synth import BASE_TIME, DAY, gen_random_bundle
+
+    rng = np.random.default_rng(11)
+    cut = float(BASE_TIME + 200 * DAY)
+    # two prediction times, one before the cut and one after it
+    seed_t = np.array([cut - 50 * DAY, cut + 100 * DAY])
+    seen = {"nullable numeric": 0, "categorical": 0, "time": 0}
+    for seed in range(12):
+        reg = _reg_for(gen_random_bundle(seed))
+        for name, store in reg.nodes.items():
+            spec = reg.specs[name]
+            seen["time"] += spec.time_column is not None
+            for col, cd in store.attrs.items():
+                seen["categorical"] += cd.kind == "categorical"
+                seen["nullable numeric"] += (cd.kind != "categorical"
+                                             and spec.column(col).nullable)
+        # every store row twice, at each prediction time, shuffled
+        nodes = {}
+        for name, store in reg.nodes.items():
+            rows = np.tile(np.arange(store.n_rows), 2)
+            seed_of = np.repeat([0, 1], store.n_rows)
+            order = rng.permutation(len(rows))
+            nodes[name] = TypeNodes(rows[order], seed_of[order])
+        batch = SimpleNamespace(nodes=nodes, seed_t_predict=seed_t)
+        cfg = ModelConfig(channels=5, layers=1, cat_dim=3, seed=seed)
+        computed = FeatureEncoder(reg, cfg, train_cut=cut)
+        stored = json.loads(json.dumps(computed.stats))
+        for enc in (computed, FeatureEncoder(reg, cfg, cut, stats=stored)):
+            runs = []
+            for encode in (enc.encode, lambda b: _encode_per_column(enc, b)):
+                for p in enc.params.values():
+                    p.grad[:] = 0.0
+                T.clear_tape()
+                h = encode(batch)
+                loss = Tensor(np.array(0.0))
+                for hc in h.values():
+                    loss = T.add(loss, T.sum_(T.mul(hc, hc)))
+                T.backward(loss)
+                runs.append(({c: hc.values.tobytes() for c, hc in h.items()},
+                              {n: p.grad.tobytes() for n, p in enc.params.items()}))
+            assert runs[0] == runs[1]
+    assert min(seen.values()) >= 2, seen
 
 
 def test_identical_rows_identical_embeddings():
