@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .kernels import unique_pairs
+from .kernels import unique_inverse, unique_pairs
 from .sampler import BatchSubgraph
 from .schema_graph import RelationalEntityGraph, RelationKey
 from .tensor import Tensor
@@ -164,7 +164,8 @@ def sample_negative_targets(batch: BatchSubgraph, target_table: str,
     if n_local <= 1:
         return None
     true_locals = np.asarray(true_target_locals, dtype=np.int64)
-    _, inverse, counts = np.unique(rows, return_inverse=True, return_counts=True)
+    inverse = unique_inverse(rows)[1]
+    counts = np.bincount(inverse)
     alternatives = n_local - counts[inverse[true_locals]]
     if (alternatives == 0).any():
         return None

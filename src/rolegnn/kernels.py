@@ -102,6 +102,33 @@ def unique_pairs(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return pairs // width, pairs % width
 
 
+def unique_inverse(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`np.unique(keys, return_inverse=True)` for 1-D keys, by one sort.
+
+    Each integer key is packed with its position, `key << b | position` for
+    b the bit length of `len(keys) - 1`, so one plain sort of the packed
+    keys gives the sorted keys and the order that argsorting them would.
+    Float keys, and keys too large to pack (at or above `2**(62 - b)` in
+    magnitude), take numpy's own path.
+    """
+    keys = np.asarray(keys).reshape(-1)
+    if not len(keys):
+        return keys.copy(), np.empty(0, dtype=np.int64)
+    b = (len(keys) - 1).bit_length()
+    limit = 1 << (62 - b)
+    if (keys.dtype.kind not in "iu" or keys.max() >= limit
+            or (keys.dtype.kind == "i" and keys.min() < -limit)):
+        uniq, inverse = np.unique(keys, return_inverse=True)
+        return uniq, inverse.reshape(-1)
+    packed = np.sort((keys.astype(np.int64) << b)
+                     | np.arange(len(keys), dtype=np.int64))
+    ranked = packed >> b
+    head = np.concatenate(([True], ranked[1:] != ranked[:-1]))
+    inverse = np.empty(len(keys), dtype=np.int64)
+    inverse[packed & ((1 << b) - 1)] = np.cumsum(head) - 1
+    return ranked[head].astype(keys.dtype, copy=False), inverse
+
+
 def group_ids(keys: np.ndarray, space: int) -> np.ndarray:
     """`np.unique(keys, return_inverse=True)[1]` for 1-D keys in [0, space).
 
@@ -110,7 +137,7 @@ def group_ids(keys: np.ndarray, space: int) -> np.ndarray:
     """
     keys = np.asarray(keys, dtype=np.int64).reshape(-1)
     if space > COUNT_FACTOR * len(keys):
-        return np.unique(keys, return_inverse=True)[1].reshape(-1)
+        return unique_inverse(keys)[1]
     present = np.bincount(keys, minlength=space) > 0
     return (np.cumsum(present) - 1)[keys]
 

@@ -181,8 +181,9 @@ class FeatureEncoder:
                 vals = np.asarray(cd.values, dtype=np.float64)[sel]
                 mean = float(vals.mean()) if len(vals) else 0.0
                 std = float(vals.std()) if len(vals) else 0.0
-                tstats["columns"][col_name] = {"mean": mean,
-                                               "std": std if std > 0 else 1.0}
+                # a std under the scale bound is a constant column
+                tstats["columns"][col_name] = {
+                    "mean": mean, "std": std if std >= 1e-150 else 1.0}
             if spec.time_column is not None:
                 finite = np.isfinite(store.times) & visible
                 if finite.any():
@@ -518,7 +519,7 @@ class Model:
         nothing merges, the batch comes back unchanged with empty maps.
         """
         # a local's prediction time is its seed's: classes from B seed times
-        times, t_class = np.unique(batch.seed_t_predict, return_inverse=True)
+        times, t_class = kernels.unique_inverse(batch.seed_t_predict)
         expand, first, twins, labels = {}, {}, {}, {}
         nodes, nodes0, reach0, heads = {}, {}, {}, {}
         for c, tn in batch.nodes.items():

@@ -291,6 +291,12 @@ def _table(spec: TableSpec, cols: dict[str, ColumnData]) -> TableData:
                                  row=bad, column=col.name)
         if col.kind == "categorical":
             cd.vocab = sorted({v for v in cd.values if v is not None})
+        elif col.kind == "real":  # bounded as encoder statistics are
+            bad = np.flatnonzero(cd.mask & ~(np.abs(cd.values) <= 1e150))
+            if len(bad):
+                raise CellParseError("real cell outside [-1e150, 1e150]",
+                                     table=spec.name, row=int(bad[0]),
+                                     column=col.name)
 
     pk_col = cols[spec.primary_key]
     if not pk_col.mask.all():

@@ -14,7 +14,8 @@ import numpy as np
 
 from .config import hop_budget
 from .errors import GraphError
-from .kernels import admissible_counts, lookup_positions, unique_pairs
+from .kernels import (admissible_counts, lookup_positions, unique_inverse,
+                      unique_pairs)
 from .rdb import LabelRecords
 from .schema_graph import RelationalEntityGraph
 
@@ -95,7 +96,7 @@ def _localize(index: tuple[np.ndarray, np.ndarray], keys: np.ndarray,
     the index as it was when not `grow`).
     """
     known, known_locals = index
-    uniq, inverse = np.unique(keys, return_inverse=True)
+    uniq, inverse = unique_inverse(keys)
     pos = np.searchsorted(known, uniq)
     fresh = np.append(known, -1)[pos] != uniq  # keys are >= 0
     locals_ = np.empty(len(uniq), dtype=np.int64)
@@ -104,7 +105,7 @@ def _localize(index: tuple[np.ndarray, np.ndarray], keys: np.ndarray,
     if grow:
         index = (np.insert(known, pos[fresh], uniq[fresh]),
                  np.insert(known_locals, pos[fresh], locals_[fresh]))
-    return locals_[inverse.reshape(-1)], uniq[fresh], index
+    return locals_[inverse], uniq[fresh], index
 
 
 def sample_batch(reg: RelationalEntityGraph, seeds: list[tuple[int, float]],

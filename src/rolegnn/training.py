@@ -39,6 +39,12 @@ log = logging.getLogger(__name__)
 
 ROLE_MODES = ("learn", "all-node", "all-edge", "random", "transfer")
 LINK_NEGATIVES = 10  # sampled negative targets per positive link
+# training batches of seeds per evaluation batch. An evaluation forward keeps
+# no tape and computes only the rows the head reads, so four training
+# batches of seeds peak below a training step while paying less per-batch
+# cost and sharing more (row, time) classes; a whole split in one batch
+# would have no such bound
+EVAL_BATCH_FACTOR = 4
 
 
 @dataclass(frozen=True)
@@ -486,14 +492,7 @@ def evaluate_state(state: TrainState, split: str) -> dict:
         if task.task_type == "link_prediction":
             return _evaluate_links(state, split)
         recs = task.labels[split]
-        outputs = np.empty(len(recs), dtype=np.float64)
-        for lo in range(0, len(recs), state.train_cfg.batch_size):
-            idx = np.arange(lo, min(lo + state.train_cfg.batch_size, len(recs)))
-            seeds, _, _ = _seed_list(task, split, idx)
-            rng = np.random.default_rng([state.train_cfg.seed, 99, lo])
-            _, res = _sample_forward(state, seeds, task.entity_table, rng,
-                                     state.gates, False, seeds_only=True)
-            outputs[idx] = res.output.values
+        outputs = _split_outputs(state, split)
         if task.task_type == "classification":
             value = roc_auc(recs.label, outputs)
             return {"name": "auc", "metric": value,
@@ -502,6 +501,23 @@ def evaluate_state(state: TrainState, split: str) -> dict:
                     else "undefined: single-class labels"}
         return {"name": "mae", "metric": mae(outputs, recs.label),
                 "defined": True}
+
+
+def _split_outputs(state: TrainState, split: str) -> np.ndarray:
+    """The model's output per seed of `split`, in record order, from
+    no-grad forwards over batches of EVAL_BATCH_FACTOR training batches of
+    seeds, each sampled from its own generator `[seed, 99, first row]`."""
+    n = len(state.task.labels[split])
+    step = EVAL_BATCH_FACTOR * state.train_cfg.batch_size
+    outputs = np.empty(n, dtype=np.float64)
+    for lo in range(0, n, step):
+        idx = np.arange(lo, min(lo + step, n))
+        seeds, _, _ = _seed_list(state.task, split, idx)
+        rng = np.random.default_rng([state.train_cfg.seed, 99, lo])
+        _, res = _sample_forward(state, seeds, state.task.entity_table, rng,
+                                 state.gates, False, seeds_only=True)
+        outputs[idx] = res.output.values
+    return outputs
 
 
 def _evaluate_links(state: TrainState, split: str) -> dict:

@@ -302,8 +302,9 @@ def test_invalid_bundle_exit_code(capsys, tmp_path):
     assert "schema.json" in err
 
 
-@pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
-def test_non_finite_real_cell_exit_code(capsys, twohop_bundle, tmp_path, cell):
+def _refused_quality_cell(capsys, twohop_bundle, tmp_path, cell) -> list[str]:
+    """Each command's stderr after `validate` and `train` exited 3 on a
+    bundle whose product.csv holds `cell` at row 2, column "quality"."""
     bundle = tmp_path / "bundle"
     shutil.copytree(twohop_bundle, bundle)
     lines = (bundle / "product.csv").read_text().splitlines()
@@ -311,6 +312,7 @@ def test_non_finite_real_cell_exit_code(capsys, twohop_bundle, tmp_path, cell):
     fields[1] = cell  # row 2, column "quality"
     lines[3] = ",".join(fields)
     (bundle / "product.csv").write_text("\n".join(lines) + "\n")
+    errs = []
     for argv in (["validate", str(bundle)],
                  ["train", str(bundle), str(bundle / "user-positive"),
                   "--epochs", "1", "--channels", "8", "--layers", "1"]):
@@ -318,6 +320,22 @@ def test_non_finite_real_cell_exit_code(capsys, twohop_bundle, tmp_path, cell):
         assert code == 3
         assert "table=product, row=2, column=quality" in err
         assert "Traceback" not in err
+        errs.append(err)
+    return errs
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+def test_non_finite_real_cell_exit_code(capsys, twohop_bundle, tmp_path, cell):
+    _refused_quality_cell(capsys, twohop_bundle, tmp_path, cell)
+
+
+@pytest.mark.parametrize("cell", ["1e308", "1e151", "-5e151"])
+def test_real_cell_past_the_bound_exits_3(capsys, twohop_bundle, tmp_path, cell):
+    """A finite real cell outside [-1e150, 1e150] is refused at the input:
+    once, 1e308 overflowed the encoder's std, and 1e151 trained and saved
+    a checkpoint that `eval` then refused."""
+    for err in _refused_quality_cell(capsys, twohop_bundle, tmp_path, cell):
+        assert "real cell outside [-1e150, 1e150]" in err
 
 
 def _set_task_cell(task_dir, fname, row, column, text):

@@ -146,6 +146,46 @@ def test_group_ids_equals_np_unique_inverse(case):
     assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
+_PACKED_LIMIT = 1 << (62 - 3)  # five keys pack their positions in 3 bits
+
+_UNIQUE_INVERSE_CASES = {  # name -> (keys, whether they are packed)
+    "empty": (np.empty(0, dtype=np.int64), True),
+    "single": (np.array([7]), True),
+    "all-equal": (np.full(9, 4), True),
+    "random": (np.random.default_rng(0).integers(0, 50, size=300), True),
+    "int32": (np.array([5, -2, 5], dtype=np.int32), True),
+    "below-limit": (np.array([_PACKED_LIMIT - 1, 0, _PACKED_LIMIT - 1, 3,
+                              -_PACKED_LIMIT]), True),
+    "at-limit": (np.array([_PACKED_LIMIT, 0, _PACKED_LIMIT, 3, 1]), False),
+    "past-negative-limit": (np.array([-_PACKED_LIMIT - 1, 0, 2, 0, 1]), False),
+    "uint64-huge": (np.array([2**64 - 1, 0, 2**64 - 1], dtype=np.uint64), False),
+    "float": (np.array([0.5, -1.0, 0.5, 2.0, -0.0, 0.0]), False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_UNIQUE_INVERSE_CASES))
+def test_unique_inverse_equals_np_unique(monkeypatch, name):
+    keys, packed = _UNIQUE_INVERSE_CASES[name]
+    want_uniq, want_inverse = np.unique(keys, return_inverse=True)
+    if packed:  # one sort of the packed keys: never reaches np.unique
+        monkeypatch.setattr(np, "unique", None)
+    uniq, inverse = kernels.unique_inverse(keys)
+    monkeypatch.undo()
+    assert uniq.dtype == want_uniq.dtype and np.array_equal(uniq, want_uniq)
+    assert inverse.dtype == want_inverse.dtype
+    assert np.array_equal(inverse, want_inverse)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_keys_in_space())
+def test_unique_inverse_equals_np_unique_on_drawn_keys(case):
+    keys, _ = case
+    uniq, inverse = kernels.unique_inverse(keys)
+    want_uniq, want_inverse = np.unique(keys, return_inverse=True)
+    assert np.array_equal(uniq, want_uniq)
+    assert np.array_equal(inverse, want_inverse)
+
+
 @pytest.mark.parametrize("count", [True, False], ids=["counted", "sorted"])
 @pytest.mark.parametrize("keys,space", _EDGE_CASES)
 def test_group_ids_both_paths_on_edge_cases(monkeypatch, keys, space, count):
@@ -195,11 +235,37 @@ def test_no_bare_np_unique_in_the_engine():
                        "use kernels.sorted_unique")
 
 
+def _inverse_calls(path: Path) -> list[int]:
+    """Lines of calls, of any function, that pass `return_inverse` other
+    than as a literal False."""
+    return sorted(node.lineno
+                  for node in ast.walk(ast.parse(path.read_text(), str(path)))
+                  if isinstance(node, ast.Call)
+                  and any(kw.arg == "return_inverse"
+                          and not (isinstance(kw.value, ast.Constant)
+                                   and kw.value.value is False)
+                          for kw in node.keywords))
+
+
+def test_no_return_inverse_outside_kernels():
+    """Unique-with-inverse goes through `kernels.unique_inverse`, one sort
+    of position-packed keys, where numpy's argsorts them."""
+    src = Path(kernels.__file__).parent
+    found = [f"{path.name}:{line}" for path in sorted(src.glob("*.py"))
+             if path.name != "kernels.py" for line in _inverse_calls(path)]
+    assert not found, (f"return_inverse at {', '.join(found)}: "
+                       "use kernels.unique_inverse")
+
+
 def test_bare_unique_scan_sees_calls_not_text(tmp_path):
     probe = tmp_path / "probe.py"
     probe.write_text('"""np.unique(x) in a docstring"""\n'
                      "a = np.unique(x)\n"
                      "b = np.unique(x, return_inverse=True)\n"
                      "c = np.unique(x, axis=0)\n"
-                     "d = numpy.unique(\n    x)\n")
+                     "d = numpy.unique(\n    x)\n"
+                     "e = np.unique(x, return_inverse=False)\n"
+                     "f = other.unique(\n    x, return_inverse=1)\n"
+                     "# g = np.unique(x, return_inverse=True)\n")
     assert _bare_unique_calls(probe) == [2, 5]
+    assert _inverse_calls(probe) == [3, 8]

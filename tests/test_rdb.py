@@ -170,6 +170,42 @@ def test_out_of_int64_cell_names_location(tmp_path, column, text):
         ("review", 1, column)
 
 
+@pytest.mark.parametrize("text", ["1e151", "-1e308", "1.0000000000000001e150"])
+def test_real_cell_past_the_bound_names_location(tmp_path, text):
+    """A finite real cell outside [-1e150, 1e150] is refused with its
+    location: the encoder's statistics over such cells could overflow or
+    break the bounds a checkpoint is read with."""
+    _write_bundle(tmp_path)
+    lines = (tmp_path / "review.csv").read_text().splitlines()
+    at = lines[0].split(",").index("rating")
+    fields = lines[3].split(",")
+    fields[at] = text
+    lines[3] = ",".join(fields)
+    (tmp_path / "review.csv").write_text("\n".join(lines) + "\n")
+    with pytest.raises(CellParseError, match=r"outside \[-1e150, 1e150\]") as err:
+        ingest_bundle(tmp_path)
+    assert (err.value.table, err.value.row, err.value.column) == \
+        ("review", 2, "rating")
+
+
+@pytest.mark.parametrize("value", [1e151, -np.inf, np.nan])
+def test_build_database_bounds_real_cells(value):
+    rows = review_fixture_rows()
+    rows["user"][3]["age"] = value
+    with pytest.raises(CellParseError) as err:
+        build_database(review_fixture_specs(), rows)
+    assert (err.value.table, err.value.row, err.value.column) == \
+        ("user", 3, "age")
+
+
+def test_real_cells_at_the_bound_are_kept(tmp_path):
+    rows = review_fixture_rows()
+    rows["user"][0]["age"], rows["user"][1]["age"] = 1e150, -1e150
+    _write_bundle(tmp_path, rows)
+    ages = ingest_bundle(tmp_path).data["user"].cols["age"].values
+    assert ages[:2].tolist() == [1e150, -1e150]
+
+
 def test_first_bad_cell_in_row_major_order(tmp_path):
     """Of two bad cells, ingest names the one met first reading row by row,
     not the one in the earlier column."""

@@ -440,6 +440,35 @@ def test_checkpoint_keeps_the_path_cap_it_was_built_with(tmp_path, monkeypatch):
     assert caps == [123_456] and loaded.train_cfg.path_cap == 123_456
 
 
+@pytest.mark.parametrize("cells", ["tiny-spread", "extremes"])
+def test_computed_encoder_stats_pass_checkpoint_bounds(tmp_path, cells):
+    """Statistics the encoder computes over cells within [-1e150, 1e150]
+    are read back from its checkpoint: a std under 1e-150 (every cell 0
+    but one 1e-160) is a constant column, as 0 is, and cells at the bound
+    keep the mean and std inside theirs."""
+    db, task = gen_twohop(seed=3, n_users=30, n_products=10, n_reviews=80,
+                          signal_strength=1.0)
+    quality = db.data["product"].cols["quality"].values
+    if cells == "tiny-spread":
+        quality[:] = 0.0
+        quality[4] = 1e-160
+    else:
+        quality[:] = np.where(np.arange(len(quality)) % 3, 1e150, -1e150)
+    state = build_state(db, task, ModelConfig(channels=8, layers=1, seed=3),
+                        TrainConfig(epochs=1, batch_size=32, seed=3,
+                                    neighbor_samples=16))
+    stats = state.model.encoder.stats["tables"]["product"]["columns"]["quality"]
+    if cells == "tiny-spread":
+        assert stats["std"] == 1.0
+    else:
+        assert abs(stats["mean"]) <= 1e150 and 1e-150 <= stats["std"] <= 1e150
+    train(state)
+    save_checkpoint(tmp_path / "ckpt", state)
+    loaded = load_checkpoint(tmp_path / "ckpt", db, task)
+    assert loaded.model.encoder.stats == state.model.encoder.stats
+    assert evaluate_state(loaded, "test") == evaluate_state(state, "test")
+
+
 def test_checkpoint_rejects_other_schema(tmp_path):
     db, task, state = _small_state(seed=8, epochs=1)
     train(state, out_dir=tmp_path)
@@ -663,6 +692,99 @@ def test_seeds_only_link_evaluation_keeps_map(monkeypatch):
     asked = _force_full_forward(monkeypatch)
     assert evaluate_state(state, "test") == trimmed
     assert asked == [True, True]  # the source and the candidate forward
+
+
+# --- evaluation batches ----------------------------------------------------
+
+def _per_training_batch_outputs(state, split):
+    """The oracle loop: one sampled batch per training batch of seeds,
+    `batch_size` of them, each from its own generator
+    `[seed, 99, first row]`."""
+    task, step = state.task, state.train_cfg.batch_size
+    outputs = np.empty(len(task.labels[split]))
+    for lo in range(0, len(outputs), step):
+        idx = np.arange(lo, min(lo + step, len(outputs)))
+        seeds, _, _ = training._seed_list(task, split, idx)
+        rng = np.random.default_rng([state.train_cfg.seed, 99, lo])
+        with T.no_grad():
+            _, res = training._sample_forward(state, seeds, task.entity_table,
+                                              rng, state.gates, False,
+                                              seeds_only=True)
+        outputs[idx] = res.output.values
+    return outputs
+
+
+def _uncut_state(layers):
+    """A trained state whose draws are never cut: every edge budget
+    (`neighbor_samples // 2**hop`) and the path budget cover the largest
+    admissible degree, so a batch's outputs do not depend on its stream."""
+    db, task = gen_twohop(seed=5, n_users=90, n_products=20, n_reviews=300,
+                          signal_strength=1.0)
+    tcfg = TrainConfig(epochs=1, batch_size=2, lr=0.005, seed=5,
+                       neighbor_samples=4096)
+    state = build_state(db, task, ModelConfig(channels=8, layers=layers, seed=5),
+                        tcfg)
+    reg = state.reg
+    degrees = [np.diff(reg.adjacency(key)[0]).max() for key in reg.relation_keys]
+    degrees += [np.diff(reg.path_adjacency(tr.id)[0]).max()
+                for tr in reg.active_triples]
+    assert max(degrees) <= tcfg.neighbor_samples // 2 ** (layers - 1)
+    train(state)
+    return state
+
+
+@pytest.mark.parametrize("layers", [1, 2])
+def test_evaluation_batches_match_per_training_batch_loop(layers):
+    """Evaluation batches of EVAL_BATCH_FACTOR training batches give every
+    seed the output the per-training-batch loop gave it, up to the order
+    of a layer-0 class sum (a class's first copy moves with the batch),
+    and the same metric."""
+    state = _uncut_state(layers)
+    for split in ("val", "test"):
+        want = _per_training_batch_outputs(state, split)
+        with T.no_grad():
+            got = training._split_outputs(state, split)
+        assert len(got) > training.EVAL_BATCH_FACTOR * state.train_cfg.batch_size
+        np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12)
+        labels = state.task.labels[split].label
+        assert evaluate_state(state, split)["metric"] == roc_auc(labels, want)
+
+
+@pytest.mark.parametrize("batch_size", [1, 4, 7])
+def test_evaluation_samples_once_per_evaluation_batch(monkeypatch, batch_size):
+    _, task, state = _small_state(seed=2, epochs=1, batch_size=batch_size)
+    sizes = []
+    real = training.sample_batch
+
+    def spy(reg, seeds, *args, **kwargs):
+        sizes.append(len(seeds))
+        return real(reg, seeds, *args, **kwargs)
+    monkeypatch.setattr(training, "sample_batch", spy)
+    step = training.EVAL_BATCH_FACTOR * batch_size
+    for split in ("val", "test"):
+        sizes.clear()
+        evaluate_state(state, split)
+        n = len(task.labels[split])
+        assert len(sizes) == -(-n // step)
+        assert sizes == [min(step, n - lo) for lo in range(0, n, step)]
+
+
+def test_link_evaluation_ignores_the_evaluation_batch_factor(monkeypatch):
+    state = _link_state()
+    train(state)
+    real = training.sample_batch
+
+    def run(factor):
+        monkeypatch.setattr(training, "EVAL_BATCH_FACTOR", factor)
+        seeds = []
+
+        def spy(reg, batch_seeds, *args, **kwargs):
+            seeds.append(list(batch_seeds))
+            return real(reg, batch_seeds, *args, **kwargs)
+        monkeypatch.setattr(training, "sample_batch", spy)
+        return evaluate_state(state, "test"), seeds
+
+    assert run(training.EVAL_BATCH_FACTOR) == run(1)
 
 
 # --- fused linear node ------------------------------------------------------
