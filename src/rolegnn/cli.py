@@ -130,16 +130,6 @@ def cmd_demo_gsl(args, t0: float) -> int:
     g1, g2, pruned = demo_prune_counterexample()
     a1, a2, aug = demo_add_counterexample()
     non_identity, collisions = enumerate_pruning_maps()
-    print("pruning counterexample:")
-    print(f"  original A edges: {_edge_list(g1)}")
-    print(f"  original B edges: {_edge_list(g2)}")
-    print(f"  both prune to:    {_edge_list(pruned)}  (A != B, images equal)")
-    print("addition counterexample:")
-    print(f"  original A edges: {_edge_list(a1)}")
-    print(f"  original B edges: {_edge_list(a2)}")
-    print(f"  both augment to:  {_edge_list(aug)}  (inferred edges untagged)")
-    print(f"exhaustive 3-node check: {collisions}/{non_identity} "
-          f"non-identity pruning maps collide")
     _emit_report("demo-gsl", default_seed(), {}, t0, {
         "prune": {"g1": _edge_list(g1), "g2": _edge_list(g2),
                   "pruned": _edge_list(pruned)},

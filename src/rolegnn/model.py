@@ -44,7 +44,6 @@ from .tensor import Tensor
 
 ACTIVATIONS = {
     "relu": T.relu,
-    "tanh": T.tanh,
     "identity": lambda t: t,
 }
 
@@ -611,14 +610,17 @@ class Model:
                 seeds_only: bool = False) -> ForwardResult:
         """Run every layer and the head over one sampled batch.
 
-        With `seeds_only`, layer l of L computes only the rows each table
-        reached within L-1-l hops of the seeds (`batch.reach`): the rows the
-        next layer or the head reads. Only the edges and paths into those
-        rows are aggregated, in their batch order, so `output` is
-        bit-identical to the full forward's, while `embeddings` and
-        `gate_diag` cover the kept rows only. Training needs every row (the
-        running gate averages over all of them, FD reads every linked pair),
-        so `seeds_only` is for evaluation alone.
+        Per layer, a table is live when it computes every row; any other
+        table computes only the rows within L-1-l hops of the seeds
+        (`batch.reach`), the rows the next layer or the head reads, and
+        aggregates only the edges and paths into them, in their batch
+        order. Without `seeds_only` the caller reads every row, so every
+        table is live. With it the caller reads only the seeds' rows: in
+        training the w-tables of learned gates stay live, since a running
+        gate averages over every row, and with them every table at the
+        layers before the last. `output` is bit-identical either way, and in
+        training so are the running gates, `gate_diag` and every gradient;
+        otherwise `gate_diag` and `embeddings` cover the computed rows.
 
         One sharing pass (`share`) labels the batch's (row, prediction
         time) pairs once. Last-hop copies of one pair share one compute
@@ -642,16 +644,11 @@ class Model:
         computing every copy within rounding, not bit for bit. Under
         training dropout each copy keeps its own mask, so nothing is shared.
         """
-        if seeds_only and train:
-            raise ValueError("seeds_only forward is for evaluation: training "
-                             "reads every row")
         sharing = (SharedBatch(batch, batch) if train and self.cfg.dropout > 0
                    else self.share(batch))
         batch, layer_batch = sharing.batch, sharing.layer0
         expand, first = sharing.expand, sharing.first
         layers = self.cfg.layers
-        if seeds_only:  # layer 0 computes the locals within L-1 hops
-            first = {c: f[:batch.reach[c][layers - 1]] for c, f in first.items()}
         classes: dict[str, np.ndarray] = {}  # this layer's class maps
 
         def shared(src_table: str, dst_table: str, dst: np.ndarray):
@@ -670,19 +667,24 @@ class Model:
                          if tr.id in batch.paths and tr.w_table in h]
         fused = {tr.w_table for tr in fused_triples}
         read = {tr.matching_relation().id for tr in fused_triples}
+        gated = {tr.w_table for tr in fused_triples
+                 if train and tr.id not in self._constant_gates}
+        live = [set(h) if not seeds_only or (gated and l < layers - 1)
+                else gated for l in range(layers)]
+        # layer 0 computes the locals of a table not live there within L-1 hops
+        first = {c: f if c in live[0] else f[:batch.reach[c][layers - 1]]
+                 for c, f in first.items()}
 
         for l in range(layers):
-            if seeds_only:
-                n_out = {c: layer_batch.reach[c][layers - 1 - l] for c in h}
-            else:
-                n_out = {c: hc.shape[0] for c, hc in h.items()}
-            if l and not seeds_only:
+            n_out = {c: hc.shape[0] if c in live[l]
+                     else layer_batch.reach[c][layers - 1 - l]
+                     for c, hc in h.items()}
+            if l:
                 # rows within L-1-l hops, which the head reads, stay per
                 # copy, so the output equals the seeds-only forward's bit
-                # for bit; a seeds-only layer past 0 holds no leaf row to
-                # stand in anyway
+                # for bit; a table not live holds no leaf row to stand in
                 classes = {c: sharing.class_map(c, batch.reach[c][layers - 1 - l])
-                           for c in first}
+                           for c in first if c in live[l]}
 
             self_term = {}
             for c, hc in h.items():
@@ -699,7 +701,7 @@ class Model:
                 if key.dst_table in fused and key.id not in read:
                     continue
                 src, dst = pair
-                if seeds_only:
+                if key.dst_table not in live[l]:
                     keep = dst < n_out[key.dst_table]
                     src, dst = src[keep], dst[keep]
                 messages[key.id] = relation_message(
@@ -715,7 +717,7 @@ class Model:
             for tr in fused_triples:
                 c = tr.w_table
                 u_idx, v_idx, w_idx = layer_batch.paths[tr.id]
-                if seeds_only:
+                if c not in live[l]:
                     # kept even when no path lands in a kept row: those rows
                     # still fuse, with no edge message, as in the full pass
                     keep = w_idx < n_out[c]
@@ -754,8 +756,8 @@ class Model:
                 if tr.id in self._constant_gates:
                     g_used = Tensor(np.array(self._constant_gates[tr.id]))
                 else:
-                    # seeds-only layers keep no last-hop row
-                    copies = None if seeds_only else expand.get(c)
+                    # a table not live keeps no last-hop row
+                    copies = expand.get(c) if c in live[l] else None
                     if l == 0 and c in first:
                         copies = first[c] if copies is None else first[c][copies]
                     g_tilde, g, g_used = compute_gate(
@@ -796,7 +798,7 @@ class Model:
         else:
             out = seed_h
         return ForwardResult(out, h, running, gate_diag,
-                             {} if seeds_only else expand)
+                             {c: e for c, e in expand.items() if c in live[-1]})
 
 
 def link_scores(src_emb: Tensor, dst_emb: Tensor) -> Tensor:

@@ -375,43 +375,36 @@ def gen_random_bundle(seed: int) -> RelationalDatabase:
     return build_database(specs, all_rows)
 
 
+# generator -> (its function of keyword parameters, returning the database
+# and task, and every parameter's default, whose type the value is cast to)
 GENERATORS = {
-    "twohop": gen_twohop,
-    "subspace": gen_subspace,
-    "future_leak": gen_future_leak,
-    "completion_chain": gen_completion_chain,
+    "twohop": (gen_twohop, {"n_users": 2000, "n_products": 300,
+                            "n_reviews": 8000, "signal_strength": 1.0,
+                            "seed": 0}),
+    "subspace": (lambda **p: (gen_subspace(**p)[0], None),
+                 {"n": 600, "channels_hint": 16, "d_true": 4, "seed": 0,
+                  "sigma": 0.0}),
+    "future_leak": (gen_future_leak, {"n": 2500, "seed": 0}),
+    "completion_chain": (
+        lambda n_src, n_mid, n_sink, **p: gen_completion_chain(
+            (n_src, n_mid, n_sink), **p),
+        {"n_src": 2000, "n_mid": 1000, "n_sink": 500, "seed": 0,
+         "gate_mode": "random"}),
+    "random": (lambda seed: (gen_random_bundle(seed), None), {"seed": 0}),
 }
 
 
 def emit(generator: str, params: dict, out_dir: str | Path) -> Path:
-    """Run a generator and write the bundle (plus task directory if any)."""
-    out_dir = Path(out_dir)
-    if generator == "twohop":
-        db, task = gen_twohop(int(params.get("n_users", 2000)),
-                              int(params.get("n_products", 300)),
-                              int(params.get("n_reviews", 8000)),
-                              float(params.get("signal_strength", 1.0)),
-                              int(params.get("seed", 0)))
-    elif generator == "subspace":
-        db, _ = gen_subspace(int(params.get("n", 600)),
-                             int(params.get("channels_hint", 16)),
-                             int(params.get("d_true", 4)),
-                             int(params.get("seed", 0)),
-                             float(params.get("sigma", 0.0)))
-        task = None
-    elif generator == "future_leak":
-        db, task = gen_future_leak(int(params.get("n", 2500)),
-                                   int(params.get("seed", 0)))
-    elif generator == "completion_chain":
-        db, task = gen_completion_chain(
-            (int(params.get("n_src", 2000)), int(params.get("n_mid", 1000)),
-             int(params.get("n_sink", 500))),
-            int(params.get("seed", 0)),
-            str(params.get("gate_mode", "random")))
-    elif generator == "random":
-        db = gen_random_bundle(int(params.get("seed", 0)))
-        task = None
-    else:
+    """Run a generator over `params`, each unset one at its default, and
+    write the bundle (plus task directory if any). An unknown generator or
+    parameter raises ValueError naming it."""
+    if generator not in GENERATORS:
         raise ValueError(f"unknown generator {generator!r}; "
-                         f"known: {sorted(GENERATORS)} + random")
-    return export_bundle(db, out_dir, task=task)
+                         f"known: {sorted(GENERATORS)}")
+    fn, defaults = GENERATORS[generator]
+    unknown = sorted(set(params) - set(defaults))
+    if unknown:
+        raise ValueError(f"generator {generator!r} has no parameter "
+                         f"{unknown[0]!r}; known: {sorted(defaults)}")
+    db, task = fn(**{k: type(v)(params.get(k, v)) for k, v in defaults.items()})
+    return export_bundle(db, Path(out_dir), task=task)

@@ -260,8 +260,10 @@ def _task_loss(state: TrainState, idx: np.ndarray, split: str, train: bool,
                ) -> tuple[Tensor, ForwardResult, BatchSubgraph, GateState]:
     task = state.task
     seeds, labels, targets = _seed_list(task, split, idx)
+    # only FD reads rows past the seeds'
+    seeds_only = state.fdmod is None
     batch, result = _sample_forward(state, seeds, task.entity_table, rng,
-                                    gates, train)
+                                    gates, train, seeds_only)
     new_gates = GateState(result.gates_after)
 
     if task.task_type == "classification":
@@ -277,7 +279,7 @@ def _task_loss(state: TrainState, idx: np.ndarray, split: str, train: bool,
                      for i, p in enumerate(np.concatenate([targets, neg_pk]))]
         dst_batch, dst_res = _sample_forward(state, dst_seeds,
                                              task.target_table, rng,
-                                             new_gates, train)
+                                             new_gates, train, seeds_only)
         new_gates = GateState(dst_res.gates_after)
         h_dst = T.take_rows(dst_res.embeddings[task.target_table],
                             dst_batch.seed_locals)

@@ -12,7 +12,7 @@ from rolegnn.rdb import build_database
 from rolegnn.sampler import SamplerConfig, sample_batch
 from rolegnn.schema_graph import (RoleAssignment, build_schema_graph,
                                   construct_reg, enumerate_edge_triples)
-from rolegnn.synth import gen_twohop
+from rolegnn.synth import gen_completion_chain, gen_twohop
 from rolegnn.tensor import Tensor
 from rolegnn.training import roles_for_mode
 
@@ -621,16 +621,19 @@ def test_link_scores_inner_product():
 
 # --- seeds-only forward -----------------------------------------------------
 
-def _seeds_only_setup(mode, layers):
-    db, task = gen_twohop(120, 30, 400, 1.0, 0)
+def _seeds_only_setup(mode, layers, gen="twohop", budget=16):
+    db, task = (gen_twohop(120, 30, 400, 1.0, 0) if gen == "twohop"
+                else gen_completion_chain((200, 100, 60), 1))
     sg = build_schema_graph(db)
     roles, fixed = roles_for_mode(enumerate_edge_triples(sg), mode, seed=3)
     reg = construct_reg(db, sg, roles)
     model = Model(reg, ModelConfig(channels=8, layers=layers, seed=2),
-                  "classification", train_cut=task.split[0], fixed_gates=fixed)
+                  task.task_type, train_cut=task.split[0], fixed_gates=fixed)
     recs = task.labels["test"]
-    seeds = [(int(recs.entity[i]), float(recs.t_predict[i])) for i in range(24)]
-    batch = _batch_for(reg, "user", seeds, hops=layers, budget=16, seed=layers)
+    seeds = [(int(recs.entity[i]), float(recs.t_predict[i]))
+             for i in range(min(24, len(recs.entity)))]
+    batch = _batch_for(reg, task.entity_table, seeds, hops=layers,
+                       budget=budget, seed=layers)
     return model, batch
 
 
@@ -696,10 +699,41 @@ def test_seeds_only_fuses_triples_with_no_path_into_kept_rows():
     _assert_seeds_only_matches_full(model, batch)
 
 
-def test_seeds_only_forward_refuses_training():
-    model, batch = _seeds_only_setup("learn", 1)
-    with pytest.raises(ValueError, match="seeds_only"):
-        model.forward(batch, model.init_gates(), train=True, seeds_only=True)
+def _train_step(model, batch, seeds_only):
+    """Output, committed gates, gate diagnostics, final-layer row counts and
+    every parameter gradient of one training forward/backward."""
+    with T.tape_scope():
+        res = model.forward(batch, model.init_gates(), train=True,
+                            seeds_only=seeds_only)
+        T.backward(T.sumsq(T.tanh(res.output)))
+    grads = {}
+    for name, p in model.params.items():
+        grads[name] = p.grad.copy()
+        p.grad[:] = 0.0
+    rows = {c: hc.shape[0] for c, hc in res.rows.items()}
+    return res.output.values, res.gates_after, res.gate_diag, rows, grads
+
+
+@pytest.mark.parametrize("budget", [4, 64])
+@pytest.mark.parametrize("layers", [1, 2, 3])
+@pytest.mark.parametrize("mode", ["learn", "all-edge", "all-node", "random"])
+@pytest.mark.parametrize("gen", ["twohop", "completion"])
+def test_seeds_only_training_forward_equals_full(gen, mode, layers, budget):
+    """A training forward that reads only the seeds' rows computes only the
+    live rows, yet its output, running gates, gate diagnostics and every
+    gradient equal the full forward's bit for bit."""
+    model, batch = _seeds_only_setup(mode, layers, gen, budget)
+    out, gates, diag, rows, grads = _train_step(model, batch, False)
+    t_out, t_gates, t_diag, t_rows, t_grads = _train_step(model, batch, True)
+    assert np.array_equal(t_out, out)
+    assert t_gates == gates
+    learned = {tr.id for tr in model.active_triples
+               if tr.id not in model._constant_gates}
+    assert diag.keys() <= learned and t_diag == diag
+    assert any(np.any(g) for g in grads.values())
+    for name, g in grads.items():
+        assert np.array_equal(t_grads[name], g), name
+    assert any(t_rows[c] < n for c, n in rows.items())  # some rows left out
 
 
 def test_only_read_relation_messages_are_built(monkeypatch):

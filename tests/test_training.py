@@ -673,15 +673,20 @@ def _force_full_forward(monkeypatch) -> list:
 
 
 def test_seeds_only_evaluation_keeps_training_results(monkeypatch):
-    def run():
-        _, _, state = _small_state(seed=4, layers=2, epochs=3)
+    def run(disable_fd):
+        _, _, state = _small_state(seed=4, layers=2, epochs=3,
+                                   disable_fd=disable_fd)
         summary = train(state)
         return param_hash(state.parameters()), summary["history"]
 
-    trimmed = run()
-    asked = _force_full_forward(monkeypatch)
-    assert run() == trimmed
-    assert True in asked and False in asked  # evaluation trims, training not
+    for disable_fd in (False, True):
+        trimmed = run(disable_fd)
+        asked = _force_full_forward(monkeypatch)
+        assert run(disable_fd) == trimmed
+        # evaluation trims; phase A trims exactly when FD is off, since FD
+        # reads every linked pair
+        assert True in asked and (False in asked) != disable_fd
+        monkeypatch.undo()
 
 
 def test_seeds_only_link_evaluation_keeps_map(monkeypatch):
