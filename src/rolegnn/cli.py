@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import os
 import sys
 import time
 from pathlib import Path
@@ -20,7 +21,6 @@ from . import synth
 from .config import DEFAULTS, default_seed
 from .errors import (BundleError, CheckpointMismatch, EngineError, RoleError,
                      SchemaError, TrainingDiverged)
-from .fd import subspace_size
 from .model import ModelConfig
 from .rdb import canonical_form, fd_violations, ingest_bundle, load_task
 from .schema_graph import (build_schema_graph, construct_reg,
@@ -28,8 +28,8 @@ from .schema_graph import (build_schema_graph, construct_reg,
                            enumerate_edge_triples, enumerate_pruning_maps,
                            invert_reg)
 from .training import (ROLE_MODES, TrainConfig, build_state, dataset_digest,
-                       evaluate, export_structure, roles_for_mode, train,
-                       transfer_structure)
+                       evaluate, export_structure, make_configs,
+                       roles_for_mode, train, transfer_structure)
 
 EXIT_USAGE = 2
 EXIT_BUNDLE = 3
@@ -58,6 +58,19 @@ def _emit_report(command: str, seed: int, config: dict, t0: float,
         out_dir.mkdir(parents=True, exist_ok=True)
         with open(out_dir / "run_report.json", "w", encoding="utf-8") as fh:
             fh.write(text)
+
+
+def _check_output(path: str, file: bool) -> None:
+    """ValueError naming `path`, an output directory (or, given `file`, an
+    output file), unless its nearest existing directory is writable."""
+    path = Path(path)
+    near = path.parent if file else path
+    while not near.exists():  # ends at "." or "/"
+        near = near.parent
+    if (file and path.is_dir()) or not near.is_dir() or not os.access(
+            near, os.W_OK | os.X_OK):
+        raise ValueError(f"cannot write output {path}: {near} is not a "
+                         f"writable directory")
 
 
 def _resolve_config(args: argparse.Namespace) -> dict:
@@ -142,29 +155,18 @@ def cmd_demo_gsl(args, t0: float) -> int:
 
 
 def cmd_synth(args, t0: float) -> int:
-    params = {}
-    for kv in args.params:
-        if "=" not in kv:
-            raise BundleError(f"synth params must be key=value, got {kv!r}")
-        k, v = kv.split("=", 1)
-        try:
-            params[k] = int(v)
-        except ValueError:
-            try:
-                params[k] = float(v)
-            except ValueError:
-                params[k] = v
-    if args.seed is not None:
-        params.setdefault("seed", args.seed)
-    params.setdefault("seed", default_seed())
     out = Path(args.output)
+    # a word without "=" is a parameter of empty text, refused by its name
+    raw = dict(kv.partition("=")[::2] for kv in args.params)
+    raw.setdefault("seed", default_seed() if args.seed is None else args.seed)
     try:
+        params = synth.parameters(args.generator, raw)
         synth.emit(args.generator, params, out)
-    except ValueError as exc:  # a bad or out-of-range generator parameter
+    except ValueError as exc:  # a bad generator parameter
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     db = ingest_bundle(out)
-    _emit_report("synth", int(params["seed"]),
+    _emit_report("synth", params["seed"],
                  {"generator": args.generator, "params": params}, t0, {
                      "output": str(out),
                      "dataset_digest": dataset_digest(db),
@@ -173,21 +175,12 @@ def cmd_synth(args, t0: float) -> int:
     return 0
 
 
-def _model_and_train_cfg(cfg: dict) -> tuple[ModelConfig, TrainConfig]:
-    """The typed configs of a resolved config dict, each built from its own
-    fields. A value of the wrong type or out of range raises ValueError
-    naming its key."""
-    mcfg, tcfg = (cls(**{k: cfg[k] for k in cls.__dataclass_fields__ if k in cfg})
-                  for cls in (ModelConfig, TrainConfig))
-    if tcfg.fd_enabled:
-        subspace_size(mcfg.channels, tcfg.subspace_dim)
-    return mcfg, tcfg
-
-
 def cmd_train(args, t0: float) -> int:
     try:
         cfg = _resolve_config(args)
-        mcfg, tcfg = _model_and_train_cfg(cfg)
+        mcfg, tcfg = make_configs(*(
+            {k: v for k, v in cfg.items() if k in cls.__dataclass_fields__}
+            for cls in (ModelConfig, TrainConfig)))
     except ValueError as exc:  # a bad flag, config key or --config file
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -307,6 +300,8 @@ def main(argv: list[str] | None = None) -> int:
         default_seed()
         if (getattr(args, "seed", None) or 0) < 0:
             raise ValueError(f"seed must be >= 0, got {args.seed}")
+        if getattr(args, "output", None):  # checked before any work
+            _check_output(args.output, args.command == "export-structure")
     except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -76,17 +76,26 @@ def real(name: str, value) -> float:
     raise ValueError(f"{name} must be a number, got {value!r}")
 
 
+def setting(name: str, value, like):
+    """`value` (or its text, read as JSON) as a setting of the kind of its
+    default `like`: a whole number for an int, a finite number for a float.
+    A string default keeps the value. Else ValueError naming `name`."""
+    if isinstance(like, str):
+        return value
+    try:
+        value = json.loads(value) if isinstance(value, str) else value
+    except ValueError:
+        pass
+    return (integral if isinstance(like, int) else real)(name, value)
+
+
 def default_seed() -> int:
     """Seed default, overridable through the environment by a whole number
     >= 0; any other value raises ValueError naming the variable."""
     raw = os.environ.get(SEED_ENV_VAR)
     if raw is None:
         return 0
-    try:
-        value = json.loads(raw)
-    except ValueError:
-        value = raw
-    seed = integral(SEED_ENV_VAR, value)
+    seed = setting(SEED_ENV_VAR, raw, 0)
     if seed < 0:
         raise ValueError(f"{SEED_ENV_VAR} must be >= 0, got {seed}")
     return seed

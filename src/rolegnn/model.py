@@ -522,8 +522,6 @@ class Model:
         expand, first, twins, labels = {}, {}, {}, {}
         nodes, nodes0, reach0, heads = {}, {}, {}, {}
         for c, tn in batch.nodes.items():
-            if c not in batch.reach:
-                continue
             n_rows = self.reg.nodes[c].n_rows
             key = (t_class * n_rows)[tn.seed_of] + tn.rows
             ids = kernels.group_ids(key, len(times) * n_rows)
@@ -747,11 +745,9 @@ class Model:
                                                 w_idx)
                 h_e = act(T.add_rows(self_term[c], rows, msg))
 
-                match_id = tr.matching_relation().id
-                if match_id in messages:
-                    h_n = act(T.add_rows(self_term[c], *messages[match_id]))
-                else:
-                    h_n = act(self_term[c])
+                # a drawn path's v row is also drawn as a neighbour of w
+                h_n = act(T.add_rows(self_term[c],
+                                     *messages[tr.matching_relation().id]))
 
                 if tr.id in self._constant_gates:
                     g_used = Tensor(np.array(self._constant_gates[tr.id]))

@@ -559,12 +559,12 @@ def load_task(path: str | Path, db: RelationalDatabase) -> TaskSpec:
         eval_k=eval_k,
         split=split,  # type: ignore[arg-type]
     )
-    entity_pk = np.sort(db.data[entity_table].pk)
-    target_pk = (np.sort(db.data[target_table].pk)
-                 if target_table is not None else None)
     columns = ["entity_id", "timestamp", "label"]
+    keys = {"entity_id": entity_table}  # label column -> the table it keys
     if task_type == "link_prediction":
         columns.append("target_id")
+        keys["target_id"] = target_table
+    sorted_pk = {c: np.sort(db.data[t].pk) for c, t in keys.items()}
     for split_name in SPLITS:
         fpath = path / f"task_{split_name}.csv"
         if not fpath.exists():
@@ -578,22 +578,15 @@ def load_task(path: str | Path, db: RelationalDatabase) -> TaskSpec:
                 raise SchemaError(f"{fpath.name} lacks a column",
                                   column=absent[0])
             rows = [row for row in reader if row]
-        entity = _task_column(fpath, rows, at, "entity_id", int)
-        bad = lookup_positions(entity_pk, entity) < 0
-        if bad.any():
-            i = int(np.flatnonzero(bad)[0])
-            raise DanglingKeyError(f"{fpath.name}: label entity {int(entity[i])} "
-                                   f"not in {entity_table}", row=i,
-                                   column="entity_id")
-        target = None
-        if task_type == "link_prediction":
-            target = _task_column(fpath, rows, at, "target_id", int)
-            bad = lookup_positions(target_pk, target) < 0
+        ids = {}
+        for column, table in keys.items():
+            ids[column] = _task_column(fpath, rows, at, column, int)
+            bad = lookup_positions(sorted_pk[column], ids[column]) < 0
             if bad.any():
                 i = int(np.flatnonzero(bad)[0])
-                raise DanglingKeyError(f"{fpath.name}: label target "
-                                       f"{int(target[i])} not in {target_table}",
-                                       row=i, column="target_id")
+                raise DanglingKeyError(
+                    f"{fpath.name}: label {column[:-3]} {int(ids[column][i])} "
+                    f"not in {table}", row=i, column=column)
         label = _task_column(fpath, rows, at, "label", float)
         if task_type == "classification":
             bad = np.flatnonzero(~np.isin(label, (0.0, 1.0)))
@@ -612,7 +605,8 @@ def load_task(path: str | Path, db: RelationalDatabase) -> TaskSpec:
             raise CellParseError(f"{fpath.name}: timestamp out of the int64 "
                                  f"range", row=int(bad[0]), column="timestamp")
         task.labels[split_name] = LabelRecords(
-            entity=entity, t_predict=t_predict, label=label, target=target)
+            entity=ids["entity_id"], t_predict=t_predict, label=label,
+            target=ids.get("target_id"))
     return task
 
 

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .config import setting
 from .rdb import (ColumnSpec, ForeignKeySpec, LabelRecords, RelationalDatabase,
                   TableSpec, TaskSpec, build_database, export_bundle)
 
@@ -250,9 +251,13 @@ def gen_completion_chain(sizes: tuple[int, int, int], seed: int,
     incoming chains of (source attribute x mid gate attribute)."""
     n_src, n_mid, n_sink = sizes
     rng = np.random.default_rng(seed)
-    gate_vals = {"random": lambda: rng.uniform(0.0, 1.0, size=n_mid),
-                 "one": lambda: np.ones(n_mid),
-                 "zero": lambda: np.zeros(n_mid)}[gate_mode]()
+    modes = {"random": lambda: rng.uniform(0.0, 1.0, size=n_mid),
+             "one": lambda: np.ones(n_mid),
+             "zero": lambda: np.zeros(n_mid)}
+    if gate_mode not in modes:
+        raise ValueError(f"gate_mode must be one of {sorted(modes)}, "
+                         f"got {gate_mode!r}")
+    gate_vals = modes[gate_mode]()
     mid_sink = rng.integers(0, n_sink, size=n_mid)
     src_mid = rng.integers(0, n_mid, size=n_src)
     src_attr = rng.uniform(-1.0, 1.0, size=n_src)
@@ -376,7 +381,7 @@ def gen_random_bundle(seed: int) -> RelationalDatabase:
 
 
 # generator -> (its function of keyword parameters, returning the database
-# and task, and every parameter's default, whose type the value is cast to)
+# and task, and every parameter's default, whose kind the value must have)
 GENERATORS = {
     "twohop": (gen_twohop, {"n_users": 2000, "n_products": 300,
                             "n_reviews": 8000, "signal_strength": 1.0,
@@ -394,17 +399,23 @@ GENERATORS = {
 }
 
 
-def emit(generator: str, params: dict, out_dir: str | Path) -> Path:
-    """Run a generator over `params`, each unset one at its default, and
-    write the bundle (plus task directory if any). An unknown generator or
-    parameter raises ValueError naming it."""
+def parameters(generator: str, params: dict) -> dict:
+    """Every parameter of `generator`: each of `params`, a value or its text,
+    read by `config.setting` as its default's kind, the rest at defaults.
+    ValueError names an unknown generator or parameter, or a bad value."""
     if generator not in GENERATORS:
         raise ValueError(f"unknown generator {generator!r}; "
                          f"known: {sorted(GENERATORS)}")
-    fn, defaults = GENERATORS[generator]
+    defaults = GENERATORS[generator][1]
     unknown = sorted(set(params) - set(defaults))
     if unknown:
         raise ValueError(f"generator {generator!r} has no parameter "
                          f"{unknown[0]!r}; known: {sorted(defaults)}")
-    db, task = fn(**{k: type(v)(params.get(k, v)) for k, v in defaults.items()})
+    return {k: setting(k, params.get(k, v), v) for k, v in defaults.items()}
+
+
+def emit(generator: str, params: dict, out_dir: str | Path) -> Path:
+    """Write the bundle (and task, if any) of a generator's `parameters`."""
+    params = parameters(generator, params)
+    db, task = GENERATORS[generator][0](**params)
     return export_bundle(db, Path(out_dir), task=task)

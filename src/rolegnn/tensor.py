@@ -151,12 +151,6 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return grad.reshape(shape)
 
 
-def _as_tensor(x) -> Tensor:
-    if isinstance(x, Tensor):
-        return x
-    return Tensor(np.asarray(x, dtype=np.float64))
-
-
 # ---------------------------------------------------------------------------
 # primitive ops
 # ---------------------------------------------------------------------------
@@ -192,8 +186,7 @@ def linear(x: Tensor, W: Tensor, b: Tensor) -> Tensor:
     return _record(out, (x, W, b), bwd)
 
 
-def add(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
+def add(a: Tensor, b: Tensor) -> Tensor:
     out = Tensor(a.values + b.values)
 
     def bwd(g):
@@ -202,8 +195,7 @@ def add(a, b) -> Tensor:
     return _record(out, (a, b), bwd)
 
 
-def sub(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
+def sub(a: Tensor, b: Tensor) -> Tensor:
     out = Tensor(a.values - b.values)
 
     def bwd(g):
@@ -213,8 +205,7 @@ def sub(a, b) -> Tensor:
     return _record(out, (a, b), bwd)
 
 
-def mul(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
+def mul(a: Tensor, b: Tensor) -> Tensor:
     out = Tensor(a.values * b.values)
 
     def bwd(g):

@@ -88,6 +88,21 @@ class TrainConfig:
         return not self.disable_fd and (self.beta > 0 or self.gamma > 0)
 
 
+def make_configs(model: dict, train: dict) -> tuple[ModelConfig, TrainConfig]:
+    """The model and training configs of their fields' values. An unknown
+    key, a value of the wrong type or out of range, or an FD subspace the
+    channels cannot hold raises ValueError naming the key."""
+    for key, cls, values in (("model_config", ModelConfig, model),
+                             ("train_config", TrainConfig, train)):
+        unknown = sorted(set(values) - set(cls.__dataclass_fields__))
+        if unknown:
+            raise ValueError(f"unknown {key} key {unknown[0]!r}")
+    model_cfg, train_cfg = ModelConfig(**model), TrainConfig(**train)
+    if train_cfg.fd_enabled:
+        subspace_size(model_cfg.channels, train_cfg.subspace_dim)
+    return model_cfg, train_cfg
+
+
 # ---------------------------------------------------------------------------
 # metrics
 # ---------------------------------------------------------------------------
@@ -216,14 +231,22 @@ def build_state(db: RelationalDatabase, task: TaskSpec, model_cfg: ModelConfig,
                                   transfer_gates)
     if transfer_gates is not None:
         _check_triple_ids(triples, set(transfer_gates), "the source gates")
+    return _assemble_state(db, sg, task, model_cfg, train_cfg, roles, fixed)
+
+
+def _assemble_state(db: RelationalDatabase, sg, task: TaskSpec,
+                    model_cfg: ModelConfig, train_cfg: TrainConfig,
+                    roles: RoleAssignment, fixed_gates: dict | None,
+                    encoder_stats: dict | None = None, gates=None) -> TrainState:
+    """The entity graph of `roles` over `db` (schema graph `sg`), the model,
+    the FD module if FD is on, and `gates` (default: the initial ones)."""
     reg = construct_reg(db, sg, roles, path_cap=train_cfg.path_cap)
     model = Model(reg, model_cfg, task.task_type, train_cut=task.split[0],
-                  fixed_gates=fixed)
-    fdmod = None
-    if train_cfg.fd_enabled:
-        fdmod = FdModule(reg, model_cfg.channels, train_cfg.subspace_dim,
-                         seed=model_cfg.seed)
-    return TrainState(reg, model, fdmod, model.init_gates(), task, train_cfg)
+                  fixed_gates=fixed_gates, encoder_stats=encoder_stats)
+    fdmod = (FdModule(reg, model_cfg.channels, train_cfg.subspace_dim,
+                      seed=model_cfg.seed) if train_cfg.fd_enabled else None)
+    return TrainState(reg, model, fdmod, gates or model.init_gates(), task,
+                      train_cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -318,6 +341,9 @@ def train(state: TrainState, out_dir: str | Path | None = None,
     `phase_hook(event, epoch, state)` fires at "epoch_start", "after_phase_a"
     and "after_phase_b"; tests use it to audit the freezing contract.
     """
+    if out_dir is not None:
+        out_dir = Path(out_dir)
+        out_dir.mkdir(parents=True, exist_ok=True)
     cfg = state.train_cfg
     task = state.task
     names = sorted(state.model.params)
@@ -445,11 +471,12 @@ def train(state: TrainState, out_dir: str | Path | None = None,
         "history": state.history,
     }
     if out_dir is not None:
-        out_dir = Path(out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
         save_checkpoint(out_dir / "checkpoint", state)
-        _write_history_csv(out_dir / "metrics.csv", state.history)
-        _write_fd_csv(out_dir / "fd_diagnostics.csv", state.fd_diag_rows)
+        _write_csv(out_dir / "metrics.csv", state.history,
+                   ["epoch", "split", "metric", "l_task", "l_emb", "l_pair"])
+        _write_csv(out_dir / "fd_diagnostics.csv", state.fd_diag_rows,
+                   ["epoch", "relation", "l_emb", "l_pair", "pos_score_mean",
+                    "neg_score_mean"])
         with open(out_dir / "structure.json", "w", encoding="utf-8") as fh:
             json.dump(summary["structure"], fh, indent=2)
         summary["checkpoint"] = str(out_dir / "checkpoint")
@@ -593,6 +620,7 @@ def export_structure(checkpoint_dir: str | Path,
     meta, gates = _read_checkpoint_meta(checkpoint_dir)
     report = structure_report(meta["triples"], gates, meta["model_config"])
     if output is not None:
+        Path(output).parent.mkdir(parents=True, exist_ok=True)
         with open(output, "w", encoding="utf-8") as fh:
             json.dump(report, fh, indent=2)
     return report
@@ -741,16 +769,8 @@ def _read_checkpoint_meta(path: str | Path, db: RelationalDatabase | None = None
     _check_gates(where, "fixed_gates", meta["fixed_gates"])
     _check_gates(path / "gates.json", "gates", parsed["gates.json"]["gates"])
     try:
-        for key, cls in (("model_config", ModelConfig),
-                         ("train_config", TrainConfig)):
-            unknown = sorted(set(meta[key]) - set(cls.__dataclass_fields__))
-            if unknown:
-                raise CheckpointMismatch(
-                    f"{where}: unknown {key} key {unknown[0]!r}")
-            meta[key] = cls(**meta[key])
-        if meta["train_config"].fd_enabled:
-            subspace_size(meta["model_config"].channels,
-                          meta["train_config"].subspace_dim)
+        meta["model_config"], meta["train_config"] = make_configs(
+            meta["model_config"], meta["train_config"])
         meta["triples"] = [EdgeRelationTriple(**d) for d in meta["triples"]]
         gates = GateState.from_dict(parsed["gates.json"])
     except (TypeError, ValueError) as exc:
@@ -762,36 +782,30 @@ def _read_checkpoint_meta(path: str | Path, db: RelationalDatabase | None = None
 
 
 def load_checkpoint(path: str | Path, db: RelationalDatabase,
-                    task: TaskSpec | None = None) -> TrainState:
+                    task: TaskSpec) -> TrainState:
+    """The state a checkpoint holds over `db` and `task`. A task of another
+    type or tables, or another schema, raises CheckpointMismatch naming it."""
     path = Path(path)
     meta, gates = _read_checkpoint_meta(path, db)
-    model_cfg, train_cfg = meta["model_config"], meta["train_config"]
-    if task is None:
-        tmeta = meta["task"]
-        task = TaskSpec(name=tmeta["name"], task_type=tmeta["task_type"],
-                        entity_table=tmeta["entity_table"],
-                        target_table=tmeta["target_table"],
-                        eval_k=tmeta["eval_k"], split=tuple(tmeta["split"]))
+    for key in ("task_type", "entity_table", "target_table"):
+        if meta["task"][key] != getattr(task, key):
+            raise CheckpointMismatch(
+                f"{path / 'meta.json'}: task.{key} is {meta['task'][key]!r}, "
+                f"the task's is {getattr(task, key)!r}")
     sg = build_schema_graph(db)
     _check_triple_ids(enumerate_edge_triples(sg),
                       {t.id for t in meta["triples"]}, "the checkpoint's triples")
-    roles = RoleAssignment(dict(meta["roles"]))
-    reg = construct_reg(db, sg, roles, path_cap=train_cfg.path_cap)
     try:  # the encoder checks each statistic it reads
-        model = Model(reg, model_cfg, task.task_type, train_cut=task.split[0],
-                      fixed_gates=meta["fixed_gates"] or None,
-                      encoder_stats=meta["encoder_stats"])
+        state = _assemble_state(
+            db, sg, task, meta["model_config"], meta["train_config"],
+            RoleAssignment(dict(meta["roles"])), meta["fixed_gates"] or None,
+            meta["encoder_stats"], gates)
     except CheckpointMismatch as exc:
         raise CheckpointMismatch(f"{path / 'meta.json'}: {exc}") from None
-    ungated = sorted({t.id for t in reg.active_triples} - set(gates.values))
+    ungated = sorted({t.id for t in state.reg.active_triples} - set(gates.values))
     if ungated:
         raise CheckpointMismatch(
             f"{path / 'gates.json'} lacks the gate of triple {ungated[0]!r}")
-    fdmod = None
-    if train_cfg.fd_enabled:
-        fdmod = FdModule(reg, model_cfg.channels, train_cfg.subspace_dim,
-                         seed=model_cfg.seed)
-    state = TrainState(reg, model, fdmod, gates, task, train_cfg)
     stored = T.load_tensors(path / "params.bin")
     params = state.parameters()
     missing = sorted(set(params) - set(stored))
@@ -831,20 +845,8 @@ def transfer_structure(source_checkpoint: str | Path, db: RelationalDatabase,
 # CSV reports
 # ---------------------------------------------------------------------------
 
-def _write_history_csv(path: Path, history: list[dict]) -> None:
+def _write_csv(path: Path, rows: list[dict], fieldnames: list[str]) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=["epoch", "split", "metric",
-                                                "l_task", "l_emb", "l_pair"])
+        writer = csv.DictWriter(fh, fieldnames=fieldnames)
         writer.writeheader()
-        for row in history:
-            writer.writerow(row)
-
-
-def _write_fd_csv(path: Path, rows: list[dict]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=["epoch", "relation", "l_emb",
-                                                "l_pair", "pos_score_mean",
-                                                "neg_score_mean"])
-        writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
+        writer.writerows(rows)

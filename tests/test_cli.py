@@ -172,14 +172,51 @@ def test_synth_and_validate(capsys, twohop_bundle):
 
 @pytest.mark.parametrize("argv,message", [
     (["twohop", "n_users=5"], "sizes must be >= 10"),
-    (["twohop", "n_reviews=many"], "invalid literal"),
+    (["twohop", "n_reviews=many"], "n_reviews must be an integer, got 'many'"),
     (["nosuch"], "unknown generator 'nosuch'"),
+    (["twohop", "n_users=20.7"], "n_users must be an integer, got 20.7"),
+    (["twohop", "signal_strength=NaN"], "signal_strength must be a finite"),
+    (["completion_chain", "gate_mode=bogus"],
+     "gate_mode must be one of ['one', 'random', 'zero'], got 'bogus'"),
+    (["twohop", "foo"], "generator 'twohop' has no parameter 'foo'"),
+    (["twohop", "n_users"], "n_users must be an integer, got ''"),
 ])
 def test_synth_bad_parameters_exit_2(capsys, tmp_path, argv, message):
-    code, _, err = _run(capsys, "synth", *argv, "-o", str(tmp_path / "out"))
-    assert code == 2
+    code, out, err = _run(capsys, "synth", *argv, "-o", str(tmp_path / "out"))
+    assert code == 2 and out == ""
     assert message in err
     assert "Traceback" not in err
+
+
+def test_synth_reports_the_parameters_it_used(capsys, tmp_path):
+    """Parameter text is read as JSON: a whole float is an integer, and the
+    report echoes the values the generator ran with."""
+    out_dir = tmp_path / "out"
+    code, out, _ = _run(capsys, "synth", "twohop", "n_users=20.0",
+                        "n_products=10", "n_reviews=8e1", "-o", str(out_dir))
+    assert code == 0
+    report = json.loads(out)
+    assert report["config"]["params"] == {
+        "n_users": 20, "n_products": 10, "n_reviews": 80,
+        "signal_strength": 1.0, "seed": 0}
+    assert report["tables"] == {"user": 20, "product": 10, "review": 80}
+
+
+@pytest.mark.parametrize("argv,seed", [
+    (["--seed", "4"], 4),
+    (["seed=6", "--seed", "4"], 6),  # a seed parameter wins
+])
+def test_synth_seed_flag(capsys, tmp_path, argv, seed):
+    small = ["n_users=20", "n_products=10", "n_reviews=60"]
+    digests = []
+    for name, extra in (("flag", argv), ("param", [f"seed={seed}"])):
+        code, out, _ = _run(capsys, "synth", "twohop", *small, *extra,
+                            "-o", str(tmp_path / name))
+        assert code == 0
+        report = json.loads(out)
+        assert report["seed"] == report["config"]["params"]["seed"] == seed
+        digests.append(report["dataset_digest"])
+    assert digests[0] == digests[1]
 
 
 @pytest.mark.parametrize("argv,unknown", [
@@ -799,6 +836,59 @@ def test_gate_settings_in_gates_json_are_ignored(capsys, twohop_bundle,
     code, _, err = _run(capsys, "eval", str(ckpt), str(twohop_bundle),
                         str(twohop_bundle / "user-positive"))
     assert code == 0, err
+
+
+@pytest.mark.parametrize("key,value", [("task_type", "regression"),
+                                       ("entity_table", "product")])
+def test_eval_refuses_a_task_the_checkpoint_was_not_trained_for(
+        capsys, twohop_bundle, trained_checkpoint, tmp_path, key, value):
+    task_dir = tmp_path / "task"
+    shutil.copytree(twohop_bundle / "user-positive", task_dir)
+    meta = json.loads((task_dir / "task.json").read_text())
+    meta[key] = value
+    (task_dir / "task.json").write_text(json.dumps(meta))
+    if key == "entity_table":  # labels over products, ids 1..20
+        for split in ("train", "val", "test"):
+            csv_path = task_dir / f"task_{split}.csv"
+            lines = csv_path.read_text().splitlines()
+            csv_path.write_text("\n".join(
+                lines[:1] + [f"{i % 20 + 1},{line.split(',', 1)[1]}"
+                             for i, line in enumerate(lines[1:])]) + "\n")
+    code, out, err = _run(capsys, "eval", str(trained_checkpoint),
+                          str(twohop_bundle), str(task_dir))
+    assert code == 4 and out == ""
+    assert f"task.{key} is" in err and repr(value) in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command,under", [("train", ""), ("synth", ""),
+                                           ("export-structure", "/x.json")])
+def test_unusable_output_path_exits_2_before_any_work(
+        capsys, monkeypatch, twohop_bundle, trained_checkpoint, tmp_path,
+        command, under):
+    """An output path under or at an existing file is refused as a usage
+    error naming it, before the command has read or written anything."""
+    blocker = tmp_path / "file"
+    blocker.write_text("in the way")
+    output = str(blocker) + under
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started")
+    for name in ("ingest_bundle", "build_state", "train", "export_structure"):
+        monkeypatch.setattr(cli, name, no_work)
+    monkeypatch.setattr(cli.synth, "emit", no_work)
+    argv = {
+        "train": [str(twohop_bundle), str(twohop_bundle / "user-positive"),
+                  "--epochs", "1", "--channels", "8", "--layers", "1"],
+        "synth": ["twohop", "n_users=20", "n_products=10", "n_reviews=60"],
+        "export-structure": [str(trained_checkpoint)],
+    }[command]
+    code, out, err = _run(capsys, command, *argv, "-o", output)
+    assert code == 2 and out == ""
+    assert err.startswith("usage error: cannot write output ")
+    assert output in err and "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
+    assert blocker.read_text() == "in the way"
 
 
 def test_eval_builds_the_graph_with_the_trained_path_cap(capsys, twohop_bundle,

@@ -1,4 +1,6 @@
+import dataclasses
 import hashlib
+import re
 from pathlib import Path
 
 import numpy as np
@@ -363,3 +365,128 @@ def test_rendering_blocks_keep_the_bytes(tmp_path, monkeypatch):
         assert _sha(canonical_form(db)) == canonical
         export_bundle(db, tmp_path / str(seed))
         assert _export_digest(tmp_path / str(seed)) == exported
+
+
+def _respec(specs, table, **changes):
+    """`specs` with `table`'s spec changed by `changes` (TableSpec fields;
+    "column" maps a column name to its new ColumnSpec fields)."""
+    out = []
+    for spec in specs:
+        if spec.name == table:
+            cols = changes.pop("column", {})
+            changes.setdefault("columns", tuple(
+                dataclasses.replace(c, **cols.get(c.name, {}))
+                for c in spec.columns))
+            spec = dataclasses.replace(spec, **changes)
+        out.append(spec)
+    return out
+
+
+@pytest.mark.parametrize("case,table,column,message", [
+    ("duplicate-columns", "user", None, "duplicate column names"),
+    ("real-primary-key", "user", "user_id",
+     "primary_key must be an integer column"),
+    ("missing-fk-column", "review", "shopper_id", "foreign-key column missing"),
+    ("real-fk-column", "review", "product_id",
+     "foreign-key column must be integer"),
+    ("real-time-column", "review", "created_at",
+     "time_column must be a datetime column"),
+])
+def test_schema_refusals_name_the_table_and_column(case, table, column,
+                                                  message):
+    specs = review_fixture_specs()
+    if case == "duplicate-columns":
+        user = specs[0]
+        specs = _respec(specs, "user", columns=user.columns + user.columns[1:])
+    elif case == "missing-fk-column":
+        specs = _respec(specs, "review", foreign_keys=(
+            rdb.ForeignKeySpec("shopper_id", "user"),))
+    else:
+        specs = _respec(specs, table, column={column: {"kind": "real"}})
+    with pytest.raises(SchemaError, match=message) as exc:
+        build_database(specs, review_fixture_rows())
+    assert exc.value.table == table and exc.value.column == column
+
+
+@pytest.mark.parametrize("column,message", [
+    ("user_id", "NULL primary key"),
+    ("age", "NULL in non-nullable column"),
+])
+def test_null_cells_refused_with_their_location(column, message):
+    rows = review_fixture_rows()
+    rows["user"][2][column] = None
+    specs = review_fixture_specs()
+    if column == "user_id":  # a nullable key column reaches the key check
+        specs = _respec(specs, "user", column={"user_id": {"nullable": True}})
+    with pytest.raises(CellParseError, match=message) as exc:
+        build_database(specs, rows)
+    assert (exc.value.table, exc.value.row, exc.value.column) == (
+        "user", 2, column)
+
+
+def _task_dir(tmp_path):
+    db, task = gen_twohop(20, 10, 60, 1.0, 0)
+    export_bundle(db, tmp_path, task=task)
+    return ingest_bundle(tmp_path), tmp_path / task.name
+
+
+@pytest.mark.parametrize("text,message", [
+    ("{", "task.json is not valid JSON"),
+    ("[]", "task.json must hold an object"),
+    ('{"split": [1, 2, 3], "entity_table": "user"}',
+     "task.json lacks required key 'task_type'"),
+    ('{"task_type": "ranking", "split": [1, 2, 3], "entity_table": "user"}',
+     "unknown task_type 'ranking'"),
+    ('{"task_type": "regression", "split": [1, "x", 3], '
+     '"entity_table": "user"}', "task.json: bad split or eval_k"),
+    ('{"task_type": "regression", "split": [1, 2, 3], "eval_k": "top", '
+     '"entity_table": "user"}', "task.json: bad split or eval_k"),
+    ('{"task_type": "regression", "split": [1, 2], "entity_table": "user"}',
+     "split cut timestamps must be strictly increasing"),
+    ('{"task_type": "regression", "split": [1, 2, 3], "entity_table": "who"}',
+     "entity table 'who' not in schema"),
+    ('{"task_type": "link_prediction", "split": [1, 2, 3], '
+     '"entity_table": "user", "target_table": "who"}',
+     "link prediction needs a valid target_table, got 'who'"),
+])
+def test_task_json_refusals(tmp_path, text, message):
+    db, task_dir = _task_dir(tmp_path)
+    (task_dir / "task.json").write_text(text)
+    with pytest.raises(SchemaError, match=re.escape(message)):
+        load_task(task_dir, db)
+
+
+def test_missing_task_json(tmp_path):
+    db, task_dir = _task_dir(tmp_path)
+    (task_dir / "task.json").unlink()
+    with pytest.raises(MissingFileError, match="no task.json"):
+        load_task(task_dir, db)
+
+
+def test_link_task_reads_targets_and_refuses_a_dangling_one(tmp_path):
+    db, _ = gen_twohop(20, 10, 60, 1.0, 0)
+    review = db.table("review")
+    task = rdb.TaskSpec(name="links", task_type="link_prediction",
+                        entity_table="user", target_table="product",
+                        split=(1.0, 2.0, 3.0), eval_k=5)
+    rows = np.arange(12)
+    for split, t in zip(("train", "val", "test"), task.split):
+        task.labels[split] = rdb.LabelRecords(
+            entity=review.cols["user_id"].values[rows].astype(np.int64),
+            target=review.cols["product_id"].values[rows].astype(np.int64),
+            t_predict=np.full(len(rows), t), label=np.ones(len(rows)))
+    export_bundle(db, tmp_path, task=task)
+    loaded = load_task(tmp_path / "links", ingest_bundle(tmp_path))
+    assert (loaded.task_type, loaded.target_table, loaded.eval_k) == (
+        "link_prediction", "product", 5)
+    for split, recs in task.labels.items():
+        np.testing.assert_array_equal(loaded.labels[split].target, recs.target)
+        np.testing.assert_array_equal(loaded.labels[split].entity, recs.entity)
+
+    task.labels["val"].target[3] = 999
+    export_bundle(db, tmp_path, task=task)
+    with pytest.raises(DanglingKeyError,
+                       match="task_val.csv: label target 999 not in product"
+                       ) as exc:
+        load_task(tmp_path / "links", ingest_bundle(tmp_path))
+    assert (exc.value.row, exc.value.column) == (3, "target_id")

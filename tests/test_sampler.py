@@ -10,7 +10,9 @@ from rolegnn.rdb import (ColumnSpec, ForeignKeySpec, LabelRecords, TableSpec,
 from rolegnn.sampler import SamplerConfig, make_epoch_batches, sample_batch
 from rolegnn.schema_graph import (RoleAssignment, build_schema_graph,
                                   construct_reg, enumerate_edge_triples)
-from rolegnn.synth import gen_twohop
+from rolegnn.synth import (BASE_TIME, DAY, gen_completion_chain,
+                           gen_random_bundle, gen_twohop)
+from rolegnn.training import roles_for_mode
 
 
 def _chain_db(n_mid=200, n_leaf_per_mid=1, mid_time=1_000):
@@ -418,3 +420,48 @@ def test_sampled_arrays_pinned_byte_for_byte(case):
     assert batch.neighbor_count > 0 and (batch.path_count > 0) == (case[0] == "learn")
     truncated = not all(done.all() for done in batch.complete.values())
     assert truncated == (case[2] == 8)
+
+
+def _generator_batch_inputs(gen):
+    """A generator's database and 24 (pk, prediction time) seeds of one of
+    its tables. A random bundle seeds the w table of its first triple."""
+    if gen == "twohop":
+        db, task = gen_twohop(120, 30, 400, 1.0, 0)
+    elif gen == "completion_chain":
+        db, task = gen_completion_chain((200, 100, 60), 1)
+    else:
+        db = gen_random_bundle(int(gen[len("random-"):]))
+        table = enumerate_edge_triples(build_schema_graph(db))[0].w_table
+        pk = db.table(table).pk[:24]
+        return db, table, [(int(p), float(BASE_TIME + 400 * DAY)) for p in pk]
+    recs = task.labels["test"]
+    return db, task.entity_table, [
+        (int(recs.entity[i]), float(recs.t_predict[i]))
+        for i in range(min(24, len(recs)))]
+
+
+@pytest.mark.parametrize("budget", [4, 64])
+@pytest.mark.parametrize("mode", ["learn", "all-edge", "all-node", "random"])
+@pytest.mark.parametrize("gen", ["twohop", "completion_chain", "random-3",
+                                 "random-29"])
+def test_every_w_local_with_a_path_has_a_matching_edge(gen, mode, budget):
+    """A drawn path (u, v, w) has t_v <= t_predict and v references w, so
+    the same draw finds v admissible for the matching relation: each w local
+    a path ends in also has an edge of that relation, which the model's node
+    branch reads."""
+    db, table, seeds = _generator_batch_inputs(gen)
+    sg = build_schema_graph(db)
+    roles, _ = roles_for_mode(enumerate_edge_triples(sg), mode, seed=3)
+    reg = construct_reg(db, sg, roles)
+    checked = 0
+    for hops in (1, 2, 3):
+        cfg = SamplerConfig(neighbor_samples=budget, num_hops=hops, seed=hops)
+        batch = sample_batch(reg, seeds, cfg, table)
+        for tr in reg.active_triples:
+            if tr.id not in batch.paths:
+                continue
+            w_with_path = np.unique(batch.paths[tr.id][2])
+            _, dst = batch.edges[tr.matching_relation().id]
+            assert np.isin(w_with_path, dst).all(), (tr.id, hops)
+            checked += len(w_with_path)
+    assert checked or mode == "all-node"

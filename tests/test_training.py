@@ -827,3 +827,22 @@ def test_linear_node_gradients_bit_equal_to_add_of_matmul(monkeypatch,
     unfused = _step_gradients(monkeypatch, layers, fd_on)
     assert len(fused) == 3 and fused == unfused
     assert any(np.frombuffer(g).any() for step in fused for g in step.values())
+
+
+def test_checkpoint_parameter_of_another_shape_is_refused(tmp_path):
+    db, task, state = _small_state(seed=7, epochs=1)
+    ckpt = save_checkpoint(tmp_path / "checkpoint", state)
+    stored = T.load_tensors(ckpt / "params.bin")
+    stored["head.b"] = np.zeros(stored["head.b"].size + 2)
+    T.save_tensors(ckpt / "params.bin", stored)
+    with pytest.raises(CheckpointMismatch,
+                       match=r"parameter head\.b shape \(3,\) != \(1,\)"):
+        load_checkpoint(ckpt, db, task)
+
+
+def test_evaluating_a_split_without_labels_is_undefined():
+    db, task, state = _small_state(seed=7, epochs=1)
+    del task.labels["val"]
+    assert evaluate_state(state, "val") == {
+        "name": "auc", "metric": pytest.approx(float("nan"), nan_ok=True),
+        "defined": False, "note": "split 'val' has no labels"}
