@@ -126,7 +126,7 @@ def cmd_roundtrip(args, t0: float) -> int:
     sg = build_schema_graph(db)
     triples = enumerate_edge_triples(sg)
     seed = args.seed if args.seed is not None else default_seed()
-    roles, _ = roles_for_mode(triples, args.roles, seed)
+    roles = roles_for_mode(triples, args.roles, seed)
     reg = construct_reg(db, sg, roles)
     rebuilt = invert_reg(reg)
     verdict = canonical_form(rebuilt) == canonical_form(db)

@@ -68,7 +68,8 @@ class ProvenanceError(GraphError):
 
 
 class RoleError(GraphError):
-    """Role assignment references unknown relation triples."""
+    """A role assignment names an unknown relation triple or gives one a
+    role that is none of "node", "edge", "learn" and a gate in [0, 1]."""
 
 
 class ShapeError(EngineError):

@@ -26,7 +26,6 @@ each copy for the few neighbours that differ from it.
 
 from __future__ import annotations
 
-import json
 import numbers
 import zlib
 from dataclasses import dataclass, field, replace
@@ -42,11 +41,6 @@ from .sampler import BatchSubgraph, TypeNodes
 from .schema_graph import RelationalEntityGraph
 from .tensor import Tensor
 
-ACTIVATIONS = {
-    "relu": T.relu,
-    "identity": lambda t: t,
-}
-
 
 @dataclass(frozen=True)
 class ModelConfig:
@@ -55,7 +49,6 @@ class ModelConfig:
     dropout: float = DEFAULTS["dropout"]
     alpha: float = DEFAULTS["alpha"]
     mu: float = DEFAULTS["mu"]
-    activation: str = "relu"
     cat_dim: int = DEFAULTS["cat_dim"]
     seed: int = 0
 
@@ -78,26 +71,6 @@ class ModelConfig:
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1], got "
                                  f"{getattr(self, name)}")
-        if self.activation not in ACTIVATIONS:
-            raise ValueError(f"unknown activation {self.activation!r}")
-
-
-@dataclass
-class GateState:
-    """Running table-level gates, one per active triple; the learned
-    structure. Their smoothing settings, alpha and mu, are `ModelConfig`'s."""
-    values: dict[str, float]
-
-    def copy(self) -> "GateState":
-        return GateState(dict(self.values))
-
-    def to_json(self) -> str:
-        return json.dumps({"gates": self.values}, sort_keys=True, indent=2)
-
-    @staticmethod
-    def from_dict(d: dict) -> "GateState":
-        """Inverse of the parsed `to_json` text; other keys are ignored."""
-        return GateState(dict(d["gates"]))
 
 
 def _param_seed(master: int, name: str) -> int:
@@ -436,12 +409,10 @@ class Model:
 
     def __init__(self, reg: RelationalEntityGraph, cfg: ModelConfig,
                  task_type: str, train_cut: float = np.inf,
-                 fixed_gates: dict[str, float] | None = None,
                  encoder_stats: dict | None = None):
         self.reg = reg
         self.cfg = cfg
         self.task_type = task_type
-        self.fixed_gates = fixed_gates or {}
         self.encoder = FeatureEncoder(reg, cfg, train_cut=train_cut,
                                       stats=encoder_stats)
         self.params: dict[str, Tensor] = dict(self.encoder.params)
@@ -450,9 +421,8 @@ class Model:
         # the gate of every active triple that learns none: 1.0 for an edge
         # role, else its fixed (random or transferred) gate
         self._constant_gates = {
-            t.id: float(self.fixed_gates.get(t.id, 1.0))
-            for t in self.active_triples
-            if t.id in self.fixed_gates or reg.roles.role(t.id) == "edge"}
+            t.id: g for t in self.active_triples
+            if (g := reg.roles.fixed_gate(t.id)) is not None}
         self.node_types = sorted(reg.nodes)
         self._build_params()
 
@@ -489,10 +459,11 @@ class Model:
             self._p("head.W", (ch, 1), ch)
             self._p("head.b", (1,), 1, zero=True)
 
-    def init_gates(self) -> GateState:
-        values = {tr.id: self._constant_gates.get(tr.id, 0.5)
-                  for tr in self.active_triples}
-        return GateState(values)
+    def init_gates(self) -> dict[str, float]:
+        """The running gates before training: one per active triple, its
+        constant gate or 0.5."""
+        return {tr.id: self._constant_gates.get(tr.id, 0.5)
+                for tr in self.active_triples}
 
     def parameters(self) -> dict[str, Tensor]:
         return self.params
@@ -603,8 +574,8 @@ class Model:
 
     # -- forward ----------------------------------------------------------
 
-    def forward(self, batch: BatchSubgraph, gates: GateState, train: bool,
-                rng: np.random.Generator | None = None,
+    def forward(self, batch: BatchSubgraph, gates: dict[str, float],
+                train: bool, rng: np.random.Generator | None = None,
                 seeds_only: bool = False) -> ForwardResult:
         """Run every layer and the head over one sampled batch.
 
@@ -655,9 +626,8 @@ class Model:
                 return None
             return classes[dst_table], sharing.twins[src_table]
 
-        act = ACTIVATIONS[self.cfg.activation]
         h = self.encoder.encode(layer_batch)
-        running = dict(gates.values)
+        running = dict(gates)
         gate_diag: dict[str, tuple[float, float]] = {}
         # a table fuses when a triple into it has paths; it reads only the
         # triples' matching relations, so no other message into it is built
@@ -743,11 +713,11 @@ class Model:
                         T.take_rows(h[tr.u_table], u_idx))
                     rows, msg = T.neighbor_mean(path_msg, np.arange(len(w_idx)),
                                                 w_idx)
-                h_e = act(T.add_rows(self_term[c], rows, msg))
+                h_e = T.relu(T.add_rows(self_term[c], rows, msg))
 
                 # a drawn path's v row is also drawn as a neighbour of w
-                h_n = act(T.add_rows(self_term[c],
-                                     *messages[tr.matching_relation().id]))
+                h_n = T.relu(T.add_rows(self_term[c],
+                                        *messages[tr.matching_relation().id]))
 
                 if tr.id in self._constant_gates:
                     g_used = Tensor(np.array(self._constant_gates[tr.id]))
@@ -777,7 +747,7 @@ class Model:
                     total = self_term[c]
                     for kid in by_dst.get(c, []):
                         total = T.add_rows(total, *messages[kid])
-                    h_next[c] = act(total)
+                    h_next[c] = T.relu(total)
                 if self.cfg.dropout > 0:
                     h_next[c] = T.dropout(h_next[c], self.cfg.dropout, train, rng)
             if l == 0:  # back to one row per leaf-shared local

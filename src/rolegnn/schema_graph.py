@@ -19,6 +19,7 @@ mode without it.
 from __future__ import annotations
 
 import itertools
+import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -26,8 +27,6 @@ import numpy as np
 from .errors import PathCapExceeded, ProvenanceError, RoleError
 from .kernels import lookup_positions
 from .rdb import ColumnData, RelationalDatabase, TableSpec, from_columns
-
-ROLES = ("node", "edge", "learn")
 
 
 # ---------------------------------------------------------------------------
@@ -142,37 +141,49 @@ def enumerate_edge_triples(sg: SchemaGraph) -> list[EdgeRelationTriple]:
     return triples
 
 
+def is_gate(value) -> bool:
+    """Whether `value` is a number in [0, 1]: not a bool, NaN or infinity."""
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and 0.0 <= value <= 1.0)
+
+
 @dataclass
 class RoleAssignment:
-    """Role per relation triple; plain FK relations are always node-level."""
-    roles: dict[str, str] = field(default_factory=dict)
+    """Role per relation triple: "node", "edge" (gate 1.0), "learn", or a
+    fixed gate, a number in [0, 1]. A triple without a role is "node", and
+    plain FK relations always are."""
+    roles: dict[str, str | float] = field(default_factory=dict)
 
     @staticmethod
-    def uniform(triples: list[EdgeRelationTriple], role: str) -> "RoleAssignment":
+    def uniform(triples: list[EdgeRelationTriple],
+                role: str | float) -> "RoleAssignment":
         return RoleAssignment({t.id: role for t in triples})
 
-    @staticmethod
-    def learn_all(triples: list[EdgeRelationTriple]) -> "RoleAssignment":
-        return RoleAssignment.uniform(triples, "learn")
-
-    @staticmethod
-    def random(triples: list[EdgeRelationTriple], seed: int) -> "RoleAssignment":
-        rng = np.random.default_rng(seed)
-        return RoleAssignment(
-            {t.id: ("edge" if rng.random() < 0.5 else "node") for t in triples})
-
-    def role(self, triple_id: str) -> str:
+    def role(self, triple_id: str) -> str | float:
         return self.roles.get(triple_id, "node")
 
+    def fixed_gate(self, triple_id: str) -> float | None:
+        """The gate a triple's role fixes: 1.0 for "edge", a fixed gate's
+        number; None for "node" and "learn"."""
+        role = self.role(triple_id)
+        if role == "edge":
+            return 1.0
+        return None if isinstance(role, str) else float(role)
+
     def validate(self, triples: list[EdgeRelationTriple]) -> None:
+        """RoleError naming the first triple that is not one of `triples`
+        or whose role is none of the four kinds."""
         known = {t.id for t in triples}
-        extra = set(self.roles) - known
-        if extra:
-            raise RoleError(f"role assignment references unknown triples: "
-                            f"{sorted(extra)}")
-        bad = {k: v for k, v in self.roles.items() if v not in ROLES}
-        if bad:
-            raise RoleError(f"invalid roles: {bad}")
+        for tid in sorted(self.roles):
+            role = self.roles[tid]
+            if tid not in known:
+                raise RoleError(f"role assignment references unknown "
+                                f"triple {tid!r}")
+            if not (role in ("node", "edge", "learn") if isinstance(role, str)
+                    else is_gate(role)):
+                raise RoleError(f"role of triple {tid!r} must be 'node', "
+                                f"'edge', 'learn' or a number in [0, 1], "
+                                f"got {role!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -59,8 +59,10 @@ def gen_twohop(n_users: int, n_products: int, n_reviews: int,
     pure noise (uniform [-1, 1]); with signal_strength 1 the label is a
     deterministic function of the two-hop features, lower values replace it
     with a fair coin at probability (1 - signal_strength)."""
-    if min(n_users, n_products, n_reviews) < 10:
-        raise ValueError("sizes must be >= 10")
+    for name, size in (("n_users", n_users), ("n_products", n_products),
+                       ("n_reviews", n_reviews)):
+        if size < 10:
+            raise ValueError(f"sizes must be >= 10, got {name}={size}")
     rng = np.random.default_rng(seed)
     user_pk = np.arange(1, n_users + 1, dtype=np.int64)
     product_pk = np.arange(1, n_products + 1, dtype=np.int64)
@@ -402,7 +404,8 @@ GENERATORS = {
 def parameters(generator: str, params: dict) -> dict:
     """Every parameter of `generator`: each of `params`, a value or its text,
     read by `config.setting` as its default's kind, the rest at defaults.
-    ValueError names an unknown generator or parameter, or a bad value."""
+    ValueError names an unknown generator or parameter, or a bad value: one
+    of the wrong kind, or a negative number."""
     if generator not in GENERATORS:
         raise ValueError(f"unknown generator {generator!r}; "
                          f"known: {sorted(GENERATORS)}")
@@ -411,7 +414,11 @@ def parameters(generator: str, params: dict) -> dict:
     if unknown:
         raise ValueError(f"generator {generator!r} has no parameter "
                          f"{unknown[0]!r}; known: {sorted(defaults)}")
-    return {k: setting(k, params.get(k, v), v) for k, v in defaults.items()}
+    values = {k: setting(k, params.get(k, v), v) for k, v in defaults.items()}
+    for k, v in values.items():
+        if not isinstance(v, str) and v < 0:
+            raise ValueError(f"{k} must be >= 0, got {v}")
+    return values
 
 
 def emit(generator: str, params: dict, out_dir: str | Path) -> Path:

@@ -13,7 +13,6 @@ import csv
 import hashlib
 import json
 import logging
-import numbers
 import os
 import shutil
 import time
@@ -25,14 +24,14 @@ import numpy as np
 
 from . import tensor as T
 from .config import DEFAULTS, MAX_NEGATIVES, integral, real
-from .errors import CheckpointMismatch, TrainingDiverged
+from .errors import CheckpointMismatch, RoleError, TrainingDiverged
 from .fd import FdModule, fd_losses, subspace_size
-from .model import ForwardResult, GateState, Model, ModelConfig, link_scores
+from .model import ForwardResult, Model, ModelConfig, link_scores
 from .rdb import RelationalDatabase, TaskSpec, canonical_form
 from .sampler import BatchSubgraph, SamplerConfig, make_epoch_batches, sample_batch
 from .schema_graph import (EdgeRelationTriple, RelationalEntityGraph,
                            RoleAssignment, build_schema_graph, construct_reg,
-                           enumerate_edge_triples)
+                           enumerate_edge_triples, is_gate)
 from .tensor import Adam, Tensor
 
 log = logging.getLogger(__name__)
@@ -169,7 +168,7 @@ class TrainState:
     reg: RelationalEntityGraph
     model: Model
     fdmod: FdModule | None
-    gates: GateState
+    gates: dict[str, float]  # running gate per active triple: the structure
     task: TaskSpec
     train_cfg: TrainConfig
     history: list[dict] = field(default_factory=list)
@@ -192,23 +191,19 @@ def param_hash(params: dict[str, Tensor]) -> str:
 
 def roles_for_mode(triples, mode: str, seed: int,
                    transfer_gates: dict[str, float] | None = None
-                   ) -> tuple[RoleAssignment, dict[str, float] | None]:
-    """The role assignment and the frozen gates (None: all learned) of a
-    ROLE_MODES entry."""
-    if mode == "all-node":
-        return RoleAssignment.uniform(triples, "node"), None
-    if mode == "all-edge":
-        return RoleAssignment.uniform(triples, "edge"), None
-    if mode == "learn":
-        return RoleAssignment.learn_all(triples), None
+                   ) -> RoleAssignment:
+    """The role assignment of a ROLE_MODES entry. `random` fixes each
+    triple's gate at a uniform draw, `transfer` at its source gate."""
+    if mode in ("all-node", "all-edge", "learn"):
+        return RoleAssignment.uniform(triples, mode.removeprefix("all-"))
     if mode == "random":
         rng = np.random.default_rng([seed, 0x5EED])
-        fixed = {t.id: float(rng.uniform(0.0, 1.0)) for t in triples}
-        return RoleAssignment.learn_all(triples), fixed
+        return RoleAssignment({t.id: float(rng.uniform(0.0, 1.0))
+                               for t in triples})
     if mode == "transfer":
         if transfer_gates is None:
             raise CheckpointMismatch("transfer mode needs source gates")
-        return RoleAssignment.learn_all(triples), dict(transfer_gates)
+        return RoleAssignment(dict(transfer_gates))
     raise ValueError(f"unknown roles mode {mode!r}")
 
 
@@ -227,22 +222,21 @@ def build_state(db: RelationalDatabase, task: TaskSpec, model_cfg: ModelConfig,
                 transfer_gates: dict[str, float] | None = None) -> TrainState:
     sg = build_schema_graph(db)
     triples = enumerate_edge_triples(sg)
-    roles, fixed = roles_for_mode(triples, roles_mode, train_cfg.seed,
-                                  transfer_gates)
     if transfer_gates is not None:
         _check_triple_ids(triples, set(transfer_gates), "the source gates")
-    return _assemble_state(db, sg, task, model_cfg, train_cfg, roles, fixed)
+    roles = roles_for_mode(triples, roles_mode, train_cfg.seed, transfer_gates)
+    return _assemble_state(db, sg, task, model_cfg, train_cfg, roles)
 
 
 def _assemble_state(db: RelationalDatabase, sg, task: TaskSpec,
                     model_cfg: ModelConfig, train_cfg: TrainConfig,
-                    roles: RoleAssignment, fixed_gates: dict | None,
-                    encoder_stats: dict | None = None, gates=None) -> TrainState:
+                    roles: RoleAssignment, encoder_stats: dict | None = None,
+                    gates: dict[str, float] | None = None) -> TrainState:
     """The entity graph of `roles` over `db` (schema graph `sg`), the model,
     the FD module if FD is on, and `gates` (default: the initial ones)."""
     reg = construct_reg(db, sg, roles, path_cap=train_cfg.path_cap)
     model = Model(reg, model_cfg, task.task_type, train_cut=task.split[0],
-                  fixed_gates=fixed_gates, encoder_stats=encoder_stats)
+                  encoder_stats=encoder_stats)
     fdmod = (FdModule(reg, model_cfg.channels, train_cfg.subspace_dim,
                       seed=model_cfg.seed) if train_cfg.fd_enabled else None)
     return TrainState(reg, model, fdmod, gates or model.init_gates(), task,
@@ -263,8 +257,9 @@ def _seed_list(task: TaskSpec, split: str, idx: np.ndarray):
 
 
 def _sample_forward(state: TrainState, seeds: list[tuple[int, float]],
-                    table: str, rng: np.random.Generator, gates: GateState,
-                    train: bool, seeds_only: bool = False
+                    table: str, rng: np.random.Generator,
+                    gates: dict[str, float], train: bool,
+                    seeds_only: bool = False
                     ) -> tuple[BatchSubgraph, ForwardResult]:
     """Sample the batch of `seeds`, (pk of `table`, prediction time) pairs,
     and run the model over it. The sampler's own seed is drawn from `rng`
@@ -279,15 +274,16 @@ def _sample_forward(state: TrainState, seeds: list[tuple[int, float]],
 
 
 def _task_loss(state: TrainState, idx: np.ndarray, split: str, train: bool,
-               gates: GateState, rng: np.random.Generator
-               ) -> tuple[Tensor, ForwardResult, BatchSubgraph, GateState]:
+               gates: dict[str, float], rng: np.random.Generator
+               ) -> tuple[Tensor, ForwardResult, BatchSubgraph,
+                          dict[str, float]]:
     task = state.task
     seeds, labels, targets = _seed_list(task, split, idx)
     # only FD reads rows past the seeds'
     seeds_only = state.fdmod is None
     batch, result = _sample_forward(state, seeds, task.entity_table, rng,
                                     gates, train, seeds_only)
-    new_gates = GateState(result.gates_after)
+    new_gates = result.gates_after
 
     if task.task_type == "classification":
         loss = T.bce_with_logits(result.output, labels)
@@ -303,7 +299,7 @@ def _task_loss(state: TrainState, idx: np.ndarray, split: str, train: bool,
         dst_batch, dst_res = _sample_forward(state, dst_seeds,
                                              task.target_table, rng,
                                              new_gates, train, seeds_only)
-        new_gates = GateState(dst_res.gates_after)
+        new_gates = dst_res.gates_after
         h_dst = T.take_rows(dst_res.embeddings[task.target_table],
                             dst_batch.seed_locals)
         h_src = T.take_rows(result.embeddings[task.entity_table],
@@ -592,16 +588,17 @@ def _evaluate_links(state: TrainState, split: str) -> dict:
 # structure report, checkpoints, transfer
 # ---------------------------------------------------------------------------
 
-def structure_report(triples: list, gates: GateState, cfg: ModelConfig) -> dict:
+def structure_report(triples: list, gates: dict[str, float],
+                     cfg: ModelConfig) -> dict:
     by_id = {t.id: t for t in triples}
     entries = []
-    for tid in sorted(gates.values):
+    for tid in sorted(gates):
         triple = by_id[tid]
-        g = gates.values[tid]
+        g = gates[tid]
         partner = triple.orientation_partner_id()
         consistency = None
-        if partner is not None and partner in gates.values:
-            consistency = ("same" if abs(g - gates.values[partner]) < 0.1
+        if partner is not None and partner in gates:
+            consistency = ("same" if abs(g - gates[partner]) < 0.1
                            else "diff")
         entries.append({
             "triple": tid,
@@ -667,7 +664,7 @@ def save_checkpoint(path: str | Path, state: TrainState) -> Path:
 def _write_checkpoint_files(path: Path, state: TrainState) -> None:
     T.save_tensors(path / "params.bin", state.parameters())
     with open(path / "gates.json", "w", encoding="utf-8") as fh:
-        fh.write(state.gates.to_json())
+        fh.write(json.dumps({"gates": state.gates}, sort_keys=True, indent=2))
     meta = {
         "model_config": asdict(state.model.cfg),
         "encoder_stats": state.model.encoder.stats,
@@ -681,7 +678,6 @@ def _write_checkpoint_files(path: Path, state: TrainState) -> None:
         },
         "train_config": asdict(state.train_cfg),
         "roles": dict(state.reg.roles.roles),
-        "fixed_gates": state.model.fixed_gates,
         "triples": [{"pattern": t.pattern, "u_table": t.u_table,
                      "v_table": t.v_table, "w_table": t.w_table,
                      "fk_u": t.fk_u, "fk_w": t.fk_w}
@@ -704,23 +700,35 @@ _META_KEYS = {
     "meta.json": ("model_config", "encoder_stats.tables",
                   "encoder_stats.time_scale", "task.name", "task.task_type",
                   "task.entity_table", "task.target_table", "task.eval_k",
-                  "task.split", "train_config", "roles", "fixed_gates",
-                  "triples", "schema_digest"),
+                  "task.split", "train_config", "roles", "triples",
+                  "schema_digest"),
     "gates.json": ("gates",),
 }
 
 
-def _check_gates(where: Path, key: str, value) -> None:
-    """CheckpointMismatch unless `value` maps triple ids to gates: numbers
-    in [0, 1], so neither NaN nor an infinity."""
-    if not isinstance(value, dict):
-        raise CheckpointMismatch(f"{where}: {key} must be an object, "
-                                 f"got {value!r}")
-    for name, v in value.items():
-        if (not isinstance(v, numbers.Real) or isinstance(v, bool)
-                or not 0.0 <= v <= 1.0):
-            raise CheckpointMismatch(f"{where}: {key}.{name} must be a "
-                                     f"number in [0, 1], got {v!r}")
+def _check_gates(where: Path, gates, roles: RoleAssignment,
+                 triples: list) -> None:
+    """CheckpointMismatch naming the triple unless `gates` maps each triple
+    whose role is not "node", and no other key, to a gate (`is_gate`) that
+    equals any gate the role fixes."""
+    if not isinstance(gates, dict):
+        raise CheckpointMismatch(f"{where}: gates must be an object, "
+                                 f"got {gates!r}")
+    gated = {t.id for t in triples if roles.role(t.id) != "node"}
+    for tid in sorted(gated | set(gates)):
+        if tid not in gates:
+            raise CheckpointMismatch(f"{where} lacks the gate of triple {tid!r}")
+        g, fixed = gates[tid], roles.fixed_gate(tid)
+        if not is_gate(g):
+            raise CheckpointMismatch(f"{where}: gates.{tid} must be a number "
+                                     f"in [0, 1], got {g!r}")
+        if tid not in gated:
+            raise CheckpointMismatch(f"{where} has a gate for triple {tid!r}, "
+                                     f"which meta.json's roles do not gate")
+        if fixed is not None and g != fixed:
+            raise CheckpointMismatch(
+                f"{where}: the gate of triple {tid!r} is {g!r}, but its role "
+                f"in meta.json fixes it at {fixed!r}")
 
 
 def _first_absent(data, paths) -> str | None:
@@ -736,14 +744,16 @@ def _first_absent(data, paths) -> str | None:
 
 
 def _read_checkpoint_meta(path: str | Path, db: RelationalDatabase | None = None
-                          ) -> tuple[dict, GateState]:
-    """meta.json and gates.json of a checkpoint directory.
+                          ) -> tuple[dict, dict[str, float]]:
+    """meta.json and the gates of gates.json of a checkpoint directory.
 
-    In the returned meta, "model_config", "train_config" and "triples" are
-    ModelConfig, TrainConfig and EdgeRelationTriple objects. A missing file,
-    invalid JSON, a missing key, an unknown config key or a config value
-    the configs or the FD module reject raises CheckpointMismatch naming
-    the file and the key, and so does a schema other than `db`'s.
+    In the returned meta, "model_config", "train_config", "triples" and
+    "roles" are ModelConfig, TrainConfig, EdgeRelationTriple and
+    RoleAssignment objects. A missing file, invalid JSON, a missing key, an
+    unknown config key or a config value the configs or the FD module
+    reject raises CheckpointMismatch naming the file and the key, and so
+    do a schema other than `db`'s, a role `RoleAssignment.validate`
+    refuses, and gates that disagree with the roles (`_check_gates`).
     """
     path = Path(path)
     parsed = {}
@@ -766,15 +776,19 @@ def _read_checkpoint_meta(path: str | Path, db: RelationalDatabase | None = None
     if not isinstance(meta["roles"], dict):
         raise CheckpointMismatch(f"{where}: roles must be an object, "
                                  f"got {meta['roles']!r}")
-    _check_gates(where, "fixed_gates", meta["fixed_gates"])
-    _check_gates(path / "gates.json", "gates", parsed["gates.json"]["gates"])
     try:
         meta["model_config"], meta["train_config"] = make_configs(
             meta["model_config"], meta["train_config"])
         meta["triples"] = [EdgeRelationTriple(**d) for d in meta["triples"]]
-        gates = GateState.from_dict(parsed["gates.json"])
     except (TypeError, ValueError) as exc:
         raise CheckpointMismatch(f"unreadable checkpoint in {path}: {exc}") from None
+    meta["roles"] = RoleAssignment(meta["roles"])
+    try:
+        meta["roles"].validate(meta["triples"])
+    except RoleError as exc:
+        raise CheckpointMismatch(f"{where}: {exc}") from None
+    gates = parsed["gates.json"]["gates"]
+    _check_gates(path / "gates.json", gates, meta["roles"], meta["triples"])
     if db is not None and meta["schema_digest"] != schema_digest(db.specs):
         raise CheckpointMismatch(f"{path / 'meta.json'}: checkpoint schema "
                                  f"does not match the database")
@@ -798,14 +812,9 @@ def load_checkpoint(path: str | Path, db: RelationalDatabase,
     try:  # the encoder checks each statistic it reads
         state = _assemble_state(
             db, sg, task, meta["model_config"], meta["train_config"],
-            RoleAssignment(dict(meta["roles"])), meta["fixed_gates"] or None,
-            meta["encoder_stats"], gates)
+            meta["roles"], meta["encoder_stats"], gates)
     except CheckpointMismatch as exc:
         raise CheckpointMismatch(f"{path / 'meta.json'}: {exc}") from None
-    ungated = sorted({t.id for t in state.reg.active_triples} - set(gates.values))
-    if ungated:
-        raise CheckpointMismatch(
-            f"{path / 'gates.json'} lacks the gate of triple {ungated[0]!r}")
     stored = T.load_tensors(path / "params.bin")
     params = state.parameters()
     missing = sorted(set(params) - set(stored))
@@ -834,7 +843,7 @@ def transfer_structure(source_checkpoint: str | Path, db: RelationalDatabase,
     """Train task B with table-level gates copied from checkpoint A and frozen."""
     meta, gates = _read_checkpoint_meta(source_checkpoint, db)
     state = build_state(db, task, model_cfg, train_cfg, roles_mode="transfer",
-                        transfer_gates=gates.values)
+                        transfer_gates=gates)
     summary = train(state, out_dir=out_dir)
     summary["transfer"] = {"source_task": meta["task"]["name"],
                            "target_task": task.name}

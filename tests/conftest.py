@@ -4,6 +4,7 @@ from hypothesis import settings
 
 from rolegnn import tensor as T
 from rolegnn.rdb import ColumnSpec, ForeignKeySpec, TableSpec, build_database
+from rolegnn.schema_graph import RoleAssignment
 
 # Every run of the suite draws the same examples: a fault then fails the
 # change that brings it, not a later one that happens to draw it. Each
@@ -51,6 +52,14 @@ def review_fixture_specs():
                                 ForeignKeySpec("product_id", "product")),
                   time_column="created_at"),
     ]
+
+
+def random_node_edge_roles(triples, seed: int) -> RoleAssignment:
+    """Each triple "edge" or "node" by a fair draw of `seed`: a mixed role
+    assignment for round-trip tests."""
+    rng = np.random.default_rng(seed)
+    return RoleAssignment(
+        {t.id: ("edge" if rng.random() < 0.5 else "node") for t in triples})
 
 
 @pytest.fixture

@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import finite_diff_max_rel, rand_tensor
+from conftest import finite_diff_max_rel, rand_tensor, random_node_edge_roles
 from test_tensor import _primitive_cases
 from test_training import ap_at_k_oracle, mann_whitney_auc_oracle
 
@@ -54,7 +54,7 @@ def test_criterion_1_full_resolution_roundtrip():
         triples = enumerate_edge_triples(sg)
         mode = modes[seed % 4]
         if mode == "random":
-            roles = RoleAssignment.random(triples, seed)
+            roles = random_node_edge_roles(triples, seed)
         else:
             roles = RoleAssignment.uniform(triples, mode)
         reg = construct_reg(db, sg, roles)
@@ -187,7 +187,7 @@ def twohop_runs():
             train(state)
             results[mode].append(evaluate_state(state, "test")["metric"])
             if mode == "learn":
-                gate = [v for k, v in state.gates.values.items()
+                gate = [v for k, v in state.gates.items()
                         if k.endswith("~>user")]
                 results["gate"].append(gate[0])
     results["elapsed"] = time.time() - t0
@@ -259,7 +259,7 @@ def test_criterion_7_fd_entity_loss():
     db, meta = gen_subspace(600, 16, 4, 0, sigma=0.0)
     sg = build_schema_graph(db)
     reg = construct_reg(db, sg,
-                        RoleAssignment.learn_all(enumerate_edge_triples(sg)))
+                        RoleAssignment.uniform(enumerate_edge_triples(sg), "learn"))
     fd = FdModule(reg, channels=16, subspace_dim=4, seed=0)
     rid = fd.relations[0].id
     h_entry = np.stack([np.asarray(reg.nodes["entry"].attrs[f"a{j}"].values,

@@ -180,6 +180,10 @@ def test_synth_and_validate(capsys, twohop_bundle):
      "gate_mode must be one of ['one', 'random', 'zero'], got 'bogus'"),
     (["twohop", "foo"], "generator 'twohop' has no parameter 'foo'"),
     (["twohop", "n_users"], "n_users must be an integer, got ''"),
+    (["twohop", "seed=-1"], "seed must be >= 0, got -1"),
+    (["completion_chain", "n_mid=-5"], "n_mid must be >= 0, got -5"),
+    (["subspace", "sigma=-1"], "sigma must be >= 0, got -1.0"),
+    (["twohop", "n_products=3"], "sizes must be >= 10, got n_products=3"),
 ])
 def test_synth_bad_parameters_exit_2(capsys, tmp_path, argv, message):
     code, out, err = _run(capsys, "synth", *argv, "-o", str(tmp_path / "out"))
@@ -526,6 +530,18 @@ def trained_checkpoint(tmp_path_factory, twohop_bundle):
     return run / "checkpoint"
 
 
+@pytest.fixture(scope="module")
+def edge_checkpoint(tmp_path_factory, twohop_bundle):
+    run = tmp_path_factory.mktemp("edge-run")
+    code = main(["train", str(twohop_bundle),
+                 str(twohop_bundle / "user-positive"), "--epochs", "1",
+                 "--channels", "8", "--layers", "1", "--batch-size", "32",
+                 "--neighbor-samples", "16", "--seed", "0", "--roles",
+                 "all-edge", "-o", str(run)])
+    assert code == 0
+    return run / "checkpoint"
+
+
 @pytest.mark.parametrize("command", sorted(_COMMANDS))
 def test_stdout_is_one_json_document(capsys, tmp_path, twohop_bundle,
                                      trained_checkpoint, command):
@@ -620,6 +636,12 @@ _GATE_DAMAGE = {
     "gate-above-one": 1.5,
 }
 
+# case -> damaged role; each must be "node", "edge", "learn" or a gate in [0, 1]
+_ROLE_DAMAGE = {
+    "role-hyperedge": "hyperedge",
+    "role-infinite": float("inf"),
+}
+
 # case -> (key path under encoder_stats, damaged value); each once made
 # evaluation give a wrong metric with exit 0
 _STATS_DAMAGE = {
@@ -659,18 +681,24 @@ def _damage_meta(ckpt, case: str) -> str:
     elif case == "roles-not-object":
         meta["roles"] = True
         named = "roles"
-    elif case == "gate-dropped" or case in _GATE_DAMAGE:
+    elif case in ("gate-dropped", "gate-bogus", "edge-gate-off") \
+            or case in _GATE_DAMAGE:
         gates = json.loads((ckpt / "gates.json").read_text())
         named = sorted(gates["gates"])[0]
         if case == "gate-dropped":
             del gates["gates"][named]
+        elif case == "gate-bogus":  # a gate for a triple the schema lacks
+            named = "bogus"
+            gates["gates"][named] = 0.5
+        elif case == "edge-gate-off":  # an all-edge run's gates are 1.0
+            gates["gates"][named] = 0.1
         else:
             gates["gates"][named] = _GATE_DAMAGE[case]
         (ckpt / "gates.json").write_text(json.dumps(gates))
         return named
-    elif case == "fixed-gate-infinite":
-        named = sorted(json.loads((ckpt / "gates.json").read_text())["gates"])[0]
-        meta["fixed_gates"][named] = float("inf")
+    elif case in _ROLE_DAMAGE:
+        named = sorted(meta["roles"])[0]
+        meta["roles"][named] = _ROLE_DAMAGE[case]
     elif case in _CONFIG_DAMAGE:
         section, named, value = _CONFIG_DAMAGE[case]
         meta[section][named] = value
@@ -706,22 +734,32 @@ def _damage_meta(ckpt, case: str) -> str:
     ("eval", "roles-not-object"),
     ("eval", "gate-dropped"),
     *(("eval", case) for case in _GATE_DAMAGE),
-    ("eval", "fixed-gate-infinite"),
+    *(("eval", case) for case in _ROLE_DAMAGE),
+    ("eval", "gate-bogus"),
+    ("eval", "edge-gate-off"),
     ("eval", "pre-path-cap-train-config"),
     *(("eval", case) for case in _CONFIG_DAMAGE),
     *(("eval", case) for case in _STATS_DAMAGE),
     ("export-structure", "meta-invalid-json"),
+    *(("export-structure", case) for case in _ROLE_DAMAGE),
+    ("export-structure", "gate-bogus"),
+    ("export-structure", "edge-gate-off"),
     ("transfer", "missing-dir"),
     ("transfer", "task-missing-name"),
+    *(("transfer", case) for case in _ROLE_DAMAGE),
+    ("transfer", "gate-bogus"),
+    ("transfer", "edge-gate-off"),
 ])
-def test_damaged_checkpoint_metadata_exit_code(capsys, twohop_bundle,
+def test_damaged_checkpoint_metadata_exit_code(capsys, request, twohop_bundle,
                                                trained_checkpoint, tmp_path,
                                                command, case):
     ckpt = tmp_path / "checkpoint"
     if case == "missing-dir":
         named = str(ckpt)
     else:
-        shutil.copytree(trained_checkpoint, ckpt)
+        shutil.copytree(request.getfixturevalue("edge_checkpoint")
+                        if case == "edge-gate-off" else trained_checkpoint,
+                        ckpt)
         named = _damage_meta(ckpt, case)
     task_dir = twohop_bundle / "user-positive"
     if command == "eval":
@@ -735,9 +773,12 @@ def test_damaged_checkpoint_metadata_exit_code(capsys, twohop_bundle,
     code, _, err = _run(capsys, *argv)
     assert code == 4
     assert named in err
-    if case in _GATE_DAMAGE or case == "fixed-gate-infinite":
-        file = "meta.json" if case.startswith("fixed") else "gates.json"
-        assert file in err and "must be a number in [0, 1]" in err
+    if case in _GATE_DAMAGE:
+        assert "gates.json" in err and "must be a number in [0, 1]" in err
+    if case in _ROLE_DAMAGE:
+        assert "meta.json" in err and "or a number in [0, 1]" in err
+    if case in ("gate-bogus", "edge-gate-off"):
+        assert "gates.json" in err
     assert "Traceback" not in err
 
 

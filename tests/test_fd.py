@@ -24,7 +24,7 @@ def _subspace_setup(n=120, ch=8, d=3, sigma=0.0, seed=0):
     db, meta = gen_subspace(n, ch, d, seed, sigma=sigma)
     sg = build_schema_graph(db)
     reg = construct_reg(db, sg,
-                        RoleAssignment.learn_all(enumerate_edge_triples(sg)))
+                        RoleAssignment.uniform(enumerate_edge_triples(sg), "learn"))
     fd = FdModule(reg, channels=ch, subspace_dim=d, seed=seed)
     return db, meta, reg, fd
 
@@ -39,7 +39,7 @@ def test_diff_pairs_values_and_counts():
     db, task = gen_twohop(30, 10, 90, 1.0, 0)
     sg = build_schema_graph(db)
     reg = construct_reg(db, sg,
-                        RoleAssignment.learn_all(enumerate_edge_triples(sg)))
+                        RoleAssignment.uniform(enumerate_edge_triples(sg), "learn"))
     recs = task.labels["train"]
     seeds = [(int(recs.entity[i]), float(recs.t_predict[i])) for i in range(6)]
     batch = sample_batch(reg, seeds,
@@ -171,7 +171,7 @@ def test_negative_sampling_excludes_true_row_and_falls_back():
     db, task = gen_twohop(30, 10, 90, 1.0, 2)
     sg = build_schema_graph(db)
     reg = construct_reg(db, sg,
-                        RoleAssignment.learn_all(enumerate_edge_triples(sg)))
+                        RoleAssignment.uniform(enumerate_edge_triples(sg), "learn"))
     recs = task.labels["train"]
     seeds = [(int(recs.entity[i]), float(recs.t_predict[i])) for i in range(5)]
     batch = sample_batch(reg, seeds,
@@ -189,7 +189,7 @@ def test_negative_sampling_none_when_no_alternative():
     db, task = gen_twohop(30, 10, 90, 1.0, 2)
     sg = build_schema_graph(db)
     reg = construct_reg(db, sg,
-                        RoleAssignment.learn_all(enumerate_edge_triples(sg)))
+                        RoleAssignment.uniform(enumerate_edge_triples(sg), "learn"))
     batch = sample_batch(reg, [(1, 1.0)],
                          SamplerConfig(neighbor_samples=4, num_hops=1, seed=0),
                          "user")  # nothing admissible, user type only
@@ -201,7 +201,7 @@ def test_fd_losses_combination():
     db, task = gen_twohop(40, 12, 120, 1.0, 3)
     sg = build_schema_graph(db)
     reg = construct_reg(db, sg,
-                        RoleAssignment.learn_all(enumerate_edge_triples(sg)))
+                        RoleAssignment.uniform(enumerate_edge_triples(sg), "learn"))
     fd = FdModule(reg, channels=6, subspace_dim=2, seed=0)
     recs = task.labels["train"]
     seeds = [(int(recs.entity[i]), float(recs.t_predict[i])) for i in range(8)]
@@ -342,7 +342,7 @@ def _fd_setup(seed=3):
     db, task = gen_twohop(40, 12, 120, 1.0, seed)
     sg = build_schema_graph(db)
     reg = construct_reg(db, sg,
-                        RoleAssignment.learn_all(enumerate_edge_triples(sg)))
+                        RoleAssignment.uniform(enumerate_edge_triples(sg), "learn"))
     fd = FdModule(reg, channels=6, subspace_dim=2, seed=0)
     recs = task.labels["train"]
     seeds = [(int(recs.entity[i]), float(recs.t_predict[i])) for i in range(8)]

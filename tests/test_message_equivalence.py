@@ -19,7 +19,7 @@ import pytest
 from rolegnn import kernels
 from rolegnn import tensor as T
 from rolegnn.fd import fd_losses
-from rolegnn.model import (ACTIVATIONS, ForwardResult, Model, ModelConfig,
+from rolegnn.model import (ForwardResult, Model, ModelConfig,
                            class_neighbor_mean, completion_message,
                            compute_gate, cooccurrence_message, fuse)
 from rolegnn.sampler import SamplerConfig, sample_batch
@@ -49,9 +49,8 @@ def _segment_mean(a: Tensor, segments: np.ndarray, num_segments: int) -> Tensor:
 def _per_path_forward(self: Model, batch, gates, train: bool, rng=None,
                       seeds_only: bool = False) -> ForwardResult:
     """`Model.forward` as it was before aggregate-first messages."""
-    act = ACTIVATIONS[self.cfg.activation]
     h = self.encoder.encode(batch)
-    running = dict(gates.values)
+    running = dict(gates)
     gate_diag = {}
     layers = self.cfg.layers
 
@@ -91,7 +90,7 @@ def _per_path_forward(self: Model, batch, gates, train: bool, rng=None,
             total = self_term[c]
             for kid in by_dst.get(c, []):
                 total = T.add(total, messages[kid])
-            node_full[c] = act(total)
+            node_full[c] = T.relu(total)
 
         fusion_pairs = {}
         for tr in self.active_triples:
@@ -117,19 +116,19 @@ def _per_path_forward(self: Model, batch, gates, train: bool, rng=None,
                     self.params[f"L{l}.comp.{tr.id}.f.b"],
                     h_w, h_v, h_u)
             e_agg = _segment_mean(msg, w_idx, n_out[c])
-            h_e = act(T.add(self_term[c], e_agg))
+            h_e = T.relu(T.add(self_term[c], e_agg))
 
             match_id = tr.matching_relation().id
             if match_id in messages:
-                h_n = act(T.add(self_term[c], messages[match_id]))
+                h_n = T.relu(T.add(self_term[c], messages[match_id]))
             else:
-                h_n = act(self_term[c])
+                h_n = T.relu(self_term[c])
 
             role = self.reg.roles.role(tr.id)
-            if tr.id in self.fixed_gates:
-                g_used = Tensor(np.array(self.fixed_gates[tr.id]))
-            elif role == "edge":
+            if role == "edge":
                 g_used = Tensor(np.array(1.0))
+            elif role != "learn":  # a fixed gate
+                g_used = Tensor(np.array(role))
             else:
                 g_tilde, g, g_used = compute_gate(
                     self.params[f"L{l}.gate.{tr.id}.W"],
@@ -166,10 +165,10 @@ def _per_path_forward(self: Model, batch, gates, train: bool, rng=None,
 def _setup(gen, mode: str, layers: int):
     db, task = gen()
     sg = build_schema_graph(db)
-    roles, fixed = roles_for_mode(enumerate_edge_triples(sg), mode, seed=3)
+    roles = roles_for_mode(enumerate_edge_triples(sg), mode, seed=3)
     reg = construct_reg(db, sg, roles)
     model = Model(reg, ModelConfig(channels=8, layers=layers, seed=2),
-                  task.task_type, train_cut=task.split[0], fixed_gates=fixed)
+                  task.task_type, train_cut=task.split[0])
     recs = task.labels["test"]
     seeds = [(int(recs.entity[i]), float(recs.t_predict[i]))
              for i in range(min(24, len(recs.entity)))]
@@ -394,7 +393,7 @@ def test_fd_first_step_gradients_match_per_path(monkeypatch, layers):
                                        cfg.beta, cfg.gamma, cfg.tau,
                                        cfg.negatives, rng)
             T.backward(T.add(loss, total))
-        return gates.values, {n: p.grad.copy()
+        return gates, {n: p.grad.copy()
                               for n, p in state.model.params.items()}
 
     gates, grads = first_step(Model.forward)

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import finite_diff_max_rel, review_fixture_rows, review_fixture_specs
 from rolegnn import tensor as T
-from rolegnn.model import (GateState, Model, ModelConfig, completion_message,
+from rolegnn.model import (Model, ModelConfig, completion_message,
                            compute_gate, cooccurrence_message, fuse,
                            link_scores, relation_message)
 from rolegnn.rdb import build_database
@@ -258,13 +258,17 @@ def test_relation_message_zero_neighbors_is_zero():
 
 
 def test_node_update_identity_maps_adds_neighbor():
-    """Single neighbor, identity maps, identity activation: h_w <- h_w + h_v."""
+    """Single neighbor, identity maps, non-negative inputs (where relu is
+    the identity): h_w <- h_w + h_v."""
     rows = review_fixture_rows(reviews=[(1, 1, 1)])
     db = build_database(review_fixture_specs(), rows)
     reg = _reg_for(db, role="node")
-    cfg = ModelConfig(channels=4, layers=1, activation="identity", seed=0)
+    cfg = ModelConfig(channels=4, layers=1, seed=0)
     model = Model(reg, cfg, "classification", train_cut=TRAIN_CUT)
     batch = _batch_for(reg, "review", [(1, TRAIN_CUT)])
+    encode = model.encoder.encode
+    model.encoder.encode = lambda b: {c: Tensor(np.abs(h.values))
+                                      for c, h in encode(b).items()}
     h0 = model.encoder.encode(batch)
     for name, p in model.params.items():
         if ".self." in name and name.endswith(".W"):
@@ -569,7 +573,7 @@ def test_forward_matches_unrolled_oracle(twohop_setup):
             match = tr.matching_relation().id
             h_n = np.maximum(S + msgs[match], 0.0) if match in msgs \
                 else np.maximum(S, 0.0)
-            g = gates.values[tr.id]
+            g = gates[tr.id]
             pairs.append((1 - g) * h_n + g * h_e)
         expected[c] = sum(pairs) if pairs else node_full
     for c in expected:
@@ -592,7 +596,7 @@ def test_gate_ranges_during_training(twohop_setup):
             assert 0.0 < g_mean < 1.0
         for v in res.gates_after.values():
             assert 0.0 < v < 1.0
-        gates = GateState(res.gates_after)
+        gates = res.gates_after
 
 
 def test_composite_forward_gradients(twohop_setup):
@@ -625,10 +629,10 @@ def _seeds_only_setup(mode, layers, gen="twohop", budget=16):
     db, task = (gen_twohop(120, 30, 400, 1.0, 0) if gen == "twohop"
                 else gen_completion_chain((200, 100, 60), 1))
     sg = build_schema_graph(db)
-    roles, fixed = roles_for_mode(enumerate_edge_triples(sg), mode, seed=3)
+    roles = roles_for_mode(enumerate_edge_triples(sg), mode, seed=3)
     reg = construct_reg(db, sg, roles)
     model = Model(reg, ModelConfig(channels=8, layers=layers, seed=2),
-                  task.task_type, train_cut=task.split[0], fixed_gates=fixed)
+                  task.task_type, train_cut=task.split[0])
     recs = task.labels["test"]
     seeds = [(int(recs.entity[i]), float(recs.t_predict[i]))
              for i in range(min(24, len(recs.entity)))]

@@ -347,7 +347,7 @@ def test_serialized_bytes_pinned(tmp_path, name):
     sg = build_schema_graph(db)
     triples = enumerate_edge_triples(sg)
     for mode, roles in (("node", RoleAssignment.uniform(triples, "node")),
-                        ("learn", RoleAssignment.learn_all(triples)),
+                        ("learn", RoleAssignment.uniform(triples, "learn")),
                         ("edge", RoleAssignment.uniform(triples, "edge"))):
         rebuilt = invert_reg(construct_reg(db, sg, roles))
         assert _sha(canonical_form(rebuilt)) == canonical, mode

@@ -451,7 +451,7 @@ def test_every_w_local_with_a_path_has_a_matching_edge(gen, mode, budget):
     branch reads."""
     db, table, seeds = _generator_batch_inputs(gen)
     sg = build_schema_graph(db)
-    roles, _ = roles_for_mode(enumerate_edge_triples(sg), mode, seed=3)
+    roles = roles_for_mode(enumerate_edge_triples(sg), mode, seed=3)
     reg = construct_reg(db, sg, roles)
     checked = 0
     for hops in (1, 2, 3):

@@ -176,7 +176,8 @@ def _oracle_sample_batch(reg, seeds, cfg, entity_table, rng=None):
 def _twohop_reg():
     db, task = gen_twohop(60, 20, 300, 1.0, 0)
     sg = build_schema_graph(db)
-    reg = construct_reg(db, sg, RoleAssignment.learn_all(enumerate_edge_triples(sg)))
+    reg = construct_reg(
+        db, sg, RoleAssignment.uniform(enumerate_edge_triples(sg), "learn"))
     recs = task.labels["train"]
     seeds = [(int(recs.entity[i]), float(recs.t_predict[i])) for i in range(24)]
     seeds.append(seeds[0])  # a repeated seed gets its own tree

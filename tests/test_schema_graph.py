@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import review_fixture_rows, review_fixture_specs
+from conftest import (random_node_edge_roles, review_fixture_rows,
+                      review_fixture_specs)
 from rolegnn.errors import PathCapExceeded, ProvenanceError, RoleError
 from rolegnn.rdb import (ColumnSpec, ForeignKeySpec, TableSpec, build_database,
                          canonical_form)
@@ -135,7 +136,7 @@ def test_self_fk_excluded_from_triples():
     assert enumerate_edge_triples(build_schema_graph(db)) == []
     # the self arcs still exist as node-level relations
     sg = build_schema_graph(db)
-    roles = RoleAssignment.learn_all([])
+    roles = RoleAssignment.uniform([], "learn")
     reg = construct_reg(db, sg, roles)
     assert reg.edges["node.parent_id->node"].n_edges == 1
 
@@ -147,7 +148,7 @@ def test_path_relation_join_by_hand():
     db = build_database(review_fixture_specs(), rows)
     sg = build_schema_graph(db)
     triples = enumerate_edge_triples(sg)
-    reg = construct_reg(db, sg, RoleAssignment.learn_all(triples))
+    reg = construct_reg(db, sg, RoleAssignment.uniform(triples, "learn"))
     pr = reg.paths["co:user<~review.user_id|review.product_id~>product"]
     got = {(int(reg.nodes["user"].pk[u]), int(reg.nodes["review"].pk[v]),
             int(reg.nodes["product"].pk[w]))
@@ -161,7 +162,7 @@ def test_empty_intermediate_table():
     db = build_database(review_fixture_specs(), rows)
     sg = build_schema_graph(db)
     reg = construct_reg(db, sg,
-                        RoleAssignment.learn_all(enumerate_edge_triples(sg)))
+                        RoleAssignment.uniform(enumerate_edge_triples(sg), "learn"))
     assert all(p.n_instances == 0 for p in reg.paths.values())
     assert reg.nodes["user"].n_rows == 4
     assert reg.nodes["product"].n_rows == 3
@@ -200,14 +201,14 @@ def test_path_cardinality_matches_bruteforce_join():
     db, _ = gen_twohop(40, 15, 200, 1.0, 3)
     sg = build_schema_graph(db)
     triples = enumerate_edge_triples(sg)
-    reg = construct_reg(db, sg, RoleAssignment.learn_all(triples))
+    reg = construct_reg(db, sg, RoleAssignment.uniform(triples, "learn"))
     for t in triples:
         assert reg.paths[t.id].n_instances == _bruteforce_join_counts(db, t)
     for seed in range(4):
         db = gen_random_bundle(seed)
         sg = build_schema_graph(db)
         triples = enumerate_edge_triples(sg)
-        reg = construct_reg(db, sg, RoleAssignment.learn_all(triples))
+        reg = construct_reg(db, sg, RoleAssignment.uniform(triples, "learn"))
         for t in triples:
             assert reg.paths[t.id].n_instances == _bruteforce_join_counts(db, t)
 
@@ -216,7 +217,7 @@ def test_path_cap_names_triple(review_db):
     sg = build_schema_graph(review_db)
     triples = enumerate_edge_triples(sg)
     with pytest.raises(PathCapExceeded) as err:
-        construct_reg(review_db, sg, RoleAssignment.learn_all(triples),
+        construct_reg(review_db, sg, RoleAssignment.uniform(triples, "learn"),
                       path_cap=2)
     assert err.value.triple_id.startswith("co:")
 
@@ -226,8 +227,8 @@ def test_roundtrip_every_role_mode(review_db):
     triples = enumerate_edge_triples(sg)
     for roles in [RoleAssignment.uniform(triples, "node"),
                   RoleAssignment.uniform(triples, "edge"),
-                  RoleAssignment.learn_all(triples),
-                  RoleAssignment.random(triples, 3)]:
+                  RoleAssignment.uniform(triples, "learn"),
+                  random_node_edge_roles(triples, 3)]:
         reg = construct_reg(review_db, sg, roles)
         assert canonical_form(invert_reg(reg)) == canonical_form(review_db)
 
@@ -254,7 +255,7 @@ def test_reconstruction_reads_node_store_attributes(review_db):
 def test_provenance_stripped_reconstruction_fails(review_db):
     sg = build_schema_graph(review_db)
     reg = construct_reg(review_db, sg,
-                        RoleAssignment.learn_all(enumerate_edge_triples(sg)))
+                        RoleAssignment.uniform(enumerate_edge_triples(sg), "learn"))
     stripped = reg.strip_provenance()
     with pytest.raises(ProvenanceError):
         invert_reg(stripped)
@@ -270,11 +271,22 @@ def test_role_assignment_validation(review_db):
     sg = build_schema_graph(review_db)
     triples = enumerate_edge_triples(sg)
     bad = RoleAssignment({"co:nonexistent": "edge"})
-    with pytest.raises(RoleError):
+    with pytest.raises(RoleError, match="co:nonexistent"):
         bad.validate(triples)
-    worse = RoleAssignment({triples[0].id: "hyperedge"})
-    with pytest.raises(RoleError):
-        worse.validate(triples)
+    tid = triples[0].id
+    for role in ("hyperedge", True, float("nan"), float("inf"), -0.5, 1.5,
+                 None, [0.5]):
+        with pytest.raises(RoleError) as err:
+            RoleAssignment({tid: role}).validate(triples)
+        assert repr(tid) in str(err.value)
+    for role in ("node", "edge", "learn", 0, 0.25, 1.0):
+        RoleAssignment({tid: role}).validate(triples)
+
+
+def test_fixed_gate_of_each_role():
+    roles = RoleAssignment({"a": "node", "b": "edge", "c": "learn", "d": 0.25})
+    assert [roles.fixed_gate(t) for t in "abcde"] == [None, 1.0, None, 0.25,
+                                                      None]
 
 
 @settings(max_examples=20, deadline=None)
@@ -285,8 +297,8 @@ def test_roundtrip_random_bundles_property(seed, mode_idx):
     triples = enumerate_edge_triples(sg)
     roles = [RoleAssignment.uniform(triples, "node"),
              RoleAssignment.uniform(triples, "edge"),
-             RoleAssignment.learn_all(triples),
-             RoleAssignment.random(triples, seed)][mode_idx]
+             RoleAssignment.uniform(triples, "learn"),
+             random_node_edge_roles(triples, seed)][mode_idx]
     reg = construct_reg(db, sg, roles)
     assert canonical_form(invert_reg(reg)) == canonical_form(db)
 
@@ -330,9 +342,9 @@ _REG_BUNDLES = {"twohop-x1": lambda: gen_twohop(2000, 300, 8000, 1.0, 7)[0],
                 "random-0": lambda: gen_random_bundle(0),
                 "random-3": lambda: gen_random_bundle(3),
                 "random-8": lambda: gen_random_bundle(8)}
-_REG_ROLES = {"learn": RoleAssignment.learn_all,
+_REG_ROLES = {"learn": lambda ts: RoleAssignment.uniform(ts, "learn"),
               "all-edge": lambda ts: RoleAssignment.uniform(ts, "edge"),
-              "random": lambda ts: RoleAssignment.random(ts, 5)}
+              "random": lambda ts: random_node_edge_roles(ts, 5)}
 # recorded while path relations still carried a copy of the intermediate
 # table's attributes; construct_reg joins every triple whatever its role, so
 # each role mode gives the bundle's one digest

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
+from conftest import random_node_edge_roles
 from rolegnn.rdb import canonical_form, fd_violations, ingest_bundle
-from rolegnn.schema_graph import (RoleAssignment, build_schema_graph,
-                                  construct_reg, enumerate_edge_triples,
-                                  invert_reg)
+from rolegnn.schema_graph import (build_schema_graph, construct_reg,
+                                  enumerate_edge_triples, invert_reg)
 from rolegnn.synth import (emit, gen_completion_chain, gen_future_leak,
                            gen_random_bundle, gen_subspace, gen_twohop)
 
@@ -30,7 +30,7 @@ def test_generated_bundles_validate_and_roundtrip(gen_idx):
     assert fd_violations(db) == []
     sg = build_schema_graph(db)
     triples = enumerate_edge_triples(sg)
-    reg = construct_reg(db, sg, RoleAssignment.random(triples, 3))
+    reg = construct_reg(db, sg, random_node_edge_roles(triples, 3))
     assert canonical_form(invert_reg(reg)) == canonical_form(db)
 
 

@@ -13,12 +13,14 @@ from rolegnn.errors import CheckpointMismatch, TrainingDiverged
 from rolegnn.model import Model, ModelConfig
 from rolegnn.fd import fd_losses
 from rolegnn.sampler import make_epoch_batches
-from rolegnn.training import (TrainConfig, _average_ranks, _mix, _task_loss,
-                              build_state, evaluate, evaluate_state,
-                              export_structure, load_checkpoint, mae,
-                              map_at_k, param_hash, roc_auc, save_checkpoint,
+from rolegnn.training import (ROLE_MODES, TrainConfig, _average_ranks, _mix,
+                              _task_loss, build_state, evaluate,
+                              evaluate_state, export_structure,
+                              load_checkpoint, mae, map_at_k, param_hash,
+                              roc_auc, roles_for_mode, save_checkpoint,
                               structure_report, train, transfer_structure)
 from rolegnn.rdb import LabelRecords, TaskSpec
+from rolegnn.schema_graph import build_schema_graph, enumerate_edge_triples
 from rolegnn.synth import gen_completion_chain, gen_twohop
 
 SMALL = dict(n_users=60, n_products=20, n_reviews=200, signal_strength=1.0)
@@ -363,7 +365,7 @@ def test_gates_update_only_in_phase_a():
     seen = {}
 
     def hook(event, epoch, st):
-        seen[event] = dict(st.gates.values)
+        seen[event] = dict(st.gates)
 
     train(state, phase_hook=hook)
     assert seen["epoch_start"] != seen["after_phase_a"]
@@ -384,9 +386,9 @@ def test_structure_report_initial_gates():
 
 def test_structure_report_consistency_flag():
     db, task, state = _small_state(seed=6)
-    tids = sorted(state.gates.values)
-    state.gates.values[tids[0]] = 0.9
-    state.gates.values[tids[1]] = 0.2
+    tids = sorted(state.gates)
+    state.gates[tids[0]] = 0.9
+    state.gates[tids[1]] = 0.2
     report = structure_report(state.reg.triples, state.gates, state.model.cfg)
     flags = {e["triple"]: e["orientation_consistency"]
              for e in report["triples"]}
@@ -404,7 +406,7 @@ def test_checkpoint_roundtrip_and_eval(tmp_path):
 
     loaded = load_checkpoint(ckpt, db, task)
     assert param_hash(loaded.parameters()) == param_hash(state.parameters())
-    assert loaded.gates.values == state.gates.values
+    assert loaded.gates == state.gates
 
     direct = evaluate_state(state, "test")
     via_ckpt = evaluate(ckpt, db, task, "test")
@@ -413,6 +415,38 @@ def test_checkpoint_roundtrip_and_eval(tmp_path):
     report = export_structure(ckpt, tmp_path / "structure_out.json")
     parsed = json.loads((tmp_path / "structure_out.json").read_text())
     assert parsed == report
+
+
+@pytest.mark.parametrize("mode", ROLE_MODES)
+def test_every_role_mode_survives_a_checkpoint(tmp_path, mode):
+    """A checkpoint gives back its run's roles, a fixed role's gate
+    included, its gates, its parameters and its test metric."""
+    source = None
+    if mode == "transfer":  # the gates of a learned run, frozen
+        _, _, learned = _small_state(seed=4, epochs=1)
+        train(learned)
+        source = learned.gates
+    db, task = gen_twohop(seed=4, **SMALL)
+    state = build_state(db, task, ModelConfig(channels=8, layers=1, seed=4),
+                        TrainConfig(epochs=1, batch_size=32, lr=0.005, seed=4,
+                                    neighbor_samples=16),
+                        roles_mode=mode, transfer_gates=source)
+    train(state)
+    if source is not None:
+        assert state.gates == source
+    save_checkpoint(tmp_path / "ckpt", state)
+    loaded = load_checkpoint(tmp_path / "ckpt", db, task)
+    assert loaded.reg.roles.roles == state.reg.roles.roles
+    assert loaded.gates == state.gates
+    assert param_hash(loaded.parameters()) == param_hash(state.parameters())
+    assert evaluate_state(loaded, "test") == evaluate_state(state, "test")
+
+
+def test_roles_for_mode_refuses_an_unknown_mode():
+    db, _ = gen_twohop(seed=0, **SMALL)
+    triples = enumerate_edge_triples(build_schema_graph(db))
+    with pytest.raises(ValueError, match="unknown roles mode 'bogus'"):
+        roles_for_mode(triples, "bogus", 0)
 
 
 def test_build_state_keeps_the_gate_settings_of_the_model_config():
@@ -489,7 +523,7 @@ def test_transfer_same_schema_and_mismatch(tmp_path):
     assert summary["transfer"]["target_task"] == task.name
     # transferred gates are frozen at the source values
     target_state = load_checkpoint(tmp_path / "target" / "checkpoint", db, task)
-    assert target_state.gates.values == state.gates.values
+    assert target_state.gates == state.gates
 
     other_db, other_task = gen_completion_chain((60, 30, 20), 0)
     with pytest.raises(CheckpointMismatch):
