@@ -10,6 +10,7 @@ numeric columns are stored as 0 plus a presence mask.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -221,9 +222,68 @@ def _column(kind: str, cells: list) -> ColumnData:
                                      dtype=dtype), mask)
 
 
+_PARSE = {"integer": int, "datetime": parse_datetime, "real": float}
+
+
+def _typed_columns(columns: list[ColumnSpec], rows: list[list[str]]
+                   ) -> list[ColumnData]:
+    """Whole columns of text parsed at once, as `_parse_cell` parses each
+    cell. ValueError or OverflowError where some cell would be refused."""
+    if set(map(len, rows)) != {len(columns)}:
+        raise ValueError("a row of the wrong length")
+    out = []
+    for col, texts in zip(columns, zip(*rows)):
+        nulls = "" in texts
+        if nulls and not col.nullable:
+            raise ValueError("NULL in a non-nullable column")
+        mask = (np.fromiter(map(bool, texts), dtype=bool, count=len(texts))
+                if nulls else np.ones(len(texts), dtype=bool))
+        if col.kind == "categorical":
+            out.append(ColumnData(col.kind, [t or None for t in texts], mask))
+            continue
+        present = list(itertools.compress(texts, mask)) if nulls else texts
+        values = np.fromiter(map(_PARSE[col.kind], present), count=len(present),
+                             dtype=np.float64 if col.kind == "real" else np.int64)
+        if col.kind == "real" and not np.isfinite(values).all():
+            raise ValueError("a non-finite real cell")
+        if nulls:
+            full = np.zeros(len(mask), values.dtype)
+            full[mask] = values
+            values = full
+        out.append(ColumnData(col.kind, values, mask))
+    return out
+
+
+def _parse_block(spec: TableSpec, rows: list[list[str]], start: int
+                 ) -> list[ColumnData]:
+    """The typed columns of CSV rows `start`, `start + 1`, ... of a table.
+    A block that holds a bad cell is parsed again cell by cell in row-major
+    order, which names the first one."""
+    try:
+        return _typed_columns(spec.columns, rows)
+    except (ValueError, OverflowError):
+        pass
+    cells: list[list] = [[] for _ in spec.columns]
+    for i, row in enumerate(rows, start):
+        if len(row) != len(spec.columns):
+            raise SchemaError(f"row has {len(row)} cells, expected "
+                              f"{len(spec.columns)}", table=spec.name, row=i)
+        for col, out, text in zip(spec.columns, cells, row):
+            out.append(_parse_cell(text, col, spec.name, i))
+    return [_column(c.kind, v) for c, v in zip(spec.columns, cells)]
+
+
+def _join(kind: str, parts: list[ColumnData]) -> ColumnData:
+    """One column from its blocks, in order."""
+    mask = np.concatenate([p.mask for p in parts])
+    if kind == "categorical":
+        return ColumnData(kind, [v for p in parts for v in p.values], mask)
+    return ColumnData(kind, np.concatenate([p.values for p in parts]), mask)
+
+
 _FORMATS = {"real": "%.17g".__mod__, "integer": "%d".__mod__,
             "datetime": "%d".__mod__}
-_BLOCK = 8192  # rows rendered at once, which bounds the text held in memory
+_BLOCK = 1024  # rows parsed or rendered at once: bounds the text held in memory
 
 
 def _render_rows(columns: list[ColumnData], null: str, text=str,
@@ -417,7 +477,8 @@ def ingest_bundle(path: str | Path) -> RelationalDatabase:
         csv_path = path / f"{spec.name}.csv"
         if not csv_path.exists():
             raise MissingFileError(f"no CSV for declared table", table=spec.name)
-        cells: list[list] = [[] for _ in spec.columns]
+        # an empty first block types the columns of a table without rows
+        parts = [[_column(c.kind, [])] for c in spec.columns]
         with open(csv_path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
@@ -425,14 +486,14 @@ def ingest_bundle(path: str | Path) -> RelationalDatabase:
                 raise SchemaError(
                     f"CSV header {header!r} does not match schema columns "
                     f"{spec.column_names!r}", table=spec.name)
-            for i, row in enumerate(reader):  # row-major: the first bad cell
-                if len(row) != len(spec.columns):
-                    raise SchemaError(f"row has {len(row)} cells, expected "
-                                      f"{len(spec.columns)}", table=spec.name, row=i)
-                for col, out, text in zip(spec.columns, cells, row):
-                    out.append(_parse_cell(text, col, spec.name, i))
-        columns[spec.name] = {c.name: _column(c.kind, v)
-                              for c, v in zip(spec.columns, cells)}
+            for start in itertools.count(0, _BLOCK):
+                rows = list(itertools.islice(reader, _BLOCK))
+                if not rows:
+                    break
+                for out, col in zip(parts, _parse_block(spec, rows, start)):
+                    out.append(col)
+        columns[spec.name] = {c.name: _join(c.kind, p)
+                              for c, p in zip(spec.columns, parts)}
     return from_columns(specs, columns)
 
 

@@ -402,10 +402,15 @@ def pair_mlp(h_i: Tensor, h_ref: Tensor, ref_idx: np.ndarray | None,
 
     With `ref_idx` None, row i of `h_i` pairs with row i of `h_ref` and the
     scores have shape (n,). With an (n, k) array of `h_ref` rows, row i of
-    `h_i` pairs with each of `h_ref[ref_idx[i]]` and the scores are (n, k);
-    backward scatters the gradient of the gathered rows onto `h_ref` in one
-    segment sum. Outputs and gradients are bit-equal to the composed chain
-    of `take_rows`, `reshape`, `sub`, `linear`, `relu` and `linear`.
+    `h_i` pairs with each of `h_ref[ref_idx[i]]` and the scores are (n, k).
+
+    The node maps before it pairs: a pair's pre-activation is row i of
+    `h_i W1 + b1` less row j of `h_ref W1`, so no (n k x c) difference block
+    is built, nor any product with one. Backward sums the hidden gradient
+    over each row's k pairs for `h_i` and scatters it onto `h_ref` in one
+    segment sum. This equals the composed chain of `take_rows`, `sub`,
+    `linear`, `relu` and `linear` within rounding, not bit for bit: the
+    difference is rounded relative to |h W1|, not to |(h_i - h_ref) W1|.
     """
     c = h_i.shape[-1]
     pairs_ok = (h_ref.shape == h_i.shape if ref_idx is None
@@ -415,56 +420,51 @@ def pair_mlp(h_i: Tensor, h_ref: Tensor, ref_idx: np.ndarray | None,
         raise ShapeError(f"pair_mlp shape mismatch: {h_i.shape} against "
                          f"{h_ref.shape} at {np.shape(ref_idx)}, "
                          f"{W1.shape} then {W2.shape}")
-    if ref_idx is None:
-        lead = (h_i.shape[0],)
-        x = h_i.values - h_ref.values
-    else:
-        ref_idx = np.asarray(ref_idx, dtype=np.int64)
-        lead = ref_idx.shape
-        x = h_ref.values[ref_idx]
-        np.subtract(h_i.values[:, None, :], x, out=x)
-        x = x.reshape(-1, c)
-    hidden = x @ W1.values
-    hidden += b1.values
+    n, width = h_i.shape[0], W1.shape[1]
+    lead = (n,) if ref_idx is None else np.shape(ref_idx)
+    # row-aligned pairs are the (n, 1) block of row i against row i
+    idx = (np.arange(n) if ref_idx is None
+           else np.asarray(ref_idx, dtype=np.int64)).reshape(-1)
+    a = h_i.values @ W1.values
+    a += b1.values
+    hidden = (h_ref.values @ W1.values)[idx].reshape(n, -1, width)
+    np.subtract(a[:, None, :], hidden, out=hidden)
     np.maximum(hidden, 0.0, out=hidden)
+    hidden = hidden.reshape(-1, width)
     raw = hidden @ W2.values
     raw += b2.values
     out = Tensor(raw.reshape(lead))
 
     def bwd(g):
-        # each `+ 0.0` turns -0.0 into +0.0, as the chain's copies of a
-        # first-written gradient did
-        g = np.add(g.reshape(-1, 1), 0.0)
+        g = g.reshape(-1, 1)
         if W2.requires_grad:
             _accum(W2, hidden.T @ g, own=True)
         if b2.requires_grad:
-            _accum(b2, _unbroadcast(g, b2.shape))
-        need_x = h_i.requires_grad or h_ref.requires_grad
-        if not (need_x or W1.requires_grad or b1.requires_grad):
+            _accum(b2, g.sum(axis=0), own=True)
+        need_a = h_i.requires_grad or W1.requires_grad or b1.requires_grad
+        need_r = h_ref.requires_grad or W1.requires_grad
+        if not (need_a or need_r):
             return
-        g = g @ W2.values.T
-        g *= hidden > 0
+        # backward runs once per node, so the hidden block turns into its
+        # own gradient in place: the rank-1 g W2^T as a broadcast, masked
+        mask = hidden > 0
+        gh = np.multiply(g, W2.values[:, 0], out=hidden)
+        gh *= mask
+        if need_a:
+            da = np.einsum("nkc->nc", gh.reshape(n, -1, width))  # sum over k
+        if need_r:
+            dr = kernels.segment_sum(gh, idx, h_ref.shape[0])
         if W1.requires_grad:
-            _accum(W1, x.T @ g, own=True)
+            dW1 = h_i.values.T @ da
+            dW1 -= h_ref.values.T @ dr
+            _accum(W1, dW1, own=True)
         if b1.requires_grad:
-            _accum(b1, _unbroadcast(g, b1.shape))
-        if not need_x:
-            return
-        dx = g @ W1.values.T
-        if ref_idx is None:
-            dx += 0.0
-            _accum(h_i, dx)
-            if h_ref.requires_grad:
-                _accum(h_ref, -dx, own=True)
-            return
+            _accum(b1, da.sum(axis=0), own=True)
         if h_i.requires_grad:
-            rows = dx.reshape(lead + (c,)).sum(axis=1)
-            rows += 0.0
-            _accum(h_i, rows, own=True)
+            _accum(h_i, da @ W1.values.T, own=True)
         if h_ref.requires_grad:
-            np.negative(dx, out=dx)
-            _accum(h_ref, kernels.segment_sum(dx, ref_idx.reshape(-1),
-                                              h_ref.shape[0]), own=True)
+            dh = dr @ W1.values.T
+            _accum(h_ref, np.negative(dh, out=dh), own=True)
     return _record(out, (h_i, h_ref, W1, b1, W2, b2), bwd)
 
 

@@ -470,7 +470,7 @@ def _composed_score_pairs(fd, relation_id, h_i, h_ref, ref_idx=None):
 
 
 def _run_mode(mode, fd, embeddings, build):
-    """Output and gradient bytes of `build()` under one phase's freezing:
+    """Output, loss and gradients of `build()` under one phase's freezing:
     "a" freezes the FD parameters, "b" makes the embeddings constants,
     "all" trains both."""
     emb = {t: Tensor(e.copy(), requires_grad=mode != "b")
@@ -481,28 +481,85 @@ def _run_mode(mode, fd, embeddings, build):
     with T.frozen(frozen):
         out, loss = build(emb)
         T.backward(loss)
-    grads = {n: p.grad.tobytes() for n, p in fd.params.items()}
-    grads.update({t: e.grad.tobytes() for t, e in emb.items() if mode != "b"})
-    return out.values.tobytes(), loss.values.tobytes(), grads
+    grads = {n: p.grad.copy() for n, p in fd.params.items()}
+    grads.update({t: e.grad for t, e in emb.items() if mode != "b"})
+    return out.values, loss.values, grads
+
+
+def _assert_close(fused, chain):
+    """Map-first scoring rounds the pre-activation relative to |h W1|, the
+    chain relative to |(h_i - h_ref) W1|: equal within rounding."""
+    for got, want in zip(fused[:2], chain[:2]):
+        np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12)
+    assert fused[2].keys() == chain[2].keys()
+    for name, want in chain[2].items():
+        np.testing.assert_allclose(fused[2][name], want, rtol=1e-10,
+                                   atol=1e-12, err_msg=name)
+
+
+def _margin_spy(monkeypatch):
+    """Record each pair_mlp call's smallest |pre-activation|. Away from 0
+    both sides take the same ReLU branch, so a tolerance cannot hide a
+    flipped mask."""
+    margins = []
+    real = T.pair_mlp
+
+    def spy(h_i, h_ref, ref_idx, W1, b1, W2, b2):
+        ref = h_ref.values if ref_idx is None else h_ref.values[ref_idx]
+        held = h_i.values if ref_idx is None else h_i.values[:, None]
+        margins.append(np.abs((held - ref) @ W1.values + b1.values).min())
+        return real(h_i, h_ref, ref_idx, W1, b1, W2, b2)
+    monkeypatch.setattr(T, "pair_mlp", spy)
+    return margins
+
+
+def _head(channels, seed):
+    rng = np.random.default_rng(seed)
+    params = {"fd.r.ms.W1": rng.normal(size=(channels, channels)) / channels ** 0.5,
+              "fd.r.ms.b1": rng.normal(size=channels) * 0.1,
+              "fd.r.ms.W2": rng.normal(size=(channels, 1)) / channels ** 0.5,
+              "fd.r.ms.b2": rng.normal(size=1)}
+    return SimpleNamespace(params={n: Tensor(v, requires_grad=True)
+                                   for n, v in params.items()})
+
+
+def _pair_case(form):
+    """(head, embeddings, holder locals, referenced locals, ref_idx). The
+    small cases repeat local 1 within pair 0 and across pairs 0, 1 and 3;
+    "x10" is the x10 benchmark's negative block, (1,044, 8) indices into
+    256 rows of 32 channels. Some referenced rows are never named."""
+    if form == "x10":
+        rng = np.random.default_rng(1)
+        embeddings = {"holder": rng.normal(size=(1044, 32)),
+                      "ref": rng.normal(size=(256, 32))}
+        return (_head(32, 2), embeddings, np.arange(1044),
+                rng.integers(0, 248, size=1044),
+                rng.integers(0, 248, size=(1044, 8)))
+    rng = np.random.default_rng(8)
+    embeddings = {"holder": rng.normal(size=(6, 8)),
+                  "ref": rng.normal(size=(6, 8))}
+    return (_subspace_setup(seed=2)[3], embeddings, np.array([0, 2, 2, 5]),
+            np.array([1, 1, 3, 0]),
+            np.array([[1, 1, 3], [3, 0, 1], [4, 4, 4], [1, 2, 0]]))
 
 
 @pytest.mark.parametrize("mode", ["a", "b", "all"])
-@pytest.mark.parametrize("form", ["rows", "block"])
-def test_pair_mlp_bit_equal_to_composed_chain(mode, form):
-    db, meta, reg, fd = _subspace_setup(seed=2)
-    rid = fd.relations[0].id
-    rng = np.random.default_rng(8)
-    embeddings = {"holder": rng.normal(size=(6, 8)),
-                  "ref": rng.normal(size=(5, 8))}
-    holder_locals = np.array([0, 2, 2, 5])
-    ref_locals = np.array([1, 1, 3, 0])
-    # local 1 repeats within pair 0 and across pairs 0, 1 and 3
-    ref_idx = np.array([[1, 1, 3], [3, 0, 1], [4, 4, 4], [1, 2, 0]])
+@pytest.mark.parametrize("form", ["rows", "block", "x10"])
+def test_pair_mlp_bit_equal_to_composed_chain(monkeypatch, mode, form):
+    """The map-first node against the composed chain: equal outputs, loss
+    and gradients within rtol 1e-10 (bit for bit before the node mapped
+    first; the test keeps its name). Referenced rows that no index names
+    get a gradient of exactly 0.0."""
+    fd, embeddings, holder_locals, ref_locals, ref_idx = _pair_case(form)
+    rid = "r" if form == "x10" else fd.relations[0].id
+    if form == "rows":
+        ref_idx = None
+    margins = _margin_spy(monkeypatch)
 
     def build(score):
         def run(emb):
             h_i = T.take_rows(emb["holder"], holder_locals)
-            if form == "rows":
+            if ref_idx is None:
                 out = score(fd, rid, h_i, T.take_rows(emb["ref"], ref_locals))
             else:
                 out = score(fd, rid, h_i, emb["ref"], ref_idx)
@@ -511,29 +568,43 @@ def test_pair_mlp_bit_equal_to_composed_chain(mode, form):
         return run
 
     fused = _run_mode(mode, fd, embeddings, build(score_pairs))
+    monkeypatch.undo()
     chain = _run_mode(mode, fd, embeddings, build(_composed_score_pairs))
-    assert fused == chain
+    assert len(margins) == 1 and margins[0] > 1e-6
+    _assert_close(fused, chain)
     trained = ([n for n in fd.params if ".ms." in n] if mode != "a"
                else list(embeddings))
-    assert all(np.frombuffer(fused[2][n]).any() for n in trained)
+    assert all(fused[2][n].any() for n in trained)
+    if mode != "b":
+        named = ref_locals if ref_idx is None else ref_idx
+        unnamed = np.setdiff1d(np.arange(len(embeddings["ref"])), named)
+        assert len(unnamed) and fused[2]["ref"][unnamed].tobytes() == \
+            bytes(fused[2]["ref"][unnamed].nbytes)
 
 
 @pytest.mark.parametrize("mode", ["a", "b", "all"])
 def test_fd_losses_bit_equal_to_composed_chain(monkeypatch, mode):
     """The whole FD step, positives and the negative block, keeps its loss
-    and every gradient byte for byte."""
+    and every gradient within rtol 1e-10 (bit for bit before the scoring
+    node mapped first; the test keeps its name)."""
     batch, emb, fd = _fd_setup()
-    embeddings = {t: e.values for t, e in emb.items()}
+    # one stream for all tables: rows of two tables never coincide, so no
+    # pair's difference, and no pre-activation, is exactly 0
+    rng = np.random.default_rng(7)
+    embeddings = {t: rng.normal(size=e.shape) for t, e in emb.items()}
 
     def build(e):
         total = fd_losses(batch, e, fd, 0.3, 0.7, 0.1, 4,
                           np.random.default_rng(0))[0]
         return total, total
 
+    margins = _margin_spy(monkeypatch)
     fused = _run_mode(mode, fd, embeddings, build)
+    monkeypatch.undo()
     monkeypatch.setattr(fd_module, "score_pairs", _composed_score_pairs)
     chain = _run_mode(mode, fd, embeddings, build)
-    assert fused == chain
+    assert len(margins) >= 2 and min(margins) > 1e-6
+    _assert_close(fused, chain)
 
 
 def test_pair_mlp_shape_errors_name_shapes():

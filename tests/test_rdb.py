@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import hashlib
 import re
@@ -223,6 +224,75 @@ def test_first_bad_cell_in_row_major_order(tmp_path):
         ingest_bundle(tmp_path)
     assert (err.value.table, err.value.row, err.value.column) == \
         ("review", 1, "rating")
+
+
+def _cell_by_cell(monkeypatch):
+    """Make ingest parse every block cell by cell, as it did before whole
+    columns were parsed at once."""
+    def refuse(columns, rows):
+        raise ValueError("parse cell by cell")
+    monkeypatch.setattr(rdb, "_typed_columns", refuse)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_column_parse_equals_cell_parse(tmp_path, monkeypatch, seed):
+    """Blocks of whole columns give the typed columns that the per-cell
+    parse gives: values, dtypes, NULL masks and vocabularies, over random
+    schemas with nullable columns of every kind, ISO datetimes among epoch
+    integers, and blocks of three rows."""
+    db = gen_random_bundle(seed)
+    export_bundle(db, tmp_path)
+    for name in db.table_names:  # an ISO cell in each datetime column
+        with open(tmp_path / f"{name}.csv", newline="") as fh:
+            header, *rows = list(csv.reader(fh))
+        for c, col in enumerate(db.spec(name).columns):
+            for row in rows[::5] if col.kind == "datetime" else ():
+                if row[c]:
+                    row[c] = "2020-09-13T12:26:40+00:00"
+        with open(tmp_path / f"{name}.csv", "w", newline="") as fh:
+            csv.writer(fh).writerows([header, *rows])
+    monkeypatch.setattr(rdb, "_BLOCK", 3)
+    got = ingest_bundle(tmp_path)
+    _cell_by_cell(monkeypatch)
+    want = ingest_bundle(tmp_path)
+    assert canonical_form(got) == canonical_form(want)
+    for name in want.table_names:
+        for column, w in want.data[name].cols.items():
+            g = got.data[name].cols[column]
+            assert np.array_equal(g.mask, w.mask) and g.vocab == w.vocab
+            if w.kind == "categorical":
+                assert g.values == w.values
+            else:
+                assert g.values.dtype == w.values.dtype
+                assert g.values.tobytes() == w.values.tobytes()
+
+
+@pytest.mark.parametrize("bad", ["short", "nan", "", "9" * 25, "x"])
+def test_bad_cell_in_a_later_block_names_its_row(tmp_path, monkeypatch, bad):
+    """A bad cell past the first block is named by its row in the file,
+    with the message the per-cell parse gives."""
+    rows = review_fixture_rows(reviews=[(i, 1 + i % 4, 1 + i % 3)
+                                        for i in range(1, 12)])
+    _write_bundle(tmp_path, rows)
+    lines = (tmp_path / "review.csv").read_text().splitlines()
+    header = lines[0].split(",")
+    fields = lines[8].split(",")
+    if bad == "short":
+        fields.pop()
+    else:
+        fields[header.index("rating" if bad in ("nan", "") else "user_id")] = bad
+    lines[8] = ",".join(fields)
+    (tmp_path / "review.csv").write_text("\n".join(lines) + "\n")
+    errors = []
+    for per_cell in (False, True):
+        if per_cell:
+            _cell_by_cell(monkeypatch)
+        monkeypatch.setattr(rdb, "_BLOCK", 3)
+        with pytest.raises((CellParseError, SchemaError)) as err:
+            ingest_bundle(tmp_path)
+        errors.append((type(err.value), str(err.value)))
+    assert errors[0] == errors[1]
+    assert err.value.table == "review" and err.value.row == 7
 
 
 def test_datetime_accepts_iso_and_epoch():

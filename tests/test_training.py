@@ -1,4 +1,3 @@
-import hashlib
 import json
 import os
 import subprocess
@@ -244,38 +243,64 @@ def test_adopted_gradient_buffers_keep_parameter_gradients(monkeypatch, layers):
 
 
 # SHA-256 of (parameter hash, history) after training, and of every parameter
-# gradient of the first 12 backward passes; recorded before the FD scoring
-# head became one tape node
+# gradient of the first 12 backward passes; recorded after the FD scoring
+# head began to map before it pairs, with BLAS at one thread. The training
+# runs in a child process with the count pinned, as for the x1 digest below.
 _FD_PINNED = {
-    1: ("a5b332ee772c65acef2d6db9bce8bcfa81abc3ca05c336cfc12fea8d49222f80",
-        "8d373982fb0c497ffba8568ed60d830514a6ba22df87ff6540f283e3b8d13255"),
-    2: ("4a4d455bef502fa46e7a71d10fef82664d6c3c476359ac8360ffef7359b2f631",
-        "f33bfc7bb202e44b173e36b5f36d4a63233699d592f07234316592e42fbe7176"),
+    1: ("eba144b576bad28cca41a5fc805bf566bda4529218464c90f94b6781c765bd80",
+        "b6d74d6df2a0c08eeac659c19e9205d068b237e754398c733c18e723c214fc0e"),
+    2: ("60c4395c06cf41d5a21f0d25b182eae980d5b3781950e65bbc77fd1900b33a6e",
+        "40bd47356b0256a4199bf2151a4c1265f3672aeebf1af5206bc8e74d9808e92b"),
 }
+_FD_TRAINING = """
+import hashlib, sys
+from rolegnn import tensor as T
+from rolegnn.model import ModelConfig
+from rolegnn.synth import gen_twohop
+from rolegnn.training import TrainConfig, build_state, param_hash, train
+layers = int(sys.argv[1])
+db, task = gen_twohop(60, 20, 200, 1.0, 4)
+state = build_state(db, task, ModelConfig(channels=8, layers=layers, seed=4),
+                    TrainConfig(epochs=2, batch_size=16, lr=0.005, seed=4,
+                                neighbor_samples=16, beta=0.5, gamma=0.5))
+grads = hashlib.sha256()
+passes = []
+real_backward = T.backward
+
+def spy(loss):
+    real_backward(loss)
+    if len(passes) < 12:
+        passes.append(loss.item())
+        for _, p in sorted(state.parameters().items()):
+            grads.update(p.grad.tobytes())
+
+T.backward = spy
+history = train(state)["history"]
+assert len(passes) == 12
+run = hashlib.sha256(
+    f"{param_hash(state.parameters())}|{history!r}".encode()).hexdigest()
+print(run, grads.hexdigest())
+"""
+
+
+def _pinned_child(script: str, *args: str) -> str:
+    """stdout of `script` run with BLAS at one thread, whose bytes depend
+    on the thread count."""
+    src = os.path.dirname(os.path.dirname(training.__file__))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(
+                   filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", script, *args], env=env,
+                         capture_output=True, text=True, check=True)
+    return out.stdout.strip()
 
 
 @pytest.mark.parametrize("layers", [1, 2])
-def test_fd_training_matches_pinned_digests(monkeypatch, layers):
+def test_fd_training_matches_pinned_digests(layers):
     """A fixed-seed FD training (phases A and B) keeps its bytes."""
-    _, _, state = _small_state(seed=4, layers=layers, batch_size=16,
-                               beta=0.5, gamma=0.5)
-    grads = hashlib.sha256()
-    passes = []
-    real_backward = T.backward
-
-    def spy(loss):
-        real_backward(loss)
-        if len(passes) < 12:
-            passes.append(loss.item())
-            for _, p in sorted(state.parameters().items()):
-                grads.update(p.grad.tobytes())
-
-    monkeypatch.setattr(T, "backward", spy)
-    history = train(state)["history"]
-    assert len(passes) == 12
-    run = hashlib.sha256(
-        f"{param_hash(state.parameters())}|{history!r}".encode()).hexdigest()
-    assert (run, grads.hexdigest()) == _FD_PINNED[layers]
+    assert tuple(_pinned_child(_FD_TRAINING, str(layers)).split()) == \
+        _FD_PINNED[layers]
 
 
 # SHA-256 of (parameter hash, history) after a 2-epoch training at the x1
@@ -304,14 +329,139 @@ print(hashlib.sha256(
 
 
 def test_x1_training_matches_pinned_digest():
-    src = os.path.dirname(os.path.dirname(training.__file__))
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
-               MKL_NUM_THREADS="1",
-               PYTHONPATH=os.pathsep.join(
-                   filter(None, [src, os.environ.get("PYTHONPATH")])))
-    out = subprocess.run([sys.executable, "-c", _X1_TRAINING], env=env,
-                         capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == _X1_PINNED
+    assert _pinned_child(_X1_TRAINING) == _X1_PINNED
+
+
+class _Fault(Exception):
+    pass
+
+
+class _Adam(T.Adam):
+    """Adam that lists its instances and, at each step's `zero_grad` (the
+    first thing a training step does), calls `_Adam.on_step`."""
+    made: list = []
+    on_step = None
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        _Adam.made.append(self)
+
+    def zero_grad(self):
+        if _Adam.on_step is not None:
+            _Adam.on_step()
+        super().zero_grad()
+
+
+def _facts(state):
+    """Everything a training step may change: parameter values and flags,
+    every optimizer's moments and step count, the gates, the FD rows and
+    the history."""
+    params = sorted(state.parameters().items())
+    return ([p.values.copy() for _, p in params],
+            [p.requires_grad for _, p in params],
+            [([m.copy() for m in opt.m], [v.copy() for v in opt.v], opt.t)
+             for opt in _Adam.made],
+            dict(state.gates), list(state.fd_diag_rows), list(state.history))
+
+
+def _same(a, b) -> bool:
+    """Bit equality of nested facts."""
+    if isinstance(a, np.ndarray):
+        return a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    if isinstance(a, (list, tuple)):
+        return len(a) == len(b) and all(_same(x, y) for x, y in zip(a, b))
+    return a == b
+
+
+@pytest.mark.parametrize("phase", ["a", "b"])
+def test_failed_step_leaves_nothing_behind(monkeypatch, phase):
+    """A fault inside the second training step of phase A or of phase B (FD
+    on): at each of its tape records in turn, at the start of Adam.step, and
+    in Adam.step at the last parameter. After each, the tape is empty with
+    recording on, and the parameter values and flags, every optimizer's
+    moments and step count, the gates and the FD rows are as they were when
+    the step began. Training the faulted state again is then bit-equal to
+    training an untouched state set to those values."""
+    def fresh():
+        _Adam.made.clear()
+        return _small_state(seed=5, batch_size=16, beta=0.5, gamma=0.5,
+                            epochs=1)[2]
+
+    def outcome(state):
+        history = train(state)["history"]
+        return param_hash(state.parameters()), history, state.gates
+
+    records, fail_at = [0], [None]
+    real_record = T._record
+
+    def record(out, parents, bwd):
+        before = T.tape_size()
+        real_record(out, parents, bwd)
+        if T.tape_size() > before:
+            records[0] += 1
+            if records[0] == fail_at[0]:
+                raise _Fault(records[0])
+        return out
+    monkeypatch.setattr(T, "_record", record)
+    monkeypatch.setattr(training, "Adam", _Adam)
+
+    # an untouched run: the facts and the tape records at each step start
+    steps = []
+    monkeypatch.setattr(_Adam, "on_step", lambda: steps.append(
+        (records[0], _facts(state))))
+    state = fresh()
+    train(state)
+    n_a = len(steps) // 2  # phase A and phase B take the same batches
+    assert n_a == 3 and len(steps) == 2 * n_a
+    j = 1 if phase == "a" else n_a + 1
+    (first, before), (last, _) = steps[j], steps[j + 1]
+    assert last - first > 10
+    monkeypatch.setattr(_Adam, "on_step", None)
+
+    # training from the step's start, on a state never faulted
+    state = fresh()
+    for p, values in zip((p for _, p in sorted(state.parameters().items())),
+                         before[0]):
+        p.values[...] = values
+    state.gates = dict(before[3])
+    state.fd_diag_rows = list(before[4])
+    want = outcome(state)
+
+    def check(fault):
+        state = fresh()
+        records[0] = 0
+        with pytest.raises(fault):
+            train(state)
+        assert T.tape_size() == 0 and T._GRAD_ENABLED
+        assert _same(_facts(state), before)
+        return outcome(state)
+
+    for k in range(first + 1, last + 1):
+        fail_at[0] = k
+        assert check(_Fault) == want
+    fail_at[0] = None
+
+    real_step, calls = T.Adam.step, [0]
+
+    def failing_step(self):
+        calls[0] += 1
+        if calls[0] == j + 1:
+            raise _Fault("adam")
+        real_step(self)
+    monkeypatch.setattr(T.Adam, "step", failing_step)
+    assert check(_Fault) == want
+    monkeypatch.setattr(T.Adam, "step", real_step)
+
+    real_backward = T.backward
+
+    def poisoned_backward(loss):
+        real_backward(loss)
+        calls[0] += 1
+        if calls[0] == j + 1:
+            _Adam.made[-1 if phase == "b" else 0].params[-1].grad[...] = np.inf
+    monkeypatch.setattr(T, "backward", poisoned_backward)
+    calls[0] = 0
+    assert check(TrainingDiverged) == want
 
 
 def test_beta_gamma_zero_matches_task_only_run():
