@@ -83,7 +83,7 @@ class TableSpec:
     def from_dict(d: dict) -> "TableSpec":
         return TableSpec(
             name=d["name"],
-            columns=tuple(ColumnSpec(c["name"], c["kind"], bool(c.get("nullable", False)))
+            columns=tuple(ColumnSpec(c["name"], c["kind"], c.get("nullable", False))
                           for c in d["columns"]),
             primary_key=d["primary_key"],
             foreign_keys=tuple(ForeignKeySpec(fk["column"], fk["references"])
@@ -316,6 +316,10 @@ def _validate_schema(specs: dict[str, TableSpec]) -> None:
         names = [c.name for c in spec.columns]
         if len(set(names)) != len(names):
             raise SchemaError("duplicate column names", table=spec.name)
+        for c in spec.columns:
+            if not isinstance(c.nullable, bool):
+                raise SchemaError(f"nullable must be true or false, got "
+                                  f"{c.nullable!r}", table=spec.name, column=c.name)
         if spec.primary_key not in names:
             raise SchemaError("primary_key column missing", table=spec.name,
                               column=spec.primary_key)

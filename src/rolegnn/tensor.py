@@ -408,7 +408,7 @@ def pair_mlp(h_i: Tensor, h_ref: Tensor, ref_idx: np.ndarray | None,
     `h_i W1 + b1` less row j of `h_ref W1`, so no (n k x c) difference block
     is built, nor any product with one. Backward sums the hidden gradient
     over each row's k pairs for `h_i` and scatters it onto `h_ref` in one
-    segment sum. This equals the composed chain of `take_rows`, `sub`,
+    segment sum (row-aligned pairs need no scatter). This equals the composed chain of `take_rows`, `sub`,
     `linear`, `relu` and `linear` within rounding, not bit for bit: the
     difference is rounded relative to |h W1|, not to |(h_i - h_ref) W1|.
     """
@@ -452,8 +452,9 @@ def pair_mlp(h_i: Tensor, h_ref: Tensor, ref_idx: np.ndarray | None,
         gh *= mask
         if need_a:
             da = np.einsum("nkc->nc", gh.reshape(n, -1, width))  # sum over k
-        if need_r:
-            dr = kernels.segment_sum(gh, idx, h_ref.shape[0])
+        if need_r:  # a row-aligned pair's gradient is its reference row's
+            dr = (gh if ref_idx is None
+                  else kernels.segment_sum(gh, idx, h_ref.shape[0]))
         if W1.requires_grad:
             dW1 = h_i.values.T @ da
             dW1 -= h_ref.values.T @ dr
@@ -606,8 +607,8 @@ def save_tensors(path: str | Path, named: dict[str, Tensor | np.ndarray]) -> Non
 def load_tensors(path: str | Path) -> dict[str, np.ndarray]:
     """Read a file written by `save_tensors`.
 
-    A file that is missing, is not a checkpoint, is cut short, or whose byte
-    counts disagree with its header raises CheckpointMismatch naming the
+    A file that is missing, is not a checkpoint, is cut short, holds bytes
+    past its last tensor, or whose byte counts disagree with its header raises CheckpointMismatch naming the
     file and, where one is involved, the tensor.
     """
     try:
@@ -646,4 +647,7 @@ def load_tensors(path: str | Path) -> dict[str, np.ndarray]:
                 f"bytes, its header entry {listed} and its shape {list(shape)}")
         arr = np.frombuffer(take(nbytes, f"tensor {name!r}"), dtype="<f8")
         out[name] = arr.reshape(shape).astype(np.float64)
+    if pos < len(data):
+        raise CheckpointMismatch(f"corrupt checkpoint {path}: {len(data) - pos} "
+                                 f"bytes follow the last tensor")
     return out

@@ -145,6 +145,24 @@ def _damage_schema(bundle, case: str) -> str:
     return named
 
 
+@pytest.mark.parametrize("value", ["yes", "false", 1])
+def test_non_boolean_nullable_exits_3(capsys, twohop_bundle, tmp_path, value):
+    """`nullable` is a JSON boolean: text and numbers are refused, naming
+    the table and column, rather than read as true."""
+    bundle = tmp_path / "bundle"
+    shutil.copytree(twohop_bundle, bundle)
+    schema = json.loads((bundle / "schema.json").read_text())
+    column = schema["tables"][1]["columns"][1]
+    column["nullable"] = value
+    (bundle / "schema.json").write_text(json.dumps(schema))
+    code, _, err = _run(capsys, "validate", str(bundle))
+    assert code == 3
+    assert "nullable must be true or false" in err
+    assert f"table={schema['tables'][1]['name']}" in err
+    assert f"column={column['name']}" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("case", [
     "invalid-json", "not-object", "no-tables", "table-name", "table-columns",
     "table-primary-key", "column-name", "column-kind", "column-kind-text",
@@ -572,6 +590,8 @@ def _cut_params(data: bytes, case: str) -> bytes:
     first_count = 16 + hlen
     if case == "empty":
         return b""
+    if case == "trailing-bytes":
+        return data + bytes(9)
     if case == "mid-magic":
         return data[:4]
     if case == "mid-header":
@@ -585,7 +605,8 @@ def _cut_params(data: bytes, case: str) -> bytes:
 
 
 @pytest.mark.parametrize("case", ["missing", "empty", "mid-magic",
-                                  "mid-header", "mid-payload", "flipped-nbytes"])
+                                  "mid-header", "mid-payload", "flipped-nbytes",
+                                  "trailing-bytes"])
 def test_damaged_checkpoint_exit_code(capsys, twohop_bundle, trained_checkpoint,
                                       tmp_path, case):
     ckpt = tmp_path / "checkpoint"

@@ -461,11 +461,19 @@ def _respec(specs, table, **changes):
      "foreign-key column must be integer"),
     ("real-time-column", "review", "created_at",
      "time_column must be a datetime column"),
+    ("nullable-yes", "user", "age", "nullable must be true or false"),
+    ("nullable-false-text", "user", "age", "nullable must be true or false"),
+    ("nullable-one", "user", "age", "nullable must be true or false"),
 ])
 def test_schema_refusals_name_the_table_and_column(case, table, column,
                                                   message):
     specs = review_fixture_specs()
-    if case == "duplicate-columns":
+    not_bool = {"nullable-yes": "yes", "nullable-false-text": "false",
+                "nullable-one": 1}
+    if case in not_bool:
+        specs = _respec(specs, table,
+                        column={column: {"nullable": not_bool[case]}})
+    elif case == "duplicate-columns":
         user = specs[0]
         specs = _respec(specs, "user", columns=user.columns + user.columns[1:])
     elif case == "missing-fk-column":
