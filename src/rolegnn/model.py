@@ -12,6 +12,9 @@ Messages are aggregated first where the message map is linear: a mean of
 linear maps is the map of the mean, so relation and co-occurrence messages
 average the neighbours of each destination row and map only those means.
 Each message is then added onto the self term at the rows that received one.
+A co-occurrence triple u <- v -> w whose drawn (v, w) pairs are the drawn
+edges of its matching relation v -> w reads that relation's neighbour mean
+as its v-mean, so each such edge set is aggregated once per layer.
 
 The per-seed trees hold many copies of one (row, prediction time). One
 pass per forward (`Model.share`) labels each table's locals by that pair and
@@ -251,12 +254,24 @@ class FeatureEncoder:
 
 def relation_message(W: Tensor, h_src: Tensor, src_idx: np.ndarray,
                      dst_idx: np.ndarray, classes: tuple | None = None
-                     ) -> tuple[np.ndarray, Tensor]:
+                     ) -> tuple[np.ndarray, Tensor, Tensor]:
     """Mean of a relation-specific linear map of neighbor embeddings, as
-    (destination rows with a neighbor, one message row each). `classes`
-    goes to `class_neighbor_mean`."""
+    (destination rows with a neighbor, their neighbour means, one message
+    row each). `classes` goes to `class_neighbor_mean`."""
     rows, mean = class_neighbor_mean(h_src, src_idx, dst_idx, classes)
-    return rows, T.matmul(mean, W)
+    return rows, mean, T.matmul(mean, W)
+
+
+def _same_pairs(a: tuple[np.ndarray, np.ndarray],
+                b: tuple[np.ndarray, np.ndarray]) -> bool:
+    """Whether two (source, destination) index arrays hold the same pairs
+    as multisets."""
+    if len(a[0]) != len(b[0]):
+        return False
+    if not len(a[0]):
+        return True
+    n = int(max(a[1].max(), b[1].max())) + 1
+    return np.array_equal(np.sort(a[0] * n + a[1]), np.sort(b[0] * n + b[1]))
 
 
 def class_neighbor_mean(h: Tensor, src: np.ndarray, dst: np.ndarray,
@@ -544,6 +559,17 @@ class Model:
                 if batch.entity_table in first else seeds)
         return SharedBatch(leaf, layer0, expand, first, twins, labels)
 
+    def reused_means(self, batch: BatchSubgraph) -> set[str]:
+        """The co-occurrence triples whose drawn (v, w) path ends are their
+        matching relation's (src, dst) edges as a multiset: their v-mean is
+        that relation's neighbour mean. `share` maps both alike and keeps
+        the edges and paths into the same locals, so this holds on its
+        batches too."""
+        return {tr.id for tr in self.active_triples
+                if tr.pattern == "cooccurrence" and tr.id in batch.paths
+                and (edges := batch.edges.get(tr.matching_relation().id))
+                and _same_pairs(edges, batch.paths[tr.id][1:])}
+
     def _renumbered(self, batch: BatchSubgraph, maps: dict[str, np.ndarray],
                     heads: dict[str, np.ndarray]) -> dict:
         """`batch`'s edges and paths, in batch order, with each edge source
@@ -612,7 +638,16 @@ class Model:
         first read. Class sums add in another order, so results match
         computing every copy within rounding, not bit for bit. Under
         training dropout each copy keeps its own mask, so nothing is shared.
+
+        A co-occurrence triple whose path (v, w) ends equal its matching
+        relation's edges on the sampled batch (`reused_means`, checked
+        once) reads the relation message's mean as its v-mean at every
+        layer; `share` and the per-layer row filter treat both alike, so
+        the match holds throughout. The shared mean adds its rows in the
+        edges' order, not the paths', so this too matches a separate
+        v-mean within rounding, not bit for bit.
         """
+        reused = self.reused_means(batch)
         sharing = (SharedBatch(batch, batch) if train and self.cfg.dropout > 0
                    else self.share(batch))
         batch, layer_batch = sharing.batch, sharing.layer0
@@ -662,6 +697,7 @@ class Model:
                                         self.params[f"L{l}.self.{c}.b"])
 
             messages: dict[str, tuple[np.ndarray, Tensor]] = {}
+            means: dict[str, Tensor] = {}  # relation -> its neighbour mean
             for key in self.relations:
                 pair = layer_batch.edges.get(key.id)
                 if pair is None or key.dst_table not in h or key.src_table not in h:
@@ -672,9 +708,10 @@ class Model:
                 if key.dst_table not in live[l]:
                     keep = dst < n_out[key.dst_table]
                     src, dst = src[keep], dst[keep]
-                messages[key.id] = relation_message(
+                rows, means[key.id], msg = relation_message(
                     self.params[f"L{l}.rel.{key.id}.W"], h[key.src_table],
                     src, dst, shared(key.src_table, key.dst_table, dst))
+                messages[key.id] = rows, msg
 
             by_dst: dict[str, list[str]] = {}
             for key in self.relations:
@@ -692,9 +729,13 @@ class Model:
                     u_idx, v_idx, w_idx = u_idx[keep], v_idx[keep], w_idx[keep]
                 if tr.pattern == "cooccurrence":
                     # a w row's mean of its own embedding is that embedding
-                    rows, mean_v = class_neighbor_mean(
-                        h[tr.v_table], v_idx, w_idx,
-                        shared(tr.v_table, c, w_idx))
+                    if tr.id in reused:  # the node branch's v -> w links
+                        match = tr.matching_relation().id
+                        rows, mean_v = messages[match][0], means[match]
+                    else:
+                        rows, mean_v = class_neighbor_mean(
+                            h[tr.v_table], v_idx, w_idx,
+                            shared(tr.v_table, c, w_idx))
                     _, mean_u = class_neighbor_mean(
                         h[tr.u_table], u_idx, w_idx,
                         shared(tr.u_table, c, w_idx))

@@ -19,9 +19,10 @@ import pytest
 from rolegnn import kernels
 from rolegnn import tensor as T
 from rolegnn.fd import fd_losses
-from rolegnn.model import (ForwardResult, Model, ModelConfig,
-                           class_neighbor_mean, completion_message,
-                           compute_gate, cooccurrence_message, fuse)
+from rolegnn.model import (ForwardResult, Model, ModelConfig, SharedBatch,
+                           _same_pairs, class_neighbor_mean,
+                           completion_message, compute_gate,
+                           cooccurrence_message, fuse)
 from rolegnn.sampler import SamplerConfig, sample_batch
 from rolegnn.schema_graph import (build_schema_graph, construct_reg,
                                   enumerate_edge_triples)
@@ -422,20 +423,22 @@ def _repeated_seed_setup(mode: str, layers: int):
 
 # SHA-256 of a forward's output, committed gates, gate diagnostics, full-mode
 # embeddings and, in training, every parameter gradient of one backward
-# pass; recorded before the sharing passes were merged into one
+# pass; recorded before the sharing passes were merged into one. The cases
+# where a co-occurrence triple's path pairs match its relation's edges were
+# re-taken when its v-mean began to read the relation's mean
 _FORWARD_PINNED = {
     ("learn", 1, "train"):
-        "78d69ab7b30b1e30955161cb32f920913a8b499e844770fce78744e9e885ce52",
+        "57dd9c4d1511b688a7d177225a0c2edcc497c3fe2dda284a4d5b5b3920ff26cd",
     ("learn", 1, "full"):
-        "e0b7e41e6ce3bd460efb0c76735fb051b38c79dae9035286b5795052324e678d",
+        "3defb00b89bc65fda1fbfc709dc74c5c1f09dc661fb750e8725b3798246bd366",
     ("learn", 1, "seeds-only"):
         "bf5c60207910e0d42480224b5fb03da045dd313f311e1a253e035c575c9256b4",
     ("learn", 2, "train"):
-        "66b14491859dc4eb0f42303a171ab4e1106eeec62fcb6cb45e12c508de1de766",
+        "75f1ea650066c186bbb554ac8ca0edc5501fb019393a19d56d7cd836f139beb1",
     ("learn", 2, "full"):
-        "b063b43bc5b11dba43e064ee8a113898bff5cfa162b68add62a9e60b0a3d47fe",
+        "cd0feb5845050f3c043579f3684c72ed79bfb8596ab9ca7eb1df87ef127dd50d",
     ("learn", 2, "seeds-only"):
-        "a562d9e774d1fc9394c4d57ed596d0143e05fb0b8842aad95490a0f79daa836d",
+        "92d5825c0ef5e0024322ede9091ffdbd52fad9eaa83109ea6c42293c4ae60b24",
     ("learn", 3, "train"):
         "949af33961ea2922c3d145076b97085b55b7dafed4143c52dcc79ac0f939db25",
     ("learn", 3, "full"):
@@ -443,17 +446,17 @@ _FORWARD_PINNED = {
     ("learn", 3, "seeds-only"):
         "e358b695805deff83d42781a286a6587c0819b05ed06efa61226589c0aaed89d",
     ("all-edge", 1, "train"):
-        "5980720655360879e2886129b71b3527fe3fe0ec80ffe5851588d5acf692d86f",
+        "f5289a7cde250183094e67127cc4a5bfb4d5ea4e745e14875176140446223641",
     ("all-edge", 1, "full"):
-        "5f2beeb241bcd41fe8cf943b9971345f311876c70f7db1114c046d4633f2db65",
+        "638d925aea700fc985d1e17420042293e4f97f68b3554e63097e7171cc659bd1",
     ("all-edge", 1, "seeds-only"):
-        "97d8876ac720c441b81d3020ab158a73f38489791230d86a1679421bd7361df4",
+        "80dad97003ba46db1c5642f8c4bb70ee265a845f0f4dea40327401d3f223f23e",
     ("all-edge", 2, "train"):
-        "9e6d2b47d76151fce0fa18658560cea1342a2ab4eb9a3f189dd228be7842226b",
+        "690ce209b1859af12f3870cddd8169aff33f53f6b03cef8b78c4e8b98b43b4a9",
     ("all-edge", 2, "full"):
-        "9608d5919127b9c69dca3e395b1a9a53f61b5bc29d0aa0ecb44eb91aed3ed430",
+        "4a6e89570859efae1d6eaf442677ef4f15e8f7f1808fa2af1640b938ae51cd55",
     ("all-edge", 2, "seeds-only"):
-        "5e543615cb9253a9840122b0e7fb9a9dbce0d4cc95984aa0a4614113add616d9",
+        "0bd9dfe422e4b17ec26b0c1d98f4c340d772efc465484d1329d0982f7e20f410",
     ("all-edge", 3, "train"):
         "62139cbc6808601491b314cda015824ced1322903739a2173ebc1dd4d02712e1",
     ("all-edge", 3, "full"):
@@ -774,3 +777,115 @@ def test_batch_with_distinct_pairs_comes_back_unchanged():
     assert not (sharing.expand or sharing.first or sharing.twins
                 or sharing.labels)
     assert model.share(batch).expand  # the same rows at two times do merge
+
+
+# --- the co-occurrence v-mean read from the matching relation --------------
+
+def _aggregations(monkeypatch) -> list[tuple]:
+    """Record each neighbour mean a forward takes through
+    `class_neighbor_mean` as (the aggregated tensor, its (src, dst) pairs
+    as a multiset)."""
+    import rolegnn.model as model_mod
+
+    real = model_mod.class_neighbor_mean
+    calls = []
+
+    def spy(h, src, dst, classes=None):
+        calls.append((h, Counter(zip(src.tolist(), dst.tolist()))))
+        return real(h, src, dst, classes)
+    monkeypatch.setattr(model_mod, "class_neighbor_mean", spy)
+    return calls
+
+
+def _repeats(calls: list[tuple]) -> int:
+    """How many recorded means repeat an earlier one's tensor and pairs;
+    a mean over no pairs (a seeds-only layer's table that computes no row)
+    repeats nothing."""
+    return sum(bool(pairs) and any(h is h2 and pairs == pairs2
+                                   for h2, pairs2 in calls[:i])
+               for i, (h, pairs) in enumerate(calls))
+
+
+def test_same_pairs_compares_multisets():
+    a = (np.array([0, 1, 1, 2]), np.array([3, 0, 0, 1]))
+    assert _same_pairs(a, (np.array([1, 2, 0, 1]), np.array([0, 1, 3, 0])))
+    assert not _same_pairs(a, (np.array([1, 2, 0, 2]), np.array([0, 1, 3, 1])))
+    assert not _same_pairs(a, (a[0][:3], a[1][:3]))
+    assert not _same_pairs(a, (a[1], a[0]))  # (3, 0) is not (0, 3)
+    empty = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
+    assert _same_pairs(empty, empty)
+
+
+@pytest.mark.parametrize("sharing", [True, False])
+@pytest.mark.parametrize("how", ["train", "full", "seeds-only"])
+@pytest.mark.parametrize("layers", [1, 2])
+def test_matched_cooccurrence_reads_the_relation_mean(monkeypatch, layers, how,
+                                                      sharing):
+    """A co-occurrence triple whose drawn (v, w) pairs are its matching
+    relation's edges takes no v-mean of its own at any layer: every mean a
+    forward takes is of a distinct (tensor, pairs). With the match ignored,
+    the same forward takes one more mean per matched triple and layer, and
+    repeats the matched ones."""
+    model, batch = _repeated_seed_setup("learn", layers)
+    reused = model.reused_means(batch)
+    assert reused
+    shared = model.share(batch)
+    assert shared.expand and shared.first
+    if not sharing:
+        monkeypatch.setattr(Model, "share",
+                            lambda self, b: SharedBatch(b, b))
+    calls = _aggregations(monkeypatch)
+    train, seeds_only = how == "train", how == "seeds-only"
+    model.forward(batch, model.init_gates(), train=train, seeds_only=seeds_only)
+    assert calls and not _repeats(calls)
+    taken = len(calls)
+    calls.clear()
+    monkeypatch.setattr(Model, "reused_means", lambda self, b: set())
+    model.forward(batch, model.init_gates(), train=train, seeds_only=seeds_only)
+    assert len(calls) - taken == len(reused) * layers
+    assert _repeats(calls) >= len(reused)
+
+
+def test_unmatched_draws_take_their_own_v_mean(monkeypatch):
+    """At two layers a hop-1 product draws at most 16 // 2 reviews as
+    edges but 16 as paths, so the triple into products falls back: its
+    v-mean aggregates its own path pairs, once per layer, while the triple
+    into users reads its relation's mean. Both match the per-path oracle."""
+    model, batch = _setup(lambda: gen_twohop(120, 30, 400, 1.0, 0), "learn", 2)
+    cooccurring = {tr.id: tr for tr in model.active_triples
+                   if tr.pattern == "cooccurrence" and tr.id in batch.paths}
+    reused = model.reused_means(batch)
+    apart = cooccurring.keys() - reused
+    assert reused and apart
+    tr = cooccurring[apart.pop()]
+    edges = batch.edges[tr.matching_relation().id]
+    v, w = batch.paths[tr.id][1:]
+    assert not _same_pairs(edges, (v, w))
+    monkeypatch.setattr(Model, "share", lambda self, b: SharedBatch(b, b))
+    calls = _aggregations(monkeypatch)
+    model.forward(batch, model.init_gates(), train=False)
+    path_pairs = Counter(zip(v.tolist(), w.tolist()))
+    edge_pairs = Counter(zip(*(a.tolist() for a in edges)))
+    assert sum(pairs == path_pairs for _, pairs in calls) == 2
+    assert sum(pairs == edge_pairs for _, pairs in calls) == 2
+    assert not _repeats(calls)
+    monkeypatch.undo()
+    for seeds_only in (False, True):
+        _assert_equivalent(model, batch, seeds_only)
+
+
+@pytest.mark.parametrize("layers", [1, 2])
+def test_match_carries_over_to_the_shared_batches(layers):
+    """`share` maps edge sources and path v ends alike and keeps the edges
+    and paths into the same locals, so a match found on the sampled batch
+    holds on the leaf-shared batch and the layer-0 batch."""
+    model, batch = _repeated_seed_setup("learn", layers)
+    reused = model.reused_means(batch)
+    sharing = model.share(batch)
+    assert reused and sharing.expand and sharing.first
+    for shared in (sharing.batch, sharing.layer0):
+        assert shared is not batch
+        for tid in reused:
+            tr = next(t for t in model.active_triples if t.id == tid)
+            assert _same_pairs(shared.edges[tr.matching_relation().id],
+                               shared.paths[tid][1:])

@@ -249,9 +249,11 @@ def test_relation_message_zero_neighbors_is_zero():
     term they are added onto stays as it is."""
     W = Tensor(np.eye(2))
     h_src = Tensor(np.ones((3, 2)))
-    rows, msg = relation_message(W, h_src, np.array([0, 1], dtype=np.int64),
-                                 np.array([1, 1], dtype=np.int64))
+    rows, mean, msg = relation_message(W, h_src,
+                                       np.array([0, 1], dtype=np.int64),
+                                       np.array([1, 1], dtype=np.int64))
     np.testing.assert_array_equal(rows, [1])
+    np.testing.assert_array_equal(mean.values, [[1.0, 1.0]])
     np.testing.assert_array_equal(msg.values, [[1.0, 1.0]])
     total = T.add_rows(Tensor(np.zeros((4, 2))), rows, msg)
     np.testing.assert_array_equal(total.values, [[0, 0], [1, 1], [0, 0], [0, 0]])

@@ -243,14 +243,15 @@ def test_adopted_gradient_buffers_keep_parameter_gradients(monkeypatch, layers):
 
 
 # SHA-256 of (parameter hash, history) after training, and of every parameter
-# gradient of the first 12 backward passes; recorded after the FD scoring
-# head began to map before it pairs, with BLAS at one thread. The training
+# gradient of the first 12 backward passes, with BLAS at one thread; recorded
+# after the FD scoring head began to map before it pairs, and re-taken when a
+# matched co-occurrence v-mean began to read its relation's mean. The training
 # runs in a child process with the count pinned, as for the x1 digest below.
 _FD_PINNED = {
-    1: ("eba144b576bad28cca41a5fc805bf566bda4529218464c90f94b6781c765bd80",
-        "b6d74d6df2a0c08eeac659c19e9205d068b237e754398c733c18e723c214fc0e"),
-    2: ("60c4395c06cf41d5a21f0d25b182eae980d5b3781950e65bbc77fd1900b33a6e",
-        "40bd47356b0256a4199bf2151a4c1265f3672aeebf1af5206bc8e74d9808e92b"),
+    1: ("f34c7827ffa2b61646d563561869b2a4478324a567920b486d9be0a8ce47cc0d",
+        "a5271abd04dacb5fc158a17420aa14d49272c8e906fd6aa6e0389efc519a0bdb"),
+    2: ("b034fb70e6044e7533519eb0979e342ef3f301b8a0dcd12af89df271a73e1979",
+        "541eb9cb2559f84c6be047b5de727f9ab931bfb674a27d073fd091484a2fb575"),
 }
 _FD_TRAINING = """
 import hashlib, sys
@@ -306,11 +307,12 @@ def test_fd_training_matches_pinned_digests(layers):
 # SHA-256 of (parameter hash, history) after a 2-epoch training at the x1
 # benchmark shape (two-hop 2000/300/8000, 2 layers, 32 channels, 256 seeds
 # per batch, 128 neighbours, FD off) with BLAS at one thread; recorded while
-# path relations still carried a copy of the intermediate table's attributes.
-# The bytes depend on the BLAS thread count, so the training runs in a child
+# path relations still carried a copy of the intermediate table's attributes,
+# and re-taken when a matched co-occurrence v-mean began to read its
+# relation's mean. The bytes depend on the BLAS thread count, so the training runs in a child
 # process with the count pinned, as the benchmark pins it.
-_X1_PINNED = ("e74e20c7eb0b346e8a38334503a00ddc"
-              "d5bfeb92cf8a1b05ca86fd6f0aa7d6b2")
+_X1_PINNED = ("224e42e33c9921b543187ba6297a5ca6"
+              "a6ca7344134bba27af7c75f0867ae8e5")
 _X1_TRAINING = """
 import hashlib
 from rolegnn.model import ModelConfig
