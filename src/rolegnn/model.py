@@ -638,14 +638,10 @@ class Model:
         first read. Class sums add in another order, so results match
         computing every copy within rounding, not bit for bit. Under
         training dropout each copy keeps its own mask, so nothing is shared.
-
-        A co-occurrence triple whose path (v, w) ends equal its matching
-        relation's edges on the sampled batch (`reused_means`, checked
-        once) reads the relation message's mean as its v-mean at every
-        layer; `share` and the per-layer row filter treat both alike, so
-        the match holds throughout. The shared mean adds its rows in the
-        edges' order, not the paths', so this too matches a separate
-        v-mean within rounding, not bit for bit.
+        A co-occurrence triple matched on the sampled batch
+        (`reused_means`) reads its relation message's mean as its v-mean
+        at every layer, which adds the rows in the edges' order: within
+        rounding of a separate v-mean, not bit for bit.
         """
         reused = self.reused_means(batch)
         sharing = (SharedBatch(batch, batch) if train and self.cfg.dropout > 0

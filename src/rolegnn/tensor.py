@@ -408,9 +408,10 @@ def pair_mlp(h_i: Tensor, h_ref: Tensor, ref_idx: np.ndarray | None,
     `h_i W1 + b1` less row j of `h_ref W1`, so no (n k x c) difference block
     is built, nor any product with one. Backward sums the hidden gradient
     over each row's k pairs for `h_i` and scatters it onto `h_ref` in one
-    segment sum (row-aligned pairs need no scatter). This equals the composed chain of `take_rows`, `sub`,
-    `linear`, `relu` and `linear` within rounding, not bit for bit: the
-    difference is rounded relative to |h W1|, not to |(h_i - h_ref) W1|.
+    segment sum (row-aligned pairs need no scatter). This equals the
+    composed chain of `take_rows`, `sub`, `linear`, `relu` and `linear`
+    within rounding, not bit for bit: the difference is rounded relative to
+    |h W1|, not to |(h_i - h_ref) W1|.
     """
     c = h_i.shape[-1]
     pairs_ok = (h_ref.shape == h_i.shape if ref_idx is None
@@ -608,8 +609,9 @@ def load_tensors(path: str | Path) -> dict[str, np.ndarray]:
     """Read a file written by `save_tensors`.
 
     A file that is missing, is not a checkpoint, is cut short, holds bytes
-    past its last tensor, or whose byte counts disagree with its header raises CheckpointMismatch naming the
-    file and, where one is involved, the tensor.
+    past its last tensor, or whose byte counts disagree with its header
+    raises CheckpointMismatch naming the file and, where one is involved,
+    the tensor.
     """
     try:
         data = Path(path).read_bytes()

@@ -309,8 +309,8 @@ def test_fd_training_matches_pinned_digests(layers):
 # per batch, 128 neighbours, FD off) with BLAS at one thread; recorded while
 # path relations still carried a copy of the intermediate table's attributes,
 # and re-taken when a matched co-occurrence v-mean began to read its
-# relation's mean. The bytes depend on the BLAS thread count, so the training runs in a child
-# process with the count pinned, as the benchmark pins it.
+# relation's mean. The bytes depend on the BLAS thread count, so the training
+# runs in a child process with the count pinned, as the benchmark pins it.
 _X1_PINNED = ("224e42e33c9921b543187ba6297a5ca6"
               "a6ca7344134bba27af7c75f0867ae8e5")
 _X1_TRAINING = """
