@@ -39,7 +39,7 @@ import numpy as np
 from . import kernels
 from . import tensor as T
 from .config import DEFAULTS, MAX_CHANNELS, MAX_LAYERS, integral, real
-from .errors import CheckpointMismatch, ShapeError
+from .errors import CheckpointMismatch
 from .sampler import BatchSubgraph, TypeNodes
 from .schema_graph import RelationalEntityGraph
 from .tensor import Tensor
@@ -332,22 +332,21 @@ def completion_message(W1: Tensor, W2: Tensor, fW: Tensor, fb: Tensor,
 def compute_gate(att_W: Tensor, att_b: Tensor, h_n: Tensor, h_e: Tensor,
                  gbar: float, alpha: float, mu: float, train: bool,
                  rows: np.ndarray | None = None) -> tuple[Tensor, Tensor, Tensor]:
-    """Per-node adaptive gate, blended gate, and the table-level gate to use.
+    """Per-node adaptive gate (values only, off the tape), blended gate, and
+    the table-level gate to use; the blended gate is one `T.gate_blend` node.
 
     During training the returned table-level gate is the freshly updated
     running mean (kept on the tape so the gate head receives gradient); at
     evaluation it is the stored constant. `rows`, when given, lists the row
     of g behind each node the mean runs over, a shared row once per node.
     """
-    logits = T.linear(T.concat([h_n, h_e], axis=1), att_W, att_b)
-    g_tilde = T.sigmoid(logits)
-    g = T.add(T.scale(g_tilde, 1.0 - alpha), Tensor(np.array(alpha * gbar)))
+    g_tilde, g = T.gate_blend(h_n, h_e, att_W, att_b, alpha, gbar)
     if train:
         g_all = g if rows is None else T.take_rows(g, rows)
         g_used = T.add(T.scale(T.mean(g_all), 1.0 - mu), Tensor(np.array(mu * gbar)))
     else:
         g_used = Tensor(np.array(gbar))
-    return g_tilde, g, g_used
+    return Tensor(g_tilde), g, g_used
 
 
 def _first_copies(ids: np.ndarray, done: np.ndarray, start: int,
@@ -360,18 +359,6 @@ def _first_copies(ids: np.ndarray, done: np.ndarray, start: int,
     target = np.arange(n)
     target[done] = lowest[ids[done]]
     return target
-
-
-def fuse(pairs: list[tuple[Tensor, Tensor, Tensor]]) -> Tensor:
-    """Sum over relations of (1 - gate) * node branch + gate * edge branch."""
-    total = None
-    for h_n, h_e, gate in pairs:
-        one_minus = T.add(T.scale(gate, -1.0), Tensor(np.array(1.0)))
-        term = T.add(T.mul(one_minus, h_n), T.mul(gate, h_e))
-        total = term if total is None else T.add(total, term)
-    if total is None:
-        raise ShapeError("fuse needs at least one branch pair")
-    return total
 
 
 # ---------------------------------------------------------------------------
@@ -750,11 +737,11 @@ class Model:
                         T.take_rows(h[tr.u_table], u_idx))
                     rows, msg = T.neighbor_mean(path_msg, np.arange(len(w_idx)),
                                                 w_idx)
-                h_e = T.relu(T.add_rows(self_term[c], rows, msg))
+                h_e = T.relu_update(self_term[c], [(rows, msg)])
 
                 # a drawn path's v row is also drawn as a neighbour of w
-                h_n = T.relu(T.add_rows(self_term[c],
-                                        *messages[tr.matching_relation().id]))
+                h_n = T.relu_update(self_term[c],
+                                    [messages[tr.matching_relation().id]])
 
                 if tr.id in self._constant_gates:
                     g_used = Tensor(np.array(self._constant_gates[tr.id]))
@@ -779,12 +766,10 @@ class Model:
             h_next = {}
             for c in h:
                 if c in fusion_pairs:
-                    h_next[c] = fuse(fusion_pairs[c])
+                    h_next[c] = T.gated_sum(fusion_pairs[c])
                 else:  # the plain node-branch update
-                    total = self_term[c]
-                    for kid in by_dst.get(c, []):
-                        total = T.add_rows(total, *messages[kid])
-                    h_next[c] = T.relu(total)
+                    h_next[c] = T.relu_update(
+                        self_term[c], [messages[kid] for kid in by_dst.get(c, [])])
                 if self.cfg.dropout > 0:
                     h_next[c] = T.dropout(h_next[c], self.cfg.dropout, train, rng)
             if l == 0:  # back to one row per leaf-shared local

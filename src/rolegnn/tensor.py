@@ -265,11 +265,15 @@ def take_rows(a: Tensor, idx: np.ndarray) -> Tensor:
     return _record(out, (a,), bwd)
 
 
-def sigmoid(a: Tensor) -> Tensor:
+def _sigmoid(x: np.ndarray) -> np.ndarray:
     # 1/(1+e) for x >= 0 and e/(1+e) below, from e = exp(-|x|) <= 1, so
     # nothing overflows
-    e = np.exp(-np.abs(a.values))
-    v = np.where(a.values >= 0, 1.0, e) / (1.0 + e)
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+
+
+def sigmoid(a: Tensor) -> Tensor:
+    v = _sigmoid(a.values)
     out = Tensor(v)
 
     def bwd(g):
@@ -470,18 +474,123 @@ def pair_mlp(h_i: Tensor, h_ref: Tensor, ref_idx: np.ndarray | None,
     return _record(out, (h_i, h_ref, W1, b1, W2, b2), bwd)
 
 
-def add_rows(base: Tensor, rows: np.ndarray, vals: Tensor) -> Tensor:
-    """A copy of `base` with row i of `vals` added to its row `rows[i]`;
-    `rows` must be distinct."""
-    rows = np.asarray(rows, dtype=np.int64)
+def relu_update(base: Tensor, parts: list[tuple[np.ndarray, Tensor]]) -> Tensor:
+    """relu(base + parts) as one tape node: a copy of `base` that adds row i
+    of each part's `vals` to its row `rows[i]`, part by part in the given
+    order, then takes the ReLU in place. Within a part `rows` must be
+    distinct; a repeated row raises ShapeError naming it.
+
+    Backward reads the ReLU's mask from the output and keeps no other array.
+    Output and gradients are bit-identical to the composed chain of one row
+    addition per part and a `relu`, whose intermediate nodes hand `base`
+    and every part but the last the `0.0 + g` copy of the gradient.
+    """
+    n = base.shape[0]
+    parts = [(np.asarray(rows, dtype=np.int64), vals) for rows, vals in parts]
     v = base.values.copy()
-    v[rows] += vals.values
+    for rows, vals in parts:
+        if rows.ndim != 1 or vals.shape != rows.shape + base.shape[1:]:
+            raise ShapeError(f"relu_update: {vals.shape} rows at {rows.shape} "
+                             f"onto {base.shape}")
+        if len(rows):
+            if rows.min() < 0 or rows.max() >= n:
+                raise ShapeError(f"relu_update: rows {int(rows.min())}.."
+                                 f"{int(rows.max())} outside [0, {n})")
+            repeats = np.flatnonzero(np.bincount(rows, minlength=n) > 1)
+            if len(repeats):
+                raise ShapeError(f"relu_update: row {int(repeats[0])} is added "
+                                 f"twice in one part")
+        v[rows] += vals.values
+    np.maximum(v, 0.0, out=v)
     out = Tensor(v)
 
     def bwd(g):
-        _accum(base, g)
-        _accum(vals, g[rows], own=True)
-    return _record(out, (base, vals), bwd)
+        g = g * (v > 0)
+        if not parts:  # the relu's own gradient, adopted
+            _accum(base, g, own=True)
+            return
+        copy = g if len(parts) == 1 else np.add(g, 0.0)
+        for k in range(len(parts) - 1, -1, -1):
+            rows, vals = parts[k]
+            if k == 0:
+                _accum(base, copy)
+            if vals.requires_grad:
+                _accum(vals, (g if k == len(parts) - 1 else copy)[rows], own=True)
+    return _record(out, (base, *(vals for _, vals in parts)), bwd)
+
+
+def gated_sum(pairs: list[tuple[Tensor, Tensor, Tensor]]) -> Tensor:
+    """The sum over pairs of (1 - g) * h_n + g * h_e as one tape node.
+
+    Backward keeps no array of its own: it reads the pairs' values. Output
+    and gradients are bit-identical to the composed chain of `scale`,
+    `add`, two `mul`s and an `add` per pair (1 - g is formed as
+    g * -1.0 + 1.0, which equals it exactly) and an `add` across pairs.
+    """
+    if not pairs:
+        raise ShapeError("gated_sum needs at least one branch pair")
+    total = None
+    for h_n, h_e, g in pairs:
+        term = (g.values * -1.0 + 1.0) * h_n.values
+        term += g.values * h_e.values
+        if total is None:
+            total = term
+        else:
+            total += term
+    out = Tensor(total)
+
+    def bwd(grad):
+        # the chain hands every mul the 0.0 + grad copy
+        grad = np.add(grad, 0.0)
+        for h_n, h_e, g in reversed(pairs):
+            if h_e.requires_grad:
+                _accum(h_e, _unbroadcast(grad * g.values, h_e.shape), own=True)
+            if h_n.requires_grad:
+                _accum(h_n, _unbroadcast(grad * (g.values * -1.0 + 1.0),
+                                         h_n.shape), own=True)
+            if g.requires_grad:  # from g * h_e, then through 1 - g's copy
+                _accum(g, _unbroadcast(grad * h_e.values, g.shape), own=True)
+                one_minus = _unbroadcast(grad * h_n.values, g.shape)
+                _accum(g, np.add(one_minus, 0.0) * -1.0, own=True)
+    return _record(out, tuple(t for pair in pairs for t in pair), bwd)
+
+
+def gate_blend(h_n: Tensor, h_e: Tensor, W: Tensor, b: Tensor, alpha: float,
+               gbar: float) -> tuple[np.ndarray, Tensor]:
+    """The per-row gate g~ = sigmoid([h_n || h_e] W + b) and its blend
+    g = (1 - alpha) g~ + alpha gbar, recorded as one tape node for g.
+
+    Returns g~'s values (off the tape) and g. The node keeps g~ for
+    backward and concatenates the branches again there, for W's gradient.
+    Output and gradients are bit-identical to the composed chain of
+    `concat`, `linear`, `sigmoid`, `scale` and `add`.
+    """
+    if h_n.values.ndim != 2 or h_n.shape != h_e.shape or W.values.ndim != 2 \
+            or W.shape[0] != 2 * h_n.shape[1]:
+        raise ShapeError(f"gate_blend shape mismatch: {h_n.shape} || "
+                         f"{h_e.shape} @ {W.shape}")
+    c = h_n.shape[1]
+    logits = np.concatenate([h_n.values, h_e.values], axis=1) @ W.values
+    logits += b.values
+    s = _sigmoid(logits)
+    v = s * (1.0 - alpha)
+    v += alpha * gbar
+    out = Tensor(v)
+
+    def bwd(g):
+        g = np.add(g, 0.0)  # the blend's add copies it for the scale
+        g *= 1.0 - alpha
+        g *= s
+        g *= 1.0 - s
+        if h_n.requires_grad or h_e.requires_grad:
+            gx = g @ W.values.T
+            _accum(h_n, gx[:, :c])
+            _accum(h_e, gx[:, c:])
+        if W.requires_grad:
+            x = np.concatenate([h_n.values, h_e.values], axis=1)
+            _accum(W, x.T @ g, own=True)
+        _accum(b, _unbroadcast(g, b.shape))
+    return s, _record(out, (h_n, h_e, W, b), bwd)
 
 
 # ---------------------------------------------------------------------------

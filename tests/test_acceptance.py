@@ -18,7 +18,7 @@ from rolegnn import tensor as T
 from rolegnn.config import defaults_self_test, hop_budget
 from rolegnn.fd import FdModule, loss_emb, loss_pair, score_pairs
 from rolegnn.model import (ModelConfig, completion_message,
-                           compute_gate, cooccurrence_message, fuse)
+                           compute_gate, cooccurrence_message)
 from rolegnn.rdb import canonical_form
 from rolegnn.schema_graph import (RoleAssignment, build_schema_graph,
                                   close_common_neighbors, construct_reg,
@@ -107,7 +107,8 @@ def test_criterion_3_gradient_correctness():
         ch = 3
 
         # joint co-occurrence message pipeline: average each w row's v and
-        # u neighbours, map the means, add them onto the w rows
+        # u neighbours, map the means, add them onto the w rows (the
+        # engine's ReLU update)
         W = T.init_param((3 * ch, ch), fan_in=3 * ch, seed=trial)
         hw, hv, hu = (rand_tensor(rng, (4, ch)) for _ in range(3))
         u_idx, v_idx, w_idx = (rng.integers(0, 4, size=6) for _ in range(3))
@@ -116,7 +117,7 @@ def test_criterion_3_gradient_correctness():
             rows, mean_v = T.neighbor_mean(hv, v_idx, w_idx)
             _, mean_u = T.neighbor_mean(hu, u_idx, w_idx)
             msg = cooccurrence_message(W, T.take_rows(hw, rows), mean_v, mean_u)
-            return T.sumsq(T.add_rows(hw, rows, msg))
+            return T.sumsq(T.relu_update(hw, [(rows, msg)]))
 
         worst_comp = max(worst_comp, finite_diff_max_rel(
             cooccurrence_loss, [W, hw, hv, hu]))
@@ -140,7 +141,7 @@ def test_criterion_3_gradient_correctness():
         def gate_fuse_loss():
             _, _, g_used = compute_gate(att_W, att_b, hn, he, 0.4, 0.9, 0.9,
                                         train=True)
-            return T.sumsq(fuse([(hn, he, g_used)]))
+            return T.sumsq(T.gated_sum([(hn, he, g_used)]))
 
         worst_comp = max(worst_comp, finite_diff_max_rel(
             gate_fuse_loss, [att_W, att_b, hn, he]))

@@ -22,7 +22,7 @@ from rolegnn.fd import fd_losses
 from rolegnn.model import (ForwardResult, Model, ModelConfig, SharedBatch,
                            _same_pairs, class_neighbor_mean,
                            completion_message, compute_gate,
-                           cooccurrence_message, fuse)
+                           cooccurrence_message)
 from rolegnn.sampler import SamplerConfig, sample_batch
 from rolegnn.schema_graph import (build_schema_graph, construct_reg,
                                   enumerate_edge_triples)
@@ -146,7 +146,7 @@ def _per_path_forward(self: Model, batch, gates, train: bool, rng=None,
         h_next = {}
         for c in h:
             if c in fusion_pairs:
-                h_next[c] = fuse(fusion_pairs[c])
+                h_next[c] = T.gated_sum(fusion_pairs[c])
             else:
                 h_next[c] = node_full[c]
             if self.cfg.dropout > 0:

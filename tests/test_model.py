@@ -6,7 +6,7 @@ import pytest
 from conftest import finite_diff_max_rel, review_fixture_rows, review_fixture_specs
 from rolegnn import tensor as T
 from rolegnn.model import (Model, ModelConfig, completion_message,
-                           compute_gate, cooccurrence_message, fuse,
+                           compute_gate, cooccurrence_message,
                            link_scores, relation_message)
 from rolegnn.rdb import build_database
 from rolegnn.sampler import SamplerConfig, sample_batch
@@ -255,7 +255,7 @@ def test_relation_message_zero_neighbors_is_zero():
     np.testing.assert_array_equal(rows, [1])
     np.testing.assert_array_equal(mean.values, [[1.0, 1.0]])
     np.testing.assert_array_equal(msg.values, [[1.0, 1.0]])
-    total = T.add_rows(Tensor(np.zeros((4, 2))), rows, msg)
+    total = T.relu_update(Tensor(np.zeros((4, 2))), [(rows, msg)])
     np.testing.assert_array_equal(total.values, [[0, 0], [1, 1], [0, 0], [0, 0]])
 
 
@@ -476,8 +476,8 @@ def test_gates_frozen_at_evaluation():
 def test_fuse_endpoints():
     hn = Tensor(np.array([[1.0, 2.0]]))
     he = Tensor(np.array([[3.0, 4.0]]))
-    lo = fuse([(hn, he, Tensor(np.array(0.0)))])
-    hi = fuse([(hn, he, Tensor(np.array(1.0)))])
+    lo = T.gated_sum([(hn, he, Tensor(np.array(0.0)))])
+    hi = T.gated_sum([(hn, he, Tensor(np.array(1.0)))])
     np.testing.assert_array_equal(lo.values, hn.values)
     np.testing.assert_array_equal(hi.values, he.values)
 
@@ -487,7 +487,7 @@ def test_fuse_hand_example():
               Tensor(np.array(0.5))),
              (Tensor(np.array([[2.0]])), Tensor(np.array([[6.0]])),
               Tensor(np.array(0.25)))]
-    assert fuse(pairs).values.item() == 5.0
+    assert T.gated_sum(pairs).values.item() == 5.0
 
 
 def test_fuse_convexity_per_relation():
@@ -495,7 +495,7 @@ def test_fuse_convexity_per_relation():
     hn = Tensor(rng.normal(size=(10, 4)))
     he = Tensor(rng.normal(size=(10, 4)))
     for g in (0.13, 0.5, 0.77):
-        out = fuse([(hn, he, Tensor(np.array(g)))]).values
+        out = T.gated_sum([(hn, he, Tensor(np.array(g)))]).values
         lo = np.minimum(hn.values, he.values)
         hi = np.maximum(hn.values, he.values)
         assert (out >= lo - 1e-12).all() and (out <= hi + 1e-12).all()
@@ -653,6 +653,18 @@ def _assert_seeds_only_matches_full(model, batch):
     for c, emb in trimmed.embeddings.items():
         assert emb.shape[0] == batch.reach[c][0]
         assert np.array_equal(emb.values, full.embeddings[c].values[:emb.shape[0]])
+
+
+def test_training_forward_tape_is_pinned():
+    """A fixed two-layer training forward records one node per table update
+    and per gate, and the tape holds these bytes. A change that splits an
+    update into its parts again fails here: the composed chains recorded
+    124 nodes holding 824,648 bytes."""
+    model, batch = _seeds_only_setup("learn", 2)
+    with T.tape_scope():
+        model.forward(batch, model.init_gates(), train=True)
+        held = sum(t.values.nbytes for t in T._TAPE)
+        assert (T.tape_size(), held) == (80, 505_040)
 
 
 def test_embeddings_are_gathered_on_first_read():

@@ -196,11 +196,246 @@ def test_neighbor_mean_matches_loop():
     assert rows.shape == (0,) and out.shape == (0, 4)
 
 
-def test_add_rows_leaves_base_and_other_rows():
-    base = Tensor(np.arange(8.0).reshape(4, 2))
-    out = T.add_rows(base, np.array([2, 0]), Tensor([[10.0, 20.0], [1.0, 1.0]]))
-    np.testing.assert_array_equal(out.values, [[1, 2], [2, 3], [14, 25], [6, 7]])
-    np.testing.assert_array_equal(base.values, np.arange(8.0).reshape(4, 2))
+def test_relu_update_leaves_base_and_other_rows():
+    base = Tensor(np.arange(8.0).reshape(4, 2) - 3.0)
+    out = T.relu_update(base, [(np.array([2, 0]),
+                                Tensor([[10.0, 20.0], [1.0, 1.0]]))])
+    np.testing.assert_array_equal(out.values, [[0, 0], [0, 0], [11, 22], [3, 4]])
+    np.testing.assert_array_equal(base.values, np.arange(8.0).reshape(4, 2) - 3.0)
+
+
+def test_relu_update_refuses_a_repeated_row():
+    """Fancy-index addition adds a repeated row once, while its backward
+    hands both value rows a gradient: the node refuses the repeat."""
+    base = Tensor(np.zeros((3, 2)), requires_grad=True)
+    vals = Tensor(np.ones((2, 2)), requires_grad=True)
+    with pytest.raises(ShapeError, match="row 1 is added twice"):
+        T.relu_update(base, [(np.array([1, 1]), vals)])
+    # distinct within each part, the parts may share a row
+    out = T.relu_update(base, [(np.array([1]), Tensor(np.ones((1, 2)))),
+                               (np.array([0, 1]), vals)])
+    np.testing.assert_array_equal(out.values, [[1, 1], [2, 2], [0, 0]])
+    for rows in ([3], [-1]):
+        with pytest.raises(ShapeError, match="outside"):
+            T.relu_update(base, [(np.array(rows), Tensor(np.ones((1, 2))))])
+    with pytest.raises(ShapeError):
+        T.relu_update(base, [(np.array([0, 1]), Tensor(np.ones((2, 3))))])
+    assert T.tape_size() == 1
+
+
+# --- the one-node table updates against the composed chains they replace ---
+
+def _add_rows(base, rows, vals):
+    """The row addition the engine recorded before `T.relu_update`: a copy
+    of `base` with row i of `vals` added to its row `rows[i]`."""
+    rows = np.asarray(rows, dtype=np.int64)
+    v = base.values.copy()
+    v[rows] += vals.values
+    out = Tensor(v)
+
+    def bwd(g):
+        T._accum(base, g)
+        T._accum(vals, g[rows], own=True)
+    return T._record(out, (base, vals), bwd)
+
+
+def _composed_relu_update(base, parts):
+    total = base
+    for rows, vals in parts:
+        total = _add_rows(total, rows, vals)
+    return T.relu(total)
+
+
+def _composed_gate_blend(h_n, h_e, W, b, alpha, gbar):
+    g_tilde = T.sigmoid(T.linear(T.concat([h_n, h_e], axis=1), W, b))
+    return g_tilde.values, T.add(T.scale(g_tilde, 1.0 - alpha),
+                                 Tensor(np.array(alpha * gbar)))
+
+
+def _composed_gated_sum(pairs):
+    total = None
+    for h_n, h_e, gate in pairs:
+        one_minus = T.add(T.scale(gate, -1.0), Tensor(np.array(1.0)))
+        term = T.add(T.mul(one_minus, h_n), T.mul(gate, h_e))
+        total = term if total is None else T.add(total, term)
+    return total
+
+
+def _probe(t, seen, key):
+    """An identity node over `t` that records the gradient handed to it.
+    A leaf's +0.0 buffer absorbs a -0.0, so only a node shows the signed
+    zeros of the `0.0 + g` copies."""
+    out = Tensor(t.values)
+
+    def bwd(g):
+        seen[key] = g.tobytes()
+        T._accum(t, g)
+    return T._record(out, (t,), bwd)
+
+
+def _bytes_through(node, make_inputs, weight, later):
+    """Output bytes, the gradient bytes each input's probe receives and the
+    leaves' gradient bytes of sum(node(...) * weight), plus sum(input_i * w)
+    for each (i, w) of `later`: consumers recorded after the node, so the
+    node adds onto a gradient already written."""
+    inputs = make_inputs()
+    seen = {}
+    probes = [_probe(t, seen, i) if t.requires_grad else t
+              for i, t in enumerate(inputs)]
+    out = node(*probes)
+    loss = T.sum_(T.mul(out, Tensor(weight)))
+    for i, w in later:
+        loss = T.add(loss, T.sum_(T.mul(probes[i], Tensor(w))))
+    T.backward(loss)
+    return (out.values.tobytes(), seen,
+            [t.grad.tobytes() for t in inputs if t.requires_grad])
+
+
+def _signed_weight(rng, shape):
+    """An upstream gradient holding -0.0, +0.0 and both signs."""
+    w = rng.uniform(-2, 2, size=shape)
+    w.reshape(-1)[::3] = -0.0
+    w.reshape(-1)[1::5] = 0.0
+    return w
+
+
+def _relu_update_inputs(n_parts):
+    """Small integers, so that some pre-activations are exactly 0, a base
+    row of -0.0, and `n_parts` parts whose rows overlap across parts."""
+    rng = np.random.default_rng(40 + n_parts)
+    base = rng.integers(-2, 3, size=(6, 3)).astype(float)
+    base[5] = -0.0
+    rows = [np.array([3, 0, 4]), np.array([0, 2]),
+            np.array([4, 1, 3, 2])][:n_parts]
+    vals = [rng.integers(-2, 3, size=(len(r), 3)).astype(float) for r in rows]
+    pre = base.copy()
+    for r, v in zip(rows, vals):
+        pre[r] += v
+    assert (pre == 0).any() and (pre > 0).any()
+
+    def make():
+        return [Tensor(base.copy(), requires_grad=True),
+                *(Tensor(v.copy(), requires_grad=True) for v in vals)]
+    return rows, make
+
+
+@pytest.mark.parametrize("later", [False, True])
+@pytest.mark.parametrize("n_parts", [0, 1, 2, 3])
+def test_relu_update_is_bit_identical_to_the_composed_chain(n_parts, later):
+    rows, make = _relu_update_inputs(n_parts)
+    weight = _signed_weight(np.random.default_rng(7), (6, 3))
+    uses = [(i, _signed_weight(np.random.default_rng(8 + i), t.shape))
+            for i, t in enumerate(make())] if later else []
+
+    def run(update):
+        return _bytes_through(
+            lambda base, *vals: update(base, list(zip(rows, vals))),
+            make, weight, uses)
+    assert run(T.relu_update) == run(_composed_relu_update)
+
+
+def _gate_inputs():
+    rng = np.random.default_rng(3)
+    h_n, h_e = rng.uniform(-2, 2, size=(5, 4)), rng.uniform(-2, 2, size=(5, 4))
+    h_n[2] = 0.0
+    h_e[2] = -0.0
+    W, b = rng.uniform(-1, 1, size=(8, 1)), np.zeros(1)
+
+    def make():
+        return [Tensor(a.copy(), requires_grad=True) for a in (h_n, h_e, W, b)]
+    return make
+
+
+@pytest.mark.parametrize("later", [False, True])
+def test_gate_blend_is_bit_identical_to_the_composed_chain(later):
+    make = _gate_inputs()
+    weight = _signed_weight(np.random.default_rng(5), (5, 1))
+    uses = [(i, _signed_weight(np.random.default_rng(9 + i), (5, 4)))
+            for i in (0, 1)] if later else []
+    tilde = {}
+
+    def run(blend):
+        def node(*inputs):
+            tilde[blend], g = blend(*inputs, 0.9, 0.4)
+            return g
+        return _bytes_through(node, make, weight, uses)
+    assert run(T.gate_blend) == run(_composed_gate_blend)
+    assert tilde[T.gate_blend].tobytes() == tilde[_composed_gate_blend].tobytes()
+
+
+@pytest.mark.parametrize("later", [False, True])
+@pytest.mark.parametrize("gates", [(0.3,), ("learned",), ("learned", 0.6),
+                                   ("learned", "learned")])
+def test_gated_sum_is_bit_identical_to_the_composed_chain(gates, later):
+    """One pair or two (two active triples into one table), each gate
+    learned (on the tape) or constant."""
+    rng = np.random.default_rng(len(gates))
+    branches = [rng.uniform(-2, 2, size=(4, 3)) for _ in range(2 * len(gates))]
+    branches[0][1] = -0.0
+    values = [rng.uniform(0.05, 0.95) if g == "learned" else g for g in gates]
+
+    def make():
+        out = []
+        for k, g in enumerate(gates):
+            out += [Tensor(branches[2 * k].copy(), requires_grad=True),
+                    Tensor(branches[2 * k + 1].copy(), requires_grad=True),
+                    Tensor(np.array(values[k]), requires_grad=g == "learned")]
+        return out
+    weight = _signed_weight(np.random.default_rng(6), (4, 3))
+    uses = [(i, _signed_weight(np.random.default_rng(20 + i), t.shape))
+            for i, t in enumerate(make()) if t.requires_grad] if later else []
+
+    def run(gated):
+        return _bytes_through(
+            lambda *ts: gated([tuple(ts[k:k + 3]) for k in range(0, len(ts), 3)]),
+            make, weight, uses)
+    assert run(T.gated_sum) == run(_composed_gated_sum)
+
+
+def test_one_node_updates_under_no_grad_match_and_record_nothing():
+    rows, make = _relu_update_inputs(2)
+    base, *vals = make()
+    gate_in = _gate_inputs()()
+    with T.no_grad():
+        pairs = [(gate_in[0], gate_in[1], Tensor(np.array(0.25)))]
+        for got, oracle in [
+                (T.relu_update(base, list(zip(rows, vals))),
+                 _composed_relu_update(base, list(zip(rows, vals)))),
+                (T.gate_blend(*gate_in, 0.9, 0.4)[1],
+                 _composed_gate_blend(*gate_in, 0.9, 0.4)[1]),
+                (T.gated_sum(pairs), _composed_gated_sum(pairs))]:
+            assert got.values.tobytes() == oracle.values.tobytes()
+            assert not got.requires_grad
+    assert T.tape_size() == 0
+
+
+@pytest.mark.parametrize("scales", [(1e-300,), (1e150,), (1e-300, 1e150)])
+def test_one_node_updates_stay_finite_on_extreme_inputs(scales):
+    """Finite extreme inputs of mixed signs (and, last, mixed magnitudes)
+    give a finite output and finite gradients, with no floating-point
+    warning."""
+    rng = np.random.default_rng(len(scales))
+
+    def extreme(shape):
+        return Tensor(rng.choice(scales, size=shape)
+                      * rng.choice([-1.0, 1.0], size=shape)
+                      * rng.uniform(0.5, 2, size=shape), requires_grad=True)
+    base, vals = extreme((6, 3)), extreme((3, 3))
+    h_n, h_e, W, b = extreme((6, 3)), extreme((6, 3)), extreme((6, 1)), extreme((1,))
+    gate = Tensor(np.array(0.3), requires_grad=True)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        outs = [T.relu_update(base, [(np.array([4, 0, 2]), vals)]),
+                T.gate_blend(h_n, h_e, W, b, 0.9, 0.4)[1],
+                T.gated_sum([(h_n, h_e, gate)])]
+        loss = T.sum_(outs[0])
+        for o in outs[1:]:
+            loss = T.add(loss, T.sum_(o))
+        T.backward(loss)
+    for t in (*outs, base, vals, h_n, h_e, W, b, gate):
+        assert np.isfinite(t.values).all()
+    for t in (base, vals, h_n, h_e, W, b, gate):
+        assert np.isfinite(t.grad).all()
 
 
 def _primitive_cases(rng):
@@ -283,8 +518,8 @@ def _primitive_cases(rng):
     case("neighbor_mean", [nh],
          lambda: T.sumsq(T.sigmoid(T.neighbor_mean(nh, nsrc, ndst)[1])))
     none = np.zeros(0, dtype=np.int64)
-    case("neighbor_mean_no_edges", [nh],
-         lambda: T.sumsq(T.add_rows(nh, *T.neighbor_mean(nh, none, none))))
+    case("neighbor_mean_no_edges", [nh, zr],
+         lambda: T.sumsq(T.relu_update(zr, [T.neighbor_mean(nh, none, none)])))
     # destinations 0 and 1 are one class; row 0 of h is 0's own non-leaf
     # source, whose key leaf 2 holds: the class sums (h2 + h3) once, and 0
     # adds h0 - h2. Destination 2 is a class of its own.
@@ -300,8 +535,10 @@ def _primitive_cases(rng):
     ab_base = rand_tensor(rng, (5, 3))
     ab_vals = rand_tensor(rng, (3, 3))
     ab_rows = np.array([3, 0, 4])
-    case("add_rows", [ab_base, ab_vals],
-         lambda: T.sumsq(T.tanh(T.add_rows(ab_base, ab_rows, ab_vals))))
+    case("relu_update_no_part", [ab_base],
+         lambda: T.sumsq(T.tanh(T.relu_update(ab_base, []))))
+    case("relu_update", [ab_base, ab_vals],
+         lambda: T.sumsq(T.tanh(T.relu_update(ab_base, [(ab_rows, ab_vals)]))))
 
     sp = rand_tensor(rng, (4, 3))
     case("softplus", [sp], lambda: T.sumsq(T.softplus(sp)))
@@ -321,6 +558,21 @@ def _primitive_cases(rng):
     lb1 = rand_tensor(rng, (1,))
     case("linear_bias_1", [lx, lw1, lb1],
          lambda: T.sumsq(T.sigmoid(T.linear(lx, lw1, lb1))))
+
+    # the table update: two parts sharing row 0, the gate and the fusion
+    ab_more = rand_tensor(rng, (2, 3))
+    case("relu_update_two_parts", [ab_base, ab_vals, ab_more],
+         lambda: T.sumsq(T.tanh(T.relu_update(
+             ab_base, [(ab_rows, ab_vals), (np.array([0, 1]), ab_more)]))))
+    gn, ge = rand_tensor(rng, (4, 3)), rand_tensor(rng, (4, 3))
+    gw, gb = rand_tensor(rng, (6, 1)), rand_tensor(rng, (1,))
+    case("gate_blend", [gn, ge, gw, gb],
+         lambda: T.sumsq(T.gate_blend(gn, ge, gw, gb, 0.3, 0.4)[1]))
+    g1, g2 = rand_tensor(rng, (1,)), rand_tensor(rng, (4, 1))
+    case("gated_sum", [gn, ge, g1, g2],
+         lambda: T.sumsq(T.gated_sum([(gn, ge, g1), (ge, gn, g2)])))
+    case("gated_sum_constant_gate", [gn, ge],
+         lambda: T.sumsq(T.gated_sum([(gn, ge, Tensor(np.array(0.3)))])))
     return cases
 
 
